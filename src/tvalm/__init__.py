@@ -7,11 +7,10 @@ from .alm import AlmConfig, OuterState, alm_run, criteria_abc_report, inner_stop
 from .degrade import DegradeSpec, blocks_image, degrade
 from .errors import (InnerNewtonError, KrylovError, LineSearchError, MaxOuterError,
                      SolverError)
-from .grid import (ANISO, ISO, GridShape, div, grad, image, inner_x, inner_y,
-                   pointwise_mag, tv_norm, vec_field)
-from .linops import (BlurKernel, KrylovConfig, LinearMap, bicgstab_solve, blur_apply,
-                     blur_map, cg_solve, gaussian_kernel, h_apply, h_map, h_solve,
-                     identity_map, motion_kernel, newton_forcing_tol)
+from .grid import ANISO, ISO, div, grad, image, inner_x, inner_y, pointwise_mag, tv_norm
+from .linops import (BlurKernel, KrylovConfig, LinearMap, bicgstab_solve, blur_adjoint,
+                     blur_apply, blur_map, cg_solve, gaussian_kernel, h_apply, h_map,
+                     motion_kernel, newton_forcing_tol)
 from .metrics import (MetricRecord, err_total, pd_gap, psnr, res1, res2, res_lambda,
                       res_u)
 from .pgm import PgmFormatError, load_image, save_image

@@ -73,6 +73,10 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
         "check_every": check_every,
     }
 
+    # The prox operator t + tau*H t reads the current tau from the state.
+    prox_op = LinearMap(lambda t: t + st.tau * H.apply(t),
+                        lambda t: t + st.tau * H.apply(t), self_adjoint=True)
+
     t0 = time.perf_counter()
     krylov_in_window = 0
     for k in range(1, max_iters + 1):
@@ -82,8 +86,6 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
         if denoise:
             st.u = v / (1.0 + st.tau)
         else:
-            prox_op = LinearMap(lambda t: t + st.tau * H.apply(t),
-                                lambda t: t + st.tau * H.apply(t), self_adjoint=True)
             st.u, kit = cg_solve(prox_op, v, kcfg)
             krylov_in_window += kit
         st.theta_accel = 1.0 / np.sqrt(1.0 + 2.0 * st.gamma * st.tau)

@@ -11,14 +11,14 @@ geometrically up to its cap, and records the full residual suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import MaxOuterError
 from .grid import check_variant, grad, norm_y
-from .linops import KrylovConfig, LinearMap, h_map
+from .linops import KrylovConfig, LinearMap
 from .metrics import MetricRecord, make_record
 from .prox import project_ball, soft_threshold
 from .report import RunReport, summarize
@@ -113,8 +113,6 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     iterations do not reach ``outer_tol``.
     """
     ref = z if reference is None else reference
-    f = z.copy() if K is None else K.apply_adjoint(z)
-    H = h_map(cfg.mu, K)
     kcfg = KrylovConfig(rel_tol=0.1, max_iters=cfg.krylov_max_iters, method="bicgstab")
 
     shape = grad(z).shape
@@ -125,11 +123,14 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     sigma = cfg.sigma0
     state = OuterState(u=u, p=p, lam=lam, sigma=sigma, k=0)
     err = float("inf")
+    # f = K*z, H and the nested-solve config are fixed for the run; each outer
+    # iteration only swaps in the current multiplier and penalty.
+    ctx = make_context(z, lam, sigma, cfg.alpha, cfg.variant, K=K, mu=cfg.mu,
+                       hinv_tol=cfg.hinv_tol)
 
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
-        ctx = make_context(z, lam, sigma, cfg.alpha, cfg.variant, K=K, mu=cfg.mu,
-                           hinv_tol=cfg.hinv_tol)
+        ctx = replace(ctx, lam=lam, sigma=sigma)
         inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner, kcfg, cfg.ls)
         u, h = inner.state.u, inner.state.h
 
@@ -144,7 +145,7 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
         wall_ms = (time.perf_counter() - t0) * 1e3
         steps = inner.newton_steps
         record = make_record(
-            k + 1, u, lam, f, H, cfg.alpha, cfg.c0, cfg.variant, ref, wall_ms,
+            k + 1, u, lam, ctx.f, ctx.H, cfg.alpha, cfg.c0, cfg.variant, ref, wall_ms,
             steps, inner.krylov_iters / steps if steps else 0.0,
         )
         state.history.append(record)

@@ -16,31 +16,16 @@ pixel sums (no area weights).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 ISO = "iso"
 ANISO = "aniso"
 
 
-class GridShape(NamedTuple):
-    """Image dimensions: ``rows`` = M, ``cols`` = N, both >= 1."""
-
-    rows: int
-    cols: int
-
-
 def check_variant(variant: str) -> str:
     if variant not in (ISO, ANISO):
         raise ValueError(f"unknown TV variant {variant!r}; expected 'iso' or 'aniso'")
     return variant
-
-
-def grid_shape(rows: int, cols: int) -> GridShape:
-    if rows < 1 or cols < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got {rows}x{cols}")
-    return GridShape(int(rows), int(cols))
 
 
 def image(values) -> np.ndarray:
@@ -54,32 +39,6 @@ def image(values) -> np.ndarray:
     if not np.all(np.isfinite(u)):
         raise ValueError("image entries must be finite")
     return u
-
-
-def vec_field(chan1, chan2) -> np.ndarray:
-    """Validate and stack two channels into a (2, M, N) vector field."""
-    c1 = image(chan1)
-    c2 = image(chan2)
-    if c1.shape != c2.shape:
-        raise ValueError(f"channel shapes differ: {c1.shape} vs {c2.shape}")
-    return np.stack((c1, c2))
-
-
-def zeros_image(shape: GridShape) -> np.ndarray:
-    return np.zeros((shape.rows, shape.cols))
-
-
-def zeros_field(shape: GridShape) -> np.ndarray:
-    return np.zeros((2, shape.rows, shape.cols))
-
-
-def shape_of(u: np.ndarray) -> GridShape:
-    """GridShape of an image or a vector field."""
-    if u.ndim == 2:
-        return GridShape(u.shape[0], u.shape[1])
-    if u.ndim == 3 and u.shape[0] == 2:
-        return GridShape(u.shape[1], u.shape[2])
-    raise ValueError(f"not an image or vector field: shape {u.shape}")
 
 
 def grad(u: np.ndarray) -> np.ndarray:

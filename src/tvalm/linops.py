@@ -1,15 +1,23 @@
 """Matrix-free linear operators and Krylov solvers.
 
-Provides the data operator K (convolution with replicate boundary extension
-and its exact adjoint), the restoration operator H = -mu*Laplacian + K*K, and
-unpreconditioned CG / BiCGSTAB with the forcing-term rule used to pick inner
-tolerances for Newton steps.  Every solve starts from the zero vector so
-iteration counts are reproducible.
+Provides the data operator K (correlation with a blur kernel under replicate
+boundary extension, and its adjoint), the restoration operator
+H = -mu*Laplacian + K*K, and unpreconditioned CG / BiCGSTAB with the
+forcing-term rule used to pick inner tolerances for Newton steps.  Every solve
+starts from the zero vector so iteration counts are reproducible.
+
+K is held in Kronecker form.  The kernel taps split by SVD into rank-one terms
+c_r r_r^T (one term for the separable motion and Gaussian kernels, at most
+min(kh, kw) otherwise), and with replicate boundaries each term acts on an
+M x N image as C_r u R_r^T, where C_r (M x M) and R_r (N x N) are the 1-D
+correlation matrices of c_r and r_r.  So K u = sum_r C_r u R_r^T and
+K* y = sum_r C_r^T y R_r, which is the exact adjoint by construction.  The
+matrices are built once per image shape and cached on the BlurKernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,15 +38,44 @@ class LinearMap:
     self_adjoint: bool = False
 
 
-def identity_map() -> LinearMap:
-    return LinearMap(lambda u: u.copy(), lambda u: u.copy(), self_adjoint=True)
+def _rank_one_terms(taps: np.ndarray) -> tuple:
+    """Split the taps into rank-one terms (c, r), taps = sum c r^T.
+
+    A one-row kernel is its own single term, with c = None standing for the
+    1 x 1 factor 1.  Otherwise the terms are the SVD's, dropping singular
+    values at rounding level (the matrix_rank cut-off).
+    """
+    kh, kw = taps.shape
+    if kh == 1:
+        return ((None, taps[0]),)
+    U, s, Vt = np.linalg.svd(taps)
+    keep = np.flatnonzero(s > s[0] * max(kh, kw) * np.finfo(np.float64).eps)
+    return tuple((U[:, k] * s[k], Vt[k]) for k in keep)
+
+
+def _correlation_matrix(t: np.ndarray, size: int) -> np.ndarray:
+    """The size x size matrix of 1-D correlation with taps ``t`` under
+    replicate extension: (A x)[i] = sum_a t[a] x[clip(i + a - k//2)]."""
+    k = t.size
+    rows = np.broadcast_to(np.arange(size)[:, None], (size, k))
+    cols = np.clip(rows + (np.arange(k) - k // 2), 0, size - 1)
+    A = np.zeros((size, size))
+    np.add.at(A, (rows, cols), np.broadcast_to(t, (size, k)))
+    return A
 
 
 @dataclass(frozen=True)
 class BlurKernel:
-    """Odd-supported 2-D stencil with weights summing to 1."""
+    """Odd-supported 2-D stencil with weights summing to 1.
+
+    Also caches the operator's Kronecker form: per image shape, the (C, R)
+    correlation matrices of each rank-one term of the taps (C is None for a
+    one-row kernel).  They are built on first use at a shape and live as
+    long as the kernel.
+    """
 
     taps: np.ndarray
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         taps = np.array(self.taps, dtype=np.float64)
@@ -48,7 +85,21 @@ class BlurKernel:
             raise ValueError(f"kernel support must be odd in both axes, got {taps.shape}")
         if abs(float(taps.sum()) - 1.0) > 1e-12:
             raise ValueError(f"kernel weights must sum to 1, got {taps.sum()!r}")
+        # Read-only, so the cached matrices can never go stale.
+        taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
+
+    def matrices(self, shape: tuple[int, int]) -> list:
+        """The cached (C, R) pair of every rank-one term at image ``shape``."""
+        mats = self._matrices.get(shape)
+        if mats is None:
+            m, n = shape
+            if self.taps.shape[0] > m or self.taps.shape[1] > n:
+                raise ValueError(f"kernel {self.taps.shape} larger than image {shape}")
+            mats = [(None if c is None else _correlation_matrix(c, m),
+                     _correlation_matrix(r, n)) for c, r in _rank_one_terms(self.taps)]
+            self._matrices[shape] = mats
+        return mats
 
 
 def motion_kernel(length: int) -> BlurKernel:
@@ -69,48 +120,22 @@ def gaussian_kernel(radius: int, std: float) -> BlurKernel:
 
 
 def blur_apply(u: np.ndarray, kernel: BlurKernel) -> np.ndarray:
-    """Correlate ``u`` with the kernel taps, replicate boundary extension.
-
-    Implemented as one edge pad plus tap-weighted views of the padded array,
-    so the operator is the composition (valid correlation) o (replicate pad).
-    """
-    kh, kw = kernel.taps.shape
-    m, n = u.shape
-    if kh > m or kw > n:
-        raise ValueError(f"kernel {kernel.taps.shape} larger than image {u.shape}")
-    ci, cj = kh // 2, kw // 2
-    padded = np.pad(u, ((ci, ci), (cj, cj)), mode="edge")
-    out = np.zeros_like(u)
-    for a in range(kh):
-        for b in range(kw):
-            t = kernel.taps[a, b]
-            if t != 0.0:
-                out += t * padded[a:a + m, b:b + n]
+    """Correlate ``u`` with the kernel taps, replicate boundary extension:
+    K u = sum over rank-one terms of C u R^T (C u skipped for a one-row
+    kernel), with the matrices cached on the kernel per image shape."""
+    out = None
+    for C, R in kernel.matrices(u.shape):
+        term = (u if C is None else C @ u) @ R.T
+        out = term if out is None else out + term
     return out
 
 
 def blur_adjoint(y: np.ndarray, kernel: BlurKernel) -> np.ndarray:
-    """Exact adjoint of blur_apply: scatter the taps into the padded plane,
-    then fold the pad borders back (the transpose of replicate padding)."""
-    kh, kw = kernel.taps.shape
-    m, n = y.shape
-    if kh > m or kw > n:
-        raise ValueError(f"kernel {kernel.taps.shape} larger than image {y.shape}")
-    ci, cj = kh // 2, kw // 2
-    plane = np.zeros((m + 2 * ci, n + 2 * cj))
-    for a in range(kh):
-        for b in range(kw):
-            t = kernel.taps[a, b]
-            if t != 0.0:
-                plane[a:a + m, b:b + n] += t * y
-    rows = plane[ci:ci + m, :].copy()
-    if ci:
-        rows[0, :] += plane[:ci, :].sum(axis=0)
-        rows[m - 1, :] += plane[m + ci:, :].sum(axis=0)
-    out = rows[:, cj:cj + n].copy()
-    if cj:
-        out[:, 0] += rows[:, :cj].sum(axis=1)
-        out[:, n - 1] += rows[:, n + cj:].sum(axis=1)
+    """Exact adjoint of blur_apply: K* y = sum over terms of C^T y R."""
+    out = None
+    for C, R in kernel.matrices(y.shape):
+        term = (y if C is None else C.T @ y) @ R
+        out = term if out is None else out + term
     return out
 
 
@@ -302,24 +327,6 @@ def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.n
         rho = rho_new
     raise KrylovError("max iterations exceeded", method="bicgstab",
                       residual=np.sqrt(_dot(r, r)) / b_norm, iterations=cfg.max_iters)
-
-
-def krylov_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.ndarray, int]:
-    """Dispatch on cfg.method."""
-    if cfg.method == "cg":
-        return cg_solve(A, b, cfg)
-    return bicgstab_solve(A, b, cfg)
-
-
-def h_solve(b: np.ndarray, mu: float, K: LinearMap | None, cfg: KrylovConfig) -> np.ndarray:
-    """Apply H^{-1} via CG (H is self-adjoint positive definite).
-
-    The denoising case (K = None, mu = 0) short-circuits to the identity.
-    """
-    if K is None and mu == 0.0:
-        return b.copy()
-    x, _ = cg_solve(h_map(mu, K), b, cfg)
-    return x
 
 
 def newton_forcing_tol(res_k: float, res_0: float, floor: float = FORCING_FLOOR) -> float:

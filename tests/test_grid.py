@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from tvalm.grid import (ANISO, ISO, GridShape, div, grad, grid_shape, image, inner_x,
-                        inner_y, norm_x, norm_y, pointwise_mag, tv_norm, vec_field,
-                        zeros_field, zeros_image)
+from tvalm.grid import (ANISO, ISO, div, grad, image, inner_x, inner_y, norm_x, norm_y,
+                        pointwise_mag, tv_norm)
 
 RNG = np.random.default_rng(20240817)
 
@@ -17,11 +16,6 @@ def random_pair(rows, cols):
 
 
 class TestTypes:
-    def test_grid_shape_validation(self):
-        assert grid_shape(3, 5) == GridShape(3, 5)
-        with pytest.raises(ValueError):
-            grid_shape(0, 4)
-
     def test_image_rejects_nan(self):
         with pytest.raises(ValueError):
             image([[1.0, np.nan], [0.0, 2.0]])
@@ -31,15 +25,6 @@ class TestTypes:
             image(np.array([1.0, np.inf]))
         with pytest.raises(ValueError):
             image(np.ones((2, 2, 2)))
-
-    def test_vec_field_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            vec_field(np.ones((2, 3)), np.ones((3, 2)))
-
-    def test_zeros_constructors(self):
-        s = grid_shape(4, 6)
-        assert zeros_image(s).shape == (4, 6)
-        assert zeros_field(s).shape == (2, 4, 6)
 
 
 class TestGrad:

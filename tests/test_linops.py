@@ -4,13 +4,63 @@ import numpy as np
 import pytest
 
 from tvalm.errors import KrylovError
-from tvalm.grid import inner_x
+from tvalm.grid import ISO, inner_x
 from tvalm.linops import (BlurKernel, KrylovConfig, LinearMap, bicgstab_solve,
                           blur_adjoint, blur_apply, blur_map, cg_solve,
-                          gaussian_kernel, h_apply, h_map, h_solve, identity_map,
-                          krylov_solve, motion_kernel, newton_forcing_tol)
+                          gaussian_kernel, h_apply, h_map, motion_kernel,
+                          newton_forcing_tol)
+from tvalm.ssn import make_context
 
 RNG = np.random.default_rng(5150)
+IDENTITY = LinearMap(lambda u: u.copy(), lambda u: u.copy(), self_adjoint=True)
+
+
+def tap_loop_apply(u, kernel):
+    """Reference blur: one edge pad, then a tap-weighted sum of shifted views."""
+    kh, kw = kernel.taps.shape
+    m, n = u.shape
+    ci, cj = kh // 2, kw // 2
+    padded = np.pad(u, ((ci, ci), (cj, cj)), mode="edge")
+    out = np.zeros_like(u)
+    for a in range(kh):
+        for b in range(kw):
+            out += kernel.taps[a, b] * padded[a:a + m, b:b + n]
+    return out
+
+
+def tap_loop_adjoint(y, kernel):
+    """Reference adjoint: scatter the taps into the padded plane, then fold
+    the pad borders back onto the edge rows and columns."""
+    kh, kw = kernel.taps.shape
+    m, n = y.shape
+    ci, cj = kh // 2, kw // 2
+    plane = np.zeros((m + 2 * ci, n + 2 * cj))
+    for a in range(kh):
+        for b in range(kw):
+            plane[a:a + m, b:b + n] += kernel.taps[a, b] * y
+    rows = plane[ci:ci + m, :].copy()
+    if ci:
+        rows[0, :] += plane[:ci, :].sum(axis=0)
+        rows[m - 1, :] += plane[m + ci:, :].sum(axis=0)
+    out = rows[:, cj:cj + n].copy()
+    if cj:
+        out[:, 0] += rows[:, :cj].sum(axis=1)
+        out[:, n - 1] += rows[:, n + cj:].sum(axis=1)
+    return out
+
+
+def random_kernel(shape, seed):
+    taps = np.random.default_rng(seed).uniform(size=shape)
+    return BlurKernel(taps / taps.sum())
+
+
+ORACLE_KERNELS = {
+    "motion1": motion_kernel(1),
+    "motion3": motion_kernel(3),
+    "motion9": motion_kernel(9),
+    "gauss2": gaussian_kernel(2, 1.0),
+    "random3x5": random_kernel((3, 5), 11),
+}
 
 
 def dense_from_map(A: LinearMap, shape):
@@ -90,6 +140,65 @@ class TestBlurApply:
         assert np.allclose(blur_adjoint(y, k).ravel(), Kd.T @ y.ravel(), atol=1e-13)
 
 
+class TestKroneckerBlur:
+    """The Kronecker-form blur against the tap-loop oracle above."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+    @pytest.mark.parametrize("shape", [(7, 9), (32, 32)])
+    def test_matches_tap_loop(self, name, shape):
+        k = ORACLE_KERNELS[name]
+        u = RNG.normal(size=shape)
+        tol = 1e-13 * np.max(np.abs(u))
+        assert np.max(np.abs(blur_apply(u, k) - tap_loop_apply(u, k))) <= tol
+        assert np.max(np.abs(blur_adjoint(u, k) - tap_loop_adjoint(u, k))) <= tol
+
+    def test_term_counts(self):
+        shape = (9, 9)
+        for name in ("motion1", "motion3", "motion9", "gauss2"):
+            assert len(ORACLE_KERNELS[name].matrices(shape)) == 1
+        assert len(ORACLE_KERNELS["random3x5"].matrices(shape)) == 3
+
+    @pytest.mark.parametrize("name, shape", [("motion9", (4, 9)), ("gauss2", (5, 5)),
+                                             ("random3x5", (3, 5))])
+    def test_kernel_as_large_as_image(self, name, shape):
+        kernel = ORACLE_KERNELS[name]
+        u = RNG.normal(size=shape)
+        tol = 1e-13 * np.max(np.abs(u))
+        assert np.max(np.abs(blur_apply(u, kernel) - tap_loop_apply(u, kernel))) <= tol
+        assert np.max(np.abs(blur_adjoint(u, kernel) - tap_loop_adjoint(u, kernel))) <= tol
+
+    @pytest.mark.parametrize("name", ["motion9", "gauss2", "random3x5"])
+    def test_adjoint_is_dense_transpose(self, name):
+        k = ORACLE_KERNELS[name]
+        shape = (7, 9)
+        Kd = dense_from_map(blur_map(k), shape)
+        for _ in range(3):
+            y = RNG.normal(size=shape)
+            assert np.allclose(blur_adjoint(y, k).ravel(), Kd.T @ y.ravel(),
+                               rtol=0.0, atol=1e-13 * np.max(np.abs(y)))
+
+    def test_one_kernel_at_two_shapes(self):
+        k = random_kernel((3, 5), 13)
+        for shape in [(7, 9), (12, 6), (7, 9)]:
+            u = RNG.normal(size=shape)
+            tol = 1e-13 * np.max(np.abs(u))
+            out = blur_apply(u, k)
+            assert out.shape == shape
+            assert np.max(np.abs(out - tap_loop_apply(u, k))) <= tol
+            assert np.max(np.abs(blur_adjoint(u, k) - tap_loop_adjoint(u, k))) <= tol
+
+    def test_taps_read_only(self):
+        k = motion_kernel(3)
+        with pytest.raises(ValueError):
+            k.taps[0, 0] = 0.5
+
+    def test_result_never_aliases_input(self):
+        k = BlurKernel(np.array([[1.0]]))
+        u = RNG.normal(size=(3, 4))
+        assert not np.shares_memory(blur_apply(u, k), u)
+        assert not np.shares_memory(blur_adjoint(u, k), u)
+
+
 class TestHOperator:
     def test_rof_case_identity(self):
         u = RNG.normal(size=(4, 4))
@@ -114,29 +223,34 @@ class TestHOperator:
 
 
 class TestHSolve:
+    """H^{-1} actions through AlmContext.solve_h (nested CG on H)."""
+
     def test_identity_case(self):
         b = RNG.normal(size=(4, 4))
-        assert np.array_equal(h_solve(b, 0.0, None, KrylovConfig()), b)
+        ctx = make_context(b, np.zeros((2, 4, 4)), 1.0, 1.0, ISO)
+        assert np.array_equal(ctx.solve_h(b), b)
 
     def test_roundtrip_random(self):
         K = blur_map(motion_kernel(5))
-        cfg = KrylovConfig(rel_tol=1e-12, max_iters=20000)
         for mu in (1e-6, 1e-9):
             x_true = RNG.normal(size=(8, 8))
             b = h_apply(x_true, mu, K)
-            x = h_solve(b, mu, K, cfg)
+            ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=mu,
+                               hinv_tol=1e-12)
+            x = ctx.solve_h(b)
             rel = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
             assert rel <= 10 * 1e-4  # conditioning eats a few digits
 
     def test_zero_rhs(self):
-        assert np.all(h_solve(np.zeros((3, 3)), 1e-6, identity_map(),
-                              KrylovConfig()) == 0.0)
+        ctx = make_context(np.ones((3, 3)), np.zeros((2, 3, 3)), 1.0, 1.0, ISO,
+                           K=IDENTITY, mu=1e-6)
+        assert np.all(ctx.solve_h(np.zeros((3, 3))) == 0.0)
 
 
 class TestCg:
     def test_identity_one_iteration(self):
         b = RNG.normal(size=(5, 5))
-        x, it = cg_solve(identity_map(), b, KrylovConfig(rel_tol=1e-12))
+        x, it = cg_solve(IDENTITY, b, KrylovConfig(rel_tol=1e-12))
         assert it == 1
         assert np.allclose(x, b)
 
@@ -169,14 +283,14 @@ class TestCg:
         assert err.value.residual > 0
 
     def test_zero_rhs_short_circuit(self):
-        x, it = cg_solve(identity_map(), np.zeros((3, 3)), KrylovConfig())
+        x, it = cg_solve(IDENTITY, np.zeros((3, 3)), KrylovConfig())
         assert it == 0 and np.all(x == 0.0)
 
 
 class TestBicgstab:
     def test_identity(self):
         b = RNG.normal(size=(4, 4))
-        x, _ = bicgstab_solve(identity_map(), b, KrylovConfig(rel_tol=1e-12))
+        x, _ = bicgstab_solve(IDENTITY, b, KrylovConfig(rel_tol=1e-12))
         assert np.allclose(x, b)
 
     def test_random_dense_4x4_system(self):
@@ -215,15 +329,9 @@ class TestBicgstab:
 
 
 class TestDispatchAndAdjointInvariants:
-    def test_krylov_solve_dispatch(self):
-        b = RNG.normal(size=(3, 3))
-        x1, _ = krylov_solve(identity_map(), b, KrylovConfig(method="cg"))
-        x2, _ = krylov_solve(identity_map(), b, KrylovConfig(method="bicgstab"))
-        assert np.allclose(x1, b) and np.allclose(x2, b)
-
     def test_all_shipped_maps_pass_adjoint_probes(self):
         maps = [
-            (identity_map(), (5, 5)),
+            (IDENTITY, (5, 5)),
             (blur_map(motion_kernel(7)), (9, 9)),
             (blur_map(gaussian_kernel(2, 1.5)), (8, 6)),
             (h_map(0.0, None), (4, 4)),
