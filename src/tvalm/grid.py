@@ -47,9 +47,11 @@ def grad(u: np.ndarray) -> np.ndarray:
     chan1[i,j] = u[i+1,j] - u[i,j] (0 on the last row),
     chan2[i,j] = u[i,j+1] - u[i,j] (0 on the last column).
     """
-    g = np.zeros((2,) + u.shape)
-    g[0, :-1, :] = u[1:, :] - u[:-1, :]
-    g[1, :, :-1] = u[:, 1:] - u[:, :-1]
+    g = np.empty((2,) + u.shape)
+    np.subtract(u[1:, :], u[:-1, :], out=g[0, :-1, :])
+    g[0, -1, :] = 0.0
+    np.subtract(u[:, 1:], u[:, :-1], out=g[1, :, :-1])
+    g[1, :, -1] = 0.0
     return g
 
 

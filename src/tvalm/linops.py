@@ -4,7 +4,11 @@ Provides the data operator K (correlation with a blur kernel under replicate
 boundary extension, and its adjoint), the restoration operator
 H = -mu*Laplacian + K*K, and unpreconditioned CG / BiCGSTAB with the
 forcing-term rule used to pick inner tolerances for Newton steps.  Every solve
-starts from the zero vector so iteration counts are reproducible.
+starts from the zero vector so iteration counts are reproducible.  The
+solvers' inner products are BLAS dot products (np.vdot), and their iterates,
+residuals and search directions are updated in place.  An operator may return
+its argument's own array, so a solver writes only to arrays it allocated, and
+only after its last read of any operator output that may share them.
 
 K is held in Kronecker form.  The kernel taps split by SVD into rank-one terms
 c_r r_r^T (one term for the separable motion and Gaussian kernels, at most
@@ -64,7 +68,7 @@ def _correlation_matrix(t: np.ndarray, size: int) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlurKernel:
     """Odd-supported 2-D stencil with weights summing to 1.
 
@@ -72,6 +76,9 @@ class BlurKernel:
     correlation matrices of each rank-one term of the taps (C is None for a
     one-row kernel).  They are built on first use at a shape and live as
     long as the kernel.
+
+    Kernels compare and hash by their taps' values (the read-only taps keep
+    the hash fixed); the cache takes no part in either.
     """
 
     taps: np.ndarray
@@ -88,6 +95,16 @@ class BlurKernel:
         # Read-only, so the cached matrices can never go stale.
         taps.setflags(write=False)
         object.__setattr__(self, "taps", taps)
+
+    def __eq__(self, other):
+        if not isinstance(other, BlurKernel):
+            return NotImplemented
+        return (self.taps.shape == other.taps.shape
+                and bool(np.array_equal(self.taps, other.taps)))
+
+    def __hash__(self):
+        # + 0.0 maps -0.0 to 0.0, which array_equal counts as equal.
+        return hash((self.taps.shape, (self.taps + 0.0).tobytes()))
 
     def matrices(self, shape: tuple[int, int]) -> list:
         """The cached (C, R) pair of every rank-one term at image ``shape``."""
@@ -178,7 +195,7 @@ class KrylovConfig:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+    return float(np.vdot(a, b))
 
 
 STALL_WINDOW = 400
@@ -233,6 +250,7 @@ def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.ndarray
     x = np.zeros_like(b)
     r = b.copy()
     p = r.copy()
+    tmp = np.empty_like(b)
     rs = _dot(r, r)
     for it in range(1, cfg.max_iters + 1):
         Ap = A.apply(p)
@@ -241,12 +259,14 @@ def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.ndarray
             raise KrylovError("indefinite operator detected", method="cg",
                               residual=np.sqrt(rs) / b_norm, iterations=it)
         a = rs / pAp
-        x += a * p
-        r -= a * Ap
+        x += np.multiply(a, p, out=tmp)
+        r -= np.multiply(a, Ap, out=tmp)
         rs_new = _dot(r, r)
         if np.sqrt(rs_new) <= tol:
             return x, it
-        p = r + (rs_new / rs) * p
+        # p = r + beta p in place; Ap, which may be p itself, is not read again.
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     raise KrylovError("max iterations exceeded", method="cg",
                       residual=np.sqrt(rs) / b_norm, iterations=cfg.max_iters)
@@ -272,6 +292,7 @@ def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.n
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
+    tmp = np.empty_like(b)
     best = _BestIterate(b_norm)
     for it in range(1, cfg.max_iters + 1):
         rho_new = _dot(r0, r)
@@ -286,11 +307,13 @@ def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.n
             if rho_new < BREAKDOWN_EPS:
                 return x, it
             p = r.copy()
-            v = np.zeros_like(b)
             alpha = omega = 1.0
         else:
+            # p = r + beta (p - omega v), in place; v may alias p.
             beta = (rho_new / rho) * (alpha / omega)
-            p = r + beta * (p - omega * v)
+            p -= np.multiply(omega, v, out=tmp)
+            p *= beta
+            p += r
         v = A.apply(p)
         r0v = _dot(r0, v)
         if abs(r0v) < BREAKDOWN_EPS:
@@ -299,8 +322,11 @@ def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.n
             raise KrylovError("breakdown: r0'v ~ 0", method="bicgstab",
                               residual=np.sqrt(_dot(r, r)) / b_norm, iterations=it)
         alpha = rho_new / r0v
-        s = r - alpha * v
-        x += alpha * p
+        # s = r - alpha v overwrites r, which is not read again until
+        # r = s - omega t is formed in the same array.
+        s = r
+        s -= np.multiply(alpha, v, out=tmp)
+        x += np.multiply(alpha, p, out=tmp)
         if np.sqrt(_dot(s, s)) <= tol:
             return x, it
         t = A.apply(s)
@@ -316,8 +342,8 @@ def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.n
                 return x, it
             raise KrylovError("breakdown: omega ~ 0", method="bicgstab",
                               residual=np.sqrt(_dot(s, s)) / b_norm, iterations=it)
-        x += omega * s
-        r = s - omega * t
+        x += np.multiply(omega, s, out=tmp)
+        r -= np.multiply(omega, t, out=tmp)
         r_norm = np.sqrt(_dot(r, r))
         if r_norm <= tol:
             return x, it

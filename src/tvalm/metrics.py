@@ -46,18 +46,27 @@ def res_u(u: np.ndarray, lam: np.ndarray, f: np.ndarray, H: LinearMap | None) ->
 
 def res_lambda(u: np.ndarray, lam: np.ndarray, alpha: float, c0: float, variant: str) -> float:
     """Dual fixed-point residual ||lam - P_alpha(lam + c0 * grad u)||_F, c0 > 0."""
+    return _res_lambda(grad(u), lam, alpha, c0, variant)
+
+
+def _res_lambda(g: np.ndarray, lam: np.ndarray, alpha: float, c0: float,
+                variant: str) -> float:
     if c0 <= 0.0:
         raise ValueError(f"c0 must be positive, got {c0}")
-    return norm_y(lam - project_ball(lam + c0 * grad(u), alpha, variant))
+    return norm_y(lam - project_ball(lam + c0 * g, alpha, variant))
 
 
 def err_total(u: np.ndarray, lam: np.ndarray, f: np.ndarray, H: LinearMap | None,
               alpha: float, c0: float, variant: str) -> float:
     """Scaled residual sum (res_u + res_lambda) / ||f||_F."""
+    return _err(res_u(u, lam, f, H), res_lambda(u, lam, alpha, c0, variant), f)
+
+
+def _err(ru: float, rl: float, f: np.ndarray) -> float:
     fn = norm_x(f)
     if fn == 0.0:
         raise ValueError("err_total undefined for f = 0")
-    return (res_u(u, lam, f, H) + res_lambda(u, lam, alpha, c0, variant)) / fn
+    return (ru + rl) / fn
 
 
 def lambda_feasible(lam: np.ndarray, alpha: float, variant: str,
@@ -76,8 +85,11 @@ def res1(u: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
     The feasibility indicator contributes 0 here; infeasible multipliers are
     flagged on the MetricRecord instead.
     """
+    return _res1(grad(u), lam, alpha, variant)
+
+
+def _res1(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
     check_variant(variant)
-    g = grad(u)
     dot = lam[0] * g[0] + lam[1] * g[1]
     if variant == ISO:
         per_pixel = alpha * pointwise_mag(g) - dot
@@ -93,8 +105,11 @@ def res2(u: np.ndarray, lam: np.ndarray, alpha: float, variant: str = ISO) -> fl
     lam; aniso applies the analogous condition channel by channel (which is
     what vanishes at anisotropic saddle points).
     """
+    return _res2(grad(u), lam, alpha, variant)
+
+
+def _res2(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
     check_variant(variant)
-    g = grad(u)
     if variant == ISO:
         r = alpha * g - pointwise_mag(g) * lam
     else:
@@ -109,11 +124,17 @@ def pd_gap(u: np.ndarray, lam: np.ndarray, f: np.ndarray, alpha: float,
     Returns +inf when lam is infeasible beyond the rounding slack (callers
     flag the record); otherwise the gap divided by the pixel count.
     """
-    if not lambda_feasible(lam, alpha, variant):
+    return _pd_gap(u, grad(u), lam, f, alpha, variant,
+                   lambda_feasible(lam, alpha, variant))
+
+
+def _pd_gap(u: np.ndarray, g: np.ndarray, lam: np.ndarray, f: np.ndarray,
+            alpha: float, variant: str, feasible: bool) -> float:
+    if not feasible:
         return float("inf")
     raw = (
         0.5 * norm_x(u - f) ** 2
-        + alpha * tv_norm(grad(u), variant)
+        + alpha * tv_norm(g, variant)
         + 0.5 * norm_x(div(lam) + f) ** 2
         - 0.5 * norm_x(f) ** 2
     )
@@ -134,17 +155,24 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, f: np.ndarray,
                 H: LinearMap | None, alpha: float, c0: float, variant: str,
                 reference: np.ndarray, wall_ms: float, inner_newton: int,
                 avg_krylov: float) -> MetricRecord:
-    """Assemble the full per-iteration metric row (PSNR display-capped)."""
+    """Assemble the full per-iteration metric row (PSNR display-capped).
+
+    grad u, both residuals and the feasibility test are evaluated once and
+    shared by the columns that use them.
+    """
+    g = grad(u)
     feas = lambda_feasible(lam, alpha, variant)
+    ru = res_u(u, lam, f, H)
+    rl = _res_lambda(g, lam, alpha, c0, variant)
     p = psnr(u, reference)
     return MetricRecord(
         k=k,
-        res_u=res_u(u, lam, f, H),
-        res_lambda=res_lambda(u, lam, alpha, c0, variant),
-        err=err_total(u, lam, f, H, alpha, c0, variant),
-        res1=res1(u, lam, alpha, variant),
-        res2=res2(u, lam, alpha, variant),
-        gap=pd_gap(u, lam, f, alpha, variant),
+        res_u=ru,
+        res_lambda=rl,
+        err=_err(ru, rl, f),
+        res1=_res1(g, lam, alpha, variant),
+        res2=_res2(g, lam, alpha, variant),
+        gap=_pd_gap(u, g, lam, f, alpha, variant, feas),
         psnr=min(p, PSNR_CAP),
         wall_ms=wall_ms,
         inner_newton=inner_newton,

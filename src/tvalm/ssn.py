@@ -15,6 +15,28 @@ Active sets use the tie convention s = 1: a pixel (or channel) counts as
 active exactly where |multiplier + sigma * gradient| >= alpha.  Divisions by
 vanishing magnitudes are guarded; any term carrying an inactive mask factor is
 evaluated as zero there.
+
+The image-space Newton systems (the PDP Schur complement and the PT
+derivative) are all of the form H + sigma grad^* D grad with a pointwise D.
+Each is assembled once per Newton step as
+
+    v -> K*K v - div(F grad v),    F g = a g - b (w . g),
+
+with mu folded into a (H = K*K - mu Laplacian), so one Krylov iteration's
+operator application costs one grad, one pointwise flux and one div, plus K
+and K* when deblurring:
+
+    system       a                              b                     w
+    PDP aniso    (sigma - coef h) / U           -                     -
+    PDP iso      sigma / U                      coef h / U            w
+    PT aniso     sigma [|q| < tau]              -                     -
+    PT iso       sigma tau / |q| on the active  sigma tau / |q|^3 q   q
+                 set, sigma elsewhere           on the active set
+
+(w = lam + sigma grad u, U and coef from the projection's derivative,
+q = lam / sigma + grad u, tau = alpha / sigma.)  The PDD dual system
+q -> U q - (sigma - B) grad H^{-1} div q likewise takes one grad per
+application.
 """
 
 from __future__ import annotations
@@ -156,6 +178,63 @@ def _make_b_action(w, coef, h, variant) -> Callable[[np.ndarray], np.ndarray]:
     return b_action
 
 
+def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
+                  w: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+    """The assembled image-space Newton operator v -> K*K v - div(F grad v).
+
+    F g = (a + mu) g - b (w . g) is the pointwise flux, with K*K v read as v
+    for the identity.  The H = K*K - mu Laplacian part of the system is thus
+    folded in: mu joins a, so each application costs one grad, one flux and
+    one div (plus K and K* when present).  The coefficient fields are fixed
+    for the Newton step; a is one channel (broadcast) or two, b and w two.
+    """
+    if ctx.mu > 0.0:
+        a = a + ctx.mu
+    K = ctx.K
+
+    def system(v):
+        g = grad(v)
+        if b is None:
+            flux = np.multiply(a, g, out=g)
+        else:
+            wg = w[0] * g[0] + w[1] * g[1]
+            flux = np.multiply(a, g, out=g)
+            flux -= b * wg
+        out = div(flux)
+        # K* may return its input's array, so the difference goes into out.
+        return np.subtract(v if K is None else K.apply_adjoint(K.apply(v)), out, out=out)
+    return system
+
+
+def _pdp_system(w, U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.ndarray]:
+    """Schur operator of ssnpdp_step, H - div((sigma grad - B) / U)."""
+    if ctx.variant == ISO:
+        return _image_system(ctx, ctx.sigma / U, coef * h / U, w)
+    return _image_system(ctx, (ctx.sigma - coef * h) / U)
+
+
+def _pdd_system(w, U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.ndarray]:
+    """Dual operator of ssnpdd_step, q -> U q - sigma grad t + B t with
+    t = H^{-1} div q, taking grad t once."""
+    if ctx.variant == ISO:
+        def system(q):
+            g = grad(ctx.solve_h(div(q)))
+            wg = w[0] * g[0] + w[1] * g[1]
+            out = U * q
+            out -= np.multiply(ctx.sigma, g, out=g)
+            out += (coef * wg) * h
+            return out
+    else:
+        scale = ctx.sigma - coef * h
+
+        def system(q):
+            g = grad(ctx.solve_h(div(q)))
+            out = U * q
+            out -= np.multiply(scale, g, out=g)
+            return out
+    return system
+
+
 def residual_pd(u: np.ndarray, h: np.ndarray, ctx: AlmContext) -> float:
     """Norm of the dual-row nonlinear residual, evaluated with the
     pre-projection dual field."""
@@ -174,10 +253,7 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> Newt
     w, U, coef = _pd_fields(u, ctx)
     b_action = _make_b_action(w, coef, h, ctx.variant)
     b2 = ctx.lam + b_action(u)
-
-    def system(v):
-        return ctx.H.apply(v) - div((ctx.sigma * grad(v) - b_action(v)) / U)
-
+    system = _pdp_system(w, U, coef, h, ctx)
     rhs = ctx.f + div(b2 / U)
     delta_u, kit = bicgstab_solve(LinearMap(system, system), rhs - system(u), kcfg)
     u_new = u + delta_u
@@ -200,11 +276,7 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> Newt
     b_action = _make_b_action(w, coef, h, ctx.variant)
     b2 = ctx.lam + b_action(u)
     f_inv = ctx.solve_h(ctx.f)
-
-    def system(q):
-        t = ctx.solve_h(div(q))
-        return U * q - ctx.sigma * grad(t) + b_action(t)
-
+    system = _pdd_system(w, U, coef, h, ctx)
     rhs = b2 + ctx.sigma * grad(f_inv) - b_action(f_inv)
     delta_h, kit = bicgstab_solve(LinearMap(system, system), rhs - system(h), kcfg)
     h_pre = h + delta_h
@@ -241,28 +313,22 @@ def residual_pt(u: np.ndarray, ctx: AlmContext) -> float:
 
 
 def _pt_system(u: np.ndarray, ctx: AlmContext) -> Callable[[np.ndarray], np.ndarray]:
-    """Self-adjoint generalized derivative H + sigma grad^* (I - A) grad."""
+    """Self-adjoint generalized derivative H + sigma grad^* (I - A) grad.
+
+    aniso: I - A keeps the inactive channels, |q| < tau.  iso: on the
+    active pixels, I - A = (tau/|q|) I - (tau/|q|^3) q q^T (the shrinkage
+    derivative's rank-one correction); inactive pixels keep I.
+    """
     tau = ctx.alpha / ctx.sigma
     q = ctx.lam / ctx.sigma + grad(u)
     if ctx.variant == ISO:
         mag = pointwise_mag(q)
         chi = mag >= tau
         safe = np.where(chi, np.where(mag > 0.0, mag, 1.0), 1.0)
-
-        def system(v):
-            gd = grad(v)
-            dot = q[0] * gd[0] + q[1] * gd[1]
-            # Active branch of the shrinkage derivative (rank-1 corrected).
-            a_gd = np.where(chi, 1.0 - tau / safe, 0.0) * gd \
-                + np.where(chi, tau / safe ** 3, 0.0) * dot * q
-            return ctx.H.apply(v) - ctx.sigma * div(gd - a_gd)
-    else:
-        chi = (np.abs(q) >= tau).astype(np.float64)
-
-        def system(v):
-            gd = grad(v)
-            return ctx.H.apply(v) - ctx.sigma * div((1.0 - chi) * gd)
-    return system
+        a = ctx.sigma * np.where(chi, tau / safe, 1.0)
+        b = (ctx.sigma * np.where(chi, tau / safe ** 3, 0.0)) * q
+        return _image_system(ctx, a, b, q)
+    return _image_system(ctx, ctx.sigma * (np.abs(q) < tau))
 
 
 def ssnpt_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,

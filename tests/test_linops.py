@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tvalm.degrade import DegradeSpec
 from tvalm.errors import KrylovError
 from tvalm.grid import ISO, inner_x
 from tvalm.linops import (BlurKernel, KrylovConfig, LinearMap, bicgstab_solve,
@@ -13,6 +14,9 @@ from tvalm.ssn import make_context
 
 RNG = np.random.default_rng(5150)
 IDENTITY = LinearMap(lambda u: u.copy(), lambda u: u.copy(), self_adjoint=True)
+# The identity handing back its argument's own array: a solver that writes into
+# A.apply's output would write into its own search direction.
+ALIASING_IDENTITY = LinearMap(lambda u: u, lambda u: u, self_adjoint=True)
 
 
 def tap_loop_apply(u, kernel):
@@ -106,6 +110,36 @@ class TestBlurKernel:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             BlurKernel(np.ones((3, 3)))
+
+    def test_equality_by_taps(self):
+        a, b = motion_kernel(3), motion_kernel(3)
+        assert a == b and not a != b
+        assert a != motion_kernel(5)
+        assert a != gaussian_kernel(1, 1.0)
+        # Same taps in another shape are another kernel.
+        assert BlurKernel([[1.0]]) != BlurKernel([[0.0, 1.0, 0.0]])
+        assert a != "motion-3"
+
+    def test_equality_ignores_matrix_cache(self):
+        a, b = motion_kernel(3), motion_kernel(3)
+        a.matrices((5, 5))
+        assert a == b and hash(a) == hash(b)
+
+    def test_hash_consistent_with_equality(self):
+        assert hash(motion_kernel(3)) == hash(motion_kernel(3))
+        assert {motion_kernel(3): "m3"}[motion_kernel(3)] == "m3"
+        assert len({motion_kernel(3), motion_kernel(3), motion_kernel(5)}) == 2
+        signed = BlurKernel([[-0.0, 1.0, 0.0]])
+        assert signed == BlurKernel([[0.0, 1.0, 0.0]])
+        assert hash(signed) == hash(BlurKernel([[0.0, 1.0, 0.0]]))
+
+    def test_degrade_spec_equality(self):
+        spec = DegradeSpec(noise_std=0.01, blur=motion_kernel(9), seed=21)
+        assert spec == DegradeSpec(noise_std=0.01, blur=motion_kernel(9), seed=21)
+        assert spec != DegradeSpec(noise_std=0.01, blur=motion_kernel(7), seed=21)
+        assert spec != DegradeSpec(noise_std=0.01, seed=21)
+        assert hash(spec) == hash(DegradeSpec(noise_std=0.01, blur=motion_kernel(9),
+                                              seed=21))
 
 
 class TestBlurApply:
@@ -326,6 +360,19 @@ class TestBicgstab:
         with pytest.raises(KrylovError):
             bicgstab_solve(A, RNG.normal(size=(4, 4)),
                            KrylovConfig(rel_tol=1e-14, max_iters=1))
+
+
+class TestOperatorOutputAliasing:
+    @pytest.mark.parametrize("solve", [cg_solve, bicgstab_solve])
+    @pytest.mark.parametrize("shape", [(5, 5), (2, 4, 3)])
+    def test_operator_returning_its_argument(self, solve, shape):
+        b = RNG.normal(size=shape)
+        b_before = b.copy()
+        x, it = solve(ALIASING_IDENTITY, b, KrylovConfig(rel_tol=1e-12))
+        assert it == 1
+        assert np.array_equal(x, b)
+        assert np.array_equal(b, b_before)
+        assert x is not b
 
 
 class TestDispatchAndAdjointInvariants:

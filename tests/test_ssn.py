@@ -6,7 +6,7 @@ import pytest
 
 from tvalm.errors import InnerNewtonError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
-from tvalm.linops import KrylovConfig, LinearMap, cg_solve
+from tvalm.linops import KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
 from tvalm.ssn import (LineSearchParams, NewtonState, active_mask,
                        make_context, merit_phi, residual_pd, residual_pt,
@@ -262,12 +262,8 @@ class TestSsnpddStep:
         U_ext = np.concatenate([U.ravel(), U.ravel()])
         dense = np.diag(U_ext) - ctx.sigma * (G @ Dv) + B @ Dv
 
-        from tvalm.ssn import _make_b_action, _pd_fields
-        w2, U2, coef2 = _pd_fields(u, ctx)
-        b_action = _make_b_action(w2, coef2, h, ctx.variant)
-        def system(q):
-            t = ctx.solve_h(div(q))
-            return U2 * q - ctx.sigma * grad(t) + b_action(t)
+        from tvalm.ssn import _pd_fields, _pdd_system
+        system = _pdd_system(*_pd_fields(u, ctx), h, ctx)
         q = RNG.normal(size=(2, 2, 2))
         got = system(q).ravel()
         want = dense @ q.ravel()
@@ -337,7 +333,7 @@ class TestPositiveDefiniteness:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_pdp_schur_dominates_h(self, variant):
         # With feasible h the Schur complement is bounded below by H.
-        from tvalm.ssn import _make_b_action, _pd_fields
+        from tvalm.ssn import _pd_fields, _pdp_system
         for trial in range(25):
             n = int(RNG.integers(2, 7))
             z = RNG.normal(size=(n, n))
@@ -347,10 +343,7 @@ class TestPositiveDefiniteness:
             ctx = denoise_ctx(z, lam, sigma, alpha, variant)
             u0 = RNG.normal(size=(n, n))
             h = project_ball(RNG.normal(size=(2, n, n)), alpha, variant)
-            w, U, coef = _pd_fields(u0, ctx)
-            b_action = _make_b_action(w, coef, h, variant)
-            def schur(v):
-                return ctx.H.apply(v) - div((sigma * grad(v) - b_action(v)) / U)
+            schur = _pdp_system(*_pd_fields(u0, ctx), h, ctx)
             probe = RNG.normal(size=(n, n))
             lhs = inner_x(schur(probe), probe)
             rhs = inner_x(ctx.H.apply(probe), probe)
@@ -412,6 +405,135 @@ class TestDerivativeConsistency:
             assert err <= 1e-5 * scale
             checked += 1
         assert checked == 10
+
+
+def b_action_oracle(w, coef, h, variant):
+    """The derivative piece B of the primal-dual systems, one grad per call."""
+    if variant == ISO:
+        def b_action(v):
+            g = grad(v)
+            return (coef * (w[0] * g[0] + w[1] * g[1])) * h
+        return b_action
+    return lambda v: coef * grad(v) * h
+
+
+def pdp_system_oracle(u, h, ctx):
+    from tvalm.ssn import _pd_fields
+    w, U, coef = _pd_fields(u, ctx)
+    b_action = b_action_oracle(w, coef, h, ctx.variant)
+    return lambda v: ctx.H.apply(v) - div((ctx.sigma * grad(v) - b_action(v)) / U)
+
+
+def pdd_system_oracle(u, h, ctx):
+    from tvalm.ssn import _pd_fields
+    w, U, coef = _pd_fields(u, ctx)
+    b_action = b_action_oracle(w, coef, h, ctx.variant)
+
+    def system(q):
+        t = ctx.solve_h(div(q))
+        return U * q - ctx.sigma * grad(t) + b_action(t)
+    return system
+
+
+def pt_system_oracle(u, ctx):
+    tau = ctx.alpha / ctx.sigma
+    q = ctx.lam / ctx.sigma + grad(u)
+    if ctx.variant == ISO:
+        mag = pointwise_mag(q)
+        chi = mag >= tau
+        safe = np.where(chi, np.where(mag > 0.0, mag, 1.0), 1.0)
+
+        def system(v):
+            gd = grad(v)
+            dot = q[0] * gd[0] + q[1] * gd[1]
+            a_gd = np.where(chi, 1.0 - tau / safe, 0.0) * gd \
+                + np.where(chi, tau / safe ** 3, 0.0) * dot * q
+            return ctx.H.apply(v) - ctx.sigma * div(gd - a_gd)
+    else:
+        chi = (np.abs(q) >= tau).astype(np.float64)
+
+        def system(v):
+            return ctx.H.apply(v) - ctx.sigma * div((1.0 - chi) * grad(v))
+    return system
+
+
+OPERATOR_SETUPS = {
+    "identity": (None, 0.0),
+    "motion3-mu1e-6": (motion_kernel(3), 1e-6),
+    "identity-mu0.01": (None, 0.01),
+}
+
+
+class TestAssembledOperators:
+    """The assembled Newton operators against the per-term closures they
+    replace (two grads and an H application per call)."""
+
+    @staticmethod
+    def instance(setup, variant, seed=2718):
+        kernel, mu = OPERATOR_SETUPS[setup]
+        rng = np.random.default_rng(seed)
+        n, sigma, alpha = 8, 4.0, 0.1
+        z = np.clip(0.5 + 0.12 * rng.normal(size=(n, n)), 0.0, 1.0)
+        lam = project_ball(0.05 * rng.normal(size=(2, n, n)), alpha, variant)
+        K = None if kernel is None else blur_map(kernel)
+        ctx = make_context(z, lam, sigma, alpha, variant, K=K, mu=mu)
+        u = 0.5 + 0.03 * rng.normal(size=(n, n))
+        h = project_ball(rng.normal(size=(2, n, n)), alpha, variant)
+        return ctx, u, h, rng
+
+    @staticmethod
+    def assert_matches(got, want):
+        assert norm_y(got - want) <= 1e-12 * norm_y(want)
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
+    def test_pdp(self, setup, variant):
+        from tvalm.ssn import _pd_fields, _pdp_system
+        ctx, u, h, rng = self.instance(setup, variant)
+        w, U, coef = _pd_fields(u, ctx)
+        # Both branches of the max term are exercised.
+        assert 0.0 < np.mean(coef != 0.0) < 1.0
+        system = _pdp_system(w, U, coef, h, ctx)
+        oracle = pdp_system_oracle(u, h, ctx)
+        for _ in range(3):
+            v = rng.normal(size=u.shape)
+            self.assert_matches(system(v), oracle(v))
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
+    def test_pdd(self, setup, variant):
+        from tvalm.ssn import _pd_fields, _pdd_system
+        ctx, u, h, rng = self.instance(setup, variant)
+        w, U, coef = _pd_fields(u, ctx)
+        assert 0.0 < np.mean(coef != 0.0) < 1.0
+        system = _pdd_system(w, U, coef, h, ctx)
+        oracle = pdd_system_oracle(u, h, ctx)
+        for _ in range(3):
+            q = rng.normal(size=h.shape)
+            self.assert_matches(system(q), oracle(q))
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
+    def test_pt(self, setup, variant):
+        from tvalm.ssn import _pt_system
+        ctx, u, _, rng = self.instance(setup, variant)
+        q = ctx.lam / ctx.sigma + grad(u)
+        mag = pointwise_mag(q) if variant == ISO else np.abs(q)
+        assert 0.0 < np.mean(mag >= ctx.alpha / ctx.sigma) < 1.0
+        system = _pt_system(u, ctx)
+        oracle = pt_system_oracle(u, ctx)
+        for _ in range(3):
+            v = rng.normal(size=u.shape)
+            self.assert_matches(system(v), oracle(v))
+
+    def test_identity_data_operator_leaves_argument_untouched(self):
+        from tvalm.ssn import _pt_system
+        ctx, u, _, rng = self.instance("identity", ISO)
+        v = rng.normal(size=u.shape)
+        v_before = v.copy()
+        out = _pt_system(u, ctx)(v)
+        assert out is not v
+        assert np.array_equal(v, v_before)
 
 
 class TestSolveSubproblem:
