@@ -3,8 +3,6 @@ emitted as CSV and Markdown tables with the standard column set."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,15 +34,6 @@ class BenchCell:
     error: Optional[str] = None
 
 
-def worker_count(requested: Optional[int] = None) -> int:
-    """Resolve bench concurrency; the TVALM_THREADS env var caps it."""
-    n = requested if requested and requested > 0 else 1
-    cap = os.environ.get("TVALM_THREADS")
-    if cap:
-        n = min(n, max(1, int(cap)))
-    return n
-
-
 def _run_cell(name: str, clean: np.ndarray, solver: str, variant: str, tol: float,
               alpha: float, noise_std: float, seed: int, runner) -> BenchCell:
     cell = BenchCell(image=name, variant=variant, solver=solver, tol=tol)
@@ -68,27 +57,19 @@ def _run_cell(name: str, clean: np.ndarray, solver: str, variant: str, tol: floa
 
 def run_matrix(images: Sequence[tuple[str, np.ndarray]], solvers: Sequence[str],
                variants: Sequence[str], tols: Sequence[float], alpha: float,
-               noise_std: float, seed: int, runner,
-               workers: Optional[int] = None) -> list[BenchCell]:
+               noise_std: float, seed: int, runner) -> list[BenchCell]:
     """Evaluate every (image, variant, solver, tolerance) cell.
 
     ``runner(z, clean, solver, variant, tol) -> RunReport`` does one solve.
     Failures are recorded in the cell and the sweep continues.
     """
-    jobs = [
-        (name, clean, solver, variant, tol)
+    return [
+        _run_cell(name, clean, solver, variant, tol, alpha, noise_std, seed, runner)
         for name, clean in images
         for variant in variants
         for solver in solvers
         for tol in tols
     ]
-    n_workers = worker_count(workers)
-    if n_workers == 1:
-        return [_run_cell(*job, alpha, noise_std, seed, runner) for job in jobs]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [pool.submit(_run_cell, *job, alpha, noise_std, seed, runner)
-                   for job in jobs]
-        return [f.result() for f in futures]
 
 
 def _num(v: float) -> str:

@@ -116,7 +116,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return report
 
     cells = run_matrix(images, solvers, variants, tols, args.alpha, args.noise,
-                       args.seed, runner, workers=args.workers)
+                       args.seed, runner)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bench.csv").write_text(cells_to_csv(cells))
@@ -178,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solvers", default="pdp,pt,alg2")
     p.add_argument("--variants", default="aniso")
     p.add_argument("--tols", default="1e-4,1e-6")
-    p.add_argument("--workers", type=int, default=1,
-                   help="concurrent runs (capped by TVALM_THREADS)")
     p.add_argument("--out-dir", dest="out_dir", default="bench_out")
     p.set_defaults(func=cmd_bench)
 

@@ -12,6 +12,14 @@ side); the divergence is its exact negative adjoint, so
 
 holds to rounding for every pair of fields.  All sums are plain unweighted
 pixel sums (no area weights).
+
+grad and div work on the C-ordered flattened image: in the flat layout a
+row difference is a shift by N and a column difference a shift by 1 (which
+wraps across rows only at the last column, where the stencils zero or drop
+the term).  So each channel is one contiguous pass, and inputs in any memory
+layout are read through a C-ordered view or copy.  The results are
+bit-identical, signed zeros included, to the 2-D slice definitions
+documented on each function.
 """
 
 from __future__ import annotations
@@ -47,23 +55,43 @@ def grad(u: np.ndarray) -> np.ndarray:
     chan1[i,j] = u[i+1,j] - u[i,j] (0 on the last row),
     chan2[i,j] = u[i,j+1] - u[i,j] (0 on the last column).
     """
-    g = np.empty((2,) + u.shape)
-    np.subtract(u[1:, :], u[:-1, :], out=g[0, :-1, :])
-    g[0, -1, :] = 0.0
-    np.subtract(u[:, 1:], u[:, :-1], out=g[1, :, :-1])
+    m, n = u.shape
+    uf = u.ravel()
+    g = np.empty((2, m * n))
+    # Flat shifts by N and by 1 are the row and column differences; the
+    # column shift wraps across rows only at the last column, zeroed below.
+    np.subtract(uf[n:], uf[:-n], out=g[0, :-n])
+    g[0, -n:] = 0.0
+    np.subtract(uf[1:], uf[:-1], out=g[1, :-1])
+    g = g.reshape(2, m, n)
     g[1, :, -1] = 0.0
     return g
 
 
 def div(p: np.ndarray) -> np.ndarray:
-    """Backward-difference divergence, the exact negative adjoint of grad."""
-    p1, p2 = p[0], p[1]
-    out = np.zeros(p1.shape)
-    out[:-1, :] += p1[:-1, :]
-    out[1:, :] -= p1[:-1, :]
-    out[:, :-1] += p2[:, :-1]
-    out[:, 1:] -= p2[:, :-1]
-    return out
+    """Backward-difference divergence, the exact negative adjoint of grad.
+
+    out[i,j] = (p1[i,j] - p1[i-1,j]) + (p2[i,j] - p2[i,j-1]), with the
+    terms beyond the last row/column (and before the first) dropped.
+    """
+    m, n = p.shape[1:]
+    p1 = p[0].ravel()
+    out = np.empty(m * n)
+    # Same operation order as summing into zeros: 0.0 + p1 first (which also
+    # turns -0.0 into 0.0), then the shifted differences.
+    np.add(p1[:-n], 0.0, out=out[:-n])
+    out[-n:] = 0.0
+    out[n:] -= p1[:-n]
+    # With p2's last column zeroed, the flat shift by 1 adds p2 and subtracts
+    # its left neighbour exactly where the 2-D definition does, and adds or
+    # subtracts 0.0 elsewhere, which leaves those entries unchanged (none is
+    # -0.0 at this point).
+    t = p[1].copy()
+    t[:, -1] = 0.0
+    t = t.ravel()
+    out[:-1] += t[:-1]
+    out[1:] -= t[:-1]
+    return out.reshape(m, n)
 
 
 def inner_x(u: np.ndarray, v: np.ndarray) -> float:

@@ -90,6 +90,8 @@ class BlurKernel:
             raise ValueError(f"kernel taps must be 2-D, got shape {taps.shape}")
         if taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
             raise ValueError(f"kernel support must be odd in both axes, got {taps.shape}")
+        if not np.all(np.isfinite(taps)):
+            raise ValueError("kernel taps must be finite")
         if abs(float(taps.sum()) - 1.0) > 1e-12:
             raise ValueError(f"kernel weights must sum to 1, got {taps.sum()!r}")
         # Read-only, so the cached matrices can never go stale.

@@ -42,6 +42,7 @@ application.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,6 +64,10 @@ class AlmContext:
     K the data operator (None for the identity), f = K* z, and H the
     self-adjoint restoration operator.  ``h_identity`` marks the denoising
     case where H is the identity and nested solves are free.
+
+    The multiplier terms of the PT path (lam / sigma, div(lam) and
+    ||lam||^2 / (2 sigma)) are computed once per context; ``replace`` makes a
+    new context with an empty cache, and lam must not be written in place.
     """
 
     lam: np.ndarray
@@ -82,9 +87,24 @@ class AlmContext:
         if self.sigma <= 0.0 or self.alpha <= 0.0:
             raise ValueError("sigma and alpha must be positive")
 
+    @cached_property
+    def lam_over_sigma(self) -> np.ndarray:
+        return self.lam / self.sigma
+
+    @cached_property
+    def div_lam(self) -> np.ndarray:
+        return div(self.lam)
+
+    @cached_property
+    def lam_energy(self) -> float:
+        """||lam||^2 / (2 sigma), the constant term of the merit."""
+        return norm_y(self.lam) ** 2 / (2.0 * self.sigma)
+
     def solve_h(self, b: np.ndarray) -> np.ndarray:
+        """H^{-1} b; for H = I this is b itself, so callers must not write
+        into the result."""
         if self.h_identity:
-            return b.copy()
+            return b
         x, _ = cg_solve(self.H, b, self.hinv_cfg)
         return x
 
@@ -291,20 +311,20 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> Newt
 def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
     """Value of the reduced augmented Lagrangian at u (dual field eliminated
     through the soft threshold)."""
-    q = ctx.lam / ctx.sigma + grad(u)
+    q = ctx.lam_over_sigma + grad(u)
     s = soft_threshold(q, ctx.alpha / ctx.sigma, ctx.variant)
     return (
         ctx.data_term(u)
         + ctx.alpha * tv_norm(s, ctx.variant)
         + 0.5 * ctx.sigma * norm_y(q - s) ** 2
-        - norm_y(ctx.lam) ** 2 / (2.0 * ctx.sigma)
+        - ctx.lam_energy
     )
 
 
 def _pt_residual_field(u: np.ndarray, ctx: AlmContext) -> np.ndarray:
     g = grad(u)
-    s = soft_threshold(ctx.lam / ctx.sigma + g, ctx.alpha / ctx.sigma, ctx.variant)
-    return ctx.H.apply(u) - ctx.f - div(ctx.lam) - ctx.sigma * div(g - s)
+    s = soft_threshold(ctx.lam_over_sigma + g, ctx.alpha / ctx.sigma, ctx.variant)
+    return ctx.H.apply(u) - ctx.f - ctx.div_lam - ctx.sigma * div(g - s)
 
 
 def residual_pt(u: np.ndarray, ctx: AlmContext) -> float:
@@ -320,7 +340,7 @@ def _pt_system(u: np.ndarray, ctx: AlmContext) -> Callable[[np.ndarray], np.ndar
     derivative's rank-one correction); inactive pixels keep I.
     """
     tau = ctx.alpha / ctx.sigma
-    q = ctx.lam / ctx.sigma + grad(u)
+    q = ctx.lam_over_sigma + grad(u)
     if ctx.variant == ISO:
         mag = pointwise_mag(q)
         chi = mag >= tau

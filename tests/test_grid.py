@@ -1,12 +1,51 @@
 """Grid calculus: gradient/divergence adjointness, inner products, norms."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import tvalm.grid
+from tvalm.alm import AlmConfig, alm_run
+from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.grid import (ANISO, ISO, div, grad, image, inner_x, inner_y, norm_x, norm_y,
                         pointwise_mag, tv_norm)
+from tvalm.report import strip_timing_columns
 
 RNG = np.random.default_rng(20240817)
+
+
+def grad_2d(u):
+    """The 2-D definition of grad, the oracle for the flat-slice one."""
+    g = np.empty((2,) + u.shape)
+    np.subtract(u[1:, :], u[:-1, :], out=g[0, :-1, :])
+    g[0, -1, :] = 0.0
+    np.subtract(u[:, 1:], u[:, :-1], out=g[1, :, :-1])
+    g[1, :, -1] = 0.0
+    return g
+
+
+def div_2d(p):
+    """The 2-D definition of div, the oracle for the flat-slice one."""
+    p1, p2 = p[0], p[1]
+    out = np.zeros(p1.shape)
+    out[:-1, :] += p1[:-1, :]
+    out[1:, :] -= p1[:-1, :]
+    out[:, :-1] += p2[:, :-1]
+    out[:, 1:] -= p2[:, :-1]
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def signed_zero_field(shape):
+    """Random entries drawn from {0.0, -0.0, 1.0, -1.0, 0.5}, so that the
+    stencils meet every signed-zero sum and difference."""
+    return RNG.choice(np.array([0.0, -0.0, 1.0, -1.0, 0.5]), size=shape)
 
 
 def random_pair(rows, cols):
@@ -72,6 +111,74 @@ class TestDiv:
         separate = a * div(p) + b * div(q)
         assert np.max(np.abs(combined - separate)) <= 1e-13 * max(
             1.0, np.max(np.abs(separate)))
+
+
+SHAPES = [(1, 1), (1, 6), (6, 1), (2, 3), (64, 64)]
+
+
+class TestFlatStencilsMatch2d:
+    """grad and div work on the flattened image; they must give the same bits
+    as the 2-D definitions, signed zeros included."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grad_bits(self, shape):
+        for u in (RNG.normal(size=shape), signed_zero_field(shape)):
+            assert_same_bits(grad(u), grad_2d(u))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_div_bits(self, shape):
+        for p in (RNG.normal(size=(2,) + shape), signed_zero_field((2,) + shape)):
+            assert_same_bits(div(p), div_2d(p))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (7, 5), (64, 64)])
+    def test_non_contiguous_inputs(self, shape):
+        m, n = shape
+        transposed = signed_zero_field((n, m)).T
+        strided = signed_zero_field((2 * m, 3 * n))[::2, ::3]
+        channel = signed_zero_field((2, m, n))[1]
+        for u in (transposed, strided, channel):
+            assert_same_bits(grad(u), grad_2d(u))
+        p_transposed = signed_zero_field((2, n, m)).transpose(0, 2, 1)
+        p_strided = signed_zero_field((2, 2 * m, 3 * n))[:, ::2, ::3]
+        p_channels = signed_zero_field((m, n, 2)).transpose(2, 0, 1)
+        for p in (p_transposed, p_strided, p_channels):
+            assert_same_bits(div(p), div_2d(p))
+
+    def test_inputs_untouched(self):
+        u = RNG.normal(size=(5, 4))
+        p = RNG.normal(size=(2, 5, 4))
+        u0, p0 = u.copy(), p.copy()
+        grad(u)
+        div(p)
+        assert_same_bits(u, u0)
+        assert_same_bits(p, p0)
+
+    @pytest.mark.parametrize("inner", ["pdp", "pdd", "pt"])
+    def test_run_csv_identical_with_2d_oracles(self, inner, monkeypatch):
+        """A whole ALM run gives the same CSV, timing aside, when every module
+        that imports grad/div by name gets the 2-D definitions instead."""
+        clean = blocks_image(16, 16, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        cfg = AlmConfig(alpha=0.1, variant=ISO, inner=inner)
+
+        def run_csv():
+            _, report = alm_run(z, None, cfg, reference=clean)
+            return strip_timing_columns(report.to_csv())
+
+        flat = run_csv()
+        oracles = {tvalm.grid.grad: grad_2d, tvalm.grid.div: div_2d}
+        patched = set()
+        for name, module in list(sys.modules.items()):
+            if name != "tvalm" and not name.startswith("tvalm."):
+                continue
+            for attr in ("grad", "div"):
+                oracle = oracles.get(getattr(module, attr, None))
+                if oracle is not None:
+                    monkeypatch.setattr(module, attr, oracle)
+                    patched.add(f"{name}.{attr}")
+        assert {"tvalm.alm.grad", "tvalm.ssn.grad", "tvalm.ssn.div",
+                "tvalm.metrics.grad", "tvalm.metrics.div"} <= patched
+        assert run_csv() == flat
 
 
 class TestInnerProducts:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tvalm.bench import BenchCell, cells_to_csv, cells_to_markdown, run_matrix, worker_count
+from tvalm.bench import BenchCell, cells_to_csv, cells_to_markdown, run_matrix
 from tvalm.cli import main, run_solver
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.errors import SolverError
@@ -221,24 +221,6 @@ class TestBenchHarness:
         assert "synthetic failure" in errors["bad"]
         text = cells_to_markdown(cells)
         assert "failed" in text
-
-    def test_concurrent_workers_same_results(self):
-        images = [("flat", np.full((12, 12), 0.5)),
-                  ("blocks", blocks_image(12, 12, seed=2))]
-        serial = run_matrix(images, ["pdp"], ["aniso"], [1e-4], 0.1, 0.05, 5,
-                            self.runner, workers=1)
-        parallel = run_matrix(images, ["pdp"], ["aniso"], [1e-4], 0.1, 0.05, 5,
-                              self.runner, workers=4)
-        for a, b in zip(serial, parallel):
-            assert a.image == b.image and a.n == b.n
-            assert a.err == b.err
-
-    def test_worker_count_env_cap(self, monkeypatch):
-        monkeypatch.setenv("TVALM_THREADS", "2")
-        assert worker_count(8) == 2
-        monkeypatch.delenv("TVALM_THREADS")
-        assert worker_count(8) == 8
-        assert worker_count(None) == 1
 
     def test_csv_schema(self):
         cell = BenchCell(image="x", variant="iso", solver="pdp", tol=1e-4)

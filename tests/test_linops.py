@@ -111,6 +111,13 @@ class TestBlurKernel:
         with pytest.raises(ValueError):
             BlurKernel(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_taps_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BlurKernel([[bad, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            BlurKernel([[0.5, 0.5, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 0.0]])
+
     def test_equality_by_taps(self):
         a, b = motion_kernel(3), motion_kernel(3)
         assert a == b and not a != b

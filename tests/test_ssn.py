@@ -1,6 +1,8 @@
 """Inner semismooth Newton solvers: formulas against independent oracles,
 positive definiteness, derivative consistency, and cross-solver agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,21 @@ class TestMerit:
         expected_delta = c * (u - z).sum() + 0.5 * c * c * u.size
         delta = merit_phi(u + c, ctx) - merit_phi(u, ctx)
         assert delta == pytest.approx(expected_delta, rel=1e-9)
+
+    def test_replaced_context_recomputes_multiplier_terms(self):
+        # The multiplier terms are cached per context; a context made by
+        # replace() must see its own lam and sigma, not the cached ones.
+        z, ctx = random_instance(5, variant=ANISO, seed=3)
+        u = z + 0.05 * RNG.normal(size=(5, 5))
+        merit_phi(u, ctx)
+        residual_pt(u, ctx)
+        lam = project_ball(0.05 * RNG.normal(size=(2, 5, 5)), ctx.alpha, ANISO)
+        moved = replace(ctx, lam=lam, sigma=2.0 * ctx.sigma)
+        fresh = denoise_ctx(z, lam, 2.0 * ctx.sigma, ctx.alpha, ANISO)
+        assert merit_phi(u, moved) == merit_phi(u, fresh)
+        assert residual_pt(u, moved) == residual_pt(u, fresh)
+        assert residual_pt(u, moved) == pytest.approx(residual_pt_reference(u, moved),
+                                                      rel=1e-10)
 
 
 def residual_pd_reference(u, h, ctx):
@@ -268,6 +285,20 @@ class TestSsnpddStep:
         got = system(q).ravel()
         want = dense @ q.ravel()
         assert np.allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_denoise_step_leaves_inputs_unmodified(self, variant):
+        # With H = I, solve_h returns its argument itself, so nothing on the
+        # PDD path may write into what it returns.
+        z, ctx = random_instance(6, variant=variant, seed=11)
+        h = project_ball(0.1 * RNG.normal(size=(2, 6, 6)), ctx.alpha, variant)
+        st = NewtonState(z + 0.1 * RNG.normal(size=(6, 6)), h, 1.0)
+        f0, z0, lam0, u0, h0 = (ctx.f.copy(), ctx.z.copy(), ctx.lam.copy(),
+                                st.u.copy(), st.h.copy())
+        ssnpdd_step(st, ctx, TIGHT)
+        for got, want in ((ctx.f, f0), (ctx.z, z0), (ctx.lam, lam0), (st.u, u0),
+                          (st.h, h0)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [3, 16])
     def test_agrees_with_pdp(self, n):
