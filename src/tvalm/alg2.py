@@ -19,7 +19,7 @@ import numpy as np
 from .alm import OuterState
 from .errors import MaxOuterError
 from .grid import div, grad
-from .linops import KrylovConfig, LinearMap, cg_solve, h_map
+from .linops import H_SOLVE, LinearMap, cg_solve, h_map
 from .metrics import make_record
 from .prox import project_ball
 from .report import RunReport, summarize
@@ -58,7 +58,6 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
     H = h_map(mu, K)
     denoise = K is None and mu == 0.0
     gamma = 1.0 if denoise else mu
-    kcfg = KrylovConfig(rel_tol=1e-12, max_iters=20000)
 
     st = Alg2State(
         u=z.copy(), u_bar=z.copy(), lam=np.zeros(grad(z).shape),
@@ -86,7 +85,7 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
         if denoise:
             st.u = v / (1.0 + st.tau)
         else:
-            st.u, kit = cg_solve(prox_op, v, kcfg)
+            st.u, kit = cg_solve(prox_op, v, H_SOLVE)
             krylov_in_window += kit
         st.theta_accel = 1.0 / np.sqrt(1.0 + 2.0 * st.gamma * st.tau)
         st.tau *= st.theta_accel

@@ -6,6 +6,11 @@ semismooth Newton method to the empirical accuracy delta / sigma_k, updates
 the multiplier (linear update through the soft threshold for the primal
 solver, projection update for the primal-dual solvers), grows the penalty
 geometrically up to its cap, and records the full residual suite.
+
+Two values are fixed rather than configured: the residual suite's dual scaling
+c0 = 1 (the scaling every report uses, ALG2's included) and KRYLOV_MAX_ITERS,
+the iteration cap of each Newton system solve, which only bounds a failing
+solve.
 """
 
 from __future__ import annotations
@@ -22,7 +27,9 @@ from .linops import KrylovConfig, LinearMap
 from .metrics import MetricRecord, make_record
 from .prox import project_ball, soft_threshold
 from .report import RunReport, summarize
-from .ssn import LineSearchParams, make_context, solve_subproblem
+from .ssn import make_context, solve_subproblem
+
+KRYLOV_MAX_ITERS = 20000
 
 
 @dataclass(frozen=True)
@@ -40,10 +47,6 @@ class AlmConfig:
     delta_inner: float = 1e-4
     outer_tol: float = 1e-6
     max_outer: int = 30
-    c0: float = 1.0
-    krylov_max_iters: int = 20000
-    hinv_tol: float = 1e-12
-    ls: LineSearchParams = field(default_factory=LineSearchParams)
 
     def __post_init__(self):
         check_variant(self.variant)
@@ -91,17 +94,6 @@ def sigma_schedule(sigma0: float, c: float, sigma_max: float, k: int) -> float:
     return min(sigma0 * c ** k, sigma_max)
 
 
-def inner_stop_rule(inner_res: float, sigma_k: float, delta: float) -> bool:
-    """Empirical subproblem accuracy: residual <= delta / sigma_k.
-
-    The division by sigma_k tightens the rule as the penalty grows, which is
-    what makes the inexact outer iteration converge.
-    """
-    if sigma_k <= 0.0:
-        raise ValueError("sigma_k must be positive")
-    return inner_res <= delta / sigma_k
-
-
 def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
             reference: Optional[np.ndarray] = None,
             seed: Optional[int] = None) -> tuple[OuterState, RunReport]:
@@ -113,7 +105,7 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     iterations do not reach ``outer_tol``.
     """
     ref = z if reference is None else reference
-    kcfg = KrylovConfig(rel_tol=0.1, max_iters=cfg.krylov_max_iters, method="bicgstab")
+    kcfg = KrylovConfig(rel_tol=0.1, max_iters=KRYLOV_MAX_ITERS)
 
     shape = grad(z).shape
     u = z.copy()
@@ -123,29 +115,29 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     sigma = cfg.sigma0
     state = OuterState(u=u, p=p, lam=lam, sigma=sigma, k=0)
     err = float("inf")
-    # f = K*z, H and the nested-solve config are fixed for the run; each outer
-    # iteration only swaps in the current multiplier and penalty.
-    ctx = make_context(z, lam, sigma, cfg.alpha, cfg.variant, K=K, mu=cfg.mu,
-                       hinv_tol=cfg.hinv_tol)
+    # f = K*z and H are fixed for the run; each outer iteration only swaps in
+    # the current multiplier and penalty.
+    ctx = make_context(z, lam, sigma, cfg.alpha, cfg.variant, K=K, mu=cfg.mu)
 
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
         ctx = replace(ctx, lam=lam, sigma=sigma)
-        inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner, kcfg, cfg.ls)
+        inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner, kcfg)
         u, h = inner.state.u, inner.state.h
 
         lam_prev = lam
+        gu = grad(u)
         if cfg.inner == "pt":
-            p = soft_threshold(lam / sigma + grad(u), cfg.alpha / sigma, cfg.variant)
-            lam = lam + sigma * (grad(u) - p)
+            p = soft_threshold(lam / sigma + gu, cfg.alpha / sigma, cfg.variant)
+            lam = lam + sigma * (gu - p)
         else:
-            lam = project_ball(lam + sigma * grad(u), cfg.alpha, cfg.variant)
-            p = soft_threshold(lam_prev / sigma + grad(u), cfg.alpha / sigma, cfg.variant)
+            lam = project_ball(lam + sigma * gu, cfg.alpha, cfg.variant)
+            p = soft_threshold(lam_prev / sigma + gu, cfg.alpha / sigma, cfg.variant)
 
         wall_ms = (time.perf_counter() - t0) * 1e3
         steps = inner.newton_steps
         record = make_record(
-            k + 1, u, lam, ctx.f, ctx.H, cfg.alpha, cfg.c0, cfg.variant, ref, wall_ms,
+            k + 1, u, lam, ctx.f, ctx.H, cfg.alpha, 1.0, cfg.variant, ref, wall_ms,
             steps, inner.krylov_iters / steps if steps else 0.0,
         )
         state.history.append(record)

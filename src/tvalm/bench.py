@@ -35,7 +35,7 @@ class BenchCell:
 
 
 def _run_cell(name: str, clean: np.ndarray, solver: str, variant: str, tol: float,
-              alpha: float, noise_std: float, seed: int, runner) -> BenchCell:
+              noise_std: float, seed: int, runner) -> BenchCell:
     cell = BenchCell(image=name, variant=variant, solver=solver, tol=tol)
     z = degrade(clean, DegradeSpec(noise_std=noise_std, seed=seed))
     try:
@@ -56,15 +56,15 @@ def _run_cell(name: str, clean: np.ndarray, solver: str, variant: str, tol: floa
 
 
 def run_matrix(images: Sequence[tuple[str, np.ndarray]], solvers: Sequence[str],
-               variants: Sequence[str], tols: Sequence[float], alpha: float,
-               noise_std: float, seed: int, runner) -> list[BenchCell]:
+               variants: Sequence[str], tols: Sequence[float], noise_std: float,
+               seed: int, runner) -> list[BenchCell]:
     """Evaluate every (image, variant, solver, tolerance) cell.
 
     ``runner(z, clean, solver, variant, tol) -> RunReport`` does one solve.
     Failures are recorded in the cell and the sweep continues.
     """
     return [
-        _run_cell(name, clean, solver, variant, tol, alpha, noise_std, seed, runner)
+        _run_cell(name, clean, solver, variant, tol, noise_std, seed, runner)
         for name, clean in images
         for variant in variants
         for solver in solvers

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -28,19 +29,26 @@ ALG2_MAX_ITERS = 500000
 ALG2_CHECK_EVERY = 10
 
 
-def run_solver(z: np.ndarray, K: Optional[LinearMap], solver: str, alpha: float,
-               mu: float, variant: str, tol: float, sigma0: float, growth: float,
-               sigma_max: float, delta: float, max_outer: int,
+def run_solver(z: np.ndarray, K: Optional[LinearMap], solver: str, cfg: AlmConfig,
                reference: Optional[np.ndarray], seed: Optional[int]):
-    """Dispatch one restoration run; returns (OuterState, RunReport)."""
+    """Dispatch one restoration run; returns (OuterState, RunReport).
+
+    An ALM solver runs ``cfg`` with ``solver`` as its inner method; ALG2 reads
+    only alpha, mu, variant and outer_tol from it.
+    """
     if solver == "alg2":
-        return alg2_run(z, K, alpha, mu, variant, tol, ALG2_MAX_ITERS,
-                        reference=reference, seed=seed,
+        return alg2_run(z, K, cfg.alpha, cfg.mu, cfg.variant, cfg.outer_tol,
+                        ALG2_MAX_ITERS, reference=reference, seed=seed,
                         check_every=ALG2_CHECK_EVERY)
-    cfg = AlmConfig(alpha=alpha, variant=variant, mu=mu, inner=solver,
-                    sigma0=sigma0, growth_c=growth, sigma_max=sigma_max,
-                    delta_inner=delta, outer_tol=tol, max_outer=max_outer)
-    return alm_run(z, K, cfg, reference=reference, seed=seed)
+    return alm_run(z, K, replace(cfg, inner=solver), reference=reference, seed=seed)
+
+
+def _config(args: argparse.Namespace, mu: float = 0.0) -> AlmConfig:
+    """The solver settings given by a command's flags."""
+    return AlmConfig(alpha=args.alpha, variant=args.tv, mu=mu, sigma0=args.sigma0,
+                     growth_c=args.growth, sigma_max=args.sigma_max,
+                     delta_inner=args.delta, outer_tol=args.tol,
+                     max_outer=args.max_outer)
 
 
 def _final_row(report: RunReport) -> str:
@@ -72,10 +80,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     z = degrade(clean, DegradeSpec(noise_std=args.noise, seed=args.seed))
     reference = clean if args.noise > 0 else z
     try:
-        state, report = run_solver(
-            z, None, args.solver, args.alpha, 0.0, args.tv, args.tol, args.sigma0,
-            args.growth, args.sigma_max, args.delta, args.max_outer, reference,
-            args.seed)
+        state, report = run_solver(z, None, args.solver, _config(args), reference,
+                                   args.seed)
     except SolverError as exc:
         return _solver_failure(exc)
     _write_artifacts(state.u, report, args.out, args.report)
@@ -88,10 +94,8 @@ def cmd_deblur(args: argparse.Namespace) -> int:
     kernel = motion_kernel(args.blur_len)
     z = degrade(clean, DegradeSpec(noise_std=args.noise, blur=kernel, seed=args.seed))
     try:
-        state, report = run_solver(
-            z, blur_map(kernel), args.solver, args.alpha, args.mu, args.tv,
-            args.tol, args.sigma0, args.growth, args.sigma_max, args.delta,
-            args.max_outer, clean, args.seed)
+        state, report = run_solver(z, blur_map(kernel), args.solver,
+                                   _config(args, mu=args.mu), clean, args.seed)
     except SolverError as exc:
         return _solver_failure(exc)
     _write_artifacts(state.u, report, args.out, args.report)
@@ -108,15 +112,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
     solvers = args.solvers.split(",")
     variants = args.variants.split(",")
     tols = [float(t) for t in args.tols.split(",")]
+    cfg = _config(args)
 
     def runner(z, clean, solver, variant, tol):
-        _, report = run_solver(z, None, solver, args.alpha, 0.0, variant, tol,
-                               args.sigma0, args.growth, args.sigma_max,
-                               args.delta, args.max_outer, clean, args.seed)
+        _, report = run_solver(z, None, solver,
+                               replace(cfg, variant=variant, outer_tol=tol),
+                               clean, args.seed)
         return report
 
-    cells = run_matrix(images, solvers, variants, tols, args.alpha, args.noise,
-                       args.seed, runner)
+    cells = run_matrix(images, solvers, variants, tols, args.noise, args.seed, runner)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bench.csv").write_text(cells_to_csv(cells))

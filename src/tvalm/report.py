@@ -77,13 +77,7 @@ def strip_timing_columns(csv_text: str) -> str:
 
 def _config_snapshot(cfg) -> dict[str, Any]:
     if dataclasses.is_dataclass(cfg) and not isinstance(cfg, type):
-        snap = {}
-        for f in dataclasses.fields(cfg):
-            v = getattr(cfg, f.name)
-            if dataclasses.is_dataclass(v) and not isinstance(v, type):
-                v = dataclasses.asdict(v)
-            snap[f.name] = v
-        return snap
+        return dataclasses.asdict(cfg)
     return dict(cfg)
 
 

@@ -37,11 +37,18 @@ and K* when deblurring:
 q = lam / sigma + grad u, tau = alpha / sigma.)  The PDD dual system
 q -> U q - (sigma - B) grad H^{-1} div q likewise takes one grad per
 application.
+
+Fixed constants: the PT line search starts from the full Newton step
+(ARMIJO_ETA0) and accepts a step once the merit falls by ARMIJO_MU times the
+predicted decrease, shrinking it by ARMIJO_THETA at most ARMIJO_MAX_BACKTRACKS
+times.  These are the standard Armijo choices (mu in (0, 1/2), theta in
+(0, 1)); no solver or command uses other values, so they are not settable.
+Nested H^{-1} actions use ``linops.H_SOLVE``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -49,11 +56,15 @@ import numpy as np
 
 from .errors import InnerNewtonError, LineSearchError
 from .grid import ISO, check_variant, div, grad, inner_x, norm_x, norm_y, pointwise_mag, tv_norm
-from .linops import (KrylovConfig, LinearMap, bicgstab_solve, cg_solve,
+from .linops import (H_SOLVE, KrylovConfig, LinearMap, bicgstab_solve, cg_solve, h_map,
                      newton_forcing_tol)
 from .prox import project_ball, soft_threshold
 
 MAX_NEWTON_STEPS = 50
+ARMIJO_MU = 1e-4
+ARMIJO_THETA = 0.5
+ARMIJO_ETA0 = 1.0
+ARMIJO_MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
@@ -62,8 +73,7 @@ class AlmContext:
 
     lam is the current multiplier, sigma the penalty, z the observed data,
     K the data operator (None for the identity), f = K* z, and H the
-    self-adjoint restoration operator.  ``h_identity`` marks the denoising
-    case where H is the identity and nested solves are free.
+    self-adjoint restoration operator.
 
     The multiplier terms of the PT path (lam / sigma, div(lam) and
     ||lam||^2 / (2 sigma)) are computed once per context; ``replace`` makes a
@@ -79,13 +89,16 @@ class AlmContext:
     variant: str
     K: LinearMap | None = None
     mu: float = 0.0
-    h_identity: bool = False
-    hinv_cfg: KrylovConfig = field(default_factory=lambda: KrylovConfig(rel_tol=1e-12))
 
     def __post_init__(self):
         check_variant(self.variant)
         if self.sigma <= 0.0 or self.alpha <= 0.0:
             raise ValueError("sigma and alpha must be positive")
+
+    @property
+    def h_identity(self) -> bool:
+        """The denoising case: H is the identity and nested solves are free."""
+        return self.K is None and self.mu == 0.0
 
     @cached_property
     def lam_over_sigma(self) -> np.ndarray:
@@ -105,7 +118,7 @@ class AlmContext:
         into the result."""
         if self.h_identity:
             return b
-        x, _ = cg_solve(self.H, b, self.hinv_cfg)
+        x, _ = cg_solve(self.H, b, H_SOLVE)
         return x
 
     def data_term(self, u: np.ndarray) -> float:
@@ -118,17 +131,11 @@ class AlmContext:
 
 
 def make_context(z: np.ndarray, lam: np.ndarray, sigma: float, alpha: float,
-                 variant: str, K: LinearMap | None = None, mu: float = 0.0,
-                 hinv_tol: float = 1e-12) -> AlmContext:
+                 variant: str, K: LinearMap | None = None, mu: float = 0.0) -> AlmContext:
     """Build an AlmContext from raw data (K = None means the identity)."""
-    from .linops import h_map
-
     f = z.copy() if K is None else K.apply_adjoint(z)
-    return AlmContext(
-        lam=lam, sigma=sigma, alpha=alpha, z=z, f=f, H=h_map(mu, K),
-        variant=variant, K=K, mu=mu, h_identity=(K is None and mu == 0.0),
-        hinv_cfg=KrylovConfig(rel_tol=hinv_tol, max_iters=20000),
-    )
+    return AlmContext(lam=lam, sigma=sigma, alpha=alpha, z=z, f=f, H=h_map(mu, K),
+                      variant=variant, K=K, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -140,20 +147,6 @@ class NewtonState:
     inner_residual: float
     iteration: int = 0
     krylov_iters: int = 0
-
-
-@dataclass(frozen=True)
-class LineSearchParams:
-    mu_ls: float = 1e-4
-    theta: float = 0.5
-    eta0: float = 1.0
-    max_backtracks: int = 40
-
-    def __post_init__(self):
-        if not (0.0 < self.mu_ls < 0.5):
-            raise ValueError("mu_ls must lie in (0, 1/2)")
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must lie in (0, 1)")
 
 
 def active_mask(u: np.ndarray, ctx: AlmContext) -> np.ndarray:
@@ -351,8 +344,7 @@ def _pt_system(u: np.ndarray, ctx: AlmContext) -> Callable[[np.ndarray], np.ndar
     return _image_system(ctx, ctx.sigma * (np.abs(q) < tau))
 
 
-def ssnpt_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
-               ls: LineSearchParams = LineSearchParams()) -> NewtonState:
+def ssnpt_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> NewtonState:
     """One primal Newton step with Armijo backtracking on the merit function."""
     u = state.u
     f_res = _pt_residual_field(u, ctx)
@@ -362,20 +354,20 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
     # The residual field is a generalized gradient of the merit at u.
     slope = inner_x(f_res, delta_u)
     phi0 = merit_phi(u, ctx)
-    eta = ls.eta0
+    eta = ARMIJO_ETA0
     # Near the solution the predicted decrease falls below the merit's
     # floating-point resolution; take the plain Newton step there.
-    if abs(ls.mu_ls * slope) <= 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
+    if abs(ARMIJO_MU * slope) <= 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
         u_new = u + eta * delta_u
         res = residual_pt(u_new, ctx)
         return NewtonState(u_new, state.h, res, state.iteration + 1,
                            state.krylov_iters + kit)
     phi_trial = merit_phi(u + eta * delta_u, ctx)
     backtracks = 0
-    while phi_trial > phi0 + ls.mu_ls * eta * slope:
+    while phi_trial > phi0 + ARMIJO_MU * eta * slope:
         backtracks += 1
-        eta *= ls.theta
-        if backtracks > ls.max_backtracks or eta < 1e-12:
+        eta *= ARMIJO_THETA
+        if backtracks > ARMIJO_MAX_BACKTRACKS or eta < 1e-12:
             raise LineSearchError("Armijo backtracking failed",
                                   phi0=phi0, phi_last=phi_trial, eta=eta)
         phi_trial = merit_phi(u + eta * delta_u, ctx)
@@ -404,7 +396,6 @@ class InnerResult:
 
 def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: str,
                      delta: float, kcfg: KrylovConfig,
-                     ls: LineSearchParams = LineSearchParams(),
                      max_newton: int = MAX_NEWTON_STEPS) -> InnerResult:
     """Run inner Newton steps until the residual drops below delta / sigma.
 
@@ -436,7 +427,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
                                    residual=state.inner_residual)
         tol = min(0.1, newton_forcing_tol(state.inner_residual, res0))
         if method == "pt":
-            state = ssnpt_step(state, ctx, replace(kcfg, rel_tol=tol), ls)
+            state = ssnpt_step(state, ctx, replace(kcfg, rel_tol=tol))
         else:
             step_fn = ssnpdp_step if method == "pdp" else ssnpdd_step
             if tight_mode:

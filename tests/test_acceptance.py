@@ -171,8 +171,7 @@ def test_criterion_5_superlinear_inner():
     z = degrade(clean, DegradeSpec(noise_std=0.1, seed=9))
     ctx = make_context(z, np.zeros((2, 16, 16)), 64.0, 0.1, ANISO)
     res = solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pdp", 1e-8,
-                           KrylovConfig(rel_tol=0.1, max_iters=50000,
-                                        method="bicgstab"))
+                           KrylovConfig(rel_tol=0.1, max_iters=50000))
     seq = [r for r in res.residuals if r > 0]
     ratio = seq[-1] / seq[-2]
     elapsed = time.perf_counter() - t0

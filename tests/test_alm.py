@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from tvalm.alm import (AlmConfig, alm_run, criteria_abc_report, inner_stop_rule,
-                       sigma_schedule)
+from tvalm.alm import AlmConfig, alm_run, criteria_abc_report, sigma_schedule
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.errors import MaxOuterError
 from tvalm.grid import ANISO, ISO, grad, norm_y, pointwise_mag
@@ -28,24 +27,6 @@ class TestSchedule:
         vals = [sigma_schedule(4.0, 4.0, 1e4, k) for k in range(12)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 1e4
-
-
-class TestInnerStopRule:
-    def test_zero_residual(self):
-        assert inner_stop_rule(0.0, 4.0, 1e-2)
-
-    def test_threshold_values(self):
-        assert inner_stop_rule(2e-3, 4.0, 1e-2)
-        assert not inner_stop_rule(3e-3, 4.0, 1e-2)
-
-    def test_doubling_sigma_halves_threshold(self):
-        r = 1.9e-3
-        assert inner_stop_rule(r, 4.0, 1e-2)
-        assert not inner_stop_rule(r, 8.0, 1e-2)
-
-    def test_sigma_must_be_positive(self):
-        with pytest.raises(ValueError):
-            inner_stop_rule(1.0, 0.0, 1e-2)
 
 
 class TestConfigValidation:
@@ -182,7 +163,7 @@ class TestLocalLinearRate:
         h = np.zeros_like(lam_star)
         u = z.copy()
         sigma = 4.0
-        kcfg = KrylovConfig(rel_tol=0.1, max_iters=20000, method="bicgstab")
+        kcfg = KrylovConfig(rel_tol=0.1, max_iters=20000)
         dists = []
         for _ in range(7):
             ctx = make_context(z, lam, sigma, alpha, ANISO)

@@ -1,0 +1,46 @@
+"""The names the benchmark's tracer rebinds exist in tvalm, and tracing a solve
+changes none of its numbers.
+
+``perfbench/tracer.py`` wraps functions and the Newton-system ``LinearMap``
+by name; a rename or deletion in tvalm would otherwise surface only when the
+benchmark's traced run fails.
+"""
+
+import sys
+from importlib import import_module
+from pathlib import Path
+
+import numpy as np
+
+import tvalm.alm as alm
+from tvalm.alm import AlmConfig
+from tvalm.degrade import DegradeSpec, blocks_image, degrade
+from tvalm.report import strip_timing_columns
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracer import SYSTEMS, TRACED, Tracer, layer_metrics  # noqa: E402
+
+
+def test_traced_names_resolve():
+    for modname, funcs in TRACED.items():
+        mod = import_module(modname)
+        for func in funcs:
+            assert callable(getattr(mod, func)), f"{modname}.{func}"
+    for modname in SYSTEMS:
+        assert callable(import_module(modname).LinearMap), f"{modname}.LinearMap"
+
+
+def test_traced_run_matches_untraced():
+    clean = blocks_image(8, 8, seed=3)
+    z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+    cfg = AlmConfig(alpha=0.1, variant="aniso", inner="pt", outer_tol=1e-6)
+    plain_state, plain = alm.alm_run(z, None, cfg, reference=clean)
+    tracer = Tracer()
+    with tracer.tracing():
+        # Called through the module, as the benchmark does, so the root span
+        # is the rebound alm_run.
+        traced_state, traced = alm.alm_run(z, None, cfg, reference=clean)
+    assert strip_timing_columns(traced.to_csv()) == strip_timing_columns(plain.to_csv())
+    assert np.array_equal(traced_state.u, plain_state.u)
+    metrics, _ = layer_metrics(tracer.spans)
+    assert metrics["ssn.system.calls"] > 0

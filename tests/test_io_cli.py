@@ -1,10 +1,12 @@
 """PGM I/O, degradation pipeline, CLI commands, and the bench harness."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tvalm.alm import AlmConfig
 from tvalm.bench import BenchCell, cells_to_csv, cells_to_markdown, run_matrix
 from tvalm.cli import main, run_solver
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
@@ -100,8 +102,7 @@ class TestRunSolverApi:
     def test_negligible_alpha_returns_input(self):
         clean = blocks_image(8, 8, seed=1)
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=2))
-        state, report = run_solver(z, None, "pdp", 1e-12, 0.0, "iso", 1e-6,
-                                   4.0, 4.0, 1e6, 1e-4, 30, clean, 2)
+        state, report = run_solver(z, None, "pdp", AlmConfig(alpha=1e-12), clean, 2)
         assert psnr(state.u, z) >= 90.0  # effectively the observed image back
 
 
@@ -186,24 +187,70 @@ class TestCli:
         assert (out_dir / "bench.md").exists()
 
 
+class TestCliConfig:
+    """Each solver flag reaches the run: the JSON report's config records it."""
+
+    def run(self, tmp_path, argv):
+        src = tmp_path / "in.pgm"
+        save_image(src, blocks_image(12, 12, seed=2))
+        rep = tmp_path / "run.json"
+        rc = main([argv[0], str(src), *argv[1:], "--out", str(tmp_path / "o.pgm"),
+                   "--report", str(rep)])
+        assert rc == 0
+        return json.loads(rep.read_text())["config"]
+
+    def test_denoise_flags(self, tmp_path):
+        cfg = self.run(tmp_path, [
+            "denoise", "--tv", "aniso", "--solver", "pt", "--alpha", "0.2",
+            "--tol", "1e-5", "--sigma0", "8", "--growth", "2", "--sigma-max", "4096",
+            "--delta", "1e-3", "--max-outer", "7"])
+        assert cfg == {"alpha": 0.2, "variant": "aniso", "mu": 0.0, "inner": "pt",
+                       "sigma0": 8.0, "growth_c": 2.0, "sigma_max": 4096.0,
+                       "delta_inner": 1e-3, "outer_tol": 1e-5, "max_outer": 7}
+
+    def test_deblur_mu(self, tmp_path):
+        cfg = self.run(tmp_path, ["deblur", "--blur-len", "3", "--mu", "1e-5",
+                                  "--solver", "pdp", "--alpha", "0.01", "--tol", "1e-4"])
+        assert (cfg["mu"], cfg["inner"], cfg["alpha"]) == (1e-5, "pdp", 0.01)
+
+    def test_alg2_reads_its_four_values(self, tmp_path):
+        cfg = self.run(tmp_path, ["deblur", "--blur-len", "3", "--mu", "1e-5",
+                                  "--solver", "alg2", "--tv", "aniso", "--alpha", "0.01",
+                                  "--tol", "1e-3"])
+        assert (cfg["alpha"], cfg["mu"], cfg["variant"], cfg["outer_tol"]) == (
+            0.01, 1e-5, "aniso", 1e-3)
+
+    def test_bench_cells_use_their_tolerance(self, tiny_corpus, tmp_path):
+        # --tol would converge at once; each cell must run at its --tols value
+        # and stop at --max-outer.
+        out_dir = tmp_path / "bench"
+        rc = main(["bench", str(tiny_corpus), "--solvers", "pdp", "--tol", "0.5",
+                   "--tols", "1e-12", "--max-outer", "2", "--out-dir", str(out_dir)])
+        assert rc == 0
+        row = (out_dir / "bench.csv").read_text().strip().splitlines()[1]
+        assert "MaxOuterError" in row
+
+
 class TestBenchHarness:
+    CFG = AlmConfig(alpha=0.1, sigma_max=16384.0, max_outer=40)
+
     def runner(self, z, clean, solver, variant, tol):
-        _, report = run_solver(z, None, solver, 0.1, 0.0, variant, tol, 4.0,
-                               4.0, 16384.0, 1e-4, 40, clean, 5)
+        _, report = run_solver(z, None, solver,
+                               replace(self.CFG, variant=variant, outer_tol=tol), clean, 5)
         return report
 
     def test_matrix_shape(self):
         images = [("flat", np.full((12, 12), 0.5))]
-        cells = run_matrix(images, ["pdp", "pt"], ["aniso"], [1e-4], 0.1,
-                           0.05, 5, self.runner)
+        cells = run_matrix(images, ["pdp", "pt"], ["aniso"], [1e-4], 0.05, 5,
+                           self.runner)
         assert len(cells) == 2
         assert all(c.error is None for c in cells)
         assert {c.solver for c in cells} == {"pdp", "pt"}
 
     def test_tolerance_ordering(self):
         images = [("flat", np.full((12, 12), 0.5))]
-        cells = run_matrix(images, ["pdp"], ["aniso"], [1e-4, 1e-6], 0.1,
-                           0.05, 5, self.runner)
+        cells = run_matrix(images, ["pdp"], ["aniso"], [1e-4, 1e-6], 0.05, 5,
+                           self.runner)
         by_tol = {c.tol: c.n for c in cells}
         assert by_tol[1e-6] >= by_tol[1e-4]
 
@@ -214,8 +261,8 @@ class TestBenchHarness:
             return self.runner(z, clean, solver, variant, tol)
 
         images = [("flat", np.full((12, 12), 0.5))]
-        cells = run_matrix(images, ["pdp", "bad"], ["aniso"], [1e-4], 0.1,
-                           0.05, 5, failing_runner)
+        cells = run_matrix(images, ["pdp", "bad"], ["aniso"], [1e-4], 0.05, 5,
+                           failing_runner)
         errors = {c.solver: c.error for c in cells}
         assert errors["pdp"] is None
         assert "synthetic failure" in errors["bad"]
