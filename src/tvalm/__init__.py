@@ -3,7 +3,7 @@ total-variation image restoration, with an accelerated primal-dual baseline.
 """
 
 from .alg2 import alg2_run
-from .alm import AlmConfig, OuterState, alm_run, criteria_abc_report
+from .alm import AlmConfig, OuterState, alm_run
 from .degrade import DegradeSpec, blocks_image, degrade
 from .errors import (InnerNewtonError, KrylovError, LineSearchError, MaxOuterError,
                      SolverError)
@@ -16,8 +16,7 @@ from .metrics import (MetricRecord, err_total, pd_gap, psnr, res1, res2, res_lam
 from .pgm import PgmFormatError, load_image, save_image
 from .prox import moreau_check, project_ball, soft_threshold
 from .report import RunReport
-from .ssn import (AlmContext, NewtonState, active_mask, make_context, merit_phi,
-                  residual_pd, residual_pt, solve_subproblem, ssnpdd_step, ssnpdp_step,
-                  ssnpt_step)
+from .ssn import (AlmContext, NewtonState, make_context, merit_phi, residual_pd,
+                  residual_pt, solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
 
 __version__ = "0.1.0"

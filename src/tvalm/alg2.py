@@ -11,7 +11,6 @@ tau * sigma * L^2 <= 1 with L^2 = 8 for the difference stencil.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,17 +24,6 @@ from .prox import project_ball
 from .report import RunReport, summarize
 
 GRAD_NORM_SQ = 8.0
-
-
-@dataclass
-class Alg2State:
-    u: np.ndarray
-    u_bar: np.ndarray
-    lam: np.ndarray
-    tau: float
-    sigma: float
-    theta_accel: float
-    gamma: float
 
 
 def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
@@ -59,49 +47,48 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
     denoise = K is None and mu == 0.0
     gamma = 1.0 if denoise else mu
 
-    st = Alg2State(
-        u=z.copy(), u_bar=z.copy(), lam=np.zeros(grad(z).shape),
-        tau=1.0 / np.sqrt(GRAD_NORM_SQ), sigma=1.0 / np.sqrt(GRAD_NORM_SQ),
-        theta_accel=1.0, gamma=gamma,
-    )
-    state = OuterState(u=st.u, p=np.zeros_like(st.lam), lam=st.lam, sigma=st.sigma, k=0)
+    u = z.copy()
+    u_bar = z.copy()
+    lam = np.zeros(grad(z).shape)
+    tau = sigma = 1.0 / np.sqrt(GRAD_NORM_SQ)
+    state = OuterState(u=u, p=np.zeros_like(lam), lam=lam, sigma=sigma, k=0)
     err = float("inf")
     cfg_snapshot = {
         "alpha": alpha, "mu": mu, "variant": variant, "outer_tol": outer_tol,
-        "max_iters": max_iters, "tau0": st.tau, "sigma0": st.sigma, "gamma": gamma,
+        "max_iters": max_iters, "tau0": tau, "sigma0": sigma, "gamma": gamma,
         "check_every": check_every,
     }
 
-    # The prox operator t + tau*H t reads the current tau from the state.
-    prox_op = LinearMap(lambda t: t + st.tau * H.apply(t),
-                        lambda t: t + st.tau * H.apply(t), self_adjoint=True)
+    # The prox operator t + tau*H t reads the current tau.
+    prox_op = LinearMap(lambda t: t + tau * H.apply(t),
+                        lambda t: t + tau * H.apply(t), self_adjoint=True)
 
     t0 = time.perf_counter()
     krylov_in_window = 0
     for k in range(1, max_iters + 1):
-        st.lam = project_ball(st.lam + st.sigma * grad(st.u_bar), alpha, variant)
-        u_prev = st.u
-        v = st.u + st.tau * div(st.lam) + st.tau * f
+        lam = project_ball(lam + sigma * grad(u_bar), alpha, variant)
+        u_prev = u
+        v = u + tau * div(lam) + tau * f
         if denoise:
-            st.u = v / (1.0 + st.tau)
+            u = v / (1.0 + tau)
         else:
-            st.u, kit = cg_solve(prox_op, v, H_SOLVE)
+            u, kit = cg_solve(prox_op, v, H_SOLVE)
             krylov_in_window += kit
-        st.theta_accel = 1.0 / np.sqrt(1.0 + 2.0 * st.gamma * st.tau)
-        st.tau *= st.theta_accel
-        st.sigma /= st.theta_accel
-        assert st.tau * st.sigma * GRAD_NORM_SQ <= 1.0 + 1e-12
-        st.u_bar = st.u + st.theta_accel * (st.u - u_prev)
+        theta = 1.0 / np.sqrt(1.0 + 2.0 * gamma * tau)
+        tau *= theta
+        sigma /= theta
+        assert tau * sigma * GRAD_NORM_SQ <= 1.0 + 1e-12
+        u_bar = u + theta * (u - u_prev)
 
         if k % check_every == 0 or k == max_iters:
             wall_ms = (time.perf_counter() - t0) * 1e3
-            record = make_record(k, st.u, st.lam, f, H, alpha, 1.0, variant, ref,
-                                 wall_ms, 0, float(krylov_in_window))
+            record = make_record(k, u, lam, f, H, alpha, variant, ref, wall_ms, 0,
+                                 float(krylov_in_window))
             state.history.append(record)
             err = record.err
             t0 = time.perf_counter()
             krylov_in_window = 0
-            state.u, state.lam, state.sigma, state.k = st.u, st.lam, st.sigma, k
+            state.u, state.lam, state.sigma, state.k = u, lam, sigma, k
             if err <= outer_tol:
                 report = summarize("alg2", cfg_snapshot, state.history, seed,
                                    converged=True)

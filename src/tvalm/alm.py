@@ -5,12 +5,10 @@ Each outer iteration solves the penalized subproblem with the configured
 semismooth Newton method to the empirical accuracy delta / sigma_k, updates
 the multiplier (linear update through the soft threshold for the primal
 solver, projection update for the primal-dual solvers), grows the penalty
-geometrically up to its cap, and records the full residual suite.
-
-Two values are fixed rather than configured: the residual suite's dual scaling
-c0 = 1 (the scaling every report uses, ALG2's included) and KRYLOV_MAX_ITERS,
-the iteration cap of each Newton system solve, which only bounds a failing
-solve.
+geometrically up to its cap, and records the full residual suite: one
+``MetricRecord`` per outer iteration, carrying the subproblem's Newton steps
+and mean Krylov iterations per step.  The report and the returned state hold
+everything a run records.
 """
 
 from __future__ import annotations
@@ -22,14 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import MaxOuterError
-from .grid import check_variant, grad, norm_y
-from .linops import KrylovConfig, LinearMap
+from .grid import check_variant, grad
+from .linops import LinearMap
 from .metrics import MetricRecord, make_record
 from .prox import project_ball, soft_threshold
 from .report import RunReport, summarize
 from .ssn import make_context, solve_subproblem
-
-KRYLOV_MAX_ITERS = 20000
 
 
 @dataclass(frozen=True)
@@ -65,18 +61,6 @@ class AlmConfig:
 
 
 @dataclass
-class AlmTrace:
-    """Internal per-iteration quantities kept for the stopping-theory report."""
-
-    k: int
-    sigma: float
-    inner_residual: float
-    dlambda: float
-    newton_steps: int
-    krylov_iters: int
-
-
-@dataclass
 class OuterState:
     """Final (or per-iteration) outer iterate with the recorded history."""
 
@@ -86,7 +70,6 @@ class OuterState:
     sigma: float
     k: int
     history: list[MetricRecord] = field(default_factory=list)
-    trace: list[AlmTrace] = field(default_factory=list)
 
 
 def sigma_schedule(sigma0: float, c: float, sigma_max: float, k: int) -> float:
@@ -105,7 +88,6 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     iterations do not reach ``outer_tol``.
     """
     ref = z if reference is None else reference
-    kcfg = KrylovConfig(rel_tol=0.1, max_iters=KRYLOV_MAX_ITERS)
 
     shape = grad(z).shape
     u = z.copy()
@@ -122,30 +104,23 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
         ctx = replace(ctx, lam=lam, sigma=sigma)
-        inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner, kcfg)
+        inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner)
         u, h = inner.state.u, inner.state.h
 
-        lam_prev = lam
         gu = grad(u)
+        p = soft_threshold(lam / sigma + gu, cfg.alpha / sigma, cfg.variant)
         if cfg.inner == "pt":
-            p = soft_threshold(lam / sigma + gu, cfg.alpha / sigma, cfg.variant)
             lam = lam + sigma * (gu - p)
         else:
             lam = project_ball(lam + sigma * gu, cfg.alpha, cfg.variant)
-            p = soft_threshold(lam_prev / sigma + gu, cfg.alpha / sigma, cfg.variant)
 
         wall_ms = (time.perf_counter() - t0) * 1e3
         steps = inner.newton_steps
         record = make_record(
-            k + 1, u, lam, ctx.f, ctx.H, cfg.alpha, 1.0, cfg.variant, ref, wall_ms,
+            k + 1, u, lam, ctx.f, ctx.H, cfg.alpha, cfg.variant, ref, wall_ms,
             steps, inner.krylov_iters / steps if steps else 0.0,
         )
         state.history.append(record)
-        state.trace.append(AlmTrace(
-            k=k + 1, sigma=sigma, inner_residual=inner.state.inner_residual,
-            dlambda=norm_y(lam - lam_prev), newton_steps=steps,
-            krylov_iters=inner.krylov_iters,
-        ))
         err = record.err
 
         sigma = sigma_schedule(cfg.sigma0, cfg.growth_c, cfg.sigma_max, k + 1)
@@ -159,27 +134,3 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     raise MaxOuterError("outer iteration budget exhausted", err=err,
                         state=state, report=report)
 
-
-@dataclass
-class CriteriaReport:
-    """Retrospective view of the theoretical inner stopping criteria.
-
-    Only the surrogate of the subgradient-distance criterion is computable
-    from a run (inner residual times sigma over the multiplier step); the
-    value-gap criteria need inf Phi_k, which is unavailable, and are reported
-    as such.
-    """
-
-    ratios: list[Optional[float]]
-    notes: str = ("value-gap criteria unavailable (inf Phi_k unknown); "
-                  "ratios are inner_residual * sigma / ||lambda_{k+1} - lambda_k||")
-
-
-def criteria_abc_report(trace: list[AlmTrace]) -> CriteriaReport:
-    ratios: list[Optional[float]] = []
-    for t in trace:
-        if t.dlambda == 0.0:
-            ratios.append(None)
-        else:
-            ratios.append(t.inner_residual * t.sigma / t.dlambda)
-    return CriteriaReport(ratios=ratios)

@@ -10,46 +10,37 @@ import numpy as np
 
 from .degrade import DegradeSpec, degrade
 from .errors import SolverError
-from .report import RunReport
+from .report import SUMMARY_FIELDS, RunReport
 
 MD_COLUMNS = ("image", "variant", "solver", "n(t)", "res(u)", "res(lambda)",
               "Res1", "Res2", "Gap", "PSNR", "Err")
+# The summary of a cell without a run.
+_NO_RUN = {"iterations": 0, "total_wall_ms": 0.0,
+          **dict.fromkeys(SUMMARY_FIELDS, float("nan"))}
 
 
 @dataclass
 class BenchCell:
+    """One solve of the matrix: its run report, or the error that ended it."""
+
     image: str
     variant: str
     solver: str
     tol: float
-    n: int = 0
-    wall_s: float = 0.0
-    res_u: float = float("nan")
-    res_lambda: float = float("nan")
-    res1: float = float("nan")
-    res2: float = float("nan")
-    gap: float = float("nan")
-    psnr: float = float("nan")
-    err: float = float("nan")
+    report: Optional[RunReport] = None
     error: Optional[str] = None
 
+    @property
+    def summary(self) -> dict:
+        """The report's summary; zero iterations and NaN residuals without one."""
+        return _NO_RUN if self.report is None else self.report.summary
 
-def _run_cell(name: str, clean: np.ndarray, solver: str, variant: str, tol: float,
-              noise_std: float, seed: int, runner) -> BenchCell:
+
+def _run_cell(name: str, z: np.ndarray, clean: np.ndarray, solver: str, variant: str,
+              tol: float, runner) -> BenchCell:
     cell = BenchCell(image=name, variant=variant, solver=solver, tol=tol)
-    z = degrade(clean, DegradeSpec(noise_std=noise_std, seed=seed))
     try:
-        report: RunReport = runner(z, clean, solver, variant, tol)
-        final = report.records[-1]
-        cell.n = len(report.records)
-        cell.wall_s = report.summary["total_wall_ms"] / 1e3
-        cell.res_u = final.res_u
-        cell.res_lambda = final.res_lambda
-        cell.res1 = final.res1
-        cell.res2 = final.res2
-        cell.gap = final.gap
-        cell.psnr = final.psnr
-        cell.err = final.err
+        cell.report = runner(z, clean, solver, variant, tol)
     except SolverError as exc:
         cell.error = f"{type(exc).__name__}: {exc}"
     return cell
@@ -60,16 +51,16 @@ def run_matrix(images: Sequence[tuple[str, np.ndarray]], solvers: Sequence[str],
                seed: int, runner) -> list[BenchCell]:
     """Evaluate every (image, variant, solver, tolerance) cell.
 
-    ``runner(z, clean, solver, variant, tol) -> RunReport`` does one solve.
-    Failures are recorded in the cell and the sweep continues.
+    Each image is degraded once, with ``seed``.  ``runner(z, clean, solver,
+    variant, tol) -> RunReport`` does one solve.  Failures are recorded in the
+    cell and the sweep continues.
     """
-    return [
-        _run_cell(name, clean, solver, variant, tol, noise_std, seed, runner)
-        for name, clean in images
-        for variant in variants
-        for solver in solvers
-        for tol in tols
-    ]
+    cells = []
+    for name, clean in images:
+        z = degrade(clean, DegradeSpec(noise_std=noise_std, seed=seed))
+        cells.extend(_run_cell(name, z, clean, solver, variant, tol, runner)
+                     for variant in variants for solver in solvers for tol in tols)
+    return cells
 
 
 def _num(v: float) -> str:
@@ -79,11 +70,12 @@ def _num(v: float) -> str:
 def cells_to_csv(cells: Sequence[BenchCell]) -> str:
     lines = ["image,variant,solver,tol,n,wall_s,res_u,res_lambda,res1,res2,gap,psnr,err,error"]
     for c in cells:
+        s = c.summary
         lines.append(",".join([
-            c.image, c.variant, c.solver, format(c.tol, ".17g"), str(c.n),
-            format(c.wall_s, ".3f"), _num(c.res_u), _num(c.res_lambda),
-            _num(c.res1), _num(c.res2), _num(c.gap), format(c.psnr, ".2f"),
-            _num(c.err), c.error or "",
+            c.image, c.variant, c.solver, format(c.tol, ".17g"), str(s["iterations"]),
+            format(s["total_wall_ms"] / 1e3, ".3f"), _num(s["res_u"]),
+            _num(s["res_lambda"]), _num(s["res1"]), _num(s["res2"]), _num(s["gap"]),
+            format(s["psnr"], ".2f"), _num(s["err"]), c.error or "",
         ]))
     return "\n".join(lines) + "\n"
 
@@ -96,8 +88,10 @@ def cells_to_markdown(cells: Sequence[BenchCell]) -> str:
             row = [c.image, c.variant, c.solver, "failed", c.error, "", "", "", "",
                    "", _num(c.tol)]
         else:
-            row = [c.image, c.variant, c.solver, f"{c.n}({c.wall_s:.2f}s)",
-                   _num(c.res_u), _num(c.res_lambda), _num(c.res1), _num(c.res2),
-                   _num(c.gap), f"{c.psnr:.2f}", _num(c.tol)]
+            s = c.summary
+            n_t = f"{s['iterations']}({s['total_wall_ms'] / 1e3:.2f}s)"
+            row = [c.image, c.variant, c.solver, n_t, _num(s["res_u"]),
+                   _num(s["res_lambda"]), _num(s["res1"]), _num(s["res2"]),
+                   _num(s["gap"]), f"{s['psnr']:.2f}", _num(c.tol)]
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"

@@ -43,12 +43,11 @@ def run_solver(z: np.ndarray, K: Optional[LinearMap], solver: str, cfg: AlmConfi
     return alm_run(z, K, replace(cfg, inner=solver), reference=reference, seed=seed)
 
 
-def _config(args: argparse.Namespace, mu: float = 0.0) -> AlmConfig:
-    """The solver settings given by a command's flags."""
-    return AlmConfig(alpha=args.alpha, variant=args.tv, mu=mu, sigma0=args.sigma0,
-                     growth_c=args.growth, sigma_max=args.sigma_max,
-                     delta_inner=args.delta, outer_tol=args.tol,
-                     max_outer=args.max_outer)
+def _config(args: argparse.Namespace, **fields) -> AlmConfig:
+    """The solver settings given by a command's flags, plus ``fields``."""
+    return AlmConfig(alpha=args.alpha, sigma0=args.sigma0, growth_c=args.growth,
+                     sigma_max=args.sigma_max, delta_inner=args.delta,
+                     max_outer=args.max_outer, **fields)
 
 
 def _final_row(report: RunReport) -> str:
@@ -66,7 +65,8 @@ def _write_artifacts(u: np.ndarray, report: RunReport, out: str, report_path: st
     rp.with_suffix(".csv").write_text(report.to_csv())
 
 
-def _solver_failure(exc: SolverError) -> int:
+def _failure(exc: Exception) -> int:
+    """Print a failed run as one JSON line; exit code 2."""
     payload = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("err", "residual", "iterations"):
         if hasattr(exc, attr):
@@ -77,13 +77,16 @@ def _solver_failure(exc: SolverError) -> int:
 
 def cmd_denoise(args: argparse.Namespace) -> int:
     clean = load_image(args.input)
-    z = degrade(clean, DegradeSpec(noise_std=args.noise, seed=args.seed))
+    try:
+        cfg = _config(args, variant=args.tv, outer_tol=args.tol)
+        z = degrade(clean, DegradeSpec(noise_std=args.noise, seed=args.seed))
+    except ValueError as exc:
+        return _failure(exc)
     reference = clean if args.noise > 0 else z
     try:
-        state, report = run_solver(z, None, args.solver, _config(args), reference,
-                                   args.seed)
+        state, report = run_solver(z, None, args.solver, cfg, reference, args.seed)
     except SolverError as exc:
-        return _solver_failure(exc)
+        return _failure(exc)
     _write_artifacts(state.u, report, args.out, args.report)
     print(_final_row(report))
     return 0
@@ -91,13 +94,17 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 def cmd_deblur(args: argparse.Namespace) -> int:
     clean = load_image(args.input)
-    kernel = motion_kernel(args.blur_len)
-    z = degrade(clean, DegradeSpec(noise_std=args.noise, blur=kernel, seed=args.seed))
     try:
-        state, report = run_solver(z, blur_map(kernel), args.solver,
-                                   _config(args, mu=args.mu), clean, args.seed)
+        cfg = _config(args, variant=args.tv, outer_tol=args.tol, mu=args.mu)
+        kernel = motion_kernel(args.blur_len)
+        z = degrade(clean, DegradeSpec(noise_std=args.noise, blur=kernel, seed=args.seed))
+        K = blur_map(kernel)
+    except ValueError as exc:
+        return _failure(exc)
+    try:
+        state, report = run_solver(z, K, args.solver, cfg, clean, args.seed)
     except SolverError as exc:
-        return _solver_failure(exc)
+        return _failure(exc)
     _write_artifacts(state.u, report, args.out, args.report)
     print(_final_row(report))
     return 0
@@ -112,7 +119,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     solvers = args.solvers.split(",")
     variants = args.variants.split(",")
     tols = [float(t) for t in args.tols.split(",")]
-    cfg = _config(args)
+    try:
+        cfg = _config(args)
+    except ValueError as exc:
+        return _failure(exc)
 
     def runner(z, clean, solver, variant, tol):
         _, report = run_solver(z, None, solver,
@@ -136,11 +146,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
+    """Flags of every solving command."""
     sub.add_argument("--alpha", type=float, default=0.1, help="TV weight")
-    sub.add_argument("--tv", choices=("iso", "aniso"), default="iso")
-    sub.add_argument("--solver", choices=SOLVERS, default="pdp")
-    sub.add_argument("--tol", type=float, default=1e-6, help="target Err")
     sub.add_argument("--sigma0", type=float, default=4.0)
     sub.add_argument("--growth", type=float, default=4.0)
     sub.add_argument("--sigma-max", dest="sigma_max", type=float, default=1e6)
@@ -148,6 +156,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="inner stop constant (residual <= delta/sigma)")
     sub.add_argument("--max-outer", dest="max_outer", type=int, default=30)
     sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
+    """Flags of a single restoration run; bench sets these per cell."""
+    sub.add_argument("--tv", choices=("iso", "aniso"), default="iso")
+    sub.add_argument("--solver", choices=SOLVERS, default="pdp")
+    sub.add_argument("--tol", type=float, default=1e-6, help="target Err")
     sub.add_argument("--out", default="restored.pgm")
     sub.add_argument("--report", default="report.json")
 
@@ -160,14 +175,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("denoise", help="seeded noise, then ROF denoising")
     p.add_argument("input", help="clean 8-bit PGM image")
-    _add_common(p)
+    _add_solver_flags(p)
+    _add_run_flags(p)
     p.add_argument("--noise", type=float, default=0.1,
                    help="Gaussian noise std on the [0,1] scale")
     p.set_defaults(func=cmd_denoise)
 
     p = subs.add_parser("deblur", help="seeded motion blur + noise, then deblurring")
     p.add_argument("input", help="clean 8-bit PGM image")
-    _add_common(p)
+    _add_solver_flags(p)
+    _add_run_flags(p)
     p.add_argument("--noise", type=float, default=0.01)
     p.add_argument("--mu", type=float, default=1e-6,
                    help="gradient penalty making the data term elliptic")
@@ -175,9 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="odd horizontal motion-blur length")
     p.set_defaults(func=cmd_deblur)
 
-    p = subs.add_parser("bench", help="solver x variant x tolerance matrix")
+    # No prefix matching: --tol, --solver and --out would otherwise be taken
+    # as --tols, --solvers and --out-dir.
+    p = subs.add_parser("bench", help="solver x variant x tolerance matrix",
+                        allow_abbrev=False)
     p.add_argument("corpus", help="directory of PGM images")
-    _add_common(p)
+    _add_solver_flags(p)
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--solvers", default="pdp,pt,alg2")
     p.add_argument("--variants", default="aniso")

@@ -22,7 +22,8 @@ PSNR_CAP = 99.0
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """One outer iteration's worth of diagnostics (one CSV row)."""
+    """One outer iteration's worth of diagnostics: one CSV row, whose columns
+    are these fields in declaration order."""
 
     k: int
     res_u: float
@@ -152,18 +153,19 @@ def psnr(u: np.ndarray, reference: np.ndarray) -> float:
 
 
 def make_record(k: int, u: np.ndarray, lam: np.ndarray, f: np.ndarray,
-                H: LinearMap | None, alpha: float, c0: float, variant: str,
+                H: LinearMap | None, alpha: float, variant: str,
                 reference: np.ndarray, wall_ms: float, inner_newton: int,
                 avg_krylov: float) -> MetricRecord:
     """Assemble the full per-iteration metric row (PSNR display-capped).
 
-    grad u, both residuals and the feasibility test are evaluated once and
-    shared by the columns that use them.
+    res_lambda uses the dual scaling c0 = 1, as every report does.  grad u,
+    both residuals and the feasibility test are evaluated once and shared by
+    the columns that use them.
     """
     g = grad(u)
     feas = lambda_feasible(lam, alpha, variant)
     ru = res_u(u, lam, f, H)
-    rl = _res_lambda(g, lam, alpha, c0, variant)
+    rl = _res_lambda(g, lam, alpha, 1.0, variant)
     p = psnr(u, reference)
     return MetricRecord(
         k=k,

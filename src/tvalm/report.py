@@ -1,7 +1,10 @@
 """Run reports: per-iteration CSV rows and the JSON run summary.
 
-A report plus the seed fully determines a reproduction; timing columns are
-wall-clock and are the only fields excluded from determinism comparisons.
+Both are derived from ``MetricRecord``: the CSV has one column per record
+field, in declaration order, each cell formatted by the field's type, and the
+summary copies the final record's SUMMARY_FIELDS.  A report plus the seed
+fully determines a reproduction; timing columns are wall-clock and are the
+only fields excluded from determinism comparisons.
 """
 
 from __future__ import annotations
@@ -10,13 +13,12 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, get_type_hints
 
 from .metrics import MetricRecord
 
-CSV_HEADER = ("k,res_u,res_lambda,err,res1,res2,gap,psnr,wall_ms,"
-              "inner_newton,avg_krylov,lambda_feasible")
 TIMING_COLUMNS = ("wall_ms",)
+SUMMARY_FIELDS = ("err", "res_u", "res_lambda", "res1", "res2", "gap", "psnr")
 
 
 @dataclass
@@ -38,8 +40,9 @@ class RunReport:
         return json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        lines.extend(record_to_csv_row(r) for r in self.records)
+        lines = [",".join(name for name, _ in _COLUMNS)]
+        lines.extend(",".join(fmt(getattr(r, name)) for name, fmt in _COLUMNS)
+                     for r in self.records)
         return "\n".join(lines) + "\n"
 
 
@@ -55,12 +58,12 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def record_to_csv_row(r: MetricRecord) -> str:
-    return ",".join([
-        str(r.k), _fmt(r.res_u), _fmt(r.res_lambda), _fmt(r.err), _fmt(r.res1),
-        _fmt(r.res2), _fmt(r.gap), _fmt(r.psnr), _fmt(r.wall_ms),
-        str(r.inner_newton), _fmt(r.avg_krylov), str(int(r.lambda_feasible)),
-    ])
+# (name, formatter) per CSV column: the MetricRecord fields in order, each
+# cell formatted by the field's declared type.
+_FORMATS = {bool: lambda v: str(int(v)), int: str, float: _fmt}
+_HINTS = get_type_hints(MetricRecord)
+_COLUMNS = tuple((f.name, _FORMATS[_HINTS[f.name]])
+                 for f in dataclasses.fields(MetricRecord))
 
 
 def strip_timing_columns(csv_text: str) -> str:
@@ -83,21 +86,12 @@ def _config_snapshot(cfg) -> dict[str, Any]:
 
 def summarize(method: str, cfg, records: list[MetricRecord],
               seed: Optional[int], converged: bool) -> RunReport:
-    final = records[-1] if records else None
     summary: dict[str, Any] = {
         "iterations": len(records),
         "converged": converged,
         "total_wall_ms": sum(r.wall_ms for r in records),
     }
-    if final is not None:
-        summary.update({
-            "err": final.err,
-            "res_u": final.res_u,
-            "res_lambda": final.res_lambda,
-            "res1": final.res1,
-            "res2": final.res2,
-            "gap": final.gap,
-            "psnr": final.psnr,
-        })
+    if records:
+        summary.update({name: getattr(records[-1], name) for name in SUMMARY_FIELDS})
     return RunReport(method=method, config=_config_snapshot(cfg),
                      records=records, summary=summary, seed=seed)

@@ -38,17 +38,21 @@ q = lam / sigma + grad u, tau = alpha / sigma.)  The PDD dual system
 q -> U q - (sigma - B) grad H^{-1} div q likewise takes one grad per
 application.
 
+Each step returns the new iterate and the Krylov iterations its linear solve
+took; ``solve_subproblem`` sums both counts for the subproblem.
+
 Fixed constants: the PT line search starts from the full Newton step
 (ARMIJO_ETA0) and accepts a step once the merit falls by ARMIJO_MU times the
 predicted decrease, shrinking it by ARMIJO_THETA at most ARMIJO_MAX_BACKTRACKS
 times.  These are the standard Armijo choices (mu in (0, 1/2), theta in
 (0, 1)); no solver or command uses other values, so they are not settable.
-Nested H^{-1} actions use ``linops.H_SOLVE``.
+Each Newton system solve stops after KRYLOV_MAX_ITERS iterations, a cap that
+only bounds a failing solve.  Nested H^{-1} actions use ``linops.H_SOLVE``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -61,6 +65,7 @@ from .linops import (H_SOLVE, KrylovConfig, LinearMap, bicgstab_solve, cg_solve,
 from .prox import project_ball, soft_threshold
 
 MAX_NEWTON_STEPS = 50
+KRYLOV_MAX_ITERS = 20000
 ARMIJO_MU = 1e-4
 ARMIJO_THETA = 0.5
 ARMIJO_ETA0 = 1.0
@@ -140,21 +145,11 @@ def make_context(z: np.ndarray, lam: np.ndarray, sigma: float, alpha: float,
 
 @dataclass(frozen=True)
 class NewtonState:
-    """One inner iterate: image, feasible dual field, and progress counters."""
+    """One inner iterate: image, feasible dual field and its residual."""
 
     u: np.ndarray
     h: np.ndarray
     inner_residual: float
-    iteration: int = 0
-    krylov_iters: int = 0
-
-
-def active_mask(u: np.ndarray, ctx: AlmContext) -> np.ndarray:
-    """Indicator of |lam + sigma grad u| >= alpha (per pixel, or per channel)."""
-    w = ctx.lam + ctx.sigma * grad(u)
-    if ctx.variant == ISO:
-        return (pointwise_mag(w) >= ctx.alpha).astype(np.float64)
-    return (np.abs(w) >= ctx.alpha).astype(np.float64)
 
 
 def _pd_fields(u: np.ndarray, ctx: AlmContext):
@@ -255,7 +250,8 @@ def residual_pd(u: np.ndarray, h: np.ndarray, ctx: AlmContext) -> float:
     return norm_y(U * h - w)
 
 
-def ssnpdp_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> NewtonState:
+def ssnpdp_step(state: NewtonState, ctx: AlmContext,
+                kcfg: KrylovConfig) -> tuple[NewtonState, int]:
     """One u-first primal-dual Newton step (Schur complement in the image).
 
     The Schur system is solved in increment form (zero Krylov start), so the
@@ -274,11 +270,11 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> Newt
     h_pre = (b2 + ctx.sigma * grad(u_new) - b_action(u_new)) / U
     res = residual_pd(u_new, h_pre, ctx)
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return NewtonState(u_new, h_new, res, state.iteration + 1,
-                       state.krylov_iters + kit)
+    return NewtonState(u_new, h_new, res), kit
 
 
-def ssnpdd_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> NewtonState:
+def ssnpdd_step(state: NewtonState, ctx: AlmContext,
+                kcfg: KrylovConfig) -> tuple[NewtonState, int]:
     """One h-first primal-dual Newton step (Schur complement in the dual).
 
     Nested H^{-1} actions come from ctx.solve_h; the two-channel system is
@@ -297,8 +293,7 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> Newt
     u_new = ctx.solve_h(ctx.f + div(h_pre))
     res = residual_pd(u_new, h_pre, ctx)
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return NewtonState(u_new, h_new, res, state.iteration + 1,
-                       state.krylov_iters + kit)
+    return NewtonState(u_new, h_new, res), kit
 
 
 def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
@@ -344,7 +339,8 @@ def _pt_system(u: np.ndarray, ctx: AlmContext) -> Callable[[np.ndarray], np.ndar
     return _image_system(ctx, ctx.sigma * (np.abs(q) < tau))
 
 
-def ssnpt_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> NewtonState:
+def ssnpt_step(state: NewtonState, ctx: AlmContext,
+               kcfg: KrylovConfig) -> tuple[NewtonState, int]:
     """One primal Newton step with Armijo backtracking on the merit function."""
     u = state.u
     f_res = _pt_residual_field(u, ctx)
@@ -360,8 +356,7 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> Newto
     if abs(ARMIJO_MU * slope) <= 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
         u_new = u + eta * delta_u
         res = residual_pt(u_new, ctx)
-        return NewtonState(u_new, state.h, res, state.iteration + 1,
-                           state.krylov_iters + kit)
+        return NewtonState(u_new, state.h, res), kit
     phi_trial = merit_phi(u + eta * delta_u, ctx)
     backtracks = 0
     while phi_trial > phi0 + ARMIJO_MU * eta * slope:
@@ -374,36 +369,31 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig) -> Newto
 
     u_new = u + eta * delta_u
     res = residual_pt(u_new, ctx)
-    return NewtonState(u_new, state.h, res, state.iteration + 1,
-                       state.krylov_iters + kit)
+    return NewtonState(u_new, state.h, res), kit
 
 
 @dataclass
 class InnerResult:
-    """Outcome of one subproblem solve: final state and residual history."""
+    """Outcome of one subproblem solve: final state, residual history, and
+    the Newton steps and Krylov iterations it took."""
 
     state: NewtonState
     residuals: list[float]
-
-    @property
-    def newton_steps(self) -> int:
-        return self.state.iteration
-
-    @property
-    def krylov_iters(self) -> int:
-        return self.state.krylov_iters
+    newton_steps: int
+    krylov_iters: int
 
 
 def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: str,
-                     delta: float, kcfg: KrylovConfig,
-                     max_newton: int = MAX_NEWTON_STEPS) -> InnerResult:
+                     delta: float, max_newton: int = MAX_NEWTON_STEPS) -> InnerResult:
     """Run inner Newton steps until the residual drops below delta / sigma.
 
     The linear-solve tolerance follows the forcing rule from the residual
     history (capped at 0.1); exceeding ``max_newton`` steps raises rather than
-    silently continuing.
+    silently continuing.  The Krylov iterations of a discarded primal-dual
+    step (see the tight mode below) are counted too.
     """
-    if method not in ("pdp", "pdd", "pt"):
+    step_fn = {"pdp": ssnpdp_step, "pdd": ssnpdd_step, "pt": ssnpt_step}.get(method)
+    if step_fn is None:
         raise ValueError(f"unknown inner method {method!r}")
     if method == "pt":
         res = residual_pt(u0, ctx)
@@ -420,27 +410,27 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     threshold = max(delta / ctx.sigma, noise)
     tight_mode = False
     tight_tol = 1e-10
+    newton_steps = krylov_iters = 0
     while state.inner_residual > threshold:
-        if state.iteration >= max_newton:
+        if newton_steps >= max_newton:
             raise InnerNewtonError("inner Newton cap exceeded",
-                                   iterations=state.iteration,
+                                   iterations=newton_steps,
                                    residual=state.inner_residual)
-        tol = min(0.1, newton_forcing_tol(state.inner_residual, res0))
-        if method == "pt":
-            state = ssnpt_step(state, ctx, replace(kcfg, rel_tol=tol))
+        if tight_mode:
+            tol = tight_tol
         else:
-            step_fn = ssnpdp_step if method == "pdp" else ssnpdd_step
-            if tight_mode:
-                tol = tight_tol
-            cand = step_fn(state, ctx, replace(kcfg, rel_tol=tol))
-            if cand.inner_residual > state.inner_residual and not tight_mode:
-                # The loose solve threw the iterate off; redo near-exactly and
-                # keep tight solves for the rest of this subproblem.  The
-                # unglobalized primal-dual Newton is only locally robust.
-                tight_mode = True
-                extra = cand.krylov_iters - state.krylov_iters
-                cand = step_fn(state, ctx, replace(kcfg, rel_tol=tight_tol))
-                cand = replace(cand, krylov_iters=cand.krylov_iters + extra)
-            state = cand
+            tol = min(0.1, newton_forcing_tol(state.inner_residual, res0))
+        cand, kit = step_fn(state, ctx, KrylovConfig(rel_tol=tol, max_iters=KRYLOV_MAX_ITERS))
+        if method != "pt" and not tight_mode and cand.inner_residual > state.inner_residual:
+            # The loose solve threw the iterate off; redo near-exactly and
+            # keep tight solves for the rest of this subproblem.  The
+            # unglobalized primal-dual Newton is only locally robust.
+            tight_mode = True
+            krylov_iters += kit
+            cand, kit = step_fn(state, ctx,
+                                KrylovConfig(rel_tol=tight_tol, max_iters=KRYLOV_MAX_ITERS))
+        state = cand
+        newton_steps += 1
+        krylov_iters += kit
         residuals.append(state.inner_residual)
-    return InnerResult(state, residuals)
+    return InnerResult(state, residuals, newton_steps, krylov_iters)

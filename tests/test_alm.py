@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from tvalm.alm import AlmConfig, alm_run, criteria_abc_report, sigma_schedule
+from tvalm.alm import AlmConfig, alm_run, sigma_schedule
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.errors import MaxOuterError
 from tvalm.grid import ANISO, ISO, grad, norm_y, pointwise_mag
-from tvalm.linops import KrylovConfig
 from tvalm.prox import project_ball, soft_threshold
 from tvalm.ssn import make_context, solve_subproblem
 
@@ -101,8 +100,7 @@ class TestAlmRun:
         lam = np.zeros((2, 8, 8))
         sigma, alpha = 4.0, 0.1
         ctx = make_context(z, lam, sigma, alpha, ISO)
-        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pt", 1e-10,
-                               KrylovConfig(rel_tol=0.1, max_iters=20000))
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pt", 1e-10)
         u = res.state.u
         p = soft_threshold(lam / sigma + grad(u), alpha / sigma, ISO)
         linear = lam + sigma * (grad(u) - p)
@@ -114,37 +112,11 @@ class TestAlmRun:
         cfg = AlmConfig(alpha=0.1, variant=ANISO, inner="pdd", outer_tol=1e-7,
                         sigma_max=16384.0)
         state, report = alm_run(z, None, cfg)
-        assert len(report.records) == state.k
-        for rec, tr in zip(report.records, state.trace):
-            assert rec.inner_newton == tr.newton_steps
+        assert [rec.k for rec in report.records] == list(range(1, state.k + 1))
+        for rec in report.records:
+            assert rec.inner_newton >= 0 and rec.avg_krylov >= 0.0
             assert rec.wall_ms >= 0.0
-
-
-class TestCriteriaReport:
-    def test_ratios_finite_and_guarded(self):
-        z = degrade(blocks_image(16, 16, seed=2), DegradeSpec(noise_std=0.1, seed=3))
-        cfg = AlmConfig(alpha=0.1, variant=ANISO, inner="pdp", outer_tol=1e-6)
-        state, _ = alm_run(z, None, cfg)
-        rep = criteria_abc_report(state.trace)
-        assert len(rep.ratios) == state.k
-        for r in rep.ratios:
-            assert r is None or np.isfinite(r)
-
-    def test_zero_dlambda_reported_as_none(self):
-        from tvalm.alm import AlmTrace
-        trace = [AlmTrace(k=1, sigma=4.0, inner_residual=0.0, dlambda=0.0,
-                          newton_steps=1, krylov_iters=2)]
-        rep = criteria_abc_report(trace)
-        assert rep.ratios == [None]
-
-    def test_near_exact_inner_solves_give_small_ratios(self):
-        z = noisy_flat(8)
-        cfg = AlmConfig(alpha=0.1, variant=ISO, inner="pdp", outer_tol=1e-6,
-                        delta_inner=1e-8)
-        state, _ = alm_run(z, None, cfg)
-        rep = criteria_abc_report(state.trace)
-        first = [r for r in rep.ratios if r is not None]
-        assert first and all(r <= 1e-4 for r in first)
+        assert sum(rec.inner_newton for rec in report.records) > 0
 
 
 class TestLocalLinearRate:
@@ -163,11 +135,10 @@ class TestLocalLinearRate:
         h = np.zeros_like(lam_star)
         u = z.copy()
         sigma = 4.0
-        kcfg = KrylovConfig(rel_tol=0.1, max_iters=20000)
         dists = []
         for _ in range(7):
             ctx = make_context(z, lam, sigma, alpha, ANISO)
-            res = solve_subproblem(u, h, ctx, "pdp", 1e-4, kcfg)
+            res = solve_subproblem(u, h, ctx, "pdp", 1e-4)
             u, h = res.state.u, res.state.h
             lam = project_ball(lam + sigma * grad(u), alpha, ANISO)
             sigma = min(4.0 * sigma, 65536.0)

@@ -220,15 +220,46 @@ class TestCliConfig:
         assert (cfg["alpha"], cfg["mu"], cfg["variant"], cfg["outer_tol"]) == (
             0.01, 1e-5, "aniso", 1e-3)
 
-    def test_bench_cells_use_their_tolerance(self, tiny_corpus, tmp_path):
-        # --tol would converge at once; each cell must run at its --tols value
-        # and stop at --max-outer.
+    def test_bench_cells_use_their_tolerance(self, tiny_corpus, tmp_path, capsys):
+        # bench takes its tolerances from --tols alone; a --tol flag is a
+        # usage error, and each cell runs at its --tols value and stops at
+        # --max-outer.
         out_dir = tmp_path / "bench"
-        rc = main(["bench", str(tiny_corpus), "--solvers", "pdp", "--tol", "0.5",
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tiny_corpus), "--solvers", "pdp", "--tol", "0.5",
+                  "--tols", "1e-12", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        rc = main(["bench", str(tiny_corpus), "--solvers", "pdp",
                    "--tols", "1e-12", "--max-outer", "2", "--out-dir", str(out_dir)])
         assert rc == 0
         row = (out_dir / "bench.csv").read_text().strip().splitlines()[1]
         assert "MaxOuterError" in row
+
+    @pytest.mark.parametrize("flag", ["--solver", "--tv", "--tol", "--out", "--report"])
+    def test_bench_rejects_single_run_flags(self, tiny_corpus, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tiny_corpus), flag, "x"])
+        assert exc.value.code == 2
+
+    def test_flag_rejected_by_library_is_reported(self, tmp_path, capsys):
+        # The default 41-tap blur does not fit a 12x12 image.
+        src = tmp_path / "in.pgm"
+        save_image(src, blocks_image(12, 12, seed=2))
+        assert main(["deblur", str(src), "--out", str(tmp_path / "o.pgm"),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["error"] == "ValueError"
+        assert "larger than image" in payload["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_growth_one_is_reported(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        save_image(src, blocks_image(12, 12, seed=2))
+        assert main(["denoise", str(src), "--growth", "1", "--out", str(tmp_path / "o.pgm"),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload == {"error": "ValueError", "message": "growth_c must exceed 1"}
 
 
 class TestBenchHarness:
@@ -251,7 +282,7 @@ class TestBenchHarness:
         images = [("flat", np.full((12, 12), 0.5))]
         cells = run_matrix(images, ["pdp"], ["aniso"], [1e-4, 1e-6], 0.05, 5,
                            self.runner)
-        by_tol = {c.tol: c.n for c in cells}
+        by_tol = {c.tol: c.report.summary["iterations"] for c in cells}
         assert by_tol[1e-6] >= by_tol[1e-4]
 
     def test_partial_failure_recorded(self):

@@ -187,7 +187,7 @@ class TestMakeRecord:
     def test_record_fields_finite_and_capped(self):
         u = RNG.uniform(size=(4, 4))
         lam = project_ball(RNG.normal(size=(2, 4, 4)), 0.1, ISO)
-        rec = make_record(3, u, lam, u, None, 0.1, 1.0, ISO, u, 12.5, 4, 7.5)
+        rec = make_record(3, u, lam, u, None, 0.1, ISO, u, 12.5, 4, 7.5)
         assert rec.psnr == 99.0  # identical reference, display capped
         assert rec.lambda_feasible
         for field in ("res_u", "res_lambda", "err", "res1", "res2", "gap"):

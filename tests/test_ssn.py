@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.errors import InnerNewtonError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
 from tvalm.linops import KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
-from tvalm.ssn import (NewtonState, active_mask, make_context, merit_phi, residual_pd,
+from tvalm.ssn import (NewtonState, _pd_fields, make_context, merit_phi, residual_pd,
                        residual_pt, solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
 
 RNG = np.random.default_rng(314159)
@@ -170,24 +171,27 @@ class TestResiduals:
 
 
 class TestActiveMask:
+    """The Newton-derivative weight of the max term is nonzero exactly on the
+    active set |lam + sigma grad u| >= alpha (tie convention s = 1)."""
+
     def test_tie_counts_as_active(self):
         z = np.zeros((2, 2))
         alpha, sigma = 0.5, 1.0
         lam = np.zeros((2, 2, 2))
         lam[0, 0, 0] = alpha  # |w| == alpha exactly at this pixel
         ctx = denoise_ctx(z, lam, sigma, alpha, ISO)
-        chi = active_mask(z, ctx)
-        assert chi[0, 0] == 1.0
-        assert chi[1, 1] == 0.0
+        _, _, coef = _pd_fields(z, ctx)
+        assert coef[0, 0] != 0.0
+        assert coef[1, 1] == 0.0
 
     def test_aniso_mask_per_channel(self):
         z = np.zeros((2, 2))
         lam = np.zeros((2, 2, 2))
-        lam[0, 0, 0] = 0.7
+        lam[0, 0, 0] = 0.5  # |w| == alpha exactly in this channel
         lam[1, 0, 0] = 0.1
         ctx = denoise_ctx(z, lam, 1.0, 0.5, ANISO)
-        chi = active_mask(z, ctx)
-        assert chi[0, 0, 0] == 1.0 and chi[1, 0, 0] == 0.0
+        _, _, coef = _pd_fields(z, ctx)
+        assert coef[0, 0, 0] != 0.0 and coef[1, 0, 0] == 0.0
 
 
 class TestSsnpdpStep:
@@ -196,20 +200,20 @@ class TestSsnpdpStep:
         ctx = denoise_ctx(z, np.zeros((2, 1, 1)), 4.0, 0.1, ISO)
         st = NewtonState(np.array([[0.2]]), np.zeros((2, 1, 1)),
                          residual_pd(np.array([[0.2]]), np.zeros((2, 1, 1)), ctx))
-        out = ssnpdp_step(st, ctx, TIGHT)
+        out, _ = ssnpdp_step(st, ctx, TIGHT)
         assert out.u == pytest.approx(0.8)  # H = I so u = f
         assert np.all(out.h == 0.0)
 
     def test_fixed_point_at_solution(self):
         z, ctx = random_instance(4, variant=ANISO)
-        res = solve_subproblem(z, np.zeros((2, 4, 4)), ctx, "pdp", 1e-10, TIGHT)
-        moved = ssnpdp_step(res.state, ctx, TIGHT)
+        res = solve_subproblem(z, np.zeros((2, 4, 4)), ctx, "pdp", 1e-10)
+        moved, _ = ssnpdp_step(res.state, ctx, TIGHT)
         assert norm_x(moved.u - res.state.u) <= 1e-9
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_converges_to_gradient_descent_oracle(self, variant):
         z, ctx = random_instance(3, variant=variant, seed=77)
-        res = solve_subproblem(z, np.zeros((2, 3, 3)), ctx, "pdp", 1e-9, TIGHT)
+        res = solve_subproblem(z, np.zeros((2, 3, 3)), ctx, "pdp", 1e-9)
         u_star = subproblem_oracle(ctx)
         assert np.max(np.abs(res.state.u - u_star)) <= 1e-7
 
@@ -218,7 +222,7 @@ class TestSsnpdpStep:
             z, ctx = random_instance(5, sigma=16.0, variant=variant)
             st = NewtonState(z.copy(), np.zeros((2, 5, 5)),
                              residual_pd(z, np.zeros((2, 5, 5)), ctx))
-            st = ssnpdp_step(st, ctx, TIGHT)
+            st, _ = ssnpdp_step(st, ctx, TIGHT)
             if variant == ISO:
                 assert np.all(pointwise_mag(st.h) <= ctx.alpha * (1 + 1e-12))
             else:
@@ -247,7 +251,7 @@ class TestSsnpddStep:
         ctx = denoise_ctx(z, np.zeros((2, 1, 1)), 4.0, 0.1, ISO)
         st = NewtonState(np.array([[0.9]]), np.zeros((2, 1, 1)),
                          residual_pd(np.array([[0.9]]), np.zeros((2, 1, 1)), ctx))
-        out = ssnpdd_step(st, ctx, TIGHT)
+        out, _ = ssnpdd_step(st, ctx, TIGHT)
         assert out.u == pytest.approx(0.3)
         assert np.all(out.h == 0.0)
 
@@ -302,8 +306,8 @@ class TestSsnpddStep:
     def test_agrees_with_pdp(self, n):
         z, ctx = random_instance(n, variant=ISO, seed=n)
         h0 = np.zeros((2, n, n))
-        r1 = solve_subproblem(z, h0, ctx, "pdp", 1e-10, TIGHT)
-        r2 = solve_subproblem(z, h0, ctx, "pdd", 1e-10, TIGHT)
+        r1 = solve_subproblem(z, h0, ctx, "pdp", 1e-10)
+        r2 = solve_subproblem(z, h0, ctx, "pdd", 1e-10)
         assert norm_x(r1.state.u - r2.state.u) <= 1e-6
         assert norm_y(r1.state.h - r2.state.h) <= 1e-6
 
@@ -311,9 +315,8 @@ class TestSsnpddStep:
 class TestSsnptStep:
     def test_fixed_point_at_minimizer(self):
         z, ctx = random_instance(4, seed=8)
-        res = solve_subproblem(z, np.zeros((2, 4, 4)), ctx, "pt", 1e-11,
-                               TIGHT)
-        moved = ssnpt_step(res.state, ctx, TIGHT)
+        res = solve_subproblem(z, np.zeros((2, 4, 4)), ctx, "pt", 1e-11)
+        moved, _ = ssnpt_step(res.state, ctx, TIGHT)
         assert norm_x(moved.u - res.state.u) <= 1e-9
 
     def test_quadratic_regime_single_step(self):
@@ -324,7 +327,7 @@ class TestSsnptStep:
         lam = 0.01 * RNG.normal(size=(2, n, n))
         ctx = denoise_ctx(z, lam, sigma, 1e6, ISO)
         st = NewtonState(z.copy(), np.zeros((2, n, n)), residual_pt(z, ctx))
-        out = ssnpt_step(st, ctx, TIGHT)
+        out, _ = ssnpt_step(st, ctx, TIGHT)
 
         def fixed_system(v):
             return v - sigma * div(grad(v))
@@ -336,15 +339,15 @@ class TestSsnptStep:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_agrees_with_pdp_on_3x3(self, variant):
         z, ctx = random_instance(3, variant=variant, seed=21)
-        r_pt = solve_subproblem(z, np.zeros((2, 3, 3)), ctx, "pt", 1e-10, TIGHT)
-        r_pd = solve_subproblem(z, np.zeros((2, 3, 3)), ctx, "pdp", 1e-10, TIGHT)
+        r_pt = solve_subproblem(z, np.zeros((2, 3, 3)), ctx, "pt", 1e-10)
+        r_pd = solve_subproblem(z, np.zeros((2, 3, 3)), ctx, "pdp", 1e-10)
         assert norm_x(r_pt.state.u - r_pd.state.u) <= 1e-6
 
     def test_accepted_step_satisfies_armijo(self):
         z, ctx = random_instance(5, sigma=16.0, seed=33)
         u0 = z + 0.05 * RNG.normal(size=(5, 5))
         st = NewtonState(u0, np.zeros((2, 5, 5)), residual_pt(u0, ctx))
-        out = ssnpt_step(st, ctx, TIGHT)
+        out, _ = ssnpt_step(st, ctx, TIGHT)
         # Recheck the inequality post hoc with the actual step taken.
         delta = out.u - u0
         phi0 = merit_phi(u0, ctx)
@@ -562,18 +565,39 @@ class TestSolveSubproblem:
     def test_cap_raises(self):
         z, ctx = random_instance(6, sigma=64.0, seed=3)
         with pytest.raises(InnerNewtonError):
-            solve_subproblem(z, np.zeros((2, 6, 6)), ctx, "pdp", 1e-12, TIGHT,
-                             max_newton=1)
+            solve_subproblem(z, np.zeros((2, 6, 6)), ctx, "pdp", 1e-12, max_newton=1)
+
+    def test_counts_include_the_tight_resolve(self, monkeypatch):
+        # At this instance one loose PDP step raises the residual and is redone
+        # tight: the discarded solve is no Newton step, but its Krylov
+        # iterations count.
+        import tvalm.ssn as ssn
+        calls, krylov = [], []
+
+        def counted(state, ctx, kcfg):
+            out, kit = ssnpdp_step(state, ctx, kcfg)
+            calls.append(kcfg.rel_tol)
+            krylov.append(kit)
+            return out, kit
+
+        monkeypatch.setattr(ssn, "ssnpdp_step", counted)
+        clean = blocks_image(8, 8, seed=2)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        lam = project_ball(0.1 * np.random.default_rng(2).normal(size=(2, 8, 8)), 0.1, ANISO)
+        ctx = make_context(z, lam, 1024.0, 0.1, ANISO)
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pdp", 1e-4)
+        assert res.newton_steps == len(res.residuals) - 1 == len(calls) - 1
+        assert res.krylov_iters == sum(krylov)
+        assert calls.count(1e-10) >= 2  # the re-solve and the steps after it
 
     def test_unknown_method(self):
         z, ctx = random_instance(2)
         with pytest.raises(ValueError):
-            solve_subproblem(z, np.zeros((2, 2, 2)), ctx, "newton", 1e-4, TIGHT)
+            solve_subproblem(z, np.zeros((2, 2, 2)), ctx, "newton", 1e-4)
 
     def test_superlinear_tail_16x16(self):
         # Late-iteration contraction of the inner residual at sigma = 64.
         z, ctx = random_instance(16, sigma=64.0, variant=ANISO, seed=1)
-        res = solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pdp", 1e-8,
-                               KrylovConfig(rel_tol=0.1, max_iters=50000))
+        res = solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pdp", 1e-8)
         seq = [r for r in res.residuals if r > 0]
         assert seq[-1] / seq[-2] <= 0.1
