@@ -6,6 +6,11 @@ is driven by the data term's strong-convexity modulus (1 for denoising; the
 gradient-penalty weight mu is used as a practical surrogate for deblurring,
 where the certified modulus is not available).  Step sizes keep
 tau * sigma * L^2 <= 1 with L^2 = 8 for the difference stencil.
+
+The prox step (I + tau H)^{-1} is exact, by fast diagonalization, when H is
+a Kronecker sum (mu > 0 and K the identity or a one-row blur, see
+``linops``); its eigenbases are built once per run, and such a run records
+avg_krylov = 0.  Other kernels solve it by CG at ``linops.H_SOLVE``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .alm import OuterState
 from .errors import MaxOuterError
 from .grid import div, grad
-from .linops import H_SOLVE, LinearMap, cg_solve, h_map
+from .linops import H_SOLVE, LinearMap, cg_solve, h_inverse, h_map
 from .metrics import make_record
 from .prox import project_ball
 from .report import RunReport, summarize
@@ -44,6 +49,7 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
     ref = z if reference is None else reference
     f = z.copy() if K is None else K.apply_adjoint(z)
     H = h_map(mu, K)
+    h_inv = h_inverse(mu, K, z.shape)
     denoise = K is None and mu == 0.0
     gamma = 1.0 if denoise else mu
 
@@ -71,6 +77,8 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
         v = u + tau * div(lam) + tau * f
         if denoise:
             u = v / (1.0 + tau)
+        elif h_inv is not None:
+            u = h_inv.solve(v, tau)
         else:
             u, kit = cg_solve(prox_op, v, H_SOLVE)
             krylov_in_window += kit

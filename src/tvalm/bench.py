@@ -86,12 +86,12 @@ def cells_to_markdown(cells: Sequence[BenchCell]) -> str:
     for c in cells:
         if c.error:
             row = [c.image, c.variant, c.solver, "failed", c.error, "", "", "", "",
-                   "", _num(c.tol)]
+                   "", ""]
         else:
             s = c.summary
             n_t = f"{s['iterations']}({s['total_wall_ms'] / 1e3:.2f}s)"
             row = [c.image, c.variant, c.solver, n_t, _num(s["res_u"]),
                    _num(s["res_lambda"]), _num(s["res1"]), _num(s["res2"]),
-                   _num(s["gap"]), f"{s['psnr']:.2f}", _num(c.tol)]
+                   _num(s["gap"]), f"{s['psnr']:.2f}", _num(s["err"])]
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"

@@ -20,6 +20,7 @@ from .alg2 import alg2_run
 from .bench import cells_to_csv, cells_to_markdown, run_matrix
 from .degrade import DegradeSpec, blocks_image, degrade
 from .errors import SolverError
+from .grid import check_variant
 from .linops import LinearMap, blur_map, motion_kernel
 from .pgm import load_image, save_image
 from .report import RunReport
@@ -118,9 +119,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     images = [(p.stem, load_image(p)) for p in corpus]
     solvers = args.solvers.split(",")
     variants = args.variants.split(",")
-    tols = [float(t) for t in args.tols.split(",")]
+    # Every value is checked before the first cell runs.
     try:
         cfg = _config(args)
+        tols = [float(t) for t in args.tols.split(",")]
+        for solver in solvers:
+            if solver not in SOLVERS:
+                raise ValueError(f"unknown solver {solver!r}; expected one of "
+                                 f"{', '.join(SOLVERS)}")
+        for variant in variants:
+            check_variant(variant)
     except ValueError as exc:
         return _failure(exc)
 

@@ -17,6 +17,26 @@ M x N image as C_r u R_r^T, where C_r (M x M) and R_r (N x N) are the 1-D
 correlation matrices of c_r and r_r.  So K u = sum_r C_r u R_r^T and
 K* y = sum_r C_r^T y R_r, which is the exact adjoint by construction.  The
 matrices are built once per image shape and cached on the BlurKernel.
+
+K*K is applied in Gram form, over the cached pairs (C_r^T C_s, R_s^T R_r):
+K*K v = sum_{r,s} (C_r^T C_s) v (R_s^T R_r), which for a one-row kernel is the
+single product v (R^T R).  A blur map carries its kernel, so ``h_apply`` and
+the assembled Newton systems take this form in place of a blur and its
+adjoint.
+
+H^{-1} is exact when H is a Kronecker sum, that is mu > 0 and K the identity
+or a one-row blur.  The grid's zero last row and column make -div grad equal
+to L_M u + u L_N, with L the 1-D Neumann path Laplacian, so H u = A u + u B
+with A = mu L_M and B = R^T R + mu L_N (R = I for the identity).  With the
+eigendecompositions A = P diag(a) P^T and B = Q diag(b) Q^T, built once per
+run, H^{-1} F = P [(P^T F Q) / (a_i + b_j)] Q^T, four matmuls (the
+fast-diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 1964);
+the prox inverse (I + tau H)^{-1} divides by 1 + tau (a_i + b_j) instead.
+Other kernels, and mu = 0, solve with H by CG at H_SOLVE.
+
+The per-axis matrices, their Gram products and the eigenbases are dense, so
+each costs O(M^2 N + M N^2) per application: above about 512 px a side the
+blur is slower than a banded or tap-loop form would be.
 """
 
 from __future__ import annotations
@@ -35,11 +55,14 @@ BREAKDOWN_EPS = 1e-30
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A matrix-free operator: forward and adjoint actions plus a symmetry flag."""
+    """A matrix-free operator: forward and adjoint actions plus a symmetry
+    flag.  A blur map also carries its kernel, which gives K*K and H^{-1}
+    their Kronecker forms."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     apply_adjoint: Callable[[np.ndarray], np.ndarray]
     self_adjoint: bool = False
+    kernel: BlurKernel | None = None
 
 
 def _rank_one_terms(taps: np.ndarray) -> tuple:
@@ -74,8 +97,8 @@ class BlurKernel:
 
     Also caches the operator's Kronecker form: per image shape, the (C, R)
     correlation matrices of each rank-one term of the taps (C is None for a
-    one-row kernel).  They are built on first use at a shape and live as
-    long as the kernel.
+    one-row kernel), and the Gram pairs of K*K built from them.  They are
+    built on first use at a shape and live as long as the kernel.
 
     Kernels compare and hash by their taps' values (the read-only taps keep
     the hash fixed); the cache takes no part in either.
@@ -83,6 +106,7 @@ class BlurKernel:
 
     taps: np.ndarray
     _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         taps = np.array(self.taps, dtype=np.float64)
@@ -119,6 +143,18 @@ class BlurKernel:
                      _correlation_matrix(r, n)) for c, r in _rank_one_terms(self.taps)]
             self._matrices[shape] = mats
         return mats
+
+    def gram(self, shape: tuple[int, int]) -> list:
+        """The cached Gram pairs (C_r^T C_s, R_s^T R_r) over every pair of
+        rank-one terms at image ``shape`` (the left factor is None for a
+        one-row kernel, whose single pair is (None, R^T R))."""
+        pairs = self._grams.get(shape)
+        if pairs is None:
+            mats = self.matrices(shape)
+            pairs = [(None if Cr is None else Cr.T @ Cs, Rs.T @ Rr)
+                     for Cr, Rr in mats for Cs, Rs in mats]
+            self._grams[shape] = pairs
+        return pairs
 
 
 def motion_kernel(length: int) -> BlurKernel:
@@ -163,14 +199,28 @@ def blur_map(kernel: BlurKernel) -> LinearMap:
         lambda u: blur_apply(u, kernel),
         lambda u: blur_adjoint(u, kernel),
         self_adjoint=False,
+        kernel=kernel,
     )
+
+
+def gram_apply(v: np.ndarray, K: LinearMap) -> np.ndarray:
+    """K*K v.  For a blur map this runs over the kernel's cached Gram pairs,
+    v (R^T R) for a one-row kernel and sum (C_r^T C_s) v (R_s^T R_r)
+    otherwise, and never returns v itself; any other map gives K*(K v)."""
+    if K.kernel is None:
+        return K.apply_adjoint(K.apply(v))
+    out = None
+    for G, S in K.kernel.gram(v.shape):
+        term = (v if G is None else G @ v) @ S
+        out = term if out is None else out + term
+    return out
 
 
 def h_apply(u: np.ndarray, mu: float, K: LinearMap | None) -> np.ndarray:
     """Action of H = -mu*Laplacian + K*K; identity when K is None and mu = 0."""
     if mu < 0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    out = u.copy() if K is None else K.apply_adjoint(K.apply(u))
+    out = u.copy() if K is None else gram_apply(u, K)
     if mu > 0.0:
         out -= mu * div(grad(u))
     return out
@@ -179,6 +229,45 @@ def h_apply(u: np.ndarray, mu: float, K: LinearMap | None) -> np.ndarray:
 def h_map(mu: float, K: LinearMap | None) -> LinearMap:
     op = lambda u: h_apply(u, mu, K)
     return LinearMap(op, op, self_adjoint=True)
+
+
+def _path_laplacian(n: int) -> np.ndarray:
+    """D^T D for the n-point forward difference D: the 1-D Neumann Laplacian
+    that grad and div apply along one axis."""
+    D = np.diff(np.eye(n), axis=0)
+    return D.T @ D
+
+
+@dataclass(frozen=True)
+class HInverse:
+    """H = A (x) I + I (x) B in the eigenbases A = P diag(a) P^T and
+    B = Q diag(b) Q^T; ``eig`` holds the eigenvalues a_i + b_j of H."""
+
+    P: np.ndarray
+    Q: np.ndarray
+    eig: np.ndarray
+
+    def solve(self, F: np.ndarray, tau: float | None = None) -> np.ndarray:
+        """H^{-1} F, or (I + tau H)^{-1} F when ``tau`` is given."""
+        d = self.eig if tau is None else 1.0 + tau * self.eig
+        return self.P @ ((self.P.T @ F @ self.Q) / d) @ self.Q.T
+
+
+def h_inverse(mu: float, K: LinearMap | None, shape: tuple[int, int]) -> HInverse | None:
+    """The exact inverse of H on images of ``shape`` when H is a Kronecker
+    sum (mu > 0, K the identity or a one-row blur); None otherwise."""
+    if mu <= 0.0:
+        return None
+    m, n = shape
+    if K is None:
+        gram = np.eye(n)
+    elif K.kernel is not None and K.kernel.taps.shape[0] == 1:
+        ((_, gram),) = K.kernel.gram(shape)
+    else:
+        return None
+    a, P = np.linalg.eigh(mu * _path_laplacian(m))
+    b, Q = np.linalg.eigh(gram + mu * _path_laplacian(n))
+    return HInverse(P, Q, a[:, None] + b[None, :])
 
 
 @dataclass(frozen=True)
@@ -193,8 +282,9 @@ class KrylovConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
-# Every nested solve with H (PDD's H^{-1} actions, ALG2's prox step) runs to
-# near machine precision, so that the outer residuals see no solve error.
+# A nested solve with H that has no exact inverse (PDD's H^{-1} actions,
+# ALG2's prox step, for a multi-row kernel) runs to near machine precision,
+# so that the outer residuals see no solve error.
 H_SOLVE = KrylovConfig(rel_tol=1e-12, max_iters=20000)
 
 

@@ -2,9 +2,11 @@
 
 Both are derived from ``MetricRecord``: the CSV has one column per record
 field, in declaration order, each cell formatted by the field's type, and the
-summary copies the final record's SUMMARY_FIELDS.  A report plus the seed
-fully determines a reproduction; timing columns are wall-clock and are the
-only fields excluded from determinism comparisons.
+summary copies the final record's SUMMARY_FIELDS.  Both write a non-finite
+float as ``inf``, ``-inf`` or ``nan`` (in the JSON as a string, so the text
+is strict JSON).  A report plus the seed fully determines a reproduction;
+timing columns are wall-clock and are the only fields excluded from
+determinism comparisons.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class RunReport:
             "summary": self.summary,
             "records": [dataclasses.asdict(r) for r in self.records],
         }
-        return json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+        return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
 
     def to_csv(self) -> str:
         lines = [",".join(name for name, _ in _COLUMNS)]
@@ -46,16 +48,19 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _json_default(value):
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
-    raise TypeError(f"not JSON serializable: {value!r}")
-
-
 def _fmt(v: float) -> str:
-    if math.isinf(v):
-        return "inf"
     return format(v, ".17g")
+
+
+def _strict(value):
+    """``value`` with every non-finite float replaced by its CSV text."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else _fmt(value)
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return value
 
 
 # (name, formatter) per CSV column: the MetricRecord fields in order, each

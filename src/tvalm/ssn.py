@@ -7,6 +7,9 @@ Three formulations of the same nonlinear optimality system are offered:
   recovering and projecting the dual iterate.
 * ``ssnpdd_step``: the mirrored order, solving the two-channel system for the
   dual field first (BiCGSTAB, nesting H^{-1} actions), then recovering u.
+  H^{-1} is the exact fast-diagonalization inverse that ``make_context``
+  builds when H is a Kronecker sum (mu > 0 and K the identity or a one-row
+  blur, see ``linops``), and a CG solve at ``linops.H_SOLVE`` otherwise.
 * ``ssnpt_step``: a primal Newton step through the soft-thresholding operator
   with CG on the self-adjoint generalized derivative and an Armijo
   backtracking line search on the merit function.
@@ -23,8 +26,8 @@ Each is assembled once per Newton step as
     v -> K*K v - div(F grad v),    F g = a g - b (w . g),
 
 with mu folded into a (H = K*K - mu Laplacian), so one Krylov iteration's
-operator application costs one grad, one pointwise flux and one div, plus K
-and K* when deblurring:
+operator application costs one grad, one pointwise flux and one div, plus
+K*K in Gram form when deblurring (one matmul for a one-row kernel):
 
     system       a                              b                     w
     PDP aniso    (sigma - coef h) / U           -                     -
@@ -47,7 +50,7 @@ predicted decrease, shrinking it by ARMIJO_THETA at most ARMIJO_MAX_BACKTRACKS
 times.  These are the standard Armijo choices (mu in (0, 1/2), theta in
 (0, 1)); no solver or command uses other values, so they are not settable.
 Each Newton system solve stops after KRYLOV_MAX_ITERS iterations, a cap that
-only bounds a failing solve.  Nested H^{-1} actions use ``linops.H_SOLVE``.
+only bounds a failing solve.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ import numpy as np
 
 from .errors import InnerNewtonError, LineSearchError
 from .grid import ISO, check_variant, div, grad, inner_x, norm_x, norm_y, pointwise_mag, tv_norm
-from .linops import (H_SOLVE, KrylovConfig, LinearMap, bicgstab_solve, cg_solve, h_map,
-                     newton_forcing_tol)
+from .linops import (H_SOLVE, HInverse, KrylovConfig, LinearMap, bicgstab_solve, cg_solve,
+                     gram_apply, h_inverse, h_map, newton_forcing_tol)
 from .prox import project_ball, soft_threshold
 
 MAX_NEWTON_STEPS = 50
@@ -77,8 +80,9 @@ class AlmContext:
     """Frozen data of one augmented-Lagrangian subproblem.
 
     lam is the current multiplier, sigma the penalty, z the observed data,
-    K the data operator (None for the identity), f = K* z, and H the
-    self-adjoint restoration operator.
+    K the data operator (None for the identity), f = K* z, H the
+    self-adjoint restoration operator, and h_inv its exact inverse when H is
+    a Kronecker sum (None otherwise, or when H is the identity).
 
     The multiplier terms of the PT path (lam / sigma, div(lam) and
     ||lam||^2 / (2 sigma)) are computed once per context; ``replace`` makes a
@@ -94,6 +98,7 @@ class AlmContext:
     variant: str
     K: LinearMap | None = None
     mu: float = 0.0
+    h_inv: HInverse | None = None
 
     def __post_init__(self):
         check_variant(self.variant)
@@ -123,6 +128,8 @@ class AlmContext:
         into the result."""
         if self.h_identity:
             return b
+        if self.h_inv is not None:
+            return self.h_inv.solve(b)
         x, _ = cg_solve(self.H, b, H_SOLVE)
         return x
 
@@ -137,10 +144,11 @@ class AlmContext:
 
 def make_context(z: np.ndarray, lam: np.ndarray, sigma: float, alpha: float,
                  variant: str, K: LinearMap | None = None, mu: float = 0.0) -> AlmContext:
-    """Build an AlmContext from raw data (K = None means the identity)."""
+    """Build an AlmContext from raw data (K = None means the identity),
+    with the eigenbases of H^{-1} when H is a Kronecker sum."""
     f = z.copy() if K is None else K.apply_adjoint(z)
     return AlmContext(lam=lam, sigma=sigma, alpha=alpha, z=z, f=f, H=h_map(mu, K),
-                      variant=variant, K=K, mu=mu)
+                      variant=variant, K=K, mu=mu, h_inv=h_inverse(mu, K, z.shape))
 
 
 @dataclass(frozen=True)
@@ -193,7 +201,7 @@ def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
     F g = (a + mu) g - b (w . g) is the pointwise flux, with K*K v read as v
     for the identity.  The H = K*K - mu Laplacian part of the system is thus
     folded in: mu joins a, so each application costs one grad, one flux and
-    one div (plus K and K* when present).  The coefficient fields are fixed
+    one div (plus K*K, in Gram form for a blur, when present).  The coefficient fields are fixed
     for the Newton step; a is one channel (broadcast) or two, b and w two.
     """
     if ctx.mu > 0.0:
@@ -209,8 +217,8 @@ def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
             flux = np.multiply(a, g, out=g)
             flux -= b * wg
         out = div(flux)
-        # K* may return its input's array, so the difference goes into out.
-        return np.subtract(v if K is None else K.apply_adjoint(K.apply(v)), out, out=out)
+        # K*K may return its input's array, so the difference goes into out.
+        return np.subtract(v if K is None else gram_apply(v, K), out, out=out)
     return system
 
 

@@ -8,7 +8,8 @@ from tvalm.alm import AlmConfig, alm_run
 from tvalm.degrade import DegradeSpec, degrade
 from tvalm.errors import MaxOuterError
 from tvalm.grid import ANISO, ISO
-from tvalm.linops import blur_map, motion_kernel
+from tvalm.linops import (LinearMap, blur_adjoint, blur_apply, blur_map, gaussian_kernel,
+                          motion_kernel)
 
 
 def noisy_flat(n, noise=0.05, seed=11):
@@ -80,3 +81,36 @@ class TestAlg2:
         state, report = alg2_run(z, blur_map(kern), 0.01, 0.05, ISO, 1e-7,
                                  10 ** 5, reference=clean, check_every=25)
         assert report.summary["converged"]
+
+
+def blurred_square(kernel):
+    clean = np.full((8, 8), 0.4)
+    clean[2:6, 2:6] = 0.8
+    return clean, degrade(clean, DegradeSpec(noise_std=0.01, blur=kernel, seed=9))
+
+
+class TestProxSolve:
+    """The prox step (I + tau H)^{-1}: exact for a one-row kernel, CG otherwise."""
+
+    @pytest.mark.parametrize("kernel, exact", [(motion_kernel(3), True),
+                                               (gaussian_kernel(1, 0.8), False)])
+    def test_avg_krylov_by_structure(self, kernel, exact):
+        clean, z = blurred_square(kernel)
+        _, report = alg2_run(z, blur_map(kernel), 0.01, 0.05, ISO, 1e-5, 10 ** 5,
+                             reference=clean, check_every=10)
+        krylov = [r.avg_krylov for r in report.records]
+        assert all(k == 0.0 for k in krylov) if exact else all(k > 0.0 for k in krylov)
+
+    def test_exact_prox_follows_the_cg_iterates(self):
+        # The same map without its kernel takes the CG path; both runs stop
+        # at the iteration cap.
+        kernel = motion_kernel(3)
+        clean, z = blurred_square(kernel)
+        plain = LinearMap(lambda u: blur_apply(u, kernel), lambda y: blur_adjoint(y, kernel))
+        finals = []
+        for K in (blur_map(kernel), plain):
+            with pytest.raises(MaxOuterError) as err:
+                alg2_run(z, K, 0.01, 0.05, ISO, 1e-14, 200, check_every=50)
+            finals.append(err.value.state)
+        assert np.max(np.abs(finals[0].u - finals[1].u)) <= 1e-10
+        assert np.max(np.abs(finals[0].lam - finals[1].lam)) <= 1e-10

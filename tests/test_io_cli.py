@@ -261,6 +261,23 @@ class TestCliConfig:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload == {"error": "ValueError", "message": "growth_c must exceed 1"}
 
+    @pytest.mark.parametrize("flag, values, word", [
+        ("--solvers", "pdp,foo", "'foo'"), ("--variants", "aniso,tv2", "'tv2'"),
+        ("--tols", "1e-4,x", "'x'")])
+    def test_bench_checks_its_lists_before_the_sweep(self, tiny_corpus, tmp_path, capsys,
+                                                     monkeypatch, flag, values, word):
+        # A bad entry anywhere in a list ends the command before any cell runs.
+        import tvalm.cli as cli
+        cells = []
+        monkeypatch.setattr(cli, "run_solver", lambda *a: cells.append(a))
+        out_dir = tmp_path / "bench"
+        assert main(["bench", str(tiny_corpus), flag, values,
+                     "--out-dir", str(out_dir)]) == 2
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["error"] == "ValueError"
+        assert word in payload["message"]
+        assert cells == [] and not out_dir.exists()
+
 
 class TestBenchHarness:
     CFG = AlmConfig(alpha=0.1, sigma_max=16384.0, max_outer=40)

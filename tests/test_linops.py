@@ -1,15 +1,17 @@
 """Linear operators and Krylov solvers against dense oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tvalm.degrade import DegradeSpec
 from tvalm.errors import KrylovError
-from tvalm.grid import ISO, inner_x
-from tvalm.linops import (BlurKernel, KrylovConfig, LinearMap, bicgstab_solve,
-                          blur_adjoint, blur_apply, blur_map, cg_solve,
-                          gaussian_kernel, h_apply, h_map, motion_kernel,
-                          newton_forcing_tol)
+from tvalm.grid import ISO, div, grad, inner_x
+from tvalm.linops import (BlurKernel, KrylovConfig, LinearMap, _path_laplacian,
+                          bicgstab_solve, blur_adjoint, blur_apply, blur_map, cg_solve,
+                          gaussian_kernel, gram_apply, h_apply, h_inverse, h_map,
+                          motion_kernel, newton_forcing_tol)
 from tvalm.ssn import make_context
 
 RNG = np.random.default_rng(5150)
@@ -238,6 +240,119 @@ class TestKroneckerBlur:
         u = RNG.normal(size=(3, 4))
         assert not np.shares_memory(blur_apply(u, k), u)
         assert not np.shares_memory(blur_adjoint(u, k), u)
+
+
+def _boom(v):
+    raise AssertionError("K or K* applied where the Gram form should run")
+
+
+class TestGramForm:
+    """K*K over the kernel's cached Gram pairs."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
+    @pytest.mark.parametrize("shape", [(7, 9), (32, 32)])
+    def test_matches_adjoint_of_blur(self, name, shape):
+        k = ORACLE_KERNELS[name]
+        v = RNG.normal(size=shape)
+        want = blur_adjoint(blur_apply(v, k), k)
+        got = gram_apply(v, blur_map(k))
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        assert not np.shares_memory(got, v)
+
+    def test_pair_counts(self):
+        shape = (9, 9)
+        ((G, S),) = ORACLE_KERNELS["motion9"].gram(shape)
+        assert G is None and S.shape == (9, 9)
+        assert len(ORACLE_KERNELS["gauss2"].gram(shape)) == 1
+        assert len(ORACLE_KERNELS["random3x5"].gram(shape)) == 9
+
+    def test_h_apply_uses_the_kernel(self):
+        # A map that carries a kernel is applied through its Gram pairs; one
+        # without keeps K*(K v).
+        k = motion_kernel(5)
+        u = RNG.normal(size=(6, 8))
+        gram_only = LinearMap(_boom, _boom, kernel=k)
+        plain = LinearMap(lambda v: blur_apply(v, k), lambda v: blur_adjoint(v, k))
+        want = h_apply(u, 1e-3, plain)
+        assert np.linalg.norm(h_apply(u, 1e-3, gram_only) - want) <= (
+            1e-13 * np.linalg.norm(want))
+
+    def test_newton_system_uses_the_kernel(self):
+        from tvalm.ssn import _image_system
+        k = motion_kernel(3)
+        ctx = make_context(RNG.normal(size=(6, 6)), np.zeros((2, 6, 6)), 4.0, 0.1, ISO,
+                           K=blur_map(k), mu=1e-6)
+        a = np.full((6, 6), 0.5)
+        v = RNG.normal(size=(6, 6))
+        gram_only = LinearMap(_boom, _boom, kernel=k)
+        plain = LinearMap(lambda u: blur_apply(u, k), lambda u: blur_adjoint(u, k))
+        want = _image_system(replace(ctx, K=plain), a)(v)
+        got = _image_system(replace(ctx, K=gram_only), a)(v)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _residual(x, F, mu, K, tau=None):
+    Hx = h_apply(x, mu, K)
+    r = Hx - F if tau is None else x + tau * Hx - F
+    return np.linalg.norm(r) / np.linalg.norm(F)
+
+
+class TestExactHInverse:
+    """Fast diagonalization of H = A (x) I + I (x) B against h_apply."""
+
+    def test_laplacian_is_a_kronecker_sum(self):
+        # The zero last row and column of grad make -div grad = L_M u + u L_N.
+        for shape in [(1, 4), (5, 1), (7, 9), (16, 16)]:
+            u = RNG.normal(size=shape)
+            want = _path_laplacian(shape[0]) @ u + u @ _path_laplacian(shape[1])
+            assert np.allclose(-div(grad(u)), want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("kernel", [None, motion_kernel(1), motion_kernel(3),
+                                        motion_kernel(9)])
+    @pytest.mark.parametrize("shape", [(7, 9), (32, 32)])
+    def test_against_dense_solves(self, kernel, shape):
+        K = None if kernel is None else blur_map(kernel)
+        for mu in (1e-2, 1e-6):
+            inv = h_inverse(mu, K, shape)
+            Hd = dense_from_map(h_map(mu, K), shape)
+            Fs = RNG.normal(size=(3, *shape))
+            for tau in (None, 1e-3, 0.35):  # ALG2 starts at 8^(-1/2) and shrinks tau
+                A = Hd if tau is None else np.eye(Hd.shape[0]) + tau * Hd
+                lu = np.linalg.solve(A, Fs.reshape(3, -1).T).T.reshape(Fs.shape)
+                for F, x_lu in zip(Fs, lu):
+                    x = inv.solve(F, tau)
+                    r = _residual(x, F, mu, K, tau)
+                    # Backward-stable LU on the assembled matrix sets the
+                    # floor: for H at mu = 1e-6 (condition number near 1e6)
+                    # neither gets much below 1e-11 on a random right-hand side.
+                    assert r <= max(1e-13, 10.0 * _residual(x_lu, F, mu, K, tau))
+                    assert r <= (5e-11 if tau is None and mu == 1e-6 else 1e-13)
+                    rel = 1e-10 if tau is None else 1e-13
+                    assert np.linalg.norm(x - x_lu) <= rel * np.linalg.norm(x_lu)
+
+    @pytest.mark.parametrize("K, mu", [
+        (blur_map(gaussian_kernel(2, 1.0)), 1e-6), (blur_map(random_kernel((3, 5), 11)), 1e-6),
+        (blur_map(motion_kernel(3)), 0.0), (IDENTITY, 1e-6)])
+    def test_other_operators_keep_cg(self, K, mu, monkeypatch):
+        import tvalm.ssn as ssn
+        assert h_inverse(mu, K, (8, 8)) is None
+        b = RNG.normal(size=(8, 8))
+        ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=mu)
+        assert ctx.h_inv is None
+        calls = []
+        monkeypatch.setattr(ssn, "cg_solve", lambda *a: calls.append(a) or cg_solve(*a))
+        x = ctx.solve_h(b)
+        assert len(calls) == 1
+        assert _residual(x, b, mu, K) <= 1e-10
+
+    def test_solve_h_uses_the_exact_inverse(self, monkeypatch):
+        import tvalm.ssn as ssn
+        monkeypatch.setattr(ssn, "cg_solve", _boom)
+        K, mu = blur_map(motion_kernel(5)), 1e-6
+        b = RNG.normal(size=(8, 8))
+        ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=mu)
+        assert ctx.h_inv is not None
+        assert _residual(ctx.solve_h(b), b, mu, K) <= 5e-11
 
 
 class TestHOperator:

@@ -6,6 +6,11 @@ type, an infinite gap, a NaN residual, a negative zero and both
 ``lambda_feasible`` values.
 """
 
+import json
+from dataclasses import replace
+
+import pytest
+
 from tvalm.bench import BenchCell, cells_to_csv, cells_to_markdown
 from tvalm.metrics import MetricRecord
 from tvalm.report import summarize
@@ -47,7 +52,7 @@ def test_run_json_with_summary():
     {
       "avg_krylov": 12.25,
       "err": 2.5e-07,
-      "gap": Infinity,
+      "gap": "inf",
       "inner_newton": 7,
       "k": 1,
       "lambda_feasible": false,
@@ -69,7 +74,7 @@ def test_run_json_with_summary():
       "res1": -0.0,
       "res2": 9.313225746154785e-10,
       "res_lambda": 0.0,
-      "res_u": NaN,
+      "res_u": "nan",
       "wall_ms": 250.25
     }
   ],
@@ -83,7 +88,7 @@ def test_run_json_with_summary():
     "res1": -0.0,
     "res2": 9.313225746154785e-10,
     "res_lambda": 0.0,
-    "res_u": NaN,
+    "res_u": "nan",
     "total_wall_ms": 1750.75
   }
 }"""
@@ -111,6 +116,24 @@ def test_bench_markdown():
         "| PSNR | Err |\n"
         "|---|---|---|---|---|---|---|---|---|---|---|\n"
         "| a | aniso | pdp | 2(1.75s) | nan | 0.000e+00 | -0.000e+00 | 9.313e-10 "
-        "| -1.250e-09 | 35.58 | 1.000e-04 |\n"
+        "| -1.250e-09 | 35.58 | 3.162e-07 |\n"
         "| b | iso | pt | failed | MaxOuterError: outer iteration budget exhausted "
-        "(final Err 2.817e-08) |  |  |  |  |  | 1.000e-12 |\n")
+        "(final Err 2.817e-08) |  |  |  |  |  |  |\n")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+def test_run_json_is_strict():
+    # Every non-finite float, -inf included, is written as its CSV text, and
+    # the text parses without the NaN/Infinity extension.
+    records = [replace(RECORDS[0], gap=-INF), RECORDS[1]]
+    run = summarize("alm-pt", {"sigma_max": INF}, records, None, converged=False)
+    payload = json.loads(run.to_json(), parse_constant=_reject_constant)
+    assert payload["config"]["sigma_max"] == "inf"
+    assert [r["gap"] for r in payload["records"]] == ["-inf", -1.25e-9]
+    assert payload["summary"]["res_u"] == "nan"
+    assert run.to_csv().splitlines()[1].split(",")[6] == "-inf"
+    with pytest.raises(ValueError, match="non-standard"):
+        json.loads('{"gap": Infinity}', parse_constant=_reject_constant)
