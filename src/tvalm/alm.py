@@ -46,7 +46,8 @@ class AlmConfig:
 
     def __post_init__(self):
         check_variant(self.variant)
-        if self.alpha <= 0 or self.sigma0 <= 0 or self.outer_tol <= 0 or self.delta_inner <= 0:
+        # Written as "not > 0" so that NaN is rejected too.
+        if not all(v > 0 for v in (self.alpha, self.sigma0, self.outer_tol, self.delta_inner)):
             raise ValueError("alpha, sigma0, delta_inner and outer_tol must be positive")
         if self.growth_c <= 1.0:
             raise ValueError("growth_c must exceed 1")

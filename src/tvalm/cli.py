@@ -20,7 +20,6 @@ from .alg2 import alg2_run
 from .bench import cells_to_csv, cells_to_markdown, run_matrix
 from .degrade import DegradeSpec, blocks_image, degrade
 from .errors import SolverError
-from .grid import check_variant
 from .linops import LinearMap, blur_map, motion_kernel
 from .pgm import load_image, save_image
 from .report import RunReport
@@ -119,7 +118,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     images = [(p.stem, load_image(p)) for p in corpus]
     solvers = args.solvers.split(",")
     variants = args.variants.split(",")
-    # Every value is checked before the first cell runs.
+    # Every value is checked before the first cell runs: AlmConfig checks
+    # each variant and tolerance as its cell's config is built.
     try:
         cfg = _config(args)
         tols = [float(t) for t in args.tols.split(",")]
@@ -127,15 +127,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if solver not in SOLVERS:
                 raise ValueError(f"unknown solver {solver!r}; expected one of "
                                  f"{', '.join(SOLVERS)}")
-        for variant in variants:
-            check_variant(variant)
+        configs = {(variant, tol): replace(cfg, variant=variant, outer_tol=tol)
+                   for variant in variants for tol in tols}
     except ValueError as exc:
         return _failure(exc)
 
     def runner(z, clean, solver, variant, tol):
-        _, report = run_solver(z, None, solver,
-                               replace(cfg, variant=variant, outer_tol=tol),
-                               clean, args.seed)
+        _, report = run_solver(z, None, solver, configs[variant, tol], clean, args.seed)
         return report
 
     cells = run_matrix(images, solvers, variants, tols, args.noise, args.seed, runner)

@@ -18,11 +18,12 @@ correlation matrices of c_r and r_r.  So K u = sum_r C_r u R_r^T and
 K* y = sum_r C_r^T y R_r, which is the exact adjoint by construction.  The
 matrices are built once per image shape and cached on the BlurKernel.
 
-K*K is applied in Gram form, over the cached pairs (C_r^T C_s, R_s^T R_r):
-K*K v = sum_{r,s} (C_r^T C_s) v (R_s^T R_r), which for a one-row kernel is the
-single product v (R^T R).  A blur map carries its kernel, so ``h_apply`` and
-the assembled Newton systems take this form in place of a blur and its
-adjoint.
+For a one-row kernel (C = 1, one term) K*K is applied in Gram form, as the
+single product K*K v = v (R^T R) with R^T R cached beside R.  A blur map
+carries its kernel, so ``h_apply`` and the assembled Newton systems take this
+form in place of a blur and its adjoint.  A kernel with more than one row
+keeps K*(K v): with r rank-one terms its Gram form would take 2 r^2 matmuls
+against the 4 r of a blur and its adjoint, no fewer once r >= 2.
 
 H^{-1} is exact when H is a Kronecker sum, that is mu > 0 and K the identity
 or a one-row blur.  The grid's zero last row and column make -div grad equal
@@ -34,7 +35,7 @@ fast-diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 1964);
 the prox inverse (I + tau H)^{-1} divides by 1 + tau (a_i + b_j) instead.
 Other kernels, and mu = 0, solve with H by CG at H_SOLVE.
 
-The per-axis matrices, their Gram products and the eigenbases are dense, so
+The per-axis matrices, the Gram matrix and the eigenbases are dense, so
 each costs O(M^2 N + M N^2) per application: above about 512 px a side the
 blur is slower than a banded or tap-loop form would be.
 """
@@ -97,7 +98,7 @@ class BlurKernel:
 
     Also caches the operator's Kronecker form: per image shape, the (C, R)
     correlation matrices of each rank-one term of the taps (C is None for a
-    one-row kernel), and the Gram pairs of K*K built from them.  They are
+    one-row kernel), and a one-row kernel's Gram matrix R^T R.  They are
     built on first use at a shape and live as long as the kernel.
 
     Kernels compare and hash by their taps' values (the read-only taps keep
@@ -144,17 +145,18 @@ class BlurKernel:
             self._matrices[shape] = mats
         return mats
 
-    def gram(self, shape: tuple[int, int]) -> list:
-        """The cached Gram pairs (C_r^T C_s, R_s^T R_r) over every pair of
-        rank-one terms at image ``shape`` (the left factor is None for a
-        one-row kernel, whose single pair is (None, R^T R))."""
-        pairs = self._grams.get(shape)
-        if pairs is None:
-            mats = self.matrices(shape)
-            pairs = [(None if Cr is None else Cr.T @ Cs, Rs.T @ Rr)
-                     for Cr, Rr in mats for Cs, Rs in mats]
-            self._grams[shape] = pairs
-        return pairs
+    def gram(self, shape: tuple[int, int]) -> np.ndarray | None:
+        """The cached Gram matrix R^T R of a one-row kernel at image
+        ``shape``, so that K*K v = v (R^T R); None for a kernel with more
+        than one row."""
+        if self.taps.shape[0] != 1:
+            return None
+        G = self._grams.get(shape)
+        if G is None:
+            ((_, R),) = self.matrices(shape)
+            G = R.T @ R
+            self._grams[shape] = G
+        return G
 
 
 def motion_kernel(length: int) -> BlurKernel:
@@ -204,16 +206,12 @@ def blur_map(kernel: BlurKernel) -> LinearMap:
 
 
 def gram_apply(v: np.ndarray, K: LinearMap) -> np.ndarray:
-    """K*K v.  For a blur map this runs over the kernel's cached Gram pairs,
-    v (R^T R) for a one-row kernel and sum (C_r^T C_s) v (R_s^T R_r)
-    otherwise, and never returns v itself; any other map gives K*(K v)."""
-    if K.kernel is None:
+    """K*K v: v (R^T R) for a one-row blur map, which never returns v itself,
+    and K*(K v) for any other map."""
+    G = None if K.kernel is None else K.kernel.gram(v.shape)
+    if G is None:
         return K.apply_adjoint(K.apply(v))
-    out = None
-    for G, S in K.kernel.gram(v.shape):
-        term = (v if G is None else G @ v) @ S
-        out = term if out is None else out + term
-    return out
+    return v @ G
 
 
 def h_apply(u: np.ndarray, mu: float, K: LinearMap | None) -> np.ndarray:
@@ -261,10 +259,10 @@ def h_inverse(mu: float, K: LinearMap | None, shape: tuple[int, int]) -> HInvers
     m, n = shape
     if K is None:
         gram = np.eye(n)
-    elif K.kernel is not None and K.kernel.taps.shape[0] == 1:
-        ((_, gram),) = K.kernel.gram(shape)
     else:
-        return None
+        gram = None if K.kernel is None else K.kernel.gram(shape)
+        if gram is None:
+            return None
     a, P = np.linalg.eigh(mu * _path_laplacian(m))
     b, Q = np.linalg.eigh(gram + mu * _path_laplacian(n))
     return HInverse(P, Q, a[:, None] + b[None, :])

@@ -7,9 +7,10 @@ Three formulations of the same nonlinear optimality system are offered:
   recovering and projecting the dual iterate.
 * ``ssnpdd_step``: the mirrored order, solving the two-channel system for the
   dual field first (BiCGSTAB, nesting H^{-1} actions), then recovering u.
-  H^{-1} is the exact fast-diagonalization inverse that ``make_context``
-  builds when H is a Kronecker sum (mu > 0 and K the identity or a one-row
-  blur, see ``linops``), and a CG solve at ``linops.H_SOLVE`` otherwise.
+  H^{-1} is the exact fast-diagonalization inverse, built on the first
+  nested solve, when H is a Kronecker sum (mu > 0 and K the identity or a
+  one-row blur, see ``linops``), and a CG solve at ``linops.H_SOLVE``
+  otherwise.
 * ``ssnpt_step``: a primal Newton step through the soft-thresholding operator
   with CG on the self-adjoint generalized derivative and an Armijo
   backtracking line search on the merit function.
@@ -27,7 +28,7 @@ Each is assembled once per Newton step as
 
 with mu folded into a (H = K*K - mu Laplacian), so one Krylov iteration's
 operator application costs one grad, one pointwise flux and one div, plus
-K*K in Gram form when deblurring (one matmul for a one-row kernel):
+K*K when deblurring (one matmul, in Gram form, for a one-row kernel):
 
     system       a                              b                     w
     PDP aniso    (sigma - coef h) / U           -                     -
@@ -56,7 +57,7 @@ only bounds a failing solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -80,9 +81,11 @@ class AlmContext:
     """Frozen data of one augmented-Lagrangian subproblem.
 
     lam is the current multiplier, sigma the penalty, z the observed data,
-    K the data operator (None for the identity), f = K* z, H the
-    self-adjoint restoration operator, and h_inv its exact inverse when H is
-    a Kronecker sum (None otherwise, or when H is the identity).
+    K the data operator (None for the identity), f = K* z, and H the
+    self-adjoint restoration operator.  h_inv() gives H's exact inverse when
+    H is a Kronecker sum, None otherwise; ``make_context`` makes it build the
+    eigenbases on its first call only, so a run pays for them only when a
+    nested solve (ALM-PDD) reads them, and ``replace`` shares them.
 
     The multiplier terms of the PT path (lam / sigma, div(lam) and
     ||lam||^2 / (2 sigma)) are computed once per context; ``replace`` makes a
@@ -98,7 +101,7 @@ class AlmContext:
     variant: str
     K: LinearMap | None = None
     mu: float = 0.0
-    h_inv: HInverse | None = None
+    h_inv: Callable[[], HInverse | None] = lambda: None
 
     def __post_init__(self):
         check_variant(self.variant)
@@ -128,8 +131,9 @@ class AlmContext:
         into the result."""
         if self.h_identity:
             return b
-        if self.h_inv is not None:
-            return self.h_inv.solve(b)
+        inv = self.h_inv()
+        if inv is not None:
+            return inv.solve(b)
         x, _ = cg_solve(self.H, b, H_SOLVE)
         return x
 
@@ -145,10 +149,11 @@ class AlmContext:
 def make_context(z: np.ndarray, lam: np.ndarray, sigma: float, alpha: float,
                  variant: str, K: LinearMap | None = None, mu: float = 0.0) -> AlmContext:
     """Build an AlmContext from raw data (K = None means the identity),
-    with the eigenbases of H^{-1} when H is a Kronecker sum."""
+    whose h_inv builds H's exact inverse once, on first use."""
     f = z.copy() if K is None else K.apply_adjoint(z)
     return AlmContext(lam=lam, sigma=sigma, alpha=alpha, z=z, f=f, H=h_map(mu, K),
-                      variant=variant, K=K, mu=mu, h_inv=h_inverse(mu, K, z.shape))
+                      variant=variant, K=K, mu=mu,
+                      h_inv=cache(lambda: h_inverse(mu, K, z.shape)))
 
 
 @dataclass(frozen=True)
@@ -201,8 +206,9 @@ def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
     F g = (a + mu) g - b (w . g) is the pointwise flux, with K*K v read as v
     for the identity.  The H = K*K - mu Laplacian part of the system is thus
     folded in: mu joins a, so each application costs one grad, one flux and
-    one div (plus K*K, in Gram form for a blur, when present).  The coefficient fields are fixed
-    for the Newton step; a is one channel (broadcast) or two, b and w two.
+    one div (plus K*K, in Gram form for a one-row blur, when present).  The
+    coefficient fields are fixed for the Newton step; a is one channel
+    (broadcast) or two, b and w two.
     """
     if ctx.mu > 0.0:
         a = a + ctx.mu

@@ -151,6 +151,28 @@ class TestLocalLinearRate:
         assert tail[2] <= 0.5 * tail[1] + 1e-12
 
 
+class TestExactInverseBuild:
+    """H's eigenbases are built once per run, and only by a solver that
+    reads them."""
+
+    @pytest.mark.parametrize("inner, builds", [("pdp", 0), ("pt", 0), ("pdd", 1)])
+    def test_built_only_for_nested_solves(self, inner, builds, monkeypatch):
+        import tvalm.ssn as ssn
+        calls = []
+        real = ssn.h_inverse
+        monkeypatch.setattr(ssn, "h_inverse", lambda *a: calls.append(a) or real(*a))
+        kernel = motion_kernel(3)
+        z = degrade(blocks_image(8, 8, seed=3),
+                    DegradeSpec(noise_std=0.01, blur=kernel, seed=21))
+        cfg = AlmConfig(alpha=0.005, variant=ISO, mu=1e-6, inner=inner, outer_tol=1e-3,
+                        max_outer=3)
+        try:
+            alm_run(z, blur_map(kernel), cfg)
+        except SolverError:
+            pass
+        assert len(calls) == builds
+
+
 class TestPddDeblur:
     """ALM-PDD on a motion-blur deblur converges or fails with a typed error,
     within seconds.  With a nested CG for each H^{-1}, the 16x16 solve ran

@@ -263,7 +263,8 @@ class TestCliConfig:
 
     @pytest.mark.parametrize("flag, values, word", [
         ("--solvers", "pdp,foo", "'foo'"), ("--variants", "aniso,tv2", "'tv2'"),
-        ("--tols", "1e-4,x", "'x'")])
+        ("--tols", "1e-4,x", "'x'"), ("--tols", "1e-4,0", "outer_tol"),
+        ("--tols", "1e-4,nan", "outer_tol")])
     def test_bench_checks_its_lists_before_the_sweep(self, tiny_corpus, tmp_path, capsys,
                                                      monkeypatch, flag, values, word):
         # A bad entry anywhere in a list ends the command before any cell runs.

@@ -247,7 +247,7 @@ def _boom(v):
 
 
 class TestGramForm:
-    """K*K over the kernel's cached Gram pairs."""
+    """K*K as v (R^T R) for a one-row kernel, K*(K v) for the others."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
     @pytest.mark.parametrize("shape", [(7, 9), (32, 32)])
@@ -259,12 +259,20 @@ class TestGramForm:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert not np.shares_memory(got, v)
 
-    def test_pair_counts(self):
+    def test_gram_only_for_one_row(self):
         shape = (9, 9)
-        ((G, S),) = ORACLE_KERNELS["motion9"].gram(shape)
-        assert G is None and S.shape == (9, 9)
-        assert len(ORACLE_KERNELS["gauss2"].gram(shape)) == 1
-        assert len(ORACLE_KERNELS["random3x5"].gram(shape)) == 9
+        G = ORACLE_KERNELS["motion9"].gram(shape)
+        assert G.shape == (9, 9) and ORACLE_KERNELS["motion9"].gram(shape) is G
+        assert ORACLE_KERNELS["gauss2"].gram(shape) is None
+        assert ORACLE_KERNELS["random3x5"].gram(shape) is None
+
+    def test_multi_row_kernel_blurs(self):
+        k = ORACLE_KERNELS["gauss2"]
+        calls = []
+        K = LinearMap(lambda v: calls.append("K") or blur_apply(v, k),
+                      lambda v: calls.append("K*") or blur_adjoint(v, k), kernel=k)
+        gram_apply(RNG.normal(size=(7, 9)), K)
+        assert calls == ["K", "K*"]
 
     def test_h_apply_uses_the_kernel(self):
         # A map that carries a kernel is applied through its Gram pairs; one
@@ -338,7 +346,7 @@ class TestExactHInverse:
         assert h_inverse(mu, K, (8, 8)) is None
         b = RNG.normal(size=(8, 8))
         ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=mu)
-        assert ctx.h_inv is None
+        assert ctx.h_inv() is None
         calls = []
         monkeypatch.setattr(ssn, "cg_solve", lambda *a: calls.append(a) or cg_solve(*a))
         x = ctx.solve_h(b)
@@ -351,7 +359,7 @@ class TestExactHInverse:
         K, mu = blur_map(motion_kernel(5)), 1e-6
         b = RNG.normal(size=(8, 8))
         ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=mu)
-        assert ctx.h_inv is not None
+        assert ctx.h_inv() is not None
         assert _residual(ctx.solve_h(b), b, mu, K) <= 5e-11
 
 
