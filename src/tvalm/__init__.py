@@ -9,8 +9,8 @@ from .errors import (InnerNewtonError, KrylovError, LineSearchError, MaxOuterErr
                      SolverError)
 from .grid import ANISO, ISO, div, grad, image, inner_x, inner_y, pointwise_mag, tv_norm
 from .linops import (BlurKernel, KrylovConfig, LinearMap, bicgstab_solve, blur_adjoint,
-                     blur_apply, blur_map, cg_solve, gaussian_kernel, h_apply, h_map,
-                     motion_kernel, newton_forcing_tol)
+                     blur_apply, blur_map, cg_solve, h_apply, h_map, motion_kernel,
+                     newton_forcing_tol)
 from .metrics import (MetricRecord, err_total, pd_gap, psnr, res1, res2, res_lambda,
                       res_u)
 from .pgm import PgmFormatError, load_image, save_image

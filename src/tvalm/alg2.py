@@ -7,10 +7,10 @@ gradient-penalty weight mu is used as a practical surrogate for deblurring,
 where the certified modulus is not available).  Step sizes keep
 tau * sigma * L^2 <= 1 with L^2 = 8 for the difference stencil.
 
-The prox step (I + tau H)^{-1} is exact, by fast diagonalization, when H is
-a Kronecker sum (mu > 0 and K the identity or a one-row blur, see
-``linops``); its eigenbases are built once per run, and such a run records
-avg_krylov = 0.  Other kernels solve it by CG at ``linops.H_SOLVE``.
+The prox step (I + tau H)^{-1} is v / (1 + tau) for denoising and otherwise
+exact, by fast diagonalization (see ``linops``), with the eigenbases built
+once per run; so ALG2 runs no Krylov solve and records avg_krylov = 0.  With
+a blur or a gradient penalty it needs mu > 0.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .alm import OuterState
 from .errors import MaxOuterError
 from .grid import div, grad
-from .linops import H_SOLVE, LinearMap, cg_solve, h_inverse, h_map
+from .linops import LinearMap, h_inverse, h_map
 from .metrics import make_record
 from .prox import project_ball
 from .report import RunReport, summarize
@@ -40,17 +40,16 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
     ``check_every`` sets how often the (comparatively expensive) residual
     suite is evaluated and recorded; the iterate sequence itself does not
     depend on it.  Raises MaxOuterError carrying the final state when the
-    budget runs out.
+    budget runs out; raises ValueError for a blur with mu <= 0 before the
+    first iteration.
     """
-    if K is not None and mu <= 0.0:
-        raise ValueError("deblurring needs mu > 0 for a strongly convex data term")
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
     ref = z if reference is None else reference
     f = z.copy() if K is None else K.apply_adjoint(z)
     H = h_map(mu, K)
-    h_inv = h_inverse(mu, K, z.shape)
     denoise = K is None and mu == 0.0
+    h_inv = None if denoise else h_inverse(mu, K, z.shape)
     gamma = 1.0 if denoise else mu
 
     u = z.copy()
@@ -65,23 +64,12 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
         "check_every": check_every,
     }
 
-    # The prox operator t + tau*H t reads the current tau.
-    prox_op = LinearMap(lambda t: t + tau * H.apply(t),
-                        lambda t: t + tau * H.apply(t), self_adjoint=True)
-
     t0 = time.perf_counter()
-    krylov_in_window = 0
     for k in range(1, max_iters + 1):
         lam = project_ball(lam + sigma * grad(u_bar), alpha, variant)
         u_prev = u
         v = u + tau * div(lam) + tau * f
-        if denoise:
-            u = v / (1.0 + tau)
-        elif h_inv is not None:
-            u = h_inv.solve(v, tau)
-        else:
-            u, kit = cg_solve(prox_op, v, H_SOLVE)
-            krylov_in_window += kit
+        u = v / (1.0 + tau) if denoise else h_inv.solve(v, tau)
         theta = 1.0 / np.sqrt(1.0 + 2.0 * gamma * tau)
         tau *= theta
         sigma /= theta
@@ -90,12 +78,10 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
 
         if k % check_every == 0 or k == max_iters:
             wall_ms = (time.perf_counter() - t0) * 1e3
-            record = make_record(k, u, lam, f, H, alpha, variant, ref, wall_ms, 0,
-                                 float(krylov_in_window))
+            record = make_record(k, u, lam, f, H, alpha, variant, ref, wall_ms, 0, 0.0)
             state.history.append(record)
             err = record.err
             t0 = time.perf_counter()
-            krylov_in_window = 0
             state.u, state.lam, state.sigma, state.k = u, lam, sigma, k
             if err <= outer_tol:
                 report = summarize("alg2", cfg_snapshot, state.history, seed,

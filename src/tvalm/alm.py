@@ -83,10 +83,12 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
             seed: Optional[int] = None) -> tuple[OuterState, RunReport]:
     """Run the full ALM solver on observed data ``z``.
 
-    K = None selects the denoising model (identity data operator).  PSNR is
-    computed against ``reference`` when given, against ``z`` otherwise.
-    Raises MaxOuterError (carrying the final state) when ``max_outer``
-    iterations do not reach ``outer_tol``.
+    K = None selects the denoising model (identity data operator); any other
+    K must be a ``blur_map``.  PSNR is computed against ``reference`` when
+    given, against ``z`` otherwise.  Raises ValueError before the first
+    iteration for ALM-PDD on a blur with mu = 0 (H is singular there), and
+    MaxOuterError (carrying the final state) when ``max_outer`` iterations
+    do not reach ``outer_tol``.
     """
     ref = z if reference is None else reference
 
@@ -101,6 +103,10 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     # f = K*z and H are fixed for the run; each outer iteration only swaps in
     # the current multiplier and penalty.
     ctx = make_context(z, lam, sigma, cfg.alpha, cfg.variant, K=K, mu=cfg.mu)
+    if cfg.inner == "pdd" and not ctx.h_identity:
+        # PDD nests H^{-1}: build it now, so that a singular H (a blur with
+        # mu = 0) is refused before the first outer iteration.
+        ctx.h_inv()
 
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()

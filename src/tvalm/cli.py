@@ -85,7 +85,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     reference = clean if args.noise > 0 else z
     try:
         state, report = run_solver(z, None, args.solver, cfg, reference, args.seed)
-    except SolverError as exc:
+    except (SolverError, ValueError) as exc:
         return _failure(exc)
     _write_artifacts(state.u, report, args.out, args.report)
     print(_final_row(report))
@@ -103,7 +103,7 @@ def cmd_deblur(args: argparse.Namespace) -> int:
         return _failure(exc)
     try:
         state, report = run_solver(z, K, args.solver, cfg, clean, args.seed)
-    except SolverError as exc:
+    except (SolverError, ValueError) as exc:
         return _failure(exc)
     _write_artifacts(state.u, report, args.out, args.report)
     print(_final_row(report))

@@ -10,34 +10,28 @@ residuals and search directions are updated in place.  An operator may return
 its argument's own array, so a solver writes only to arrays it allocated, and
 only after its last read of any operator output that may share them.
 
-K is held in Kronecker form.  The kernel taps split by SVD into rank-one terms
-c_r r_r^T (one term for the separable motion and Gaussian kernels, at most
-min(kh, kw) otherwise), and with replicate boundaries each term acts on an
-M x N image as C_r u R_r^T, where C_r (M x M) and R_r (N x N) are the 1-D
-correlation matrices of c_r and r_r.  So K u = sum_r C_r u R_r^T and
-K* y = sum_r C_r^T y R_r, which is the exact adjoint by construction.  The
-matrices are built once per image shape and cached on the BlurKernel.
+K is one row of odd width w, correlating each image row with the taps
+under replicate extension.  On an M x N image it acts as K u = u R^T with
+R (N x N) the 1-D correlation matrix of the taps, so K* y = y R is the exact
+adjoint by construction and K*K v = v (R^T R), one matmul (the Gram form).
+R and R^T R are built once per image shape and cached on the BlurKernel; a
+blur map carries its kernel, so ``h_apply`` and the assembled Newton systems
+take the Gram form in place of a blur and its adjoint.
 
-For a one-row kernel (C = 1, one term) K*K is applied in Gram form, as the
-single product K*K v = v (R^T R) with R^T R cached beside R.  A blur map
-carries its kernel, so ``h_apply`` and the assembled Newton systems take this
-form in place of a blur and its adjoint.  A kernel with more than one row
-keeps K*(K v): with r rank-one terms its Gram form would take 2 r^2 matmuls
-against the 4 r of a blur and its adjoint, no fewer once r >= 2.
-
-H^{-1} is exact when H is a Kronecker sum, that is mu > 0 and K the identity
-or a one-row blur.  The grid's zero last row and column make -div grad equal
-to L_M u + u L_N, with L the 1-D Neumann path Laplacian, so H u = A u + u B
+H is the identity (K = I, mu = 0) or, for mu > 0, a Kronecker sum with an
+exact inverse.  With a blur and mu = 0 it is K*K, which is applied but never
+inverted: R^T R is singular for most motion blurs, so ``h_inverse`` refuses
+mu <= 0.  The grid's zero last row and column make -div grad equal to
+L_M u + u L_N, with L the 1-D Neumann path Laplacian, so H u = A u + u B
 with A = mu L_M and B = R^T R + mu L_N (R = I for the identity).  With the
 eigendecompositions A = P diag(a) P^T and B = Q diag(b) Q^T, built once per
 run, H^{-1} F = P [(P^T F Q) / (a_i + b_j)] Q^T, four matmuls (the
 fast-diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 1964);
 the prox inverse (I + tau H)^{-1} divides by 1 + tau (a_i + b_j) instead.
-Other kernels, and mu = 0, solve with H by CG at H_SOLVE.
 
-The per-axis matrices, the Gram matrix and the eigenbases are dense, so
-each costs O(M^2 N + M N^2) per application: above about 512 px a side the
-blur is slower than a banded or tap-loop form would be.
+R, the Gram matrix and the eigenbases are dense, so each costs
+O(M^2 N + M N^2) per application: above about 512 px a side the blur is
+slower than a banded or tap-loop form would be.
 """
 
 from __future__ import annotations
@@ -66,21 +60,6 @@ class LinearMap:
     kernel: BlurKernel | None = None
 
 
-def _rank_one_terms(taps: np.ndarray) -> tuple:
-    """Split the taps into rank-one terms (c, r), taps = sum c r^T.
-
-    A one-row kernel is its own single term, with c = None standing for the
-    1 x 1 factor 1.  Otherwise the terms are the SVD's, dropping singular
-    values at rounding level (the matrix_rank cut-off).
-    """
-    kh, kw = taps.shape
-    if kh == 1:
-        return ((None, taps[0]),)
-    U, s, Vt = np.linalg.svd(taps)
-    keep = np.flatnonzero(s > s[0] * max(kh, kw) * np.finfo(np.float64).eps)
-    return tuple((U[:, k] * s[k], Vt[k]) for k in keep)
-
-
 def _correlation_matrix(t: np.ndarray, size: int) -> np.ndarray:
     """The size x size matrix of 1-D correlation with taps ``t`` under
     replicate extension: (A x)[i] = sum_a t[a] x[clip(i + a - k//2)]."""
@@ -94,12 +73,11 @@ def _correlation_matrix(t: np.ndarray, size: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BlurKernel:
-    """Odd-supported 2-D stencil with weights summing to 1.
+    """One row of odd width, with weights summing to 1.
 
-    Also caches the operator's Kronecker form: per image shape, the (C, R)
-    correlation matrices of each rank-one term of the taps (C is None for a
-    one-row kernel), and a one-row kernel's Gram matrix R^T R.  They are
-    built on first use at a shape and live as long as the kernel.
+    Also caches the operator's Kronecker form: per image shape, the row's
+    correlation matrix R and the Gram matrix R^T R, built on first use at a
+    shape and kept as long as the kernel.
 
     Kernels compare and hash by their taps' values (the read-only taps keep
     the hash fixed); the cache takes no part in either.
@@ -111,10 +89,10 @@ class BlurKernel:
 
     def __post_init__(self):
         taps = np.array(self.taps, dtype=np.float64)
-        if taps.ndim != 2:
-            raise ValueError(f"kernel taps must be 2-D, got shape {taps.shape}")
-        if taps.shape[0] % 2 == 0 or taps.shape[1] % 2 == 0:
-            raise ValueError(f"kernel support must be odd in both axes, got {taps.shape}")
+        if taps.ndim != 2 or taps.shape[0] != 1:
+            raise ValueError(f"kernel taps must be one row, got shape {taps.shape}")
+        if taps.shape[1] % 2 == 0:
+            raise ValueError(f"kernel width must be odd, got {taps.shape[1]}")
         if not np.all(np.isfinite(taps)):
             raise ValueError("kernel taps must be finite")
         if abs(float(taps.sum()) - 1.0) > 1e-12:
@@ -133,27 +111,21 @@ class BlurKernel:
         # + 0.0 maps -0.0 to 0.0, which array_equal counts as equal.
         return hash((self.taps.shape, (self.taps + 0.0).tobytes()))
 
-    def matrices(self, shape: tuple[int, int]) -> list:
-        """The cached (C, R) pair of every rank-one term at image ``shape``."""
-        mats = self._matrices.get(shape)
-        if mats is None:
-            m, n = shape
-            if self.taps.shape[0] > m or self.taps.shape[1] > n:
+    def matrix(self, shape: tuple[int, int]) -> np.ndarray:
+        """The cached correlation matrix R at image ``shape``: K u = u R^T."""
+        R = self._matrices.get(shape)
+        if R is None:
+            if self.taps.shape[1] > shape[1]:
                 raise ValueError(f"kernel {self.taps.shape} larger than image {shape}")
-            mats = [(None if c is None else _correlation_matrix(c, m),
-                     _correlation_matrix(r, n)) for c, r in _rank_one_terms(self.taps)]
-            self._matrices[shape] = mats
-        return mats
+            R = _correlation_matrix(self.taps[0], shape[1])
+            self._matrices[shape] = R
+        return R
 
-    def gram(self, shape: tuple[int, int]) -> np.ndarray | None:
-        """The cached Gram matrix R^T R of a one-row kernel at image
-        ``shape``, so that K*K v = v (R^T R); None for a kernel with more
-        than one row."""
-        if self.taps.shape[0] != 1:
-            return None
+    def gram(self, shape: tuple[int, int]) -> np.ndarray:
+        """The cached Gram matrix R^T R at image ``shape``: K*K v = v (R^T R)."""
         G = self._grams.get(shape)
         if G is None:
-            ((_, R),) = self.matrices(shape)
+            R = self.matrix(shape)
             G = R.T @ R
             self._grams[shape] = G
         return G
@@ -166,34 +138,15 @@ def motion_kernel(length: int) -> BlurKernel:
     return BlurKernel(np.full((1, length), 1.0 / length))
 
 
-def gaussian_kernel(radius: int, std: float) -> BlurKernel:
-    """Truncated, normalized Gaussian on a (2r+1) x (2r+1) support."""
-    if radius < 0 or std <= 0:
-        raise ValueError("radius must be >= 0 and std positive")
-    ax = np.arange(-radius, radius + 1, dtype=np.float64)
-    g1 = np.exp(-0.5 * (ax / std) ** 2)
-    taps = np.outer(g1, g1)
-    return BlurKernel(taps / taps.sum())
-
-
 def blur_apply(u: np.ndarray, kernel: BlurKernel) -> np.ndarray:
-    """Correlate ``u`` with the kernel taps, replicate boundary extension:
-    K u = sum over rank-one terms of C u R^T (C u skipped for a one-row
-    kernel), with the matrices cached on the kernel per image shape."""
-    out = None
-    for C, R in kernel.matrices(u.shape):
-        term = (u if C is None else C @ u) @ R.T
-        out = term if out is None else out + term
-    return out
+    """Correlate each row of ``u`` with the kernel taps, replicate boundary
+    extension: K u = u R^T, with R cached on the kernel per image shape."""
+    return u @ kernel.matrix(u.shape).T
 
 
 def blur_adjoint(y: np.ndarray, kernel: BlurKernel) -> np.ndarray:
-    """Exact adjoint of blur_apply: K* y = sum over terms of C^T y R."""
-    out = None
-    for C, R in kernel.matrices(y.shape):
-        term = (y if C is None else C.T @ y) @ R
-        out = term if out is None else out + term
-    return out
+    """Exact adjoint of blur_apply: K* y = y R."""
+    return y @ kernel.matrix(y.shape)
 
 
 def blur_map(kernel: BlurKernel) -> LinearMap:
@@ -206,12 +159,8 @@ def blur_map(kernel: BlurKernel) -> LinearMap:
 
 
 def gram_apply(v: np.ndarray, K: LinearMap) -> np.ndarray:
-    """K*K v: v (R^T R) for a one-row blur map, which never returns v itself,
-    and K*(K v) for any other map."""
-    G = None if K.kernel is None else K.kernel.gram(v.shape)
-    if G is None:
-        return K.apply_adjoint(K.apply(v))
-    return v @ G
+    """K*K v = v (R^T R) for a blur map; never returns v itself."""
+    return v @ K.kernel.gram(v.shape)
 
 
 def h_apply(u: np.ndarray, mu: float, K: LinearMap | None) -> np.ndarray:
@@ -225,6 +174,10 @@ def h_apply(u: np.ndarray, mu: float, K: LinearMap | None) -> np.ndarray:
 
 
 def h_map(mu: float, K: LinearMap | None) -> LinearMap:
+    """H as a self-adjoint map.  K must be None or a ``blur_map``: H's Gram
+    form and inverse need the kernel."""
+    if K is not None and K.kernel is None:
+        raise ValueError("the data operator must be None (identity) or a blur_map")
     op = lambda u: h_apply(u, mu, K)
     return LinearMap(op, op, self_adjoint=True)
 
@@ -251,18 +204,16 @@ class HInverse:
         return self.P @ ((self.P.T @ F @ self.Q) / d) @ self.Q.T
 
 
-def h_inverse(mu: float, K: LinearMap | None, shape: tuple[int, int]) -> HInverse | None:
-    """The exact inverse of H on images of ``shape`` when H is a Kronecker
-    sum (mu > 0, K the identity or a one-row blur); None otherwise."""
+def h_inverse(mu: float, K: LinearMap | None, shape: tuple[int, int]) -> HInverse:
+    """The exact inverse of H on images of ``shape`` (K None or a blur map).
+
+    Raises ValueError for mu <= 0, where H is the identity (K = None) or
+    R^T R, which is singular for most motion blurs.
+    """
     if mu <= 0.0:
-        return None
+        raise ValueError(f"inverting H needs mu > 0, got {mu}")
     m, n = shape
-    if K is None:
-        gram = np.eye(n)
-    else:
-        gram = None if K.kernel is None else K.kernel.gram(shape)
-        if gram is None:
-            return None
+    gram = np.eye(n) if K is None else K.kernel.gram(shape)
     a, P = np.linalg.eigh(mu * _path_laplacian(m))
     b, Q = np.linalg.eigh(gram + mu * _path_laplacian(n))
     return HInverse(P, Q, a[:, None] + b[None, :])
@@ -278,12 +229,6 @@ class KrylovConfig:
             raise ValueError(f"rel_tol must lie in (0, 1), got {self.rel_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-
-
-# A nested solve with H that has no exact inverse (PDD's H^{-1} actions,
-# ALG2's prox step, for a multi-row kernel) runs to near machine precision,
-# so that the outer residuals see no solve error.
-H_SOLVE = KrylovConfig(rel_tol=1e-12, max_iters=20000)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

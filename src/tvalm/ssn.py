@@ -7,10 +7,8 @@ Three formulations of the same nonlinear optimality system are offered:
   recovering and projecting the dual iterate.
 * ``ssnpdd_step``: the mirrored order, solving the two-channel system for the
   dual field first (BiCGSTAB, nesting H^{-1} actions), then recovering u.
-  H^{-1} is the exact fast-diagonalization inverse, built on the first
-  nested solve, when H is a Kronecker sum (mu > 0 and K the identity or a
-  one-row blur, see ``linops``), and a CG solve at ``linops.H_SOLVE``
-  otherwise.
+  H^{-1} is the identity for denoising and otherwise the exact
+  fast-diagonalization inverse (see ``linops``), which needs mu > 0.
 * ``ssnpt_step``: a primal Newton step through the soft-thresholding operator
   with CG on the self-adjoint generalized derivative and an Armijo
   backtracking line search on the merit function.
@@ -28,7 +26,7 @@ Each is assembled once per Newton step as
 
 with mu folded into a (H = K*K - mu Laplacian), so one Krylov iteration's
 operator application costs one grad, one pointwise flux and one div, plus
-K*K when deblurring (one matmul, in Gram form, for a one-row kernel):
+K*K when deblurring (one matmul, in Gram form):
 
     system       a                              b                     w
     PDP aniso    (sigma - coef h) / U           -                     -
@@ -64,7 +62,7 @@ import numpy as np
 
 from .errors import InnerNewtonError, LineSearchError
 from .grid import ISO, check_variant, div, grad, inner_x, norm_x, norm_y, pointwise_mag, tv_norm
-from .linops import (H_SOLVE, HInverse, KrylovConfig, LinearMap, bicgstab_solve, cg_solve,
+from .linops import (HInverse, KrylovConfig, LinearMap, bicgstab_solve, cg_solve,
                      gram_apply, h_inverse, h_map, newton_forcing_tol)
 from .prox import project_ball, soft_threshold
 
@@ -82,10 +80,10 @@ class AlmContext:
 
     lam is the current multiplier, sigma the penalty, z the observed data,
     K the data operator (None for the identity), f = K* z, and H the
-    self-adjoint restoration operator.  h_inv() gives H's exact inverse when
-    H is a Kronecker sum, None otherwise; ``make_context`` makes it build the
-    eigenbases on its first call only, so a run pays for them only when a
-    nested solve (ALM-PDD) reads them, and ``replace`` shares them.
+    self-adjoint restoration operator.  h_inv() gives H's exact inverse
+    (``linops.h_inverse``, which refuses mu <= 0); ``make_context`` makes it
+    build the eigenbases on its first call only, so a run pays for them only
+    when a nested solve (ALM-PDD) reads them, and ``replace`` shares them.
 
     The multiplier terms of the PT path (lam / sigma, div(lam) and
     ||lam||^2 / (2 sigma)) are computed once per context; ``replace`` makes a
@@ -99,9 +97,9 @@ class AlmContext:
     f: np.ndarray
     H: LinearMap
     variant: str
+    h_inv: Callable[[], HInverse]
     K: LinearMap | None = None
     mu: float = 0.0
-    h_inv: Callable[[], HInverse | None] = lambda: None
 
     def __post_init__(self):
         check_variant(self.variant)
@@ -129,13 +127,7 @@ class AlmContext:
     def solve_h(self, b: np.ndarray) -> np.ndarray:
         """H^{-1} b; for H = I this is b itself, so callers must not write
         into the result."""
-        if self.h_identity:
-            return b
-        inv = self.h_inv()
-        if inv is not None:
-            return inv.solve(b)
-        x, _ = cg_solve(self.H, b, H_SOLVE)
-        return x
+        return b if self.h_identity else self.h_inv().solve(b)
 
     def data_term(self, u: np.ndarray) -> float:
         """Quadratic data energy, evaluated cancellation-free."""
@@ -148,8 +140,9 @@ class AlmContext:
 
 def make_context(z: np.ndarray, lam: np.ndarray, sigma: float, alpha: float,
                  variant: str, K: LinearMap | None = None, mu: float = 0.0) -> AlmContext:
-    """Build an AlmContext from raw data (K = None means the identity),
-    whose h_inv builds H's exact inverse once, on first use."""
+    """Build an AlmContext from raw data (K = None means the identity, any
+    other K must be a ``blur_map``), whose h_inv builds H's exact inverse
+    once, on first use."""
     f = z.copy() if K is None else K.apply_adjoint(z)
     return AlmContext(lam=lam, sigma=sigma, alpha=alpha, z=z, f=f, H=h_map(mu, K),
                       variant=variant, K=K, mu=mu,
@@ -206,9 +199,9 @@ def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
     F g = (a + mu) g - b (w . g) is the pointwise flux, with K*K v read as v
     for the identity.  The H = K*K - mu Laplacian part of the system is thus
     folded in: mu joins a, so each application costs one grad, one flux and
-    one div (plus K*K, in Gram form for a one-row blur, when present).  The
-    coefficient fields are fixed for the Newton step; a is one channel
-    (broadcast) or two, b and w two.
+    one div (plus K*K, in Gram form, when deblurring).  The coefficient
+    fields are fixed for the Newton step; a is one channel (broadcast) or
+    two, b and w two.
     """
     if ctx.mu > 0.0:
         a = a + ctx.mu
@@ -398,11 +391,11 @@ class InnerResult:
 
 
 def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: str,
-                     delta: float, max_newton: int = MAX_NEWTON_STEPS) -> InnerResult:
+                     delta: float) -> InnerResult:
     """Run inner Newton steps until the residual drops below delta / sigma.
 
     The linear-solve tolerance follows the forcing rule from the residual
-    history (capped at 0.1); exceeding ``max_newton`` steps raises rather than
+    history (capped at 0.1); exceeding MAX_NEWTON_STEPS steps raises rather than
     silently continuing.  The Krylov iterations of a discarded primal-dual
     step (see the tight mode below) are counted too.
     """
@@ -426,7 +419,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     tight_tol = 1e-10
     newton_steps = krylov_iters = 0
     while state.inner_residual > threshold:
-        if newton_steps >= max_newton:
+        if newton_steps >= MAX_NEWTON_STEPS:
             raise InnerNewtonError("inner Newton cap exceeded",
                                    iterations=newton_steps,
                                    residual=state.inner_residual)

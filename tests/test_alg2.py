@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import tvalm.alg2 as alg2_module
+import tvalm.linops as linops
 from tvalm.alg2 import alg2_run
 from tvalm.alm import AlmConfig, alm_run
 from tvalm.degrade import DegradeSpec, degrade
 from tvalm.errors import MaxOuterError
 from tvalm.grid import ANISO, ISO
-from tvalm.linops import (LinearMap, blur_adjoint, blur_apply, blur_map, gaussian_kernel,
-                          motion_kernel)
+from tvalm.linops import KrylovConfig, LinearMap, blur_map, cg_solve, h_map, motion_kernel
 
 
 def noisy_flat(n, noise=0.05, seed=11):
@@ -58,10 +59,20 @@ class TestAlg2:
             alg2_run(z, None, 0.1, 0.0, ISO, 1e-14, 200, check_every=20)
         assert err.value.state is not None
 
-    def test_deblur_requires_positive_mu(self):
+    def test_deblur_requires_positive_mu(self, monkeypatch):
         z = noisy_flat(8)
-        with pytest.raises(ValueError):
+
+        def no_iteration(*args):
+            raise AssertionError("ALG2 iterated")
+        monkeypatch.setattr(alg2_module, "project_ball", no_iteration)
+        with pytest.raises(ValueError, match="mu > 0"):
             alg2_run(z, blur_map(motion_kernel(3)), 0.1, 0.0, ISO, 1e-6, 100)
+
+    def test_kernel_less_data_operator_rejected(self):
+        z = noisy_flat(8)
+        identity = LinearMap(lambda u: u.copy(), lambda u: u.copy(), self_adjoint=True)
+        with pytest.raises(ValueError, match="blur_map"):
+            alg2_run(z, identity, 0.1, 1e-6, ISO, 1e-6, 100)
 
     def test_iteration_count_order_of_magnitude(self):
         # Counts to Err 1e-4 on a 64x64 aniso instance land in the hundreds
@@ -90,25 +101,41 @@ def blurred_square(kernel):
 
 
 class TestProxSolve:
-    """The prox step (I + tau H)^{-1}: exact for a one-row kernel, CG otherwise."""
+    """The prox step (I + tau H)^{-1} is exact: no Krylov solve runs."""
 
-    @pytest.mark.parametrize("kernel, exact", [(motion_kernel(3), True),
-                                               (gaussian_kernel(1, 0.8), False)])
-    def test_avg_krylov_by_structure(self, kernel, exact):
+    @pytest.mark.parametrize("kernel", [motion_kernel(3), None])
+    def test_no_krylov_solve(self, kernel, monkeypatch):
+        # The motion-blur path and the identity with a gradient penalty.
+        def no_cg(*args):
+            raise AssertionError("CG ran on H")
+        monkeypatch.setattr(linops, "cg_solve", no_cg)
+        monkeypatch.setattr(alg2_module, "cg_solve", no_cg, raising=False)
         clean, z = blurred_square(kernel)
-        _, report = alg2_run(z, blur_map(kernel), 0.01, 0.05, ISO, 1e-5, 10 ** 5,
+        K = None if kernel is None else blur_map(kernel)
+        _, report = alg2_run(z, K, 0.01, 0.05, ISO, 1e-5, 10 ** 5,
                              reference=clean, check_every=10)
-        krylov = [r.avg_krylov for r in report.records]
-        assert all(k == 0.0 for k in krylov) if exact else all(k > 0.0 for k in krylov)
+        assert report.summary["converged"]
+        assert all(r.avg_krylov == 0.0 for r in report.records)
 
-    def test_exact_prox_follows_the_cg_iterates(self):
-        # The same map without its kernel takes the CG path; both runs stop
-        # at the iteration cap.
+    def test_exact_prox_follows_the_cg_iterates(self, monkeypatch):
+        # Reference: the prox solved by CG on I + tau H to near machine
+        # precision.  Both runs stop at the iteration cap.
         kernel = motion_kernel(3)
         clean, z = blurred_square(kernel)
-        plain = LinearMap(lambda u: blur_apply(u, kernel), lambda y: blur_adjoint(y, kernel))
+        K = blur_map(kernel)
+
+        class CgProx:
+            def __init__(self, mu, K, shape):
+                self.H = h_map(mu, K)
+
+            def solve(self, v, tau):
+                A = LinearMap(lambda t: t + tau * self.H.apply(t),
+                              lambda t: t + tau * self.H.apply(t), self_adjoint=True)
+                return cg_solve(A, v, KrylovConfig(rel_tol=1e-12, max_iters=20000))[0]
+
         finals = []
-        for K in (blur_map(kernel), plain):
+        for inverse in (alg2_module.h_inverse, CgProx):
+            monkeypatch.setattr(alg2_module, "h_inverse", inverse)
             with pytest.raises(MaxOuterError) as err:
                 alg2_run(z, K, 0.01, 0.05, ISO, 1e-14, 200, check_every=50)
             finals.append(err.value.state)

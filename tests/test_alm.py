@@ -1,6 +1,7 @@
 """Outer ALM loop: schedule, stopping rule, multiplier updates, convergence."""
 
 import time
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from tvalm.alm import AlmConfig, alm_run, sigma_schedule
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.errors import MaxOuterError, SolverError
 from tvalm.grid import ANISO, ISO, grad, norm_y, pointwise_mag
-from tvalm.linops import blur_map, motion_kernel
+from tvalm.linops import LinearMap, blur_map, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
 from tvalm.ssn import make_context, solve_subproblem
 
@@ -195,3 +196,55 @@ class TestPddDeblur:
             assert report.summary["converged"]
             assert state.history[-1].err <= cfg.outer_tol
         assert time.perf_counter() - t0 < 120.0
+
+
+class TestDataOperatorChecks:
+    """Settings without an exact H^{-1} end before the first outer iteration;
+    the solvers that never invert H keep running with mu = 0."""
+
+    @staticmethod
+    def deblur_instance(n=8, length=5):
+        clean = blocks_image(n, n, seed=3)
+        kernel = motion_kernel(length)
+        z = degrade(clean, DegradeSpec(noise_std=0.01, blur=kernel, seed=21))
+        return clean, z, blur_map(kernel)
+
+    @staticmethod
+    def forbid(monkeypatch, module, name):
+        def boom(*args, **kwargs):
+            raise AssertionError(f"{name} ran")
+        monkeypatch.setattr(import_module(module), name, boom)
+
+    def test_pdd_mu_zero_rejected_before_iterating(self, monkeypatch):
+        self.forbid(monkeypatch, "tvalm.alm", "solve_subproblem")
+        _, z, K = self.deblur_instance()
+        cfg = AlmConfig(alpha=0.005, variant=ISO, mu=0.0, inner="pdd", outer_tol=1e-5)
+        with pytest.raises(ValueError, match="mu > 0"):
+            alm_run(z, K, cfg)
+
+    def test_kernel_less_data_operator_rejected(self, monkeypatch):
+        self.forbid(monkeypatch, "tvalm.alm", "solve_subproblem")
+        _, z, _ = self.deblur_instance()
+        identity = LinearMap(lambda u: u.copy(), lambda u: u.copy(), self_adjoint=True)
+        cfg = AlmConfig(alpha=0.005, variant=ISO, mu=1e-6, inner="pt", outer_tol=1e-5)
+        with pytest.raises(ValueError, match="blur_map"):
+            alm_run(z, identity, cfg)
+
+    @pytest.mark.parametrize("blurred", [True, False])
+    def test_pdd_runs_no_cg_on_h(self, blurred, monkeypatch):
+        # The motion-blur path and the identity with a gradient penalty.
+        self.forbid(monkeypatch, "tvalm.ssn", "cg_solve")
+        clean, z, K = self.deblur_instance()
+        if not blurred:
+            z, K = degrade(clean, DegradeSpec(noise_std=0.05, seed=7)), None
+        cfg = AlmConfig(alpha=0.005, variant=ISO, mu=1e-3, inner="pdd", outer_tol=1e-5)
+        state, report = alm_run(z, K, cfg, reference=clean)
+        assert report.summary["converged"]
+
+    @pytest.mark.parametrize("inner", ["pdp", "pt"])
+    def test_solvers_without_an_inverse_accept_mu_zero(self, inner):
+        clean, z, K = self.deblur_instance(length=3)
+        cfg = AlmConfig(alpha=0.005, variant=ISO, mu=0.0, inner=inner, outer_tol=1e-4)
+        state, report = alm_run(z, K, cfg, reference=clean)
+        assert report.summary["converged"]
+        assert state.history[-1].err <= cfg.outer_tol

@@ -1,9 +1,11 @@
-"""The names the benchmark's tracer rebinds exist in tvalm, and tracing a solve
-changes none of its numbers.
+"""The names the benchmark's tracer rebinds exist in tvalm, tracing a solve
+changes none of its numbers, and every benchmark instance passes through
+the correctness gate's operators.
 
 ``perfbench/tracer.py`` wraps functions and the Newton-system ``LinearMap``
-by name; a rename or deletion in tvalm would otherwise surface only when the
-benchmark's traced run fails.
+by name, and ``perfbench/workloads.py`` builds its instances and gate from
+``motion_kernel``, ``blur_map`` and ``h_map``; a rename, deletion or new
+check in tvalm would otherwise surface only when the benchmark run fails.
 """
 
 import sys
@@ -15,10 +17,13 @@ import numpy as np
 import tvalm.alm as alm
 from tvalm.alm import AlmConfig
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
+from tvalm.linops import h_map
+from tvalm.metrics import err_total
 from tvalm.report import strip_timing_columns
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from tracer import SYSTEMS, TRACED, Tracer, layer_metrics  # noqa: E402
+from workloads import WORKLOADS, seeded_setup  # noqa: E402
 
 
 def test_traced_names_resolve():
@@ -44,3 +49,15 @@ def test_traced_run_matches_untraced():
     assert np.array_equal(traced_state.u, plain_state.u)
     metrics, _ = layer_metrics(tracer.spans)
     assert metrics["ssn.system.calls"] > 0
+
+
+def test_gate_operators_build_for_every_workload():
+    # Err as workloads.gate evaluates it, at u = z and lam = 0.
+    for workload in WORKLOADS.values():
+        inst, cases = seeded_setup(workload, 0)
+        f = inst.z if inst.K is None else inst.K.apply_adjoint(inst.z)
+        lam = np.zeros((2, *inst.z.shape))
+        for case in cases:
+            err = err_total(inst.z, lam, f, h_map(case.mu, inst.K), case.alpha, 1.0,
+                            case.variant)
+            assert np.isfinite(err), f"{workload.name}/{case.name}"

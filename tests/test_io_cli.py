@@ -253,6 +253,24 @@ class TestCliConfig:
         assert "larger than image" in payload["message"]
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("solver", ["alg2", "pdd"])
+    def test_solver_input_check_is_reported(self, solver, tmp_path, capsys):
+        # Both solvers invert H, which a blur makes singular without mu.
+        src = tmp_path / "in.pgm"
+        save_image(src, blocks_image(32, 32, seed=2))
+        assert main(["deblur", str(src), "--blur-len", "9", "--mu", "0", "--solver", solver,
+                     "--out", str(tmp_path / "o.pgm"),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["error"] == "ValueError"
+        assert "mu > 0" in payload["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_pdp_deblurs_without_mu(self, tmp_path):
+        cfg = self.run(tmp_path, ["deblur", "--blur-len", "3", "--mu", "0",
+                                  "--alpha", "0.01", "--tol", "1e-4"])
+        assert (cfg["mu"], cfg["inner"]) == (0.0, "pdp")
+
     def test_growth_one_is_reported(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
         save_image(src, blocks_image(12, 12, seed=2))

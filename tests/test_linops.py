@@ -10,8 +10,8 @@ from tvalm.errors import KrylovError
 from tvalm.grid import ISO, div, grad, inner_x
 from tvalm.linops import (BlurKernel, KrylovConfig, LinearMap, _path_laplacian,
                           bicgstab_solve, blur_adjoint, blur_apply, blur_map, cg_solve,
-                          gaussian_kernel, gram_apply, h_apply, h_inverse, h_map,
-                          motion_kernel, newton_forcing_tol)
+                          gram_apply, h_apply, h_inverse, h_map, motion_kernel,
+                          newton_forcing_tol)
 from tvalm.ssn import make_context
 
 RNG = np.random.default_rng(5150)
@@ -55,17 +55,25 @@ def tap_loop_adjoint(y, kernel):
     return out
 
 
-def random_kernel(shape, seed):
-    taps = np.random.default_rng(seed).uniform(size=shape)
+def random_kernel(width, seed):
+    taps = np.random.default_rng(seed).uniform(size=(1, width))
     return BlurKernel(taps / taps.sum())
+
+
+def gaussian_row(radius, std):
+    """A one-row Gaussian profile: symmetric taps that are not uniform."""
+    ax = np.arange(-radius, radius + 1, dtype=np.float64)
+    g = np.exp(-0.5 * (ax / std) ** 2)
+    return BlurKernel(g[None, :] / g.sum())
 
 
 ORACLE_KERNELS = {
     "motion1": motion_kernel(1),
     "motion3": motion_kernel(3),
     "motion9": motion_kernel(9),
-    "gauss2": gaussian_kernel(2, 1.0),
-    "random3x5": random_kernel((3, 5), 11),
+    "gauss2": gaussian_row(2, 1.0),
+    # Asymmetric taps: with symmetric ones a transposed R would go unnoticed.
+    "random1x7": random_kernel(7, 11),
 }
 
 
@@ -97,41 +105,41 @@ class TestBlurKernel:
         assert k.taps.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(k.taps >= 0)
 
-    def test_gaussian_kernel_normalized(self):
-        k = gaussian_kernel(3, 1.2)
-        assert k.taps.shape == (7, 7)
-        assert k.taps.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(k.taps >= 0)
-
     def test_even_support_rejected(self):
         with pytest.raises(ValueError):
             motion_kernel(40)
-        with pytest.raises(ValueError):
-            BlurKernel(np.full((2, 3), 1.0 / 6))
+        with pytest.raises(ValueError, match="odd"):
+            BlurKernel(np.full((1, 4), 0.25))
+
+    @pytest.mark.parametrize("taps", [np.full((3, 3), 1.0 / 9), np.full((2, 3), 1.0 / 6),
+                                      np.full(3, 1.0 / 3)])
+    def test_more_than_one_row_rejected(self, taps):
+        with pytest.raises(ValueError, match="one row"):
+            BlurKernel(taps)
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            BlurKernel(np.ones((3, 3)))
+        with pytest.raises(ValueError, match="sum to 1"):
+            BlurKernel(np.ones((1, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_taps_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             BlurKernel([[bad, 1.0, 0.0]])
         with pytest.raises(ValueError, match="finite"):
-            BlurKernel([[0.5, 0.5, 0.0], [0.0, bad, 0.0], [0.0, 0.0, 0.0]])
+            BlurKernel([[0.5, 0.5, bad, 0.0, 0.0]])
 
     def test_equality_by_taps(self):
         a, b = motion_kernel(3), motion_kernel(3)
         assert a == b and not a != b
         assert a != motion_kernel(5)
-        assert a != gaussian_kernel(1, 1.0)
+        assert a != gaussian_row(1, 1.0)
         # Same taps in another shape are another kernel.
         assert BlurKernel([[1.0]]) != BlurKernel([[0.0, 1.0, 0.0]])
         assert a != "motion-3"
 
     def test_equality_ignores_matrix_cache(self):
         a, b = motion_kernel(3), motion_kernel(3)
-        a.matrices((5, 5))
+        a.gram((5, 5))
         assert a == b and hash(a) == hash(b)
 
     def test_hash_consistent_with_equality(self):
@@ -173,10 +181,10 @@ class TestBlurApply:
 
     def test_adjoint_is_exact(self):
         adjoint_probe(blur_map(motion_kernel(5)), (7, 9))
-        adjoint_probe(blur_map(gaussian_kernel(2, 1.0)), (6, 6))
+        adjoint_probe(blur_map(ORACLE_KERNELS["random1x7"]), (6, 8))
 
     def test_adjoint_matches_dense_transpose(self):
-        k = gaussian_kernel(1, 0.8)
+        k = random_kernel(3, 4)
         shape = (4, 5)
         Kd = dense_from_map(blur_map(k), shape)
         y = RNG.normal(size=shape)
@@ -195,14 +203,18 @@ class TestKroneckerBlur:
         assert np.max(np.abs(blur_apply(u, k) - tap_loop_apply(u, k))) <= tol
         assert np.max(np.abs(blur_adjoint(u, k) - tap_loop_adjoint(u, k))) <= tol
 
-    def test_term_counts(self):
-        shape = (9, 9)
-        for name in ("motion1", "motion3", "motion9", "gauss2"):
-            assert len(ORACLE_KERNELS[name].matrices(shape)) == 1
-        assert len(ORACLE_KERNELS["random3x5"].matrices(shape)) == 3
+    def test_kernel_taps_are_asymmetric(self):
+        taps = ORACLE_KERNELS["random1x7"].taps
+        assert np.max(np.abs(taps - taps[:, ::-1])) > 0.1 * np.max(taps)
+
+    def test_matrix_cached_per_shape(self):
+        k = motion_kernel(3)
+        R = k.matrix((7, 9))
+        assert R.shape == (9, 9) and k.matrix((7, 9)) is R
+        assert k.matrix((7, 5)).shape == (5, 5)
 
     @pytest.mark.parametrize("name, shape", [("motion9", (4, 9)), ("gauss2", (5, 5)),
-                                             ("random3x5", (3, 5))])
+                                             ("random1x7", (3, 7))])
     def test_kernel_as_large_as_image(self, name, shape):
         kernel = ORACLE_KERNELS[name]
         u = RNG.normal(size=shape)
@@ -210,7 +222,7 @@ class TestKroneckerBlur:
         assert np.max(np.abs(blur_apply(u, kernel) - tap_loop_apply(u, kernel))) <= tol
         assert np.max(np.abs(blur_adjoint(u, kernel) - tap_loop_adjoint(u, kernel))) <= tol
 
-    @pytest.mark.parametrize("name", ["motion9", "gauss2", "random3x5"])
+    @pytest.mark.parametrize("name", ["motion9", "gauss2", "random1x7"])
     def test_adjoint_is_dense_transpose(self, name):
         k = ORACLE_KERNELS[name]
         shape = (7, 9)
@@ -221,7 +233,7 @@ class TestKroneckerBlur:
                                rtol=0.0, atol=1e-13 * np.max(np.abs(y)))
 
     def test_one_kernel_at_two_shapes(self):
-        k = random_kernel((3, 5), 13)
+        k = random_kernel(5, 13)
         for shape in [(7, 9), (12, 6), (7, 9)]:
             u = RNG.normal(size=shape)
             tol = 1e-13 * np.max(np.abs(u))
@@ -247,7 +259,7 @@ def _boom(v):
 
 
 class TestGramForm:
-    """K*K as v (R^T R) for a one-row kernel, K*(K v) for the others."""
+    """K*K as v (R^T R), against the blur and its adjoint."""
 
     @pytest.mark.parametrize("name", sorted(ORACLE_KERNELS))
     @pytest.mark.parametrize("shape", [(7, 9), (32, 32)])
@@ -259,29 +271,20 @@ class TestGramForm:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert not np.shares_memory(got, v)
 
-    def test_gram_only_for_one_row(self):
-        shape = (9, 9)
-        G = ORACLE_KERNELS["motion9"].gram(shape)
-        assert G.shape == (9, 9) and ORACLE_KERNELS["motion9"].gram(shape) is G
-        assert ORACLE_KERNELS["gauss2"].gram(shape) is None
-        assert ORACLE_KERNELS["random3x5"].gram(shape) is None
-
-    def test_multi_row_kernel_blurs(self):
-        k = ORACLE_KERNELS["gauss2"]
-        calls = []
-        K = LinearMap(lambda v: calls.append("K") or blur_apply(v, k),
-                      lambda v: calls.append("K*") or blur_adjoint(v, k), kernel=k)
-        gram_apply(RNG.normal(size=(7, 9)), K)
-        assert calls == ["K", "K*"]
+    def test_gram_is_cached(self):
+        k = ORACLE_KERNELS["random1x7"]
+        G = k.gram((9, 9))
+        assert G.shape == (9, 9) and k.gram((9, 9)) is G
+        R = k.matrix((9, 9))
+        assert np.array_equal(G, R.T @ R)
 
     def test_h_apply_uses_the_kernel(self):
-        # A map that carries a kernel is applied through its Gram pairs; one
-        # without keeps K*(K v).
+        # H is applied through the kernel's Gram matrix, never through the
+        # map's blur and adjoint.
         k = motion_kernel(5)
         u = RNG.normal(size=(6, 8))
         gram_only = LinearMap(_boom, _boom, kernel=k)
-        plain = LinearMap(lambda v: blur_apply(v, k), lambda v: blur_adjoint(v, k))
-        want = h_apply(u, 1e-3, plain)
+        want = blur_adjoint(blur_apply(u, k), k) - 1e-3 * div(grad(u))
         assert np.linalg.norm(h_apply(u, 1e-3, gram_only) - want) <= (
             1e-13 * np.linalg.norm(want))
 
@@ -293,8 +296,7 @@ class TestGramForm:
         a = np.full((6, 6), 0.5)
         v = RNG.normal(size=(6, 6))
         gram_only = LinearMap(_boom, _boom, kernel=k)
-        plain = LinearMap(lambda u: blur_apply(u, k), lambda u: blur_adjoint(u, k))
-        want = _image_system(replace(ctx, K=plain), a)(v)
+        want = blur_adjoint(blur_apply(v, k), k) - div((a + ctx.mu) * grad(v))
         got = _image_system(replace(ctx, K=gram_only), a)(v)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -338,20 +340,17 @@ class TestExactHInverse:
                     rel = 1e-10 if tau is None else 1e-13
                     assert np.linalg.norm(x - x_lu) <= rel * np.linalg.norm(x_lu)
 
-    @pytest.mark.parametrize("K, mu", [
-        (blur_map(gaussian_kernel(2, 1.0)), 1e-6), (blur_map(random_kernel((3, 5), 11)), 1e-6),
-        (blur_map(motion_kernel(3)), 0.0), (IDENTITY, 1e-6)])
-    def test_other_operators_keep_cg(self, K, mu, monkeypatch):
-        import tvalm.ssn as ssn
-        assert h_inverse(mu, K, (8, 8)) is None
+    @pytest.mark.parametrize("K", [None, blur_map(motion_kernel(5))])
+    def test_mu_zero_rejected(self, K):
+        # Without mu, H is the identity or R^T R, which is singular for most
+        # motion blurs (motion_kernel(5) at 8 columns among them).
+        with pytest.raises(ValueError, match="mu > 0"):
+            h_inverse(0.0, K, (8, 8))
         b = RNG.normal(size=(8, 8))
-        ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=mu)
-        assert ctx.h_inv() is None
-        calls = []
-        monkeypatch.setattr(ssn, "cg_solve", lambda *a: calls.append(a) or cg_solve(*a))
-        x = ctx.solve_h(b)
-        assert len(calls) == 1
-        assert _residual(x, b, mu, K) <= 1e-10
+        ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=0.0)
+        if K is not None:
+            with pytest.raises(ValueError, match="mu > 0"):
+                ctx.solve_h(b)
 
     def test_solve_h_uses_the_exact_inverse(self, monkeypatch):
         import tvalm.ssn as ssn
@@ -359,8 +358,14 @@ class TestExactHInverse:
         K, mu = blur_map(motion_kernel(5)), 1e-6
         b = RNG.normal(size=(8, 8))
         ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=mu)
-        assert ctx.h_inv() is not None
         assert _residual(ctx.solve_h(b), b, mu, K) <= 5e-11
+
+    def test_solve_h_identity_with_mu_uses_the_exact_inverse(self, monkeypatch):
+        import tvalm.ssn as ssn
+        monkeypatch.setattr(ssn, "cg_solve", _boom)
+        b = RNG.normal(size=(8, 8))
+        ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, mu=1e-2)
+        assert _residual(ctx.solve_h(b), b, 1e-2, None) <= 1e-13
 
 
 class TestHOperator:
@@ -385,9 +390,17 @@ class TestHOperator:
         with pytest.raises(ValueError):
             h_apply(np.ones((2, 2)), -1.0, None)
 
+    def test_kernel_less_data_operator_rejected(self):
+        # H's Gram form and inverse need the kernel that blur_map carries.
+        with pytest.raises(ValueError, match="blur_map"):
+            h_map(1e-6, IDENTITY)
+        with pytest.raises(ValueError, match="blur_map"):
+            make_context(np.ones((4, 4)), np.zeros((2, 4, 4)), 1.0, 1.0, ISO,
+                         K=IDENTITY, mu=1e-6)
+
 
 class TestHSolve:
-    """H^{-1} actions through AlmContext.solve_h (nested CG on H)."""
+    """H^{-1} actions through AlmContext.solve_h (the exact inverse)."""
 
     def test_identity_case(self):
         b = RNG.normal(size=(4, 4))
@@ -405,8 +418,7 @@ class TestHSolve:
             assert rel <= 10 * 1e-4  # conditioning eats a few digits
 
     def test_zero_rhs(self):
-        ctx = make_context(np.ones((3, 3)), np.zeros((2, 3, 3)), 1.0, 1.0, ISO,
-                           K=IDENTITY, mu=1e-6)
+        ctx = make_context(np.ones((3, 3)), np.zeros((2, 3, 3)), 1.0, 1.0, ISO, mu=1e-6)
         assert np.all(ctx.solve_h(np.zeros((3, 3))) == 0.0)
 
 
@@ -509,7 +521,7 @@ class TestDispatchAndAdjointInvariants:
         maps = [
             (IDENTITY, (5, 5)),
             (blur_map(motion_kernel(7)), (9, 9)),
-            (blur_map(gaussian_kernel(2, 1.5)), (8, 6)),
+            (blur_map(gaussian_row(2, 1.5)), (8, 6)),
             (h_map(0.0, None), (4, 4)),
             (h_map(1e-6, blur_map(motion_kernel(5))), (7, 7)),
         ]

@@ -562,10 +562,12 @@ class TestAssembledOperators:
 
 
 class TestSolveSubproblem:
-    def test_cap_raises(self):
+    def test_cap_raises(self, monkeypatch):
+        import tvalm.ssn as ssn
+        monkeypatch.setattr(ssn, "MAX_NEWTON_STEPS", 1)
         z, ctx = random_instance(6, sigma=64.0, seed=3)
         with pytest.raises(InnerNewtonError):
-            solve_subproblem(z, np.zeros((2, 6, 6)), ctx, "pdp", 1e-12, max_newton=1)
+            solve_subproblem(z, np.zeros((2, 6, 6)), ctx, "pdp", 1e-12)
 
     def test_counts_include_the_tight_resolve(self, monkeypatch):
         # At this instance one loose PDP step raises the residual and is redone
