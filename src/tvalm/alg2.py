@@ -7,10 +7,11 @@ gradient-penalty weight mu is used as a practical surrogate for deblurring,
 where the certified modulus is not available).  Step sizes keep
 tau * sigma * L^2 <= 1 with L^2 = 8 for the difference stencil.
 
-The prox step (I + tau H)^{-1} is v / (1 + tau) for denoising and otherwise
-exact, by fast diagonalization (see ``linops``), with the eigenbases built
-once per run; so ALG2 runs no Krylov solve and records avg_krylov = 0.  With
-a blur or a gradient penalty it needs mu > 0.
+The prox step (I + tau H)^{-1} is ``DataTerm.solve`` (see ``linops``):
+v / (1 + tau) for denoising and otherwise exact, by fast diagonalization,
+with the eigenbases built once per run before the first iteration; so ALG2
+runs no Krylov solve and records avg_krylov = 0.  With a blur it needs
+mu > 0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .alm import OuterState
 from .errors import MaxOuterError
 from .grid import div, grad
-from .linops import LinearMap, h_inverse, h_map
+from .linops import DataTerm, LinearMap
 from .metrics import make_record
 from .prox import project_ball
 from .report import RunReport, summarize
@@ -46,17 +47,16 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
     if check_every < 1:
         raise ValueError("check_every must be >= 1")
     ref = z if reference is None else reference
-    f = z.copy() if K is None else K.apply_adjoint(z)
-    H = h_map(mu, K)
-    denoise = K is None and mu == 0.0
-    h_inv = None if denoise else h_inverse(mu, K, z.shape)
-    gamma = 1.0 if denoise else mu
+    data = DataTerm(z, K, mu)
+    data.prepare_solve()
+    gamma = 1.0 if data.identity else mu
 
     u = z.copy()
     u_bar = z.copy()
     lam = np.zeros(grad(z).shape)
     tau = sigma = 1.0 / np.sqrt(GRAD_NORM_SQ)
-    state = OuterState(u=u, p=np.zeros_like(lam), lam=lam, sigma=sigma, k=0)
+    state = OuterState(u=u, lam=lam, k=0)
+    records = []
     err = float("inf")
     cfg_snapshot = {
         "alpha": alpha, "mu": mu, "variant": variant, "outer_tol": outer_tol,
@@ -68,8 +68,8 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
     for k in range(1, max_iters + 1):
         lam = project_ball(lam + sigma * grad(u_bar), alpha, variant)
         u_prev = u
-        v = u + tau * div(lam) + tau * f
-        u = v / (1.0 + tau) if denoise else h_inv.solve(v, tau)
+        v = u + tau * div(lam) + tau * data.f
+        u = data.solve(v, tau)
         theta = 1.0 / np.sqrt(1.0 + 2.0 * gamma * tau)
         tau *= theta
         sigma /= theta
@@ -78,16 +78,15 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
 
         if k % check_every == 0 or k == max_iters:
             wall_ms = (time.perf_counter() - t0) * 1e3
-            record = make_record(k, u, lam, f, H, alpha, variant, ref, wall_ms, 0, 0.0)
-            state.history.append(record)
+            record = make_record(k, u, lam, data, alpha, variant, ref, wall_ms, 0, 0.0)
+            records.append(record)
             err = record.err
             t0 = time.perf_counter()
-            state.u, state.lam, state.sigma, state.k = u, lam, sigma, k
+            state.u, state.lam, state.k = u, lam, k
             if err <= outer_tol:
-                report = summarize("alg2", cfg_snapshot, state.history, seed,
-                                   converged=True)
+                report = summarize("alg2", cfg_snapshot, records, seed, converged=True)
                 return state, report
 
-    report = summarize("alg2", cfg_snapshot, state.history, seed, converged=False)
+    report = summarize("alg2", cfg_snapshot, records, seed, converged=False)
     raise MaxOuterError("iteration budget exhausted", err=err, state=state,
                         report=report)

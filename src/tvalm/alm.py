@@ -1,31 +1,32 @@
 """Outer augmented-Lagrangian loop: penalty schedule, inner dispatch,
 multiplier update, and convergence bookkeeping.
 
-Each outer iteration solves the penalized subproblem with the configured
-semismooth Newton method to the empirical accuracy delta / sigma_k, updates
-the multiplier (linear update through the soft threshold for the primal
-solver, projection update for the primal-dual solvers), grows the penalty
-geometrically up to its cap, and records the full residual suite: one
+A run builds its data term (``linops.DataTerm``: f = K* z, H and the solves
+with H) once.  Each outer iteration solves the penalized subproblem with the
+configured semismooth Newton method to the empirical accuracy delta / sigma_k,
+updates the multiplier (linear update through the soft threshold for the
+primal solver, projection update for the primal-dual solvers), grows the
+penalty geometrically up to its cap, and records the full residual suite: one
 ``MetricRecord`` per outer iteration, carrying the subproblem's Newton steps
-and mean Krylov iterations per step.  The report and the returned state hold
-everything a run records.
+and mean Krylov iterations per step.  The report holds the records; the
+returned state holds the last recorded iterate.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import MaxOuterError
 from .grid import check_variant, grad
-from .linops import LinearMap
-from .metrics import MetricRecord, make_record
+from .linops import DataTerm, LinearMap
+from .metrics import make_record
 from .prox import project_ball, soft_threshold
 from .report import RunReport, summarize
-from .ssn import make_context, solve_subproblem
+from .ssn import AlmContext, solve_subproblem
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,11 @@ class AlmConfig:
         # Written as "not > 0" so that NaN is rejected too.
         if not all(v > 0 for v in (self.alpha, self.sigma0, self.outer_tol, self.delta_inner)):
             raise ValueError("alpha, sigma0, delta_inner and outer_tol must be positive")
-        if self.growth_c <= 1.0:
+        if not self.growth_c > 1.0:
             raise ValueError("growth_c must exceed 1")
-        if self.sigma_max < self.sigma0:
+        if not self.sigma_max >= self.sigma0:
             raise ValueError("sigma_max must be >= sigma0")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise ValueError("mu must be >= 0")
         if self.inner not in ("pdp", "pdd", "pt"):
             raise ValueError(f"unknown inner solver {self.inner!r}")
@@ -63,14 +64,11 @@ class AlmConfig:
 
 @dataclass
 class OuterState:
-    """Final (or per-iteration) outer iterate with the recorded history."""
+    """The latest recorded iterate: image, multiplier and iteration count."""
 
     u: np.ndarray
-    p: np.ndarray
     lam: np.ndarray
-    sigma: float
     k: int
-    history: list[MetricRecord] = field(default_factory=list)
 
 
 def sigma_schedule(sigma0: float, c: float, sigma_max: float, k: int) -> float:
@@ -92,31 +90,27 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     """
     ref = z if reference is None else reference
 
-    shape = grad(z).shape
     u = z.copy()
-    lam = np.zeros(shape)
-    h = np.zeros(shape)
-    p = np.zeros(shape)
+    lam = np.zeros(grad(z).shape)
+    h = np.zeros_like(lam)
     sigma = cfg.sigma0
-    state = OuterState(u=u, p=p, lam=lam, sigma=sigma, k=0)
+    state = OuterState(u=u, lam=lam, k=0)
+    records = []
     err = float("inf")
-    # f = K*z and H are fixed for the run; each outer iteration only swaps in
-    # the current multiplier and penalty.
-    ctx = make_context(z, lam, sigma, cfg.alpha, cfg.variant, K=K, mu=cfg.mu)
-    if cfg.inner == "pdd" and not ctx.h_identity:
-        # PDD nests H^{-1}: build it now, so that a singular H (a blur with
-        # mu = 0) is refused before the first outer iteration.
-        ctx.h_inv()
+    data = DataTerm(z, K, cfg.mu)
+    if cfg.inner == "pdd":
+        # PDD nests H^{-1}: refuse a singular H before the first iteration.
+        data.prepare_solve()
 
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
-        ctx = replace(ctx, lam=lam, sigma=sigma)
+        ctx = AlmContext(lam, sigma, cfg.alpha, cfg.variant, data)
         inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner)
         u, h = inner.state.u, inner.state.h
 
         gu = grad(u)
-        p = soft_threshold(lam / sigma + gu, cfg.alpha / sigma, cfg.variant)
         if cfg.inner == "pt":
+            p = soft_threshold(lam / sigma + gu, cfg.alpha / sigma, cfg.variant)
             lam = lam + sigma * (gu - p)
         else:
             lam = project_ball(lam + sigma * gu, cfg.alpha, cfg.variant)
@@ -124,20 +118,19 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
         wall_ms = (time.perf_counter() - t0) * 1e3
         steps = inner.newton_steps
         record = make_record(
-            k + 1, u, lam, ctx.f, ctx.H, cfg.alpha, cfg.variant, ref, wall_ms,
+            k + 1, u, lam, data, cfg.alpha, cfg.variant, ref, wall_ms,
             steps, inner.krylov_iters / steps if steps else 0.0,
         )
-        state.history.append(record)
+        records.append(record)
         err = record.err
 
         sigma = sigma_schedule(cfg.sigma0, cfg.growth_c, cfg.sigma_max, k + 1)
-        state.u, state.p, state.lam, state.sigma, state.k = u, p, lam, sigma, k + 1
+        state.u, state.lam, state.k = u, lam, k + 1
         if err <= cfg.outer_tol:
-            report = summarize("alm-" + cfg.inner, cfg, state.history, seed,
-                               converged=True)
+            report = summarize("alm-" + cfg.inner, cfg, records, seed, converged=True)
             return state, report
 
-    report = summarize("alm-" + cfg.inner, cfg, state.history, seed, converged=False)
+    report = summarize("alm-" + cfg.inner, cfg, records, seed, converged=False)
     raise MaxOuterError("outer iteration budget exhausted", err=err,
                         state=state, report=report)
 

@@ -47,17 +47,17 @@ def _run_cell(name: str, z: np.ndarray, clean: np.ndarray, solver: str, variant:
 
 
 def run_matrix(images: Sequence[tuple[str, np.ndarray]], solvers: Sequence[str],
-               variants: Sequence[str], tols: Sequence[float], noise_std: float,
-               seed: int, runner) -> list[BenchCell]:
+               variants: Sequence[str], tols: Sequence[float], spec: DegradeSpec,
+               runner) -> list[BenchCell]:
     """Evaluate every (image, variant, solver, tolerance) cell.
 
-    Each image is degraded once, with ``seed``.  ``runner(z, clean, solver,
+    Each image is degraded once, by ``spec``.  ``runner(z, clean, solver,
     variant, tol) -> RunReport`` does one solve.  Failures are recorded in the
     cell and the sweep continues.
     """
     cells = []
     for name, clean in images:
-        z = degrade(clean, DegradeSpec(noise_std=noise_std, seed=seed))
+        z = degrade(clean, spec)
         cells.extend(_run_cell(name, z, clean, solver, variant, tol, runner)
                      for variant in variants for solver in solvers for tol in tols)
     return cells

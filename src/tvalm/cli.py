@@ -22,7 +22,7 @@ from .degrade import DegradeSpec, blocks_image, degrade
 from .errors import SolverError
 from .linops import LinearMap, blur_map, motion_kernel
 from .pgm import load_image, save_image
-from .report import RunReport
+from .report import RunReport, _strict
 
 SOLVERS = ("pdp", "pdd", "pt", "alg2")
 ALG2_MAX_ITERS = 500000
@@ -66,12 +66,12 @@ def _write_artifacts(u: np.ndarray, report: RunReport, out: str, report_path: st
 
 
 def _failure(exc: Exception) -> int:
-    """Print a failed run as one JSON line; exit code 2."""
+    """Print a failed run as one strict JSON line; exit code 2."""
     payload = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("err", "residual", "iterations"):
         if hasattr(exc, attr):
             payload[attr] = getattr(exc, attr)
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(_strict(payload), sort_keys=True, allow_nan=False))
     return 2
 
 
@@ -122,6 +122,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # each variant and tolerance as its cell's config is built.
     try:
         cfg = _config(args)
+        spec = DegradeSpec(noise_std=args.noise, seed=args.seed)
         tols = [float(t) for t in args.tols.split(",")]
         for solver in solvers:
             if solver not in SOLVERS:
@@ -136,7 +137,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         _, report = run_solver(z, None, solver, configs[variant, tol], clean, args.seed)
         return report
 
-    cells = run_matrix(images, solvers, variants, tols, args.noise, args.seed, runner)
+    cells = run_matrix(images, solvers, variants, tols, spec, runner)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "bench.csv").write_text(cells_to_csv(cells))

@@ -24,7 +24,8 @@ class DegradeSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_std < 0.0:
+        # Written as "not >= 0" so that NaN is rejected too.
+        if not self.noise_std >= 0.0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
 
 

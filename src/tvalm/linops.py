@@ -14,20 +14,20 @@ K is one row of odd width w, correlating each image row with the taps
 under replicate extension.  On an M x N image it acts as K u = u R^T with
 R (N x N) the 1-D correlation matrix of the taps, so K* y = y R is the exact
 adjoint by construction and K*K v = v (R^T R), one matmul (the Gram form).
-R and R^T R are built once per image shape and cached on the BlurKernel; a
-blur map carries its kernel, so ``h_apply`` and the assembled Newton systems
-take the Gram form in place of a blur and its adjoint.
+R and R^T R are built once per image shape and cached on the BlurKernel.
 
-H is the identity (K = I, mu = 0) or, for mu > 0, a Kronecker sum with an
-exact inverse.  With a blur and mu = 0 it is K*K, which is applied but never
-inverted: R^T R is singular for most motion blurs, so ``h_inverse`` refuses
-mu <= 0.  The grid's zero last row and column make -div grad equal to
-L_M u + u L_N, with L the 1-D Neumann path Laplacian, so H u = A u + u B
-with A = mu L_M and B = R^T R + mu L_N (R = I for the identity).  With the
-eigendecompositions A = P diag(a) P^T and B = Q diag(b) Q^T, built once per
-run, H^{-1} F = P [(P^T F Q) / (a_i + b_j)] Q^T, four matmuls (the
-fast-diagonalization method of Lynch, Rice & Thomas, Numer. Math. 6, 1964);
-the prox inverse (I + tau H)^{-1} divides by 1 + tau (a_i + b_j) instead.
+``DataTerm`` is the one place that knows H's form: it owns f = K* z, H,
+K*K in Gram form, the data energy and the solves with H.  H is the
+identity (K = I, mu = 0) or, for mu > 0, a Kronecker sum with an exact
+inverse.  With a blur and mu = 0 it is K*K, which is applied but never
+inverted: R^T R is singular for most motion blurs.  The grid's zero last
+row and column make -div grad equal to L_M u + u L_N, with L the 1-D Neumann
+path Laplacian, so H u = A u + u B with A = mu L_M and B = R^T R + mu L_N
+(R = I for the identity).  With the eigendecompositions A = P diag(a) P^T
+and B = Q diag(b) Q^T, built once per data term, H^{-1} F =
+P [(P^T F Q) / (a_i + b_j)] Q^T, four matmuls (the fast-diagonalization
+method of Lynch, Rice & Thomas, Numer. Math. 6, 1964); the prox inverse
+(I + tau H)^{-1} divides by 1 + tau (a_i + b_j) instead.
 
 R, the Gram matrix and the eigenbases are dense, so each costs
 O(M^2 N + M N^2) per application: above about 512 px a side the blur is
@@ -37,12 +37,13 @@ slower than a banded or tap-loop form would be.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import KrylovError
-from .grid import div, grad
+from .grid import div, grad, norm_y
 
 FORCING_FLOOR = 1e-13
 BREAKDOWN_EPS = 1e-30
@@ -158,16 +159,11 @@ def blur_map(kernel: BlurKernel) -> LinearMap:
     )
 
 
-def gram_apply(v: np.ndarray, K: LinearMap) -> np.ndarray:
-    """K*K v = v (R^T R) for a blur map; never returns v itself."""
-    return v @ K.kernel.gram(v.shape)
-
-
 def h_apply(u: np.ndarray, mu: float, K: LinearMap | None) -> np.ndarray:
     """Action of H = -mu*Laplacian + K*K; identity when K is None and mu = 0."""
-    if mu < 0:
+    if not mu >= 0.0:
         raise ValueError(f"mu must be >= 0, got {mu}")
-    out = u.copy() if K is None else gram_apply(u, K)
+    out = u.copy() if K is None else u @ K.kernel.gram(u.shape)
     if mu > 0.0:
         out -= mu * div(grad(u))
     return out
@@ -189,34 +185,69 @@ def _path_laplacian(n: int) -> np.ndarray:
     return D.T @ D
 
 
-@dataclass(frozen=True)
-class HInverse:
-    """H = A (x) I + I (x) B in the eigenbases A = P diag(a) P^T and
-    B = Q diag(b) Q^T; ``eig`` holds the eigenvalues a_i + b_j of H."""
+@dataclass(frozen=True, eq=False)
+class DataTerm:
+    """The data term 0.5 ||K u - z||^2 + mu/2 ||grad u||^2, with K None
+    (the identity) or a ``blur_map``: f = K* z and H = K*K - mu Laplacian."""
 
-    P: np.ndarray
-    Q: np.ndarray
-    eig: np.ndarray
+    z: np.ndarray
+    K: LinearMap | None = None
+    mu: float = 0.0
+    f: np.ndarray = field(init=False, repr=False)
+    H: LinearMap = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # Written as "not >= 0" so that NaN is rejected too.
+        if not self.mu >= 0.0:
+            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        object.__setattr__(self, "H", h_map(self.mu, self.K))
+        object.__setattr__(self, "f", self.z.copy() if self.K is None
+                           else self.K.apply_adjoint(self.z))
+
+    @property
+    def identity(self) -> bool:
+        """H = I (denoising without a gradient penalty): solves are free."""
+        return self.K is None and self.mu == 0.0
+
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """K*K v in Gram form, v (R^T R); v itself for the identity."""
+        return v if self.K is None else v @ self.K.kernel.gram(v.shape)
+
+    def energy(self, u: np.ndarray) -> float:
+        """The data term at u, evaluated cancellation-free."""
+        r = (u - self.z) if self.K is None else (self.K.apply(u) - self.z)
+        value = 0.5 * float(np.sum(r * r))
+        if self.mu > 0.0:
+            value += 0.5 * self.mu * norm_y(grad(u)) ** 2
+        return value
 
     def solve(self, F: np.ndarray, tau: float | None = None) -> np.ndarray:
-        """H^{-1} F, or (I + tau H)^{-1} F when ``tau`` is given."""
-        d = self.eig if tau is None else 1.0 + tau * self.eig
-        return self.P @ ((self.P.T @ F @ self.Q) / d) @ self.Q.T
+        """H^{-1} F, or (I + tau H)^{-1} F when ``tau`` is given.
 
+        For the identity this is F itself (callers must not write into it)
+        or F / (1 + tau); otherwise the exact fast-diagonalization inverse.
+        """
+        if self.identity:
+            return F if tau is None else F / (1.0 + tau)
+        P, Q, eig = self._eigenbases
+        d = eig if tau is None else 1.0 + tau * eig
+        return P @ ((P.T @ F @ Q) / d) @ Q.T
 
-def h_inverse(mu: float, K: LinearMap | None, shape: tuple[int, int]) -> HInverse:
-    """The exact inverse of H on images of ``shape`` (K None or a blur map).
+    def prepare_solve(self) -> None:
+        """Build the eigenbases now, so a singular H is refused up front."""
+        if not self.identity:
+            self._eigenbases
 
-    Raises ValueError for mu <= 0, where H is the identity (K = None) or
-    R^T R, which is singular for most motion blurs.
-    """
-    if mu <= 0.0:
-        raise ValueError(f"inverting H needs mu > 0, got {mu}")
-    m, n = shape
-    gram = np.eye(n) if K is None else K.kernel.gram(shape)
-    a, P = np.linalg.eigh(mu * _path_laplacian(m))
-    b, Q = np.linalg.eigh(gram + mu * _path_laplacian(n))
-    return HInverse(P, Q, a[:, None] + b[None, :])
+    @cached_property
+    def _eigenbases(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(P, Q, a_i + b_j), built on first use; mu <= 0 raises ValueError."""
+        if self.mu <= 0.0:
+            raise ValueError(f"inverting H needs mu > 0, got {self.mu}")
+        m, n = self.z.shape
+        gram = np.eye(n) if self.K is None else self.K.kernel.gram(self.z.shape)
+        a, P = np.linalg.eigh(self.mu * _path_laplacian(m))
+        b, Q = np.linalg.eigh(gram + self.mu * _path_laplacian(n))
+        return P, Q, a[:, None] + b[None, :]
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 All quantities follow the saddle-point optimality system of the restoration
 problem: a primal residual res_u, a dual fixed-point residual res_lambda,
 their scaled sum Err (the outer stopping quantity), two complementarity
-residuals Res1/Res2, the normalized primal-dual gap, and PSNR.
+residuals Res1/Res2, the normalized primal-dual gap of the denoising model,
+and PSNR.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import ISO, check_variant, div, grad, norm_x, norm_y, pointwise_mag, tv_norm
-from .linops import LinearMap
+from .linops import DataTerm, LinearMap
 from .prox import project_ball
 
 FEAS_SLACK = 1e-12
@@ -39,10 +40,9 @@ class MetricRecord:
     lambda_feasible: bool
 
 
-def res_u(u: np.ndarray, lam: np.ndarray, f: np.ndarray, H: LinearMap | None) -> float:
+def res_u(u: np.ndarray, lam: np.ndarray, f: np.ndarray, H: LinearMap) -> float:
     """Primal optimality residual ||H u - f + grad^* lam||_F."""
-    Hu = u if H is None else H.apply(u)
-    return norm_x(Hu - f - div(lam))
+    return norm_x(H.apply(u) - f - div(lam))
 
 
 def res_lambda(u: np.ndarray, lam: np.ndarray, alpha: float, c0: float, variant: str) -> float:
@@ -57,7 +57,7 @@ def _res_lambda(g: np.ndarray, lam: np.ndarray, alpha: float, c0: float,
     return norm_y(lam - project_ball(lam + c0 * g, alpha, variant))
 
 
-def err_total(u: np.ndarray, lam: np.ndarray, f: np.ndarray, H: LinearMap | None,
+def err_total(u: np.ndarray, lam: np.ndarray, f: np.ndarray, H: LinearMap,
               alpha: float, c0: float, variant: str) -> float:
     """Scaled residual sum (res_u + res_lambda) / ||f||_F."""
     return _err(res_u(u, lam, f, H), res_lambda(u, lam, alpha, c0, variant), f)
@@ -120,7 +120,8 @@ def _res2(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
 
 def pd_gap(u: np.ndarray, lam: np.ndarray, f: np.ndarray, alpha: float,
            variant: str = ISO) -> float:
-    """Normalized primal-dual gap for the quadratic-data TV model.
+    """Normalized primal-dual gap of the denoising (ROF) model, K = I and
+    mu = 0.
 
     Returns +inf when lam is infeasible beyond the rounding slack (callers
     flag the record); otherwise the gap divided by the pixel count.
@@ -152,19 +153,20 @@ def psnr(u: np.ndarray, reference: np.ndarray) -> float:
     return 10.0 * np.log10(1.0 / mse)
 
 
-def make_record(k: int, u: np.ndarray, lam: np.ndarray, f: np.ndarray,
-                H: LinearMap | None, alpha: float, variant: str,
-                reference: np.ndarray, wall_ms: float, inner_newton: int,
-                avg_krylov: float) -> MetricRecord:
+def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
+                alpha: float, variant: str, reference: np.ndarray, wall_ms: float,
+                inner_newton: int, avg_krylov: float) -> MetricRecord:
     """Assemble the full per-iteration metric row (PSNR display-capped).
 
     res_lambda uses the dual scaling c0 = 1, as every report does.  grad u,
     both residuals and the feasibility test are evaluated once and shared by
-    the columns that use them.
+    the columns that use them.  The gap is the denoising (ROF) gap, so it
+    reads nan unless the data term is the identity.
     """
+    f = data.f
     g = grad(u)
     feas = lambda_feasible(lam, alpha, variant)
-    ru = res_u(u, lam, f, H)
+    ru = res_u(u, lam, f, data.H)
     rl = _res_lambda(g, lam, alpha, 1.0, variant)
     p = psnr(u, reference)
     return MetricRecord(
@@ -174,7 +176,8 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, f: np.ndarray,
         err=_err(ru, rl, f),
         res1=_res1(g, lam, alpha, variant),
         res2=_res2(g, lam, alpha, variant),
-        gap=_pd_gap(u, g, lam, f, alpha, variant, feas),
+        gap=(_pd_gap(u, g, lam, f, alpha, variant, feas) if data.identity
+             else float("nan")),
         psnr=min(p, PSNR_CAP),
         wall_ms=wall_ms,
         inner_newton=inner_newton,

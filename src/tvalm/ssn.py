@@ -7,8 +7,8 @@ Three formulations of the same nonlinear optimality system are offered:
   recovering and projecting the dual iterate.
 * ``ssnpdd_step``: the mirrored order, solving the two-channel system for the
   dual field first (BiCGSTAB, nesting H^{-1} actions), then recovering u.
-  H^{-1} is the identity for denoising and otherwise the exact
-  fast-diagonalization inverse (see ``linops``), which needs mu > 0.
+  H^{-1} is ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a
+  blur.
 * ``ssnpt_step``: a primal Newton step through the soft-thresholding operator
   with CG on the self-adjoint generalized derivative and an Armijo
   backtracking line search on the merit function.
@@ -26,7 +26,7 @@ Each is assembled once per Newton step as
 
 with mu folded into a (H = K*K - mu Laplacian), so one Krylov iteration's
 operator application costs one grad, one pointwise flux and one div, plus
-K*K when deblurring (one matmul, in Gram form):
+K*K when deblurring (``DataTerm.gram``, one matmul):
 
     system       a                              b                     w
     PDP aniso    (sigma - coef h) / U           -                     -
@@ -55,15 +55,15 @@ only bounds a failing solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import InnerNewtonError, LineSearchError
 from .grid import ISO, check_variant, div, grad, inner_x, norm_x, norm_y, pointwise_mag, tv_norm
-from .linops import (HInverse, KrylovConfig, LinearMap, bicgstab_solve, cg_solve,
-                     gram_apply, h_inverse, h_map, newton_forcing_tol)
+from .linops import (DataTerm, KrylovConfig, LinearMap, bicgstab_solve, cg_solve,
+                     newton_forcing_tol)
 from .prox import project_ball, soft_threshold
 
 MAX_NEWTON_STEPS = 50
@@ -78,12 +78,8 @@ ARMIJO_MAX_BACKTRACKS = 40
 class AlmContext:
     """Frozen data of one augmented-Lagrangian subproblem.
 
-    lam is the current multiplier, sigma the penalty, z the observed data,
-    K the data operator (None for the identity), f = K* z, and H the
-    self-adjoint restoration operator.  h_inv() gives H's exact inverse
-    (``linops.h_inverse``, which refuses mu <= 0); ``make_context`` makes it
-    build the eigenbases on its first call only, so a run pays for them only
-    when a nested solve (ALM-PDD) reads them, and ``replace`` shares them.
+    lam is the current multiplier, sigma the penalty, and ``data`` the run's
+    data term (``linops.DataTerm``: f = K* z, H, K*K and solves with H).
 
     The multiplier terms of the PT path (lam / sigma, div(lam) and
     ||lam||^2 / (2 sigma)) are computed once per context; ``replace`` makes a
@@ -93,23 +89,13 @@ class AlmContext:
     lam: np.ndarray
     sigma: float
     alpha: float
-    z: np.ndarray
-    f: np.ndarray
-    H: LinearMap
     variant: str
-    h_inv: Callable[[], HInverse]
-    K: LinearMap | None = None
-    mu: float = 0.0
+    data: DataTerm
 
     def __post_init__(self):
         check_variant(self.variant)
         if self.sigma <= 0.0 or self.alpha <= 0.0:
             raise ValueError("sigma and alpha must be positive")
-
-    @property
-    def h_identity(self) -> bool:
-        """The denoising case: H is the identity and nested solves are free."""
-        return self.K is None and self.mu == 0.0
 
     @cached_property
     def lam_over_sigma(self) -> np.ndarray:
@@ -123,30 +109,6 @@ class AlmContext:
     def lam_energy(self) -> float:
         """||lam||^2 / (2 sigma), the constant term of the merit."""
         return norm_y(self.lam) ** 2 / (2.0 * self.sigma)
-
-    def solve_h(self, b: np.ndarray) -> np.ndarray:
-        """H^{-1} b; for H = I this is b itself, so callers must not write
-        into the result."""
-        return b if self.h_identity else self.h_inv().solve(b)
-
-    def data_term(self, u: np.ndarray) -> float:
-        """Quadratic data energy, evaluated cancellation-free."""
-        r = (u - self.z) if self.K is None else (self.K.apply(u) - self.z)
-        value = 0.5 * float(np.sum(r * r))
-        if self.mu > 0.0:
-            value += 0.5 * self.mu * norm_y(grad(u)) ** 2
-        return value
-
-
-def make_context(z: np.ndarray, lam: np.ndarray, sigma: float, alpha: float,
-                 variant: str, K: LinearMap | None = None, mu: float = 0.0) -> AlmContext:
-    """Build an AlmContext from raw data (K = None means the identity, any
-    other K must be a ``blur_map``), whose h_inv builds H's exact inverse
-    once, on first use."""
-    f = z.copy() if K is None else K.apply_adjoint(z)
-    return AlmContext(lam=lam, sigma=sigma, alpha=alpha, z=z, f=f, H=h_map(mu, K),
-                      variant=variant, K=K, mu=mu,
-                      h_inv=cache(lambda: h_inverse(mu, K, z.shape)))
 
 
 @dataclass(frozen=True)
@@ -196,16 +158,17 @@ def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
                   w: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """The assembled image-space Newton operator v -> K*K v - div(F grad v).
 
-    F g = (a + mu) g - b (w . g) is the pointwise flux, with K*K v read as v
-    for the identity.  The H = K*K - mu Laplacian part of the system is thus
+    F g = (a + mu) g - b (w . g) is the pointwise flux, and K*K comes from the
+    data term (v itself for the identity).  The H = K*K - mu Laplacian part
+    of the system is thus
     folded in: mu joins a, so each application costs one grad, one flux and
     one div (plus K*K, in Gram form, when deblurring).  The coefficient
     fields are fixed for the Newton step; a is one channel (broadcast) or
     two, b and w two.
     """
-    if ctx.mu > 0.0:
-        a = a + ctx.mu
-    K = ctx.K
+    data = ctx.data
+    if data.mu > 0.0:
+        a = a + data.mu
 
     def system(v):
         g = grad(v)
@@ -217,7 +180,7 @@ def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
             flux -= b * wg
         out = div(flux)
         # K*K may return its input's array, so the difference goes into out.
-        return np.subtract(v if K is None else gram_apply(v, K), out, out=out)
+        return np.subtract(data.gram(v), out, out=out)
     return system
 
 
@@ -233,7 +196,7 @@ def _pdd_system(w, U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.nda
     t = H^{-1} div q, taking grad t once."""
     if ctx.variant == ISO:
         def system(q):
-            g = grad(ctx.solve_h(div(q)))
+            g = grad(ctx.data.solve(div(q)))
             wg = w[0] * g[0] + w[1] * g[1]
             out = U * q
             out -= np.multiply(ctx.sigma, g, out=g)
@@ -243,7 +206,7 @@ def _pdd_system(w, U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.nda
         scale = ctx.sigma - coef * h
 
         def system(q):
-            g = grad(ctx.solve_h(div(q)))
+            g = grad(ctx.data.solve(div(q)))
             out = U * q
             out -= np.multiply(scale, g, out=g)
             return out
@@ -270,7 +233,7 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext,
     b_action = _make_b_action(w, coef, h, ctx.variant)
     b2 = ctx.lam + b_action(u)
     system = _pdp_system(w, U, coef, h, ctx)
-    rhs = ctx.f + div(b2 / U)
+    rhs = ctx.data.f + div(b2 / U)
     delta_u, kit = bicgstab_solve(LinearMap(system, system), rhs - system(u), kcfg)
     u_new = u + delta_u
 
@@ -284,20 +247,20 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
                 kcfg: KrylovConfig) -> tuple[NewtonState, int]:
     """One h-first primal-dual Newton step (Schur complement in the dual).
 
-    Nested H^{-1} actions come from ctx.solve_h; the two-channel system is
+    Nested H^{-1} actions come from ctx.data.solve; the two-channel system is
     solved in increment form like ssnpdp_step.
     """
     u, h = state.u, state.h
     w, U, coef = _pd_fields(u, ctx)
     b_action = _make_b_action(w, coef, h, ctx.variant)
     b2 = ctx.lam + b_action(u)
-    f_inv = ctx.solve_h(ctx.f)
+    f_inv = ctx.data.solve(ctx.data.f)
     system = _pdd_system(w, U, coef, h, ctx)
     rhs = b2 + ctx.sigma * grad(f_inv) - b_action(f_inv)
     delta_h, kit = bicgstab_solve(LinearMap(system, system), rhs - system(h), kcfg)
     h_pre = h + delta_h
 
-    u_new = ctx.solve_h(ctx.f + div(h_pre))
+    u_new = ctx.data.solve(ctx.data.f + div(h_pre))
     res = residual_pd(u_new, h_pre, ctx)
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
     return NewtonState(u_new, h_new, res), kit
@@ -309,7 +272,7 @@ def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
     q = ctx.lam_over_sigma + grad(u)
     s = soft_threshold(q, ctx.alpha / ctx.sigma, ctx.variant)
     return (
-        ctx.data_term(u)
+        ctx.data.energy(u)
         + ctx.alpha * tv_norm(s, ctx.variant)
         + 0.5 * ctx.sigma * norm_y(q - s) ** 2
         - ctx.lam_energy
@@ -319,7 +282,7 @@ def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
 def _pt_residual_field(u: np.ndarray, ctx: AlmContext) -> np.ndarray:
     g = grad(u)
     s = soft_threshold(ctx.lam_over_sigma + g, ctx.alpha / ctx.sigma, ctx.variant)
-    return ctx.H.apply(u) - ctx.f - ctx.div_lam - ctx.sigma * div(g - s)
+    return ctx.data.H.apply(u) - ctx.data.f - ctx.div_lam - ctx.sigma * div(g - s)
 
 
 def residual_pt(u: np.ndarray, ctx: AlmContext) -> float:
@@ -413,7 +376,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     # delta / sigma is floored at the 64-bit evaluation noise of those terms.
     eps = np.finfo(np.float64).eps
     noise = 64.0 * eps * (norm_y(ctx.lam) + ctx.sigma * norm_y(grad(u0))
-                          + norm_x(ctx.f))
+                          + norm_x(ctx.data.f))
     threshold = max(delta / ctx.sigma, noise)
     tight_mode = False
     tight_tol = 1e-10

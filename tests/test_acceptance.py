@@ -14,11 +14,11 @@ from tvalm.alg2 import alg2_run
 from tvalm.alm import AlmConfig, alm_run
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, inner_y, norm_x, norm_y
-from tvalm.linops import blur_map, motion_kernel
+from tvalm.linops import DataTerm, blur_map, motion_kernel
 from tvalm.metrics import psnr
 from tvalm.prox import moreau_check, project_ball, soft_threshold
 from tvalm.report import strip_timing_columns
-from tvalm.ssn import make_context, solve_subproblem
+from tvalm.ssn import AlmContext, solve_subproblem
 
 from test_prox import prox_oracle_1d, prox_oracle_iso
 
@@ -128,15 +128,15 @@ def test_criterion_3_positive_definiteness():
         sigma = float(rng.uniform(0.5, 256.0))
         z = rng.normal(size=(n, n))
         lam = project_ball(rng.normal(size=(2, n, n)), alpha, variant)
-        ctx = make_context(z, lam, sigma, alpha, variant)
+        ctx = AlmContext(lam, sigma, alpha, variant, DataTerm(z))
         u0 = rng.normal(size=(n, n))
         h = project_ball(rng.normal(size=(2, n, n)), alpha, variant)
         probe = rng.normal(size=(n, n))
         w, U, coef = _pd_fields(u0, ctx)
         b_action = _make_b_action(w, coef, h, variant)
-        schur = lambda v: ctx.H.apply(v) - div((sigma * grad(v) - b_action(v)) / U)
+        schur = lambda v: ctx.data.H.apply(v) - div((sigma * grad(v) - b_action(v)) / U)
         pt_sys = _pt_system(u0, ctx)
-        h_quad = inner_x(ctx.H.apply(probe), probe)
+        h_quad = inner_x(ctx.data.H.apply(probe), probe)
         worst = max(worst, h_quad - inner_x(schur(probe), probe))
         worst = max(worst, h_quad - inner_x(pt_sys(probe), probe))
     elapsed = time.perf_counter() - t0
@@ -169,7 +169,7 @@ def test_criterion_5_superlinear_inner():
     t0 = time.perf_counter()
     clean = blocks_image(16, 16, seed=5)
     z = degrade(clean, DegradeSpec(noise_std=0.1, seed=9))
-    ctx = make_context(z, np.zeros((2, 16, 16)), 64.0, 0.1, ANISO)
+    ctx = AlmContext(np.zeros((2, 16, 16)), 64.0, 0.1, ANISO, DataTerm(z))
     res = solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pdp", 1e-8)
     seq = [r for r in res.residuals if r > 0]
     ratio = seq[-1] / seq[-2]
@@ -182,11 +182,11 @@ def test_criterion_5_superlinear_inner():
 def test_criterion_6_outer_iteration_economy(c6_instance):
     t0 = time.perf_counter()
     clean, z = c6_instance
-    pdp_state, _ = alm_run(z, None, c6_config("pdp"), reference=clean, seed=7)
-    pt_state, _ = alm_run(z, None, c6_config("pt"), reference=clean, seed=7)
+    pdp_state, pdp = alm_run(z, None, c6_config("pdp"), reference=clean, seed=7)
+    pt_state, pt = alm_run(z, None, c6_config("pt"), reference=clean, seed=7)
     elapsed = time.perf_counter() - t0
-    ok = (pdp_state.k <= 10 and pdp_state.history[-1].err <= 1e-6
-          and pt_state.k <= 12 and pt_state.history[-1].err <= 1e-6
+    ok = (pdp_state.k <= 10 and pdp.records[-1].err <= 1e-6
+          and pt_state.k <= 12 and pt.records[-1].err <= 1e-6
           and elapsed < 60.0)
     check(6, ok,
           f"ALM-PDP {pdp_state.k} outers (<=10), ALM-PT {pt_state.k} outers "
@@ -222,8 +222,8 @@ def test_criterion_8_deblur_improvement():
     for mu in (1e-6, 1e-9):
         cfg = AlmConfig(alpha=0.005, variant=ISO, mu=mu, inner="pdp",
                         outer_tol=1e-5, delta_inner=1e-4)
-        state, _ = alm_run(z, K, cfg, reference=clean)
-        results[mu] = (state.history[-1].err, psnr(state.u, clean))
+        state, report = alm_run(z, K, cfg, reference=clean)
+        results[mu] = (report.records[-1].err, psnr(state.u, clean))
     elapsed = time.perf_counter() - t0
     err6, psnr6 = results[1e-6]
     err9, psnr9 = results[1e-9]

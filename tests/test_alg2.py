@@ -10,7 +10,7 @@ from tvalm.alm import AlmConfig, alm_run
 from tvalm.degrade import DegradeSpec, degrade
 from tvalm.errors import MaxOuterError
 from tvalm.grid import ANISO, ISO
-from tvalm.linops import KrylovConfig, LinearMap, blur_map, cg_solve, h_map, motion_kernel
+from tvalm.linops import KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
 
 
 def noisy_flat(n, noise=0.05, seed=11):
@@ -67,6 +67,8 @@ class TestAlg2:
         monkeypatch.setattr(alg2_module, "project_ball", no_iteration)
         with pytest.raises(ValueError, match="mu > 0"):
             alg2_run(z, blur_map(motion_kernel(3)), 0.1, 0.0, ISO, 1e-6, 100)
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            alg2_run(z, blur_map(motion_kernel(3)), 0.1, float("nan"), ISO, 1e-6, 100)
 
     def test_kernel_less_data_operator_rejected(self):
         z = noisy_flat(8)
@@ -92,6 +94,8 @@ class TestAlg2:
         state, report = alg2_run(z, blur_map(kern), 0.01, 0.05, ISO, 1e-7,
                                  10 ** 5, reference=clean, check_every=25)
         assert report.summary["converged"]
+        # The gap column is the denoising gap, so a deblur leaves it nan.
+        assert all(np.isnan(r.gap) for r in report.records)
 
 
 def blurred_square(kernel):
@@ -124,18 +128,15 @@ class TestProxSolve:
         clean, z = blurred_square(kernel)
         K = blur_map(kernel)
 
-        class CgProx:
-            def __init__(self, mu, K, shape):
-                self.H = h_map(mu, K)
-
+        class CgProx(linops.DataTerm):
             def solve(self, v, tau):
                 A = LinearMap(lambda t: t + tau * self.H.apply(t),
                               lambda t: t + tau * self.H.apply(t), self_adjoint=True)
                 return cg_solve(A, v, KrylovConfig(rel_tol=1e-12, max_iters=20000))[0]
 
         finals = []
-        for inverse in (alg2_module.h_inverse, CgProx):
-            monkeypatch.setattr(alg2_module, "h_inverse", inverse)
+        for data_term in (linops.DataTerm, CgProx):
+            monkeypatch.setattr(alg2_module, "DataTerm", data_term)
             with pytest.raises(MaxOuterError) as err:
                 alg2_run(z, K, 0.01, 0.05, ISO, 1e-14, 200, check_every=50)
             finals.append(err.value.state)

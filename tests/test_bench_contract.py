@@ -1,6 +1,7 @@
-"""The names the benchmark's tracer rebinds exist in tvalm, tracing a solve
-changes none of its numbers, and every benchmark instance passes through
-the correctness gate's operators.
+"""The names the benchmark's tracer rebinds exist in tvalm, tracing a
+denoise or a deblur changes none of its numbers and sees the H applications,
+and every benchmark instance passes through the correctness gate's
+operators.
 
 ``perfbench/tracer.py`` wraps functions and the Newton-system ``LinearMap``
 by name, and ``perfbench/workloads.py`` builds its instances and gate from
@@ -13,11 +14,13 @@ from importlib import import_module
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import tvalm.alg2 as alg2
 import tvalm.alm as alm
 from tvalm.alm import AlmConfig
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
-from tvalm.linops import h_map
+from tvalm.linops import blur_map, h_map, motion_kernel
 from tvalm.metrics import err_total
 from tvalm.report import strip_timing_columns
 
@@ -49,6 +52,32 @@ def test_traced_run_matches_untraced():
     assert np.array_equal(traced_state.u, plain_state.u)
     metrics, _ = layer_metrics(tracer.spans)
     assert metrics["ssn.system.calls"] > 0
+
+
+@pytest.mark.parametrize("solver", ["pdp", "alg2"])
+def test_traced_deblur_matches_untraced(solver):
+    # The deblurring path through the data term: H must still be applied by
+    # the traced linops.h_apply, which the benchmark counts.
+    clean = blocks_image(8, 8, seed=3)
+    kernel = motion_kernel(3)
+    z = degrade(clean, DegradeSpec(noise_std=0.01, blur=kernel, seed=21))
+
+    def run():
+        # Through the modules, as the benchmark calls them.
+        if solver == "alg2":
+            return alg2.alg2_run(z, blur_map(kernel), 0.005, 1e-6, "iso", 1e-5, 500000,
+                                 reference=clean, check_every=10)
+        cfg = AlmConfig(alpha=0.005, mu=1e-6, inner=solver, outer_tol=1e-5)
+        return alm.alm_run(z, blur_map(kernel), cfg, reference=clean)
+
+    plain_state, plain = run()
+    tracer = Tracer()
+    with tracer.tracing():
+        traced_state, traced = run()
+    assert strip_timing_columns(traced.to_csv()) == strip_timing_columns(plain.to_csv())
+    assert np.array_equal(traced_state.u, plain_state.u)
+    metrics, _ = layer_metrics(tracer.spans)
+    assert metrics["linops.h_apply.calls"] > 0
 
 
 def test_gate_operators_build_for_every_workload():

@@ -10,13 +10,17 @@ from tvalm.alm import AlmConfig
 from tvalm.bench import BenchCell, cells_to_csv, cells_to_markdown, run_matrix
 from tvalm.cli import main, run_solver
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
-from tvalm.errors import SolverError
+from tvalm.errors import MaxOuterError, SolverError
 from tvalm.linops import motion_kernel
 from tvalm.metrics import psnr
 from tvalm.pgm import PgmFormatError, load_image, save_image
 from tvalm.report import strip_timing_columns
 
 RNG = np.random.default_rng(13)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"not strict JSON: {name}")
 
 
 class TestPgm:
@@ -90,8 +94,9 @@ class TestDegrade:
         assert np.allclose(degrade(u, spec), want)
 
     def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            DegradeSpec(noise_std=-0.1)
+        for noise in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                DegradeSpec(noise_std=noise)
 
     def test_blocks_image_deterministic(self):
         assert np.array_equal(blocks_image(16, 16, seed=4),
@@ -279,10 +284,34 @@ class TestCliConfig:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload == {"error": "ValueError", "message": "growth_c must exceed 1"}
 
+    @pytest.mark.parametrize("command, flag, word", [
+        ("deblur", "--mu", "mu must be >= 0"), ("deblur", "--noise", "noise_std"),
+        ("denoise", "--noise", "noise_std"), ("denoise", "--growth", "growth_c"),
+        ("denoise", "--sigma-max", "sigma_max")])
+    def test_nan_flag_is_reported(self, tmp_path, capsys, command, flag, word):
+        src = tmp_path / "in.pgm"
+        save_image(src, blocks_image(12, 12, seed=2))
+        blur = ["--blur-len", "3"] if command == "deblur" else []
+        assert main([command, str(src), *blur, flag, "nan", "--out", str(tmp_path / "o.pgm"),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        payload = json.loads(line, parse_constant=_reject_constant)
+        assert payload["error"] == "ValueError"
+        assert word in payload["message"]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_failure_line_is_strict_json(self, capsys):
+        import tvalm.cli as cli
+        assert cli._failure(MaxOuterError("diverged", err=float("nan"))) == 2
+        line = capsys.readouterr().out.strip()
+        payload = json.loads(line, parse_constant=_reject_constant)
+        assert payload["error"] == "MaxOuterError" and payload["err"] == "nan"
+
     @pytest.mark.parametrize("flag, values, word", [
         ("--solvers", "pdp,foo", "'foo'"), ("--variants", "aniso,tv2", "'tv2'"),
         ("--tols", "1e-4,x", "'x'"), ("--tols", "1e-4,0", "outer_tol"),
-        ("--tols", "1e-4,nan", "outer_tol")])
+        ("--tols", "1e-4,nan", "outer_tol"), ("--noise", "-1", "noise_std"),
+        ("--noise", "nan", "noise_std")])
     def test_bench_checks_its_lists_before_the_sweep(self, tiny_corpus, tmp_path, capsys,
                                                      monkeypatch, flag, values, word):
         # A bad entry anywhere in a list ends the command before any cell runs.
@@ -300,6 +329,7 @@ class TestCliConfig:
 
 class TestBenchHarness:
     CFG = AlmConfig(alpha=0.1, sigma_max=16384.0, max_outer=40)
+    SPEC = DegradeSpec(noise_std=0.05, seed=5)
 
     def runner(self, z, clean, solver, variant, tol):
         _, report = run_solver(z, None, solver,
@@ -308,7 +338,7 @@ class TestBenchHarness:
 
     def test_matrix_shape(self):
         images = [("flat", np.full((12, 12), 0.5))]
-        cells = run_matrix(images, ["pdp", "pt"], ["aniso"], [1e-4], 0.05, 5,
+        cells = run_matrix(images, ["pdp", "pt"], ["aniso"], [1e-4], self.SPEC,
                            self.runner)
         assert len(cells) == 2
         assert all(c.error is None for c in cells)
@@ -316,7 +346,7 @@ class TestBenchHarness:
 
     def test_tolerance_ordering(self):
         images = [("flat", np.full((12, 12), 0.5))]
-        cells = run_matrix(images, ["pdp"], ["aniso"], [1e-4, 1e-6], 0.05, 5,
+        cells = run_matrix(images, ["pdp"], ["aniso"], [1e-4, 1e-6], self.SPEC,
                            self.runner)
         by_tol = {c.tol: c.report.summary["iterations"] for c in cells}
         assert by_tol[1e-6] >= by_tol[1e-4]
@@ -328,7 +358,7 @@ class TestBenchHarness:
             return self.runner(z, clean, solver, variant, tol)
 
         images = [("flat", np.full((12, 12), 0.5))]
-        cells = run_matrix(images, ["pdp", "bad"], ["aniso"], [1e-4], 0.05, 5,
+        cells = run_matrix(images, ["pdp", "bad"], ["aniso"], [1e-4], self.SPEC,
                            failing_runner)
         errors = {c.solver: c.error for c in cells}
         assert errors["pdp"] is None

@@ -1,18 +1,15 @@
 """Linear operators and Krylov solvers against dense oracles."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from tvalm.degrade import DegradeSpec
 from tvalm.errors import KrylovError
 from tvalm.grid import ISO, div, grad, inner_x
-from tvalm.linops import (BlurKernel, KrylovConfig, LinearMap, _path_laplacian,
+from tvalm.linops import (BlurKernel, DataTerm, KrylovConfig, LinearMap, _path_laplacian,
                           bicgstab_solve, blur_adjoint, blur_apply, blur_map, cg_solve,
-                          gram_apply, h_apply, h_inverse, h_map, motion_kernel,
-                          newton_forcing_tol)
-from tvalm.ssn import make_context
+                          h_apply, h_map, motion_kernel, newton_forcing_tol)
+from tvalm.ssn import AlmContext
 
 RNG = np.random.default_rng(5150)
 IDENTITY = LinearMap(lambda u: u.copy(), lambda u: u.copy(), self_adjoint=True)
@@ -254,7 +251,7 @@ class TestKroneckerBlur:
         assert not np.shares_memory(blur_adjoint(u, k), u)
 
 
-def _boom(v):
+def _boom(*args):
     raise AssertionError("K or K* applied where the Gram form should run")
 
 
@@ -267,9 +264,13 @@ class TestGramForm:
         k = ORACLE_KERNELS[name]
         v = RNG.normal(size=shape)
         want = blur_adjoint(blur_apply(v, k), k)
-        got = gram_apply(v, blur_map(k))
+        got = DataTerm(np.zeros(shape), blur_map(k)).gram(v)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert not np.shares_memory(got, v)
+
+    def test_identity_gram_is_its_argument(self):
+        v = RNG.normal(size=(4, 5))
+        assert DataTerm(np.zeros((4, 5)), None, 1e-3).gram(v) is v
 
     def test_gram_is_cached(self):
         k = ORACLE_KERNELS["random1x7"]
@@ -288,16 +289,19 @@ class TestGramForm:
         assert np.linalg.norm(h_apply(u, 1e-3, gram_only) - want) <= (
             1e-13 * np.linalg.norm(want))
 
-    def test_newton_system_uses_the_kernel(self):
+    def test_newton_system_uses_the_kernel(self, monkeypatch):
+        import tvalm.linops as linops
         from tvalm.ssn import _image_system
         k = motion_kernel(3)
-        ctx = make_context(RNG.normal(size=(6, 6)), np.zeros((2, 6, 6)), 4.0, 0.1, ISO,
-                           K=blur_map(k), mu=1e-6)
+        data = DataTerm(RNG.normal(size=(6, 6)), blur_map(k), 1e-6)
+        ctx = AlmContext(np.zeros((2, 6, 6)), 4.0, 0.1, ISO, data)
         a = np.full((6, 6), 0.5)
         v = RNG.normal(size=(6, 6))
-        gram_only = LinearMap(_boom, _boom, kernel=k)
-        want = blur_adjoint(blur_apply(v, k), k) - div((a + ctx.mu) * grad(v))
-        got = _image_system(replace(ctx, K=gram_only), a)(v)
+        want = blur_adjoint(blur_apply(v, k), k) - div((a + data.mu) * grad(v))
+        # The blur map's closures look these up at call time.
+        monkeypatch.setattr(linops, "blur_apply", _boom)
+        monkeypatch.setattr(linops, "blur_adjoint", _boom)
+        got = _image_system(ctx, a)(v)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -323,14 +327,14 @@ class TestExactHInverse:
     def test_against_dense_solves(self, kernel, shape):
         K = None if kernel is None else blur_map(kernel)
         for mu in (1e-2, 1e-6):
-            inv = h_inverse(mu, K, shape)
+            data = DataTerm(np.zeros(shape), K, mu)
             Hd = dense_from_map(h_map(mu, K), shape)
             Fs = RNG.normal(size=(3, *shape))
             for tau in (None, 1e-3, 0.35):  # ALG2 starts at 8^(-1/2) and shrinks tau
                 A = Hd if tau is None else np.eye(Hd.shape[0]) + tau * Hd
                 lu = np.linalg.solve(A, Fs.reshape(3, -1).T).T.reshape(Fs.shape)
                 for F, x_lu in zip(Fs, lu):
-                    x = inv.solve(F, tau)
+                    x = data.solve(F, tau)
                     r = _residual(x, F, mu, K, tau)
                     # Backward-stable LU on the assembled matrix sets the
                     # floor: for H at mu = 1e-6 (condition number near 1e6)
@@ -342,30 +346,36 @@ class TestExactHInverse:
 
     @pytest.mark.parametrize("K", [None, blur_map(motion_kernel(5))])
     def test_mu_zero_rejected(self, K):
-        # Without mu, H is the identity or R^T R, which is singular for most
-        # motion blurs (motion_kernel(5) at 8 columns among them).
-        with pytest.raises(ValueError, match="mu > 0"):
-            h_inverse(0.0, K, (8, 8))
+        # Without mu, H is the identity, which needs no inverse, or R^T R,
+        # which is singular for most motion blurs (motion_kernel(5) at 8
+        # columns among them).
         b = RNG.normal(size=(8, 8))
-        ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=0.0)
-        if K is not None:
-            with pytest.raises(ValueError, match="mu > 0"):
-                ctx.solve_h(b)
+        data = DataTerm(b, K, 0.0)
+        if K is None:
+            data.prepare_solve()
+            assert data.solve(b) is b
+        else:
+            for call in (data.prepare_solve, lambda: data.solve(b)):
+                with pytest.raises(ValueError, match="mu > 0"):
+                    call()
+
+    @pytest.mark.parametrize("mu", [-1e-6, float("nan")])
+    def test_invalid_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must be >= 0"):
+            DataTerm(np.ones((4, 4)), blur_map(motion_kernel(3)), mu)
 
     def test_solve_h_uses_the_exact_inverse(self, monkeypatch):
-        import tvalm.ssn as ssn
-        monkeypatch.setattr(ssn, "cg_solve", _boom)
+        import tvalm.linops as linops
+        monkeypatch.setattr(linops, "cg_solve", _boom)
         K, mu = blur_map(motion_kernel(5)), 1e-6
         b = RNG.normal(size=(8, 8))
-        ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=mu)
-        assert _residual(ctx.solve_h(b), b, mu, K) <= 5e-11
+        assert _residual(DataTerm(b, K, mu).solve(b), b, mu, K) <= 5e-11
 
     def test_solve_h_identity_with_mu_uses_the_exact_inverse(self, monkeypatch):
-        import tvalm.ssn as ssn
-        monkeypatch.setattr(ssn, "cg_solve", _boom)
+        import tvalm.linops as linops
+        monkeypatch.setattr(linops, "cg_solve", _boom)
         b = RNG.normal(size=(8, 8))
-        ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, mu=1e-2)
-        assert _residual(ctx.solve_h(b), b, 1e-2, None) <= 1e-13
+        assert _residual(DataTerm(b, None, 1e-2).solve(b), b, 1e-2, None) <= 1e-13
 
 
 class TestHOperator:
@@ -395,31 +405,30 @@ class TestHOperator:
         with pytest.raises(ValueError, match="blur_map"):
             h_map(1e-6, IDENTITY)
         with pytest.raises(ValueError, match="blur_map"):
-            make_context(np.ones((4, 4)), np.zeros((2, 4, 4)), 1.0, 1.0, ISO,
-                         K=IDENTITY, mu=1e-6)
+            DataTerm(np.ones((4, 4)), IDENTITY, 1e-6)
 
 
 class TestHSolve:
-    """H^{-1} actions through AlmContext.solve_h (the exact inverse)."""
+    """H^{-1} actions through DataTerm.solve (the exact inverse)."""
 
     def test_identity_case(self):
         b = RNG.normal(size=(4, 4))
-        ctx = make_context(b, np.zeros((2, 4, 4)), 1.0, 1.0, ISO)
-        assert np.array_equal(ctx.solve_h(b), b)
+        data = DataTerm(b)
+        assert np.array_equal(data.solve(b), b)
+        assert np.array_equal(data.solve(b, 0.25), b / 1.25)
 
     def test_roundtrip_random(self):
         K = blur_map(motion_kernel(5))
         for mu in (1e-6, 1e-9):
             x_true = RNG.normal(size=(8, 8))
             b = h_apply(x_true, mu, K)
-            ctx = make_context(b, np.zeros((2, 8, 8)), 1.0, 1.0, ISO, K=K, mu=mu)
-            x = ctx.solve_h(b)
+            x = DataTerm(b, K, mu).solve(b)
             rel = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
             assert rel <= 10 * 1e-4  # conditioning eats a few digits
 
     def test_zero_rhs(self):
-        ctx = make_context(np.ones((3, 3)), np.zeros((2, 3, 3)), 1.0, 1.0, ISO, mu=1e-6)
-        assert np.all(ctx.solve_h(np.zeros((3, 3))) == 0.0)
+        data = DataTerm(np.ones((3, 3)), None, 1e-6)
+        assert np.all(data.solve(np.zeros((3, 3))) == 0.0)
 
 
 class TestCg:

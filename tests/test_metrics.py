@@ -6,11 +6,13 @@ import pytest
 
 from tvalm.alm import AlmConfig, alm_run
 from tvalm.grid import ANISO, ISO, div, grad, norm_x, pointwise_mag
+from tvalm.linops import DataTerm, blur_map, h_map, motion_kernel
 from tvalm.metrics import (err_total, lambda_feasible, make_record, pd_gap, psnr,
                            res1, res2, res_lambda, res_u)
 from tvalm.prox import project_ball
 
 RNG = np.random.default_rng(2718)
+IDENTITY = h_map(0.0, None)
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +28,12 @@ def saddle():
 class TestResU:
     def test_zero_at_stationary_pair(self, saddle):
         u, lam, f = saddle
-        assert res_u(u, lam, f, None) <= 1e-9
+        assert res_u(u, lam, f, IDENTITY) <= 1e-9
 
     def test_rof_specialization(self):
         u = RNG.normal(size=(4, 4))
         f = RNG.normal(size=(4, 4))
-        assert res_u(u, np.zeros((2, 4, 4)), f, None) == pytest.approx(
+        assert res_u(u, np.zeros((2, 4, 4)), f, IDENTITY) == pytest.approx(
             norm_x(u - f), rel=1e-14)
 
     def test_duplicate_formula(self):
@@ -40,7 +42,7 @@ class TestResU:
         f = RNG.normal(size=(3, 3))
         # independent re-evaluation: H = I, grad^* = -div written out
         want = np.sqrt(np.sum((u - f - div(lam)) ** 2))
-        assert res_u(u, lam, f, None) == pytest.approx(want, abs=1e-14)
+        assert res_u(u, lam, f, IDENTITY) == pytest.approx(want, abs=1e-14)
 
 
 class TestResLambda:
@@ -72,21 +74,21 @@ class TestResLambda:
 class TestErrTotal:
     def test_zero_at_saddle(self, saddle):
         u, lam, f = saddle
-        assert err_total(u, lam, f, None, 0.1, 1.0, ISO) <= 1e-9
+        assert err_total(u, lam, f, IDENTITY, 0.1, 1.0, ISO) <= 1e-9
 
     def test_scaled_sum_arithmetic(self):
         u = RNG.normal(size=(4, 4))
         lam = RNG.normal(size=(2, 4, 4))
         f = RNG.normal(size=(4, 4))
-        total = err_total(u, lam, f, None, 0.2, 1.0, ANISO)
-        parts = (res_u(u, lam, f, None)
+        total = err_total(u, lam, f, IDENTITY, 0.2, 1.0, ANISO)
+        parts = (res_u(u, lam, f, IDENTITY)
                  + res_lambda(u, lam, 0.2, 1.0, ANISO)) / norm_x(f)
         assert total == pytest.approx(parts, rel=1e-14)
 
     def test_zero_f_rejected(self):
         with pytest.raises(ValueError):
             err_total(np.ones((2, 2)), np.zeros((2, 2, 2)), np.zeros((2, 2)),
-                      None, 0.1, 1.0, ISO)
+                      IDENTITY, 0.1, 1.0, ISO)
 
     def test_scale_consistency(self):
         # Scaling (u, lam, f) and alpha jointly by s leaves Err unchanged.
@@ -94,8 +96,8 @@ class TestErrTotal:
         lam = RNG.normal(size=(2, 5, 5))
         f = RNG.normal(size=(5, 5))
         alpha, s = 0.15, 7.5
-        base = err_total(u, lam, f, None, alpha, 1.0, ISO)
-        scaled = err_total(s * u, s * lam, s * f, None, s * alpha, 1.0, ISO)
+        base = err_total(u, lam, f, IDENTITY, alpha, 1.0, ISO)
+        scaled = err_total(s * u, s * lam, s * f, IDENTITY, s * alpha, 1.0, ISO)
         assert scaled == pytest.approx(base, rel=1e-10)
 
 
@@ -187,9 +189,18 @@ class TestMakeRecord:
     def test_record_fields_finite_and_capped(self):
         u = RNG.uniform(size=(4, 4))
         lam = project_ball(RNG.normal(size=(2, 4, 4)), 0.1, ISO)
-        rec = make_record(3, u, lam, u, None, 0.1, ISO, u, 12.5, 4, 7.5)
+        rec = make_record(3, u, lam, DataTerm(u), 0.1, ISO, u, 12.5, 4, 7.5)
         assert rec.psnr == 99.0  # identical reference, display capped
         assert rec.lambda_feasible
         for field in ("res_u", "res_lambda", "err", "res1", "res2", "gap"):
             assert np.isfinite(getattr(rec, field))
         assert rec.k == 3 and rec.inner_newton == 4
+
+    @pytest.mark.parametrize("K, mu", [(None, 1e-3), (blur_map(motion_kernel(3)), 1e-6)])
+    def test_gap_is_nan_unless_denoising(self, K, mu):
+        # pd_gap is the denoising (ROF) gap; it means nothing for other data.
+        u = RNG.uniform(size=(4, 4))
+        lam = project_ball(RNG.normal(size=(2, 4, 4)), 0.1, ISO)
+        rec = make_record(1, u, lam, DataTerm(u, K, mu), 0.1, ISO, u, 1.0, 1, 1.0)
+        assert np.isnan(rec.gap)
+        assert np.isfinite(rec.err) and rec.lambda_feasible

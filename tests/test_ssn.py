@@ -9,9 +9,9 @@ import pytest
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.errors import InnerNewtonError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
-from tvalm.linops import KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
+from tvalm.linops import DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
-from tvalm.ssn import (NewtonState, _pd_fields, make_context, merit_phi, residual_pd,
+from tvalm.ssn import (AlmContext, NewtonState, _pd_fields, merit_phi, residual_pd,
                        residual_pt, solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
 
 RNG = np.random.default_rng(314159)
@@ -19,7 +19,7 @@ TIGHT = KrylovConfig(rel_tol=1e-12, max_iters=50000)
 
 
 def denoise_ctx(z, lam, sigma, alpha, variant):
-    return make_context(z, lam, sigma, alpha, variant)
+    return AlmContext(lam, sigma, alpha, variant, DataTerm(z))
 
 
 def random_instance(n, sigma=4.0, alpha=0.1, variant=ISO, lam_scale=0.05, seed=None):
@@ -36,10 +36,10 @@ def subproblem_oracle(ctx, tol=1e-10, max_iter=400000):
     u - z + grad^*(P_alpha(lam + sigma grad u)), descended with a fixed
     1/(1 + 8 sigma) step until its norm drops below tol.
     """
-    u = ctx.z.copy()
+    u = ctx.data.z.copy()
     step = 1.0 / (1.0 + 8.0 * ctx.sigma)
     for _ in range(max_iter):
-        g = u - ctx.z - div(project_ball(ctx.lam + ctx.sigma * grad(u),
+        g = u - ctx.data.z - div(project_ball(ctx.lam + ctx.sigma * grad(u),
                                          ctx.alpha, ctx.variant))
         if norm_x(g) <= tol:
             return u
@@ -128,7 +128,7 @@ def residual_pt_reference(u, ctx):
             else:
                 s[0, i, j] = np.sign(q1) * max(0.0, abs(q1) - tau)
                 s[1, i, j] = np.sign(q2) * max(0.0, abs(q2) - tau)
-    field = (u - ctx.z) - div(ctx.lam) - ctx.sigma * div(g) + ctx.sigma * div(s)
+    field = (u - ctx.data.z) - div(ctx.lam) - ctx.sigma * div(g) + ctx.sigma * div(s)
     return norm_x(field)
 
 
@@ -290,15 +290,15 @@ class TestSsnpddStep:
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_denoise_step_leaves_inputs_unmodified(self, variant):
-        # With H = I, solve_h returns its argument itself, so nothing on the
+        # With H = I, DataTerm.solve returns its argument itself, so nothing on the
         # PDD path may write into what it returns.
         z, ctx = random_instance(6, variant=variant, seed=11)
         h = project_ball(0.1 * RNG.normal(size=(2, 6, 6)), ctx.alpha, variant)
         st = NewtonState(z + 0.1 * RNG.normal(size=(6, 6)), h, 1.0)
-        f0, z0, lam0, u0, h0 = (ctx.f.copy(), ctx.z.copy(), ctx.lam.copy(),
+        f0, z0, lam0, u0, h0 = (ctx.data.f.copy(), ctx.data.z.copy(), ctx.lam.copy(),
                                 st.u.copy(), st.h.copy())
         ssnpdd_step(st, ctx, TIGHT)
-        for got, want in ((ctx.f, f0), (ctx.z, z0), (ctx.lam, lam0), (st.u, u0),
+        for got, want in ((ctx.data.f, f0), (ctx.data.z, z0), (ctx.lam, lam0), (st.u, u0),
                           (st.h, h0)):
             assert np.array_equal(got, want)
 
@@ -371,7 +371,7 @@ class TestPositiveDefiniteness:
             schur = _pdp_system(*_pd_fields(u0, ctx), h, ctx)
             probe = RNG.normal(size=(n, n))
             lhs = inner_x(schur(probe), probe)
-            rhs = inner_x(ctx.H.apply(probe), probe)
+            rhs = inner_x(ctx.data.H.apply(probe), probe)
             assert lhs >= rhs - 1e-10
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
@@ -388,7 +388,7 @@ class TestPositiveDefiniteness:
             system = _pt_system(u0, ctx)
             probe = RNG.normal(size=(n, n))
             lhs = inner_x(system(probe), probe)
-            rhs = inner_x(ctx.H.apply(probe), probe)
+            rhs = inner_x(ctx.data.H.apply(probe), probe)
             assert lhs >= rhs - 1e-10
 
 
@@ -409,7 +409,7 @@ class TestDerivativeConsistency:
         def F(u, h):
             wq = ctx.lam + sigma * grad(u)
             Uq = np.maximum(1.0, pointwise_mag(wq) / alpha)
-            f1 = u - ctx.f - div(h)
+            f1 = u - ctx.data.f - div(h)
             f2 = Uq * h - wq
             return f1, f2
 
@@ -446,7 +446,7 @@ def pdp_system_oracle(u, h, ctx):
     from tvalm.ssn import _pd_fields
     w, U, coef = _pd_fields(u, ctx)
     b_action = b_action_oracle(w, coef, h, ctx.variant)
-    return lambda v: ctx.H.apply(v) - div((ctx.sigma * grad(v) - b_action(v)) / U)
+    return lambda v: ctx.data.H.apply(v) - div((ctx.sigma * grad(v) - b_action(v)) / U)
 
 
 def pdd_system_oracle(u, h, ctx):
@@ -455,7 +455,7 @@ def pdd_system_oracle(u, h, ctx):
     b_action = b_action_oracle(w, coef, h, ctx.variant)
 
     def system(q):
-        t = ctx.solve_h(div(q))
+        t = ctx.data.solve(div(q))
         return U * q - ctx.sigma * grad(t) + b_action(t)
     return system
 
@@ -473,12 +473,12 @@ def pt_system_oracle(u, ctx):
             dot = q[0] * gd[0] + q[1] * gd[1]
             a_gd = np.where(chi, 1.0 - tau / safe, 0.0) * gd \
                 + np.where(chi, tau / safe ** 3, 0.0) * dot * q
-            return ctx.H.apply(v) - ctx.sigma * div(gd - a_gd)
+            return ctx.data.H.apply(v) - ctx.sigma * div(gd - a_gd)
     else:
         chi = (np.abs(q) >= tau).astype(np.float64)
 
         def system(v):
-            return ctx.H.apply(v) - ctx.sigma * div((1.0 - chi) * grad(v))
+            return ctx.data.H.apply(v) - ctx.sigma * div((1.0 - chi) * grad(v))
     return system
 
 
@@ -501,7 +501,7 @@ class TestAssembledOperators:
         z = np.clip(0.5 + 0.12 * rng.normal(size=(n, n)), 0.0, 1.0)
         lam = project_ball(0.05 * rng.normal(size=(2, n, n)), alpha, variant)
         K = None if kernel is None else blur_map(kernel)
-        ctx = make_context(z, lam, sigma, alpha, variant, K=K, mu=mu)
+        ctx = AlmContext(lam, sigma, alpha, variant, DataTerm(z, K, mu))
         u = 0.5 + 0.03 * rng.normal(size=(n, n))
         h = project_ball(rng.normal(size=(2, n, n)), alpha, variant)
         return ctx, u, h, rng
@@ -586,7 +586,7 @@ class TestSolveSubproblem:
         clean = blocks_image(8, 8, seed=2)
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
         lam = project_ball(0.1 * np.random.default_rng(2).normal(size=(2, 8, 8)), 0.1, ANISO)
-        ctx = make_context(z, lam, 1024.0, 0.1, ANISO)
+        ctx = AlmContext(lam, 1024.0, 0.1, ANISO, DataTerm(z))
         res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pdp", 1e-4)
         assert res.newton_steps == len(res.residuals) - 1 == len(calls) - 1
         assert res.krylov_iters == sum(krylov)
