@@ -68,7 +68,7 @@ def _write_artifacts(u: np.ndarray, report: RunReport, out: str, report_path: st
 def _failure(exc: Exception) -> int:
     """Print a failed run as one strict JSON line; exit code 2."""
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("err", "residual", "iterations"):
+    for attr in ("err", "residual", "iterations", "sigma"):
         if hasattr(exc, attr):
             payload[attr] = getattr(exc, attr)
     print(json.dumps(_strict(payload), sort_keys=True, allow_nan=False))
@@ -76,11 +76,11 @@ def _failure(exc: Exception) -> int:
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    clean = load_image(args.input)
     try:
+        clean = load_image(args.input)
         cfg = _config(args, variant=args.tv, outer_tol=args.tol)
         z = degrade(clean, DegradeSpec(noise_std=args.noise, seed=args.seed))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _failure(exc)
     reference = clean if args.noise > 0 else z
     try:
@@ -93,13 +93,13 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def cmd_deblur(args: argparse.Namespace) -> int:
-    clean = load_image(args.input)
     try:
+        clean = load_image(args.input)
         cfg = _config(args, variant=args.tv, outer_tol=args.tol, mu=args.mu)
         kernel = motion_kernel(args.blur_len)
         z = degrade(clean, DegradeSpec(noise_std=args.noise, blur=kernel, seed=args.seed))
         K = blur_map(kernel)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _failure(exc)
     try:
         state, report = run_solver(z, K, args.solver, cfg, clean, args.seed)
@@ -110,12 +110,22 @@ def cmd_deblur(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_corpus(path: str) -> list[tuple[str, np.ndarray]]:
+    """(name, image) for every PGM in the directory ``path``, by name."""
+    root = Path(path)
+    if not root.is_dir():
+        raise FileNotFoundError(f"corpus directory not found: {path}")
+    return [(p.stem, load_image(p)) for p in sorted(root.glob("*.pgm"))]
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    corpus = sorted(Path(args.corpus).glob("*.pgm"))
-    if not corpus:
+    try:
+        images = _load_corpus(args.corpus)
+    except (OSError, ValueError) as exc:
+        return _failure(exc)
+    if not images:
         print(f"no PGM images found in {args.corpus}", file=sys.stderr)
         return 1
-    images = [(p.stem, load_image(p)) for p in corpus]
     solvers = args.solvers.split(",")
     variants = args.variants.split(",")
     # Every value is checked before the first cell runs: AlmConfig checks

@@ -34,13 +34,21 @@ class LineSearchError(SolverError):
 
 
 class InnerNewtonError(SolverError):
-    """The inner semismooth Newton loop exceeded its iteration cap."""
+    """The inner semismooth Newton loop exceeded its iteration cap.
 
-    def __init__(self, message: str, *, iterations: int, residual: float):
+    Attributes carry the Newton steps taken, the final residual, the
+    subproblem's penalty sigma and its residual history (the starting
+    residual, then one entry per step).
+    """
+
+    def __init__(self, message: str, *, iterations: int, residual: float, sigma: float,
+                 residuals: list[float]):
         super().__init__(f"{message} (residual {residual:.3e} after {iterations} "
-                         f"Newton steps)")
+                         f"Newton steps at sigma {sigma:.6g})")
         self.iterations = iterations
         self.residual = residual
+        self.sigma = sigma
+        self.residuals = residuals
 
 
 class MaxOuterError(SolverError):

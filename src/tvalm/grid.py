@@ -101,13 +101,6 @@ def inner_x(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(u * v))
 
 
-def inner_y(p: np.ndarray, q: np.ndarray) -> float:
-    """Plain pixel-sum inner product on two-channel fields."""
-    if p.shape != q.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
-    return float(np.sum(p * q))
-
-
 def norm_x(u: np.ndarray) -> float:
     return float(np.sqrt(np.sum(u * u)))
 

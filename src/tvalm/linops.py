@@ -2,13 +2,16 @@
 
 Provides the data operator K (correlation with a blur kernel under replicate
 boundary extension, and its adjoint), the restoration operator
-H = -mu*Laplacian + K*K, and unpreconditioned CG / BiCGSTAB with the
-forcing-term rule used to pick inner tolerances for Newton steps.  Every solve
-starts from the zero vector so iteration counts are reproducible.  The
-solvers' inner products are BLAS dot products (np.vdot), and their iterates,
-residuals and search directions are updated in place.  An operator may return
-its argument's own array, so a solver writes only to arrays it allocated, and
-only after its last read of any operator output that may share them.
+H = -mu*Laplacian + K*K, CG for the symmetric Newton systems of ALM-PDP and
+ALM-PT (with an optional Jacobi preconditioner, which PDP uses when
+deblurring), unpreconditioned BiCGSTAB for ALM-PDD's nonsymmetric dual
+system, and the forcing-term rule used to pick inner tolerances for Newton
+steps.  Every solve starts from the zero vector so iteration counts are
+reproducible.  The solvers' inner products are BLAS dot products (np.vdot),
+and their iterates, residuals and search directions are updated in place.  An
+operator may return its argument's own array, so a solver writes only to
+arrays it allocated, and only after its last read of any operator output
+that may share them.
 
 K is one row of odd width w, correlating each image row with the taps
 under replicate extension.  On an M x N image it acts as K u = u R^T with
@@ -213,6 +216,12 @@ class DataTerm:
         """K*K v in Gram form, v (R^T R); v itself for the identity."""
         return v if self.K is None else v @ self.K.kernel.gram(v.shape)
 
+    @cached_property
+    def gram_diagonal(self) -> np.ndarray | float:
+        """The diagonal of K*K on the image: diag(R^T R), one value per
+        column (broadcast over the rows); 1.0 for the identity."""
+        return 1.0 if self.K is None else np.diag(self.K.kernel.gram(self.z.shape))
+
     def energy(self, u: np.ndarray) -> float:
         """The data term at u, evaluated cancellation-free."""
         r = (u - self.z) if self.K is None else (self.K.apply(u) - self.z)
@@ -277,6 +286,7 @@ class _BestIterate:
     tolerances.  When no 1% improvement happens over a window of iterations,
     the solve is declared stagnated: the best iterate is returned if it
     reduced the residual by at least 10x, otherwise the caller gets an error.
+    Only BiCGSTAB, and so only ALM-PDD, accepts iterates this way.
     """
 
     def __init__(self, b_norm: float):
@@ -303,8 +313,13 @@ class _BestIterate:
                           residual=self.best_r / self.b_norm, iterations=it)
 
 
-def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.ndarray, int]:
+def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig,
+             diag: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Conjugate gradients for a self-adjoint positive-definite map.
+
+    With ``diag``, the operator's (positive) diagonal, the iteration is
+    Jacobi-preconditioned: each search direction comes from r / diag.  The
+    stopping test is on the unpreconditioned residual either way.
 
     Returns (x, iterations) with ||A x - b|| <= rel_tol * ||b|| (or the best
     attainable iterate when finite precision stalls the recurrence).  Raises
@@ -317,27 +332,38 @@ def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.ndarray
     tol = cfg.rel_tol * b_norm
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
+    inv_diag = None if diag is None else 1.0 / diag
+    # z is the preconditioned residual; without a preconditioner it is r.
+    z = r if inv_diag is None else r * inv_diag
+    p = z.copy()
     tmp = np.empty_like(b)
-    rs = _dot(r, r)
+    rz = _dot(r, z)
+    r_norm = b_norm
     for it in range(1, cfg.max_iters + 1):
         Ap = A.apply(p)
         pAp = _dot(p, Ap)
         if pAp <= 0.0:
             raise KrylovError("indefinite operator detected", method="cg",
-                              residual=np.sqrt(rs) / b_norm, iterations=it)
-        a = rs / pAp
+                              residual=r_norm / b_norm, iterations=it)
+        a = rz / pAp
         x += np.multiply(a, p, out=tmp)
         r -= np.multiply(a, Ap, out=tmp)
-        rs_new = _dot(r, r)
-        if np.sqrt(rs_new) <= tol:
+        if inv_diag is None:
+            rz_new = _dot(r, r)
+            r_norm = np.sqrt(rz_new)
+        else:
+            r_norm = np.sqrt(_dot(r, r))
+        if r_norm <= tol:
             return x, it
-        # p = r + beta p in place; Ap, which may be p itself, is not read again.
-        p *= rs_new / rs
-        p += r
-        rs = rs_new
+        if inv_diag is not None:
+            np.multiply(r, inv_diag, out=z)
+            rz_new = _dot(r, z)
+        # p = z + beta p in place; Ap, which may be p itself, is not read again.
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
     raise KrylovError("max iterations exceeded", method="cg",
-                      residual=np.sqrt(rs) / b_norm, iterations=cfg.max_iters)
+                      residual=r_norm / b_norm, iterations=cfg.max_iters)
 
 
 def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.ndarray, int]:

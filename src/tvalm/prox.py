@@ -4,16 +4,14 @@ The two operators are the resolvents of the conjugate pair (indicator of the
 radius-``alpha`` ball, ``alpha`` times the l1-type norm) and are linked by the
 Moreau identity
 
-    v = project_ball(v, alpha) + sigma * soft_threshold(v / sigma, alpha / sigma),
-
-which ``moreau_check`` evaluates as a diagnostic.
+    v = project_ball(v, alpha) + sigma * soft_threshold(v / sigma, alpha / sigma).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import ISO, check_variant, norm_y, pointwise_mag
+from .grid import ISO, check_variant, pointwise_mag
 
 
 def project_ball(lam: np.ndarray, alpha: float, variant: str = ISO) -> np.ndarray:
@@ -48,12 +46,3 @@ def soft_threshold(v: np.ndarray, tau: float, variant: str = ISO) -> np.ndarray:
         return v * scale
     return np.sign(v) * np.maximum(0.0, np.abs(v) - tau)
 
-
-def moreau_check(v: np.ndarray, sigma: float, alpha: float, variant: str = ISO) -> float:
-    """Residual norm of the Moreau decomposition of ``v``; ~0 up to rounding."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    recomposed = project_ball(v, alpha, variant) + sigma * soft_threshold(
-        v / sigma, alpha / sigma, variant
-    )
-    return norm_y(v - recomposed)

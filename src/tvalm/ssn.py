@@ -3,8 +3,9 @@
 Three formulations of the same nonlinear optimality system are offered:
 
 * ``ssnpdp_step``: primal-dual Newton eliminating the auxiliary dual field,
-  solving a scalar Schur-complement system for u first (BiCGSTAB), then
-  recovering and projecting the dual iterate.
+  solving the symmetric part of a scalar Schur-complement system for u
+  first (CG, Jacobi-preconditioned when deblurring), then recovering and
+  projecting the dual iterate.
 * ``ssnpdd_step``: the mirrored order, solving the two-channel system for the
   dual field first (BiCGSTAB, nesting H^{-1} actions), then recovering u.
   H^{-1} is ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a
@@ -22,23 +23,30 @@ The image-space Newton systems (the PDP Schur complement and the PT
 derivative) are all of the form H + sigma grad^* D grad with a pointwise D.
 Each is assembled once per Newton step as
 
-    v -> K*K v - div(F grad v),    F g = a g - b (w . g),
+    v -> K*K v - div(F grad v),    F g = a g - b (w . g)  or  a g + off g^T,
 
-with mu folded into a (H = K*K - mu Laplacian), so one Krylov iteration's
-operator application costs one grad, one pointwise flux and one div, plus
-K*K when deblurring (``DataTerm.gram``, one matmul):
+(g^T = (g1, g0)) with mu folded into a (H = K*K - mu Laplacian), so one
+Krylov iteration's operator application costs one grad, one pointwise flux
+and one div, plus K*K when deblurring (``DataTerm.gram``, one matmul):
 
-    system       a                              b                     w
+    system       a                              b or off              w
     PDP aniso    (sigma - coef h) / U           -                     -
-    PDP iso      sigma / U                      coef h / U            w
+    PDP iso      (sigma - coef h_i w_i) / U     off = -coef (h0 w1    -
+                 in channel i                   + h1 w0) / (2U)
     PT aniso     sigma [|q| < tau]              -                     -
-    PT iso       sigma tau / |q| on the active  sigma tau / |q|^3 q   q
-                 set, sigma elsewhere           on the active set
+    PT iso       sigma tau / |q| on the active  b = sigma tau / |q|^3 q
+                 set, sigma elsewhere           on the active set     q
 
 (w = lam + sigma grad u, U and coef from the projection's derivative,
-q = lam / sigma + grad u, tau = alpha / sigma.)  The PDD dual system
-q -> U q - (sigma - B) grad H^{-1} div q likewise takes one grad per
-application.
+q = lam / sigma + grad u, tau = alpha / sigma.)  PDP's Newton flux
+(sigma g - B g) / U is symmetric for aniso; for iso it is
+(sigma / U) g - (coef / U) h (w . g), and the PDP row above is its
+symmetric part (Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006),
+exact where h is parallel to w, as at the solution.  With |h| <= alpha both
+PDP operators are H plus a positive semidefinite term, so CG applies; when
+deblurring it is preconditioned by the operator's closed-form diagonal
+(``_jacobi``).  The PDD dual system q -> U q - (sigma - B) grad H^{-1} div q
+likewise takes one grad per application.
 
 Each step returns the new iterate and the Krylov iterations its linear solve
 took; ``solve_subproblem`` sums both counts for the subproblem.
@@ -142,29 +150,31 @@ def _pd_fields(u: np.ndarray, ctx: AlmContext):
     return w, U, coef
 
 
+def _b_of_grad(g, w, coef, h, variant) -> np.ndarray:
+    """Rank-structured derivative piece B applied to a field with gradient g."""
+    if variant == ISO:
+        return (coef * (w[0] * g[0] + w[1] * g[1])) * h
+    return coef * g * h
+
+
 def _make_b_action(w, coef, h, variant) -> Callable[[np.ndarray], np.ndarray]:
     """Rank-structured derivative piece B: scalar field -> two-channel field."""
-    if variant == ISO:
-        def b_action(v):
-            g = grad(v)
-            return (coef * (w[0] * g[0] + w[1] * g[1])) * h
-    else:
-        def b_action(v):
-            return coef * grad(v) * h
-    return b_action
+    return lambda v: _b_of_grad(grad(v), w, coef, h, variant)
 
 
 def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
-                  w: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
+                  w: np.ndarray | None = None,
+                  off: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """The assembled image-space Newton operator v -> K*K v - div(F grad v).
 
-    F g = (a + mu) g - b (w . g) is the pointwise flux, and K*K comes from the
-    data term (v itself for the identity).  The H = K*K - mu Laplacian part
-    of the system is thus
-    folded in: mu joins a, so each application costs one grad, one flux and
-    one div (plus K*K, in Gram form, when deblurring).  The coefficient
-    fields are fixed for the Newton step; a is one channel (broadcast) or
-    two, b and w two.
+    F g = (a + mu) g - b (w . g) is the pointwise flux, or, given ``off``,
+    the symmetric F g = (a + mu) g + off g^T with g^T = (g1, g0) (a holds the
+    two diagonal entries of F, off the off-diagonal one).  K*K comes from
+    the data term (v itself for the identity).  The H = K*K - mu Laplacian
+    part of the system is thus folded in: mu joins a, so each application
+    costs one grad, one flux and one div (plus K*K, in Gram form, when
+    deblurring).  The coefficient fields are fixed for the Newton step; a is
+    one channel (broadcast) or two, b and w two.
     """
     data = ctx.data
     if data.mu > 0.0:
@@ -172,7 +182,11 @@ def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
 
     def system(v):
         g = grad(v)
-        if b is None:
+        if off is not None:
+            cross = off * g[::-1]
+            flux = np.multiply(a, g, out=g)
+            flux += cross
+        elif b is None:
             flux = np.multiply(a, g, out=g)
         else:
             wg = w[0] * g[0] + w[1] * g[1]
@@ -184,11 +198,52 @@ def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
     return system
 
 
-def _pdp_system(w, U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.ndarray]:
-    """Schur operator of ssnpdp_step, H - div((sigma grad - B) / U)."""
+def _jacobi(ctx: AlmContext, a: np.ndarray, off: np.ndarray | None = None) -> np.ndarray:
+    """Diagonal of the operator ``_image_system(ctx, a, off=off)``.
+
+    With F = [[a0 + mu, off], [off, a1 + mu]] and the grid's zero last row
+    and column of grad, the diagonal of -div(F grad .) at a pixel is
+    m0 F00 + m1 F11 + 2 m0 m1 F01 (m0, m1 masking the last row and column)
+    plus F00 of the pixel above and F11 of the pixel to the left; K*K adds
+    its own diagonal.
+    """
+    mu = ctx.data.mu
+    f00, f11 = a[0] + mu, a[1] + mu
+    d = np.zeros(f00.shape)
+    d[:-1] += f00[:-1]
+    d[1:] += f00[:-1]
+    d[:, :-1] += f11[:, :-1]
+    d[:, 1:] += f11[:, :-1]
+    if off is not None:
+        d[:-1, :-1] += 2.0 * off[:-1, :-1]
+    d += ctx.data.gram_diagonal
+    return d
+
+
+def _pdp_flux(w, U, coef, h, ctx: AlmContext):
+    """The flux of the symmetric part of ssnpdp_step's Schur operator, as
+    ``_image_system``'s (a, off).
+
+    The Newton flux is (sigma g - B g) / U.  aniso: F = (sigma - coef h) / U
+    per channel, already symmetric (off is None).  iso: the flux is
+    (sigma / U) g - (coef / U) h (w . g), whose symmetric part
+    F = (sigma / U) I - (coef / 2U)(h w^T + w h^T) is taken; it equals the
+    flux where h is parallel to w (at the solution, on the active set).
+    Both are positive semidefinite because |h| <= alpha.
+    """
     if ctx.variant == ISO:
-        return _image_system(ctx, ctx.sigma / U, coef * h / U, w)
-    return _image_system(ctx, (ctx.sigma - coef * h) / U)
+        c = coef / U
+        return ctx.sigma / U - c * h * w, -0.5 * c * (h[0] * w[1] + h[1] * w[0])
+    return (ctx.sigma - coef * h) / U, None
+
+
+def _pdp_system(w, U, coef, h, ctx: AlmContext):
+    """The symmetrized Schur operator H - div(F grad .) of ssnpdp_step, and
+    its Jacobi diagonal when the data term blurs (None for K = I, where
+    Jacobi costs more Krylov iterations than it saves)."""
+    a, off = _pdp_flux(w, U, coef, h, ctx)
+    jacobi = None if ctx.data.K is None else _jacobi(ctx, a, off)
+    return _image_system(ctx, a, off=off), jacobi
 
 
 def _pdd_system(w, U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.ndarray]:
@@ -224,20 +279,22 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext,
                 kcfg: KrylovConfig) -> tuple[NewtonState, int]:
     """One u-first primal-dual Newton step (Schur complement in the image).
 
-    The Schur system is solved in increment form (zero Krylov start), so the
-    relative tolerance is measured against the nonlinear residual rather than
-    the full right-hand side; this is what keeps inexact steps local.
+    The increment solves the symmetric part of the Schur system (see
+    ``_pdp_system``) by CG, Jacobi-preconditioned under a blur, from a zero
+    start against the primal residual f - H u + div(w / U); so the relative
+    tolerance is measured against the nonlinear residual, which keeps
+    inexact steps local.  The dual field is recovered from the unsymmetrized
+    linearization.
     """
     u, h = state.u, state.h
     w, U, coef = _pd_fields(u, ctx)
-    b_action = _make_b_action(w, coef, h, ctx.variant)
-    b2 = ctx.lam + b_action(u)
-    system = _pdp_system(w, U, coef, h, ctx)
-    rhs = ctx.data.f + div(b2 / U)
-    delta_u, kit = bicgstab_solve(LinearMap(system, system), rhs - system(u), kcfg)
+    system, jacobi = _pdp_system(w, U, coef, h, ctx)
+    rhs = ctx.data.f - ctx.data.H.apply(u) + div(w / U)
+    delta_u, kit = cg_solve(LinearMap(system, system, self_adjoint=True), rhs, kcfg, jacobi)
     u_new = u + delta_u
 
-    h_pre = (b2 + ctx.sigma * grad(u_new) - b_action(u_new)) / U
+    g = grad(delta_u)
+    h_pre = (w + ctx.sigma * g - _b_of_grad(g, w, coef, h, ctx.variant)) / U
     res = residual_pd(u_new, h_pre, ctx)
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
     return NewtonState(u_new, h_new, res), kit
@@ -385,7 +442,8 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
         if newton_steps >= MAX_NEWTON_STEPS:
             raise InnerNewtonError("inner Newton cap exceeded",
                                    iterations=newton_steps,
-                                   residual=state.inner_residual)
+                                   residual=state.inner_residual,
+                                   sigma=ctx.sigma, residuals=residuals)
         if tight_mode:
             tol = tight_tol
         else:

@@ -13,14 +13,15 @@ import pytest
 from tvalm.alg2 import alg2_run
 from tvalm.alm import AlmConfig, alm_run
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
-from tvalm.grid import ANISO, ISO, div, grad, inner_x, inner_y, norm_x, norm_y
+from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y
 from tvalm.linops import DataTerm, blur_map, motion_kernel
 from tvalm.metrics import psnr
-from tvalm.prox import moreau_check, project_ball, soft_threshold
+from tvalm.prox import project_ball, soft_threshold
 from tvalm.report import strip_timing_columns
 from tvalm.ssn import AlmContext, solve_subproblem
 
-from test_prox import prox_oracle_1d, prox_oracle_iso
+from test_grid import inner_y
+from test_prox import moreau_check, prox_oracle_1d, prox_oracle_iso
 
 STANDARD_IMAGE = Path(__file__).parent / "data" / "standard_256.pgm"
 

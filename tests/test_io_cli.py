@@ -10,7 +10,7 @@ from tvalm.alm import AlmConfig
 from tvalm.bench import BenchCell, cells_to_csv, cells_to_markdown, run_matrix
 from tvalm.cli import main, run_solver
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
-from tvalm.errors import MaxOuterError, SolverError
+from tvalm.errors import InnerNewtonError, MaxOuterError, SolverError
 from tvalm.linops import motion_kernel
 from tvalm.metrics import psnr
 from tvalm.pgm import PgmFormatError, load_image, save_image
@@ -306,6 +306,51 @@ class TestCliConfig:
         line = capsys.readouterr().out.strip()
         payload = json.loads(line, parse_constant=_reject_constant)
         assert payload["error"] == "MaxOuterError" and payload["err"] == "nan"
+
+    def test_inner_newton_failure_reports_sigma(self, capsys):
+        import tvalm.cli as cli
+        exc = InnerNewtonError("inner Newton cap exceeded", iterations=50, residual=2.5,
+                               sigma=1024.0, residuals=[3.0, 2.5])
+        assert cli._failure(exc) == 2
+        payload = json.loads(capsys.readouterr().out.strip(), parse_constant=_reject_constant)
+        assert payload["error"] == "InnerNewtonError"
+        assert (payload["sigma"], payload["residual"], payload["iterations"]) == (1024.0, 2.5, 50)
+        assert "sigma 1024" in payload["message"]
+
+    @pytest.mark.parametrize("command", ["denoise", "deblur"])
+    @pytest.mark.parametrize("source, error", [
+        ("empty", "PgmFormatError"), ("missing", "FileNotFoundError"),
+        ("directory", "IsADirectoryError")])
+    def test_unreadable_input_is_reported(self, tmp_path, capsys, command, source, error):
+        path = {"empty": tmp_path / "empty.pgm", "missing": tmp_path / "none.pgm",
+                "directory": tmp_path}[source]
+        if source == "empty":
+            path.write_bytes(b"")
+        assert main([command, str(path), "--out", str(tmp_path / "o.pgm"),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        payload = json.loads(line, parse_constant=_reject_constant)
+        assert payload["error"] == error
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("source, error", [
+        ("bad image", "PgmFormatError"), ("missing", "FileNotFoundError")])
+    def test_bench_unreadable_corpus_is_reported(self, tiny_corpus, tmp_path, capsys,
+                                                  monkeypatch, source, error):
+        import tvalm.cli as cli
+        cells = []
+        monkeypatch.setattr(cli, "run_solver", lambda *a: cells.append(a))
+        if source == "bad image":
+            (tiny_corpus / "broken.pgm").write_bytes(b"P2\n1 1\n255\n0\n")
+            corpus = tiny_corpus
+        else:
+            corpus = tmp_path / "no-such-corpus"
+        out_dir = tmp_path / "bench"
+        assert main(["bench", str(corpus), "--out-dir", str(out_dir)]) == 2
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        payload = json.loads(line, parse_constant=_reject_constant)
+        assert payload["error"] == error
+        assert cells == [] and not out_dir.exists()
 
     @pytest.mark.parametrize("flag, values, word", [
         ("--solvers", "pdp,foo", "'foo'"), ("--variants", "aniso,tv2", "'tv2'"),

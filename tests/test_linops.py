@@ -471,6 +471,53 @@ class TestCg:
         assert it == 0 and np.all(x == 0.0)
 
 
+class TestJacobiCg:
+    """CG with a diagonal (Jacobi) preconditioner, the fourth argument."""
+
+    @staticmethod
+    def spd_map(n, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(n * n, n * n))
+        # Badly scaled rows and columns, which Jacobi undoes.
+        scale = np.diag(10.0 ** rng.uniform(-2, 2, size=n * n))
+        A = scale @ (M @ M.T + n * n * np.eye(n * n)) @ scale
+        op = lambda u: (A @ u.ravel()).reshape(u.shape)
+        return LinearMap(op, op, self_adjoint=True), A
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    def test_meets_rel_tol_on_the_true_residual(self, rel_tol):
+        n = 4
+        A_map, A = self.spd_map(n, seed=9)
+        b = RNG.normal(size=(n, n))
+        diag = np.diag(A).reshape(n, n)
+        x, it = cg_solve(A_map, b, KrylovConfig(rel_tol=rel_tol, max_iters=500), diag)
+        r = b.ravel() - A @ x.ravel()
+        assert np.linalg.norm(r) <= rel_tol * np.linalg.norm(b)
+        assert np.allclose(x.ravel(), np.linalg.solve(A, b.ravel()),
+                           atol=1e-4 if rel_tol > 1e-8 else 1e-8)
+        _, it_plain = cg_solve(A_map, b, KrylovConfig(rel_tol=rel_tol, max_iters=500))
+        assert it < it_plain
+
+    def test_exact_jacobi_on_a_diagonal_takes_one_iteration(self):
+        d = np.array([[5.0, 1.0, 1e-3], [2.0, 7.5, 40.0]])
+        A = LinearMap(lambda u: d * u, lambda u: d * u, self_adjoint=True)
+        b = RNG.normal(size=d.shape)
+        x, it = cg_solve(A, b, KrylovConfig(rel_tol=1e-12), d)
+        assert it == 1
+        assert np.allclose(x, b / d, rtol=1e-14)
+        # Without it, CG needs about one iteration per distinct eigenvalue.
+        _, it_plain = cg_solve(A, b, KrylovConfig(rel_tol=1e-12))
+        assert it_plain >= d.size
+
+    def test_no_preconditioner_is_the_plain_iteration(self):
+        A_map, _ = self.spd_map(3, seed=4)
+        b = RNG.normal(size=(3, 3))
+        cfg = KrylovConfig(rel_tol=1e-10, max_iters=200)
+        x0, it0 = cg_solve(A_map, b, cfg)
+        x1, it1 = cg_solve(A_map, b, cfg, None)
+        assert it0 == it1 and np.array_equal(x0, x1)
+
+
 class TestBicgstab:
     def test_identity(self):
         b = RNG.normal(size=(4, 4))

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from tvalm.grid import ANISO, ISO, norm_y, pointwise_mag
-from tvalm.prox import moreau_check, project_ball, soft_threshold
+from tvalm.prox import project_ball, soft_threshold
 
 RNG = np.random.default_rng(991)
+
+
+def moreau_check(v, sigma, alpha, variant=ISO):
+    """Residual norm of the Moreau decomposition of ``v``,
+    v = project_ball(v, alpha) + sigma soft_threshold(v / sigma, alpha / sigma);
+    zero up to rounding."""
+    recomposed = project_ball(v, alpha, variant) + sigma * soft_threshold(
+        v / sigma, alpha / sigma, variant)
+    return norm_y(v - recomposed)
 
 
 def pixel(a, b):

@@ -14,6 +14,8 @@ from tvalm.prox import project_ball, soft_threshold
 from tvalm.ssn import (AlmContext, NewtonState, _pd_fields, merit_phi, residual_pd,
                        residual_pt, solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
 
+from test_linops import dense_from_map
+
 RNG = np.random.default_rng(314159)
 TIGHT = KrylovConfig(rel_tol=1e-12, max_iters=50000)
 
@@ -368,7 +370,7 @@ class TestPositiveDefiniteness:
             ctx = denoise_ctx(z, lam, sigma, alpha, variant)
             u0 = RNG.normal(size=(n, n))
             h = project_ball(RNG.normal(size=(2, n, n)), alpha, variant)
-            schur = _pdp_system(*_pd_fields(u0, ctx), h, ctx)
+            schur, _ = _pdp_system(*_pd_fields(u0, ctx), h, ctx)
             probe = RNG.normal(size=(n, n))
             lhs = inner_x(schur(probe), probe)
             rhs = inner_x(ctx.data.H.apply(probe), probe)
@@ -487,6 +489,15 @@ OPERATOR_SETUPS = {
     "motion3-mu1e-6": (motion_kernel(3), 1e-6),
     "identity-mu0.01": (None, 0.01),
 }
+JACOBI_SETUPS = {
+    "identity": (None, 0.0),
+    "motion3-mu1e-3": (motion_kernel(3), 1e-3),
+}
+
+
+def dense_matrix(op, shape):
+    """The matrix of a linear map on images."""
+    return dense_from_map(LinearMap(op, op), shape)
 
 
 class TestAssembledOperators:
@@ -494,8 +505,8 @@ class TestAssembledOperators:
     replace (two grads and an H application per call)."""
 
     @staticmethod
-    def instance(setup, variant, seed=2718):
-        kernel, mu = OPERATOR_SETUPS[setup]
+    def instance(setup, variant, seed=2718, setups=OPERATOR_SETUPS):
+        kernel, mu = setups[setup]
         rng = np.random.default_rng(seed)
         n, sigma, alpha = 8, 4.0, 0.1
         z = np.clip(0.5 + 0.12 * rng.normal(size=(n, n)), 0.0, 1.0)
@@ -513,16 +524,70 @@ class TestAssembledOperators:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
     def test_pdp(self, setup, variant):
+        # PDP solves the symmetric part (A + A^T) / 2 of the Schur operator A.
         from tvalm.ssn import _pd_fields, _pdp_system
-        ctx, u, h, rng = self.instance(setup, variant)
+        ctx, u, h, _ = self.instance(setup, variant)
         w, U, coef = _pd_fields(u, ctx)
         # Both branches of the max term are exercised.
         assert 0.0 < np.mean(coef != 0.0) < 1.0
-        system = _pdp_system(w, U, coef, h, ctx)
-        oracle = pdp_system_oracle(u, h, ctx)
+        system, _ = _pdp_system(w, U, coef, h, ctx)
+        A = dense_matrix(pdp_system_oracle(u, h, ctx), u.shape)
+        if variant == ISO:
+            # Here A is not symmetric, so the symmetric part is a new operator.
+            assert np.linalg.norm(A - A.T) > 1e-3 * np.linalg.norm(A)
+        want = 0.5 * (A + A.T)
+        got = dense_matrix(system, u.shape)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
+    def test_pdp_is_self_adjoint(self, setup, variant):
+        from tvalm.ssn import _pd_fields, _pdp_system
+        ctx, u, h, rng = self.instance(setup, variant)
+        system, _ = _pdp_system(*_pd_fields(u, ctx), h, ctx)
         for _ in range(3):
-            v = rng.normal(size=u.shape)
-            self.assert_matches(system(v), oracle(v))
+            v, x = rng.normal(size=u.shape), rng.normal(size=u.shape)
+            lhs, rhs = inner_x(system(v), x), inner_x(v, system(x))
+            assert abs(lhs - rhs) <= 1e-12 * norm_x(system(v)) * norm_x(x)
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    @pytest.mark.parametrize("setup", sorted(JACOBI_SETUPS))
+    def test_pdp_jacobi_is_the_diagonal(self, setup, variant):
+        from tvalm.ssn import _jacobi, _pd_fields, _pdp_flux, _pdp_system
+        ctx, u, h, _ = self.instance(setup, variant, setups=JACOBI_SETUPS)
+        fields = _pd_fields(u, ctx)
+        system, jacobi = _pdp_system(*fields, h, ctx)
+        want = np.diag(dense_matrix(system, u.shape)).reshape(u.shape)
+        got = _jacobi(ctx, *_pdp_flux(*fields, h, ctx))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # Only a blur gets the preconditioner.
+        if ctx.data.K is None:
+            assert jacobi is None
+        else:
+            assert np.array_equal(jacobi, got)
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
+    def test_pdp_right_hand_side(self, setup, variant, monkeypatch):
+        # The step's Krylov right-hand side f - H u + div(w / U) is the
+        # increment form rhs - A u of the unsymmetrized Schur system.
+        import tvalm.ssn as ssn
+        from tvalm.ssn import _pd_fields
+        ctx, u, h, _ = self.instance(setup, variant)
+        seen = []
+
+        def capture(A, b, cfg, diag=None):
+            seen.append(b.copy())
+            return np.zeros_like(b), 0
+
+        monkeypatch.setattr(ssn, "cg_solve", capture)
+        ssnpdp_step(NewtonState(u, h, 1.0), ctx, TIGHT)
+        w, U, coef = _pd_fields(u, ctx)
+        b_u = b_action_oracle(w, coef, h, variant)(u)
+        rhs = ctx.data.f + div((ctx.lam + b_u) / U)
+        A_u = pdp_system_oracle(u, h, ctx)(u)
+        (got,) = seen
+        assert norm_x(got - (rhs - A_u)) <= 1e-12 * (norm_x(rhs) + norm_x(A_u))
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
@@ -566,8 +631,13 @@ class TestSolveSubproblem:
         import tvalm.ssn as ssn
         monkeypatch.setattr(ssn, "MAX_NEWTON_STEPS", 1)
         z, ctx = random_instance(6, sigma=64.0, seed=3)
-        with pytest.raises(InnerNewtonError):
+        with pytest.raises(InnerNewtonError) as info:
             solve_subproblem(z, np.zeros((2, 6, 6)), ctx, "pdp", 1e-12)
+        # The error carries the subproblem's sigma and residual history.
+        exc = info.value
+        assert exc.sigma == 64.0 and exc.iterations == 1
+        assert len(exc.residuals) == 2 and exc.residuals[-1] == exc.residual
+        assert exc.residuals[0] == residual_pd(z, np.zeros((2, 6, 6)), ctx)
 
     def test_counts_include_the_tight_resolve(self, monkeypatch):
         # At this instance one loose PDP step raises the residual and is redone
