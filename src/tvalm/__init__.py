@@ -11,8 +11,7 @@ from .grid import ANISO, ISO, div, grad, image, inner_x, pointwise_mag, tv_norm
 from .linops import (BlurKernel, DataTerm, KrylovConfig, LinearMap, bicgstab_solve,
                      blur_adjoint, blur_apply, blur_map, cg_solve, h_apply, h_map,
                      motion_kernel, newton_forcing_tol)
-from .metrics import (MetricRecord, err_total, pd_gap, psnr, res1, res2, res_lambda,
-                      res_u)
+from .metrics import MetricRecord, err_total, psnr, res_u
 from .pgm import PgmFormatError, load_image, save_image
 from .prox import project_ball, soft_threshold
 from .report import RunReport

@@ -111,11 +111,15 @@ def cmd_deblur(args: argparse.Namespace) -> int:
 
 
 def _load_corpus(path: str) -> list[tuple[str, np.ndarray]]:
-    """(name, image) for every PGM in the directory ``path``, by name."""
+    """(name, image) for every PGM in the directory ``path``, by name; at
+    least one."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {path}")
-    return [(p.stem, load_image(p)) for p in sorted(root.glob("*.pgm"))]
+    files = sorted(root.glob("*.pgm"))
+    if not files:
+        raise FileNotFoundError(f"no PGM images found in {path}")
+    return [(p.stem, load_image(p)) for p in files]
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -123,9 +127,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         images = _load_corpus(args.corpus)
     except (OSError, ValueError) as exc:
         return _failure(exc)
-    if not images:
-        print(f"no PGM images found in {args.corpus}", file=sys.stderr)
-        return 1
     solvers = args.solvers.split(",")
     variants = args.variants.split(",")
     # Every value is checked before the first cell runs: AlmConfig checks

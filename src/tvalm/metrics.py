@@ -45,13 +45,10 @@ def res_u(u: np.ndarray, lam: np.ndarray, f: np.ndarray, H: LinearMap) -> float:
     return norm_x(H.apply(u) - f - div(lam))
 
 
-def res_lambda(u: np.ndarray, lam: np.ndarray, alpha: float, c0: float, variant: str) -> float:
-    """Dual fixed-point residual ||lam - P_alpha(lam + c0 * grad u)||_F, c0 > 0."""
-    return _res_lambda(grad(u), lam, alpha, c0, variant)
-
-
 def _res_lambda(g: np.ndarray, lam: np.ndarray, alpha: float, c0: float,
                 variant: str) -> float:
+    """Dual fixed-point residual ||lam - P_alpha(lam + c0 g)||_F at g = grad u,
+    c0 > 0."""
     if c0 <= 0.0:
         raise ValueError(f"c0 must be positive, got {c0}")
     return norm_y(lam - project_ball(lam + c0 * g, alpha, variant))
@@ -60,7 +57,7 @@ def _res_lambda(g: np.ndarray, lam: np.ndarray, alpha: float, c0: float,
 def err_total(u: np.ndarray, lam: np.ndarray, f: np.ndarray, H: LinearMap,
               alpha: float, c0: float, variant: str) -> float:
     """Scaled residual sum (res_u + res_lambda) / ||f||_F."""
-    return _err(res_u(u, lam, f, H), res_lambda(u, lam, alpha, c0, variant), f)
+    return _err(res_u(u, lam, f, H), _res_lambda(grad(u), lam, alpha, c0, variant), f)
 
 
 def _err(ru: float, rl: float, f: np.ndarray) -> float:
@@ -80,16 +77,13 @@ def lambda_feasible(lam: np.ndarray, alpha: float, variant: str,
     return bool(np.all(np.abs(lam) <= bound))
 
 
-def res1(u: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
-    """Pixel-wise Fenchel-equality residual ||alpha |grad u| - <lam, grad u>||_F.
+def _res1(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
+    """Pixel-wise Fenchel-equality residual ||alpha |g| - <lam, g>||_F at
+    g = grad u.
 
     The feasibility indicator contributes 0 here; infeasible multipliers are
     flagged on the MetricRecord instead.
     """
-    return _res1(grad(u), lam, alpha, variant)
-
-
-def _res1(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
     check_variant(variant)
     dot = lam[0] * g[0] + lam[1] * g[1]
     if variant == ISO:
@@ -99,17 +93,13 @@ def _res1(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
     return norm_x(per_pixel)
 
 
-def res2(u: np.ndarray, lam: np.ndarray, alpha: float, variant: str = ISO) -> float:
-    """Optimality-system residual ||alpha grad u - |grad u| lam||_F.
+def _res2(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
+    """Optimality-system residual ||alpha g - |g| lam||_F at g = grad u.
 
     iso multiplies the per-pixel Euclidean magnitude into both channels of
     lam; aniso applies the analogous condition channel by channel (which is
     what vanishes at anisotropic saddle points).
     """
-    return _res2(grad(u), lam, alpha, variant)
-
-
-def _res2(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
     check_variant(variant)
     if variant == ISO:
         r = alpha * g - pointwise_mag(g) * lam
@@ -118,20 +108,14 @@ def _res2(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
     return norm_y(r)
 
 
-def pd_gap(u: np.ndarray, lam: np.ndarray, f: np.ndarray, alpha: float,
-           variant: str = ISO) -> float:
-    """Normalized primal-dual gap of the denoising (ROF) model, K = I and
-    mu = 0.
-
-    Returns +inf when lam is infeasible beyond the rounding slack (callers
-    flag the record); otherwise the gap divided by the pixel count.
-    """
-    return _pd_gap(u, grad(u), lam, f, alpha, variant,
-                   lambda_feasible(lam, alpha, variant))
-
-
 def _pd_gap(u: np.ndarray, g: np.ndarray, lam: np.ndarray, f: np.ndarray,
             alpha: float, variant: str, feasible: bool) -> float:
+    """Normalized primal-dual gap of the denoising (ROF) model, K = I and
+    mu = 0, at g = grad u.
+
+    Returns +inf when lam is not ``feasible`` (callers flag the record);
+    otherwise the gap divided by the pixel count.
+    """
     if not feasible:
         return float("inf")
     raw = (

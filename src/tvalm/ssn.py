@@ -11,8 +11,9 @@ Three formulations of the same nonlinear optimality system are offered:
   H^{-1} is ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a
   blur.
 * ``ssnpt_step``: a primal Newton step through the soft-thresholding operator
-  with CG on the self-adjoint generalized derivative and an Armijo
-  backtracking line search on the merit function.
+  with CG on the self-adjoint generalized derivative (Jacobi-preconditioned
+  when deblurring) and an Armijo backtracking line search on the merit
+  function.
 
 Active sets use the tie convention s = 1: a pixel (or channel) counts as
 active exactly where |multiplier + sigma * gradient| >= alpha.  Divisions by
@@ -20,33 +21,32 @@ vanishing magnitudes are guarded; any term carrying an inactive mask factor is
 evaluated as zero there.
 
 The image-space Newton systems (the PDP Schur complement and the PT
-derivative) are all of the form H + sigma grad^* D grad with a pointwise D.
-Each is assembled once per Newton step as
+derivative) are all of the form H + sigma grad^* D grad with a pointwise
+symmetric D.  ``_image_system`` assembles each once per Newton step as
 
-    v -> K*K v - div(F grad v),    F g = a g - b (w . g)  or  a g + off g^T,
+    v -> K*K v - div(F grad v),    F = [[a0, off], [off, a1]],
 
-(g^T = (g1, g0)) with mu folded into a (H = K*K - mu Laplacian), so one
-Krylov iteration's operator application costs one grad, one pointwise flux
-and one div, plus K*K when deblurring (``DataTerm.gram``, one matmul):
+with mu folded into a (H = K*K - mu Laplacian), so one Krylov iteration's
+operator application costs one grad, one pointwise flux and one div, plus
+K*K when deblurring (``DataTerm.gram``, one matmul).  The tensors are
 
-    system       a                              b or off              w
-    PDP aniso    (sigma - coef h) / U           -                     -
-    PDP iso      (sigma - coef h_i w_i) / U     off = -coef (h0 w1    -
-                 in channel i                   + h1 w0) / (2U)
-    PT aniso     sigma [|q| < tau]              -                     -
-    PT iso       sigma tau / |q| on the active  b = sigma tau / |q|^3 q
-                 set, sigma elsewhere           on the active set     q
+    PDP aniso   (sigma - coef h) / U, per channel
+    PDP iso     (sigma / U) I - (coef / 2U)(h w^T + w h^T)
+    PT aniso    sigma [|q| < tau], per channel
+    PT iso      sigma tau (I / |q| - q q^T / |q|^3) on the active set,
+                sigma I elsewhere
 
 (w = lam + sigma grad u, U and coef from the projection's derivative,
 q = lam / sigma + grad u, tau = alpha / sigma.)  PDP's Newton flux
 (sigma g - B g) / U is symmetric for aniso; for iso it is
-(sigma / U) g - (coef / U) h (w . g), and the PDP row above is its
-symmetric part (Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006),
-exact where h is parallel to w, as at the solution.  With |h| <= alpha both
-PDP operators are H plus a positive semidefinite term, so CG applies; when
-deblurring it is preconditioned by the operator's closed-form diagonal
-(``_jacobi``).  The PDD dual system q -> U q - (sigma - B) grad H^{-1} div q
-likewise takes one grad per application.
+(sigma / U) g - (coef / U) h (w . g), and the tensor above is its symmetric
+part (Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006), exact where h
+is parallel to w, as at the solution.  With |h| <= alpha every tensor is
+positive semidefinite, so CG applies to each operator; when deblurring it is
+preconditioned by the operator's closed-form diagonal (``_jacobi``), and
+``_image_system`` is where that is decided.  The PDD dual system
+q -> U q - (sigma - B) grad H^{-1} div q likewise takes one grad per
+application.
 
 Each step returns the new iterate and the Krylov iterations its linear solve
 took; ``solve_subproblem`` sums both counts for the subproblem.
@@ -157,24 +157,19 @@ def _b_of_grad(g, w, coef, h, variant) -> np.ndarray:
     return coef * g * h
 
 
-def _make_b_action(w, coef, h, variant) -> Callable[[np.ndarray], np.ndarray]:
-    """Rank-structured derivative piece B: scalar field -> two-channel field."""
-    return lambda v: _b_of_grad(grad(v), w, coef, h, variant)
+def _image_system(ctx: AlmContext, a: np.ndarray,
+                  off: np.ndarray | None = None) -> tuple[LinearMap, np.ndarray | None]:
+    """The assembled image-space Newton operator v -> K*K v - div(F grad v),
+    and its Jacobi diagonal when the data term blurs (None for K = I, where
+    Jacobi costs more Krylov iterations than it saves).
 
-
-def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
-                  w: np.ndarray | None = None,
-                  off: np.ndarray | None = None) -> Callable[[np.ndarray], np.ndarray]:
-    """The assembled image-space Newton operator v -> K*K v - div(F grad v).
-
-    F g = (a + mu) g - b (w . g) is the pointwise flux, or, given ``off``,
-    the symmetric F g = (a + mu) g + off g^T with g^T = (g1, g0) (a holds the
-    two diagonal entries of F, off the off-diagonal one).  K*K comes from
-    the data term (v itself for the identity).  The H = K*K - mu Laplacian
-    part of the system is thus folded in: mu joins a, so each application
-    costs one grad, one flux and one div (plus K*K, in Gram form, when
-    deblurring).  The coefficient fields are fixed for the Newton step; a is
-    one channel (broadcast) or two, b and w two.
+    F is the pointwise symmetric flux F g = (a + mu) g + off g^T with
+    g^T = (g1, g0): a holds F's two diagonal entries, off (None for zero) the
+    off-diagonal one.  K*K comes from the data term (v itself for the
+    identity).  The H = K*K - mu Laplacian part of the system is thus folded
+    in: mu joins a, so each application costs one grad, one flux and one div
+    (plus K*K, in Gram form, when deblurring).  The coefficient fields are
+    fixed for the Newton step.
     """
     data = ctx.data
     if data.mu > 0.0:
@@ -182,33 +177,29 @@ def _image_system(ctx: AlmContext, a: np.ndarray, b: np.ndarray | None = None,
 
     def system(v):
         g = grad(v)
-        if off is not None:
+        if off is None:
+            flux = np.multiply(a, g, out=g)
+        else:
             cross = off * g[::-1]
             flux = np.multiply(a, g, out=g)
             flux += cross
-        elif b is None:
-            flux = np.multiply(a, g, out=g)
-        else:
-            wg = w[0] * g[0] + w[1] * g[1]
-            flux = np.multiply(a, g, out=g)
-            flux -= b * wg
         out = div(flux)
         # K*K may return its input's array, so the difference goes into out.
         return np.subtract(data.gram(v), out, out=out)
-    return system
+    jacobi = None if data.K is None else _jacobi(data, a, off)
+    return LinearMap(system, system, self_adjoint=True), jacobi
 
 
-def _jacobi(ctx: AlmContext, a: np.ndarray, off: np.ndarray | None = None) -> np.ndarray:
-    """Diagonal of the operator ``_image_system(ctx, a, off=off)``.
+def _jacobi(data: DataTerm, a: np.ndarray, off: np.ndarray | None) -> np.ndarray:
+    """Diagonal of ``_image_system``'s operator, given a with mu folded in.
 
-    With F = [[a0 + mu, off], [off, a1 + mu]] and the grid's zero last row
-    and column of grad, the diagonal of -div(F grad .) at a pixel is
+    With F = [[a0, off], [off, a1]] and the grid's zero last row and column
+    of grad, the diagonal of -div(F grad .) at a pixel is
     m0 F00 + m1 F11 + 2 m0 m1 F01 (m0, m1 masking the last row and column)
     plus F00 of the pixel above and F11 of the pixel to the left; K*K adds
     its own diagonal.
     """
-    mu = ctx.data.mu
-    f00, f11 = a[0] + mu, a[1] + mu
+    f00, f11 = a[0], a[1]
     d = np.zeros(f00.shape)
     d[:-1] += f00[:-1]
     d[1:] += f00[:-1]
@@ -216,13 +207,13 @@ def _jacobi(ctx: AlmContext, a: np.ndarray, off: np.ndarray | None = None) -> np
     d[:, 1:] += f11[:, :-1]
     if off is not None:
         d[:-1, :-1] += 2.0 * off[:-1, :-1]
-    d += ctx.data.gram_diagonal
+    d += data.gram_diagonal
     return d
 
 
 def _pdp_flux(w, U, coef, h, ctx: AlmContext):
-    """The flux of the symmetric part of ssnpdp_step's Schur operator, as
-    ``_image_system``'s (a, off).
+    """The flux (a, off) of the symmetric part of ssnpdp_step's Schur
+    operator.
 
     The Newton flux is (sigma g - B g) / U.  aniso: F = (sigma - coef h) / U
     per channel, already symmetric (off is None).  iso: the flux is
@@ -235,15 +226,6 @@ def _pdp_flux(w, U, coef, h, ctx: AlmContext):
         c = coef / U
         return ctx.sigma / U - c * h * w, -0.5 * c * (h[0] * w[1] + h[1] * w[0])
     return (ctx.sigma - coef * h) / U, None
-
-
-def _pdp_system(w, U, coef, h, ctx: AlmContext):
-    """The symmetrized Schur operator H - div(F grad .) of ssnpdp_step, and
-    its Jacobi diagonal when the data term blurs (None for K = I, where
-    Jacobi costs more Krylov iterations than it saves)."""
-    a, off = _pdp_flux(w, U, coef, h, ctx)
-    jacobi = None if ctx.data.K is None else _jacobi(ctx, a, off)
-    return _image_system(ctx, a, off=off), jacobi
 
 
 def _pdd_system(w, U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.ndarray]:
@@ -280,7 +262,7 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext,
     """One u-first primal-dual Newton step (Schur complement in the image).
 
     The increment solves the symmetric part of the Schur system (see
-    ``_pdp_system``) by CG, Jacobi-preconditioned under a blur, from a zero
+    ``_pdp_flux``) by CG, Jacobi-preconditioned under a blur, from a zero
     start against the primal residual f - H u + div(w / U); so the relative
     tolerance is measured against the nonlinear residual, which keeps
     inexact steps local.  The dual field is recovered from the unsymmetrized
@@ -288,9 +270,9 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext,
     """
     u, h = state.u, state.h
     w, U, coef = _pd_fields(u, ctx)
-    system, jacobi = _pdp_system(w, U, coef, h, ctx)
+    system, jacobi = _image_system(ctx, *_pdp_flux(w, U, coef, h, ctx))
     rhs = ctx.data.f - ctx.data.H.apply(u) + div(w / U)
-    delta_u, kit = cg_solve(LinearMap(system, system, self_adjoint=True), rhs, kcfg, jacobi)
+    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
     u_new = u + delta_u
 
     g = grad(delta_u)
@@ -309,11 +291,10 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     """
     u, h = state.u, state.h
     w, U, coef = _pd_fields(u, ctx)
-    b_action = _make_b_action(w, coef, h, ctx.variant)
-    b2 = ctx.lam + b_action(u)
-    f_inv = ctx.data.solve(ctx.data.f)
+    b2 = ctx.lam + _b_of_grad(grad(u), w, coef, h, ctx.variant)
+    g_inv = grad(ctx.data.solve(ctx.data.f))
     system = _pdd_system(w, U, coef, h, ctx)
-    rhs = b2 + ctx.sigma * grad(f_inv) - b_action(f_inv)
+    rhs = b2 + ctx.sigma * g_inv - _b_of_grad(g_inv, w, coef, h, ctx.variant)
     delta_h, kit = bicgstab_solve(LinearMap(system, system), rhs - system(h), kcfg)
     h_pre = h + delta_h
 
@@ -347,12 +328,15 @@ def residual_pt(u: np.ndarray, ctx: AlmContext) -> float:
     return norm_x(_pt_residual_field(u, ctx))
 
 
-def _pt_system(u: np.ndarray, ctx: AlmContext) -> Callable[[np.ndarray], np.ndarray]:
-    """Self-adjoint generalized derivative H + sigma grad^* (I - A) grad.
+def _pt_flux(u: np.ndarray, ctx: AlmContext):
+    """The flux (a, off) of PT's self-adjoint generalized derivative
+    H + sigma grad^* (I - A) grad.
 
-    aniso: I - A keeps the inactive channels, |q| < tau.  iso: on the
-    active pixels, I - A = (tau/|q|) I - (tau/|q|^3) q q^T (the shrinkage
-    derivative's rank-one correction); inactive pixels keep I.
+    aniso: I - A keeps the inactive channels, |q| < tau (off is None).  iso:
+    on the active pixels, I - A = (tau/|q|) I - (tau/|q|^3) q q^T (the
+    shrinkage derivative's rank-one correction), so with b = sigma tau q / |q|^3
+    the diagonal is sigma tau / |q| - b q per channel and the off-diagonal
+    -b0 q1; inactive pixels keep sigma I.
     """
     tau = ctx.alpha / ctx.sigma
     q = ctx.lam_over_sigma + grad(u)
@@ -362,8 +346,8 @@ def _pt_system(u: np.ndarray, ctx: AlmContext) -> Callable[[np.ndarray], np.ndar
         safe = np.where(chi, np.where(mag > 0.0, mag, 1.0), 1.0)
         a = ctx.sigma * np.where(chi, tau / safe, 1.0)
         b = (ctx.sigma * np.where(chi, tau / safe ** 3, 0.0)) * q
-        return _image_system(ctx, a, b, q)
-    return _image_system(ctx, ctx.sigma * (np.abs(q) < tau))
+        return a - b * q, -b[0] * q[1]
+    return ctx.sigma * (np.abs(q) < tau), None
 
 
 def ssnpt_step(state: NewtonState, ctx: AlmContext,
@@ -371,8 +355,8 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext,
     """One primal Newton step with Armijo backtracking on the merit function."""
     u = state.u
     f_res = _pt_residual_field(u, ctx)
-    system = _pt_system(u, ctx)
-    delta_u, kit = cg_solve(LinearMap(system, system, self_adjoint=True), -f_res, kcfg)
+    system, jacobi = _image_system(ctx, *_pt_flux(u, ctx))
+    delta_u, kit = cg_solve(system, -f_res, kcfg, jacobi)
 
     # The residual field is a generalized gradient of the merit at u.
     slope = inner_x(f_res, delta_u)
@@ -380,19 +364,16 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext,
     eta = ARMIJO_ETA0
     # Near the solution the predicted decrease falls below the merit's
     # floating-point resolution; take the plain Newton step there.
-    if abs(ARMIJO_MU * slope) <= 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
-        u_new = u + eta * delta_u
-        res = residual_pt(u_new, ctx)
-        return NewtonState(u_new, state.h, res), kit
-    phi_trial = merit_phi(u + eta * delta_u, ctx)
-    backtracks = 0
-    while phi_trial > phi0 + ARMIJO_MU * eta * slope:
-        backtracks += 1
-        eta *= ARMIJO_THETA
-        if backtracks > ARMIJO_MAX_BACKTRACKS or eta < 1e-12:
-            raise LineSearchError("Armijo backtracking failed",
-                                  phi0=phi0, phi_last=phi_trial, eta=eta)
+    if abs(ARMIJO_MU * slope) > 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
         phi_trial = merit_phi(u + eta * delta_u, ctx)
+        backtracks = 0
+        while phi_trial > phi0 + ARMIJO_MU * eta * slope:
+            backtracks += 1
+            eta *= ARMIJO_THETA
+            if backtracks > ARMIJO_MAX_BACKTRACKS or eta < 1e-12:
+                raise LineSearchError("Armijo backtracking failed",
+                                      phi0=phi0, phi_last=phi_trial, eta=eta)
+            phi_trial = merit_phi(u + eta * delta_u, ctx)
 
     u_new = u + eta * delta_u
     res = residual_pt(u_new, ctx)

@@ -118,7 +118,7 @@ def test_criterion_2_prox_projection():
 
 
 def test_criterion_3_positive_definiteness():
-    from tvalm.ssn import _make_b_action, _pd_fields, _pt_system
+    from tvalm.ssn import _b_of_grad, _image_system, _pd_fields, _pt_flux
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -134,12 +134,12 @@ def test_criterion_3_positive_definiteness():
         h = project_ball(rng.normal(size=(2, n, n)), alpha, variant)
         probe = rng.normal(size=(n, n))
         w, U, coef = _pd_fields(u0, ctx)
-        b_action = _make_b_action(w, coef, h, variant)
-        schur = lambda v: ctx.data.H.apply(v) - div((sigma * grad(v) - b_action(v)) / U)
-        pt_sys = _pt_system(u0, ctx)
+        schur = lambda v: ctx.data.H.apply(v) - div(
+            (sigma * grad(v) - _b_of_grad(grad(v), w, coef, h, variant)) / U)
+        pt_sys, _ = _image_system(ctx, *_pt_flux(u0, ctx))
         h_quad = inner_x(ctx.data.H.apply(probe), probe)
         worst = max(worst, h_quad - inner_x(schur(probe), probe))
-        worst = max(worst, h_quad - inner_x(pt_sys(probe), probe))
+        worst = max(worst, h_quad - inner_x(pt_sys.apply(probe), probe))
     elapsed = time.perf_counter() - t0
     check(3, worst <= 1e-10 and elapsed < 10.0,
           f"max H-dominance violation {worst:.2e}, {elapsed:.2f}s")

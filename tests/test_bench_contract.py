@@ -51,10 +51,12 @@ def test_traced_run_matches_untraced():
     assert strip_timing_columns(traced.to_csv()) == strip_timing_columns(plain.to_csv())
     assert np.array_equal(traced_state.u, plain_state.u)
     metrics, _ = layer_metrics(tracer.spans)
-    assert metrics["ssn.system.calls"] > 0
+    # Every CG iteration applies the Newton system once, through the traced
+    # ssn.LinearMap; an operator built outside it would read 0 here.
+    assert metrics["ssn.system.calls"] == metrics["linops.krylov.iters"] > 0
 
 
-@pytest.mark.parametrize("solver", ["pdp", "alg2"])
+@pytest.mark.parametrize("solver", ["pdp", "pt", "alg2"])
 def test_traced_deblur_matches_untraced(solver):
     # The deblurring path through the data term: H must still be applied by
     # the traced linops.h_apply, which the benchmark counts.
@@ -78,6 +80,8 @@ def test_traced_deblur_matches_untraced(solver):
     assert np.array_equal(traced_state.u, plain_state.u)
     metrics, _ = layer_metrics(tracer.spans)
     assert metrics["linops.h_apply.calls"] > 0
+    if solver != "alg2":
+        assert metrics["ssn.system.calls"] == metrics["linops.krylov.iters"] > 0
 
 
 def test_gate_operators_build_for_every_workload():

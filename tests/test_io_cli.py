@@ -334,7 +334,8 @@ class TestCliConfig:
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("source, error", [
-        ("bad image", "PgmFormatError"), ("missing", "FileNotFoundError")])
+        ("bad image", "PgmFormatError"), ("missing", "FileNotFoundError"),
+        ("no image", "FileNotFoundError")])
     def test_bench_unreadable_corpus_is_reported(self, tiny_corpus, tmp_path, capsys,
                                                   monkeypatch, source, error):
         import tvalm.cli as cli
@@ -343,6 +344,9 @@ class TestCliConfig:
         if source == "bad image":
             (tiny_corpus / "broken.pgm").write_bytes(b"P2\n1 1\n255\n0\n")
             corpus = tiny_corpus
+        elif source == "no image":
+            corpus = tmp_path / "empty-corpus"
+            corpus.mkdir()
         else:
             corpus = tmp_path / "no-such-corpus"
         out_dir = tmp_path / "bench"

@@ -295,13 +295,13 @@ class TestGramForm:
         k = motion_kernel(3)
         data = DataTerm(RNG.normal(size=(6, 6)), blur_map(k), 1e-6)
         ctx = AlmContext(np.zeros((2, 6, 6)), 4.0, 0.1, ISO, data)
-        a = np.full((6, 6), 0.5)
+        a = np.full((2, 6, 6), 0.5)
         v = RNG.normal(size=(6, 6))
         want = blur_adjoint(blur_apply(v, k), k) - div((a + data.mu) * grad(v))
         # The blur map's closures look these up at call time.
         monkeypatch.setattr(linops, "blur_apply", _boom)
         monkeypatch.setattr(linops, "blur_adjoint", _boom)
-        got = _image_system(ctx, a)(v)
+        got = _image_system(ctx, a)[0].apply(v)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 

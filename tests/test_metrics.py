@@ -7,12 +7,29 @@ import pytest
 from tvalm.alm import AlmConfig, alm_run
 from tvalm.grid import ANISO, ISO, div, grad, norm_x, pointwise_mag
 from tvalm.linops import DataTerm, blur_map, h_map, motion_kernel
-from tvalm.metrics import (err_total, lambda_feasible, make_record, pd_gap, psnr,
-                           res1, res2, res_lambda, res_u)
+from tvalm.metrics import (_pd_gap, _res1, _res2, _res_lambda, err_total, lambda_feasible,
+                           make_record, psnr, res_u)
 from tvalm.prox import project_ball
 
 RNG = np.random.default_rng(2718)
 IDENTITY = h_map(0.0, None)
+
+
+# The residual suite at an image u, as make_record evaluates it from grad u.
+def res_lambda(u, lam, alpha, c0, variant):
+    return _res_lambda(grad(u), lam, alpha, c0, variant)
+
+
+def res1(u, lam, alpha, variant):
+    return _res1(grad(u), lam, alpha, variant)
+
+
+def res2(u, lam, alpha, variant=ISO):
+    return _res2(grad(u), lam, alpha, variant)
+
+
+def pd_gap(u, lam, f, alpha, variant=ISO):
+    return _pd_gap(u, grad(u), lam, f, alpha, variant, lambda_feasible(lam, alpha, variant))
 
 
 @pytest.fixture(scope="module")

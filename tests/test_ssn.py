@@ -360,7 +360,6 @@ class TestPositiveDefiniteness:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_pdp_schur_dominates_h(self, variant):
         # With feasible h the Schur complement is bounded below by H.
-        from tvalm.ssn import _pd_fields, _pdp_system
         for trial in range(25):
             n = int(RNG.integers(2, 7))
             z = RNG.normal(size=(n, n))
@@ -370,15 +369,14 @@ class TestPositiveDefiniteness:
             ctx = denoise_ctx(z, lam, sigma, alpha, variant)
             u0 = RNG.normal(size=(n, n))
             h = project_ball(RNG.normal(size=(2, n, n)), alpha, variant)
-            schur, _ = _pdp_system(*_pd_fields(u0, ctx), h, ctx)
+            schur, _ = newton_system("pdp", u0, h, ctx)
             probe = RNG.normal(size=(n, n))
-            lhs = inner_x(schur(probe), probe)
+            lhs = inner_x(schur.apply(probe), probe)
             rhs = inner_x(ctx.data.H.apply(probe), probe)
             assert lhs >= rhs - 1e-10
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_pt_operator_dominates_h(self, variant):
-        from tvalm.ssn import _pt_system
         for trial in range(25):
             n = int(RNG.integers(2, 7))
             z = RNG.normal(size=(n, n))
@@ -387,9 +385,9 @@ class TestPositiveDefiniteness:
             lam = project_ball(RNG.normal(size=(2, n, n)), alpha, variant)
             ctx = denoise_ctx(z, lam, sigma, alpha, variant)
             u0 = RNG.normal(size=(n, n))
-            system = _pt_system(u0, ctx)
+            system, _ = newton_system("pt", u0, None, ctx)
             probe = RNG.normal(size=(n, n))
-            lhs = inner_x(system(probe), probe)
+            lhs = inner_x(system.apply(probe), probe)
             rhs = inner_x(ctx.data.H.apply(probe), probe)
             assert lhs >= rhs - 1e-10
 
@@ -398,7 +396,7 @@ class TestDerivativeConsistency:
     def test_pdp_jacobian_matches_finite_differences(self):
         # Full two-row Newton derivative against central differences of the
         # nonlinear map, at a point with no active-set ties.
-        from tvalm.ssn import _make_b_action, _pd_fields
+        from tvalm.ssn import _b_of_grad
         n, sigma, alpha = 4, 3.0, 0.2
         z = RNG.normal(size=(n, n))
         lam = project_ball(0.15 * RNG.normal(size=(2, n, n)), alpha, ISO)
@@ -415,13 +413,12 @@ class TestDerivativeConsistency:
             f2 = Uq * h - wq
             return f1, f2
 
-        b_action = _make_b_action(w, coef, h0, ISO)
         checked = 0
         for _ in range(10):
             du = RNG.normal(size=(n, n))
             dh = RNG.normal(size=(2, n, n))
             v1 = du - div(dh)
-            v2 = -sigma * grad(du) + b_action(du) + U * dh
+            v2 = -sigma * grad(du) + _b_of_grad(grad(du), w, coef, h0, ISO) + U * dh
             t = 1e-6
             f1p, f2p = F(u0 + t * du, h0 + t * dh)
             f1m, f2m = F(u0 - t * du, h0 - t * dh)
@@ -484,6 +481,22 @@ def pt_system_oracle(u, ctx):
     return system
 
 
+def newton_flux(solver, u, h, ctx):
+    """The pointwise tensor (a, off) of ssnpdp_step's or ssnpt_step's CG
+    operator at (u, h)."""
+    from tvalm.ssn import _pdp_flux, _pt_flux
+    if solver == "pdp":
+        return _pdp_flux(*_pd_fields(u, ctx), h, ctx)
+    return _pt_flux(u, ctx)
+
+
+def newton_system(solver, u, h, ctx):
+    """ssnpdp_step's or ssnpt_step's CG operator at (u, h) and its Jacobi
+    diagonal, as the step builds them."""
+    from tvalm.ssn import _image_system
+    return _image_system(ctx, *newton_flux(solver, u, h, ctx))
+
+
 OPERATOR_SETUPS = {
     "identity": (None, 0.0),
     "motion3-mu1e-6": (motion_kernel(3), 1e-6),
@@ -525,46 +538,50 @@ class TestAssembledOperators:
     @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
     def test_pdp(self, setup, variant):
         # PDP solves the symmetric part (A + A^T) / 2 of the Schur operator A.
-        from tvalm.ssn import _pd_fields, _pdp_system
         ctx, u, h, _ = self.instance(setup, variant)
         w, U, coef = _pd_fields(u, ctx)
         # Both branches of the max term are exercised.
         assert 0.0 < np.mean(coef != 0.0) < 1.0
-        system, _ = _pdp_system(w, U, coef, h, ctx)
+        system, _ = newton_system("pdp", u, h, ctx)
         A = dense_matrix(pdp_system_oracle(u, h, ctx), u.shape)
         if variant == ISO:
             # Here A is not symmetric, so the symmetric part is a new operator.
             assert np.linalg.norm(A - A.T) > 1e-3 * np.linalg.norm(A)
         want = 0.5 * (A + A.T)
-        got = dense_matrix(system, u.shape)
+        got = dense_from_map(system, u.shape)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
     def test_pdp_is_self_adjoint(self, setup, variant):
-        from tvalm.ssn import _pd_fields, _pdp_system
+        # PT's operator comes from the same builder and is checked here too.
         ctx, u, h, rng = self.instance(setup, variant)
-        system, _ = _pdp_system(*_pd_fields(u, ctx), h, ctx)
-        for _ in range(3):
-            v, x = rng.normal(size=u.shape), rng.normal(size=u.shape)
-            lhs, rhs = inner_x(system(v), x), inner_x(v, system(x))
-            assert abs(lhs - rhs) <= 1e-12 * norm_x(system(v)) * norm_x(x)
+        for solver in ("pdp", "pt"):
+            system, _ = newton_system(solver, u, h, ctx)
+            assert system.self_adjoint
+            for _ in range(3):
+                v, x = rng.normal(size=u.shape), rng.normal(size=u.shape)
+                Av = system.apply(v)
+                lhs, rhs = inner_x(Av, x), inner_x(v, system.apply(x))
+                assert abs(lhs - rhs) <= 1e-12 * norm_x(Av) * norm_x(x), solver
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(JACOBI_SETUPS))
     def test_pdp_jacobi_is_the_diagonal(self, setup, variant):
-        from tvalm.ssn import _jacobi, _pd_fields, _pdp_flux, _pdp_system
+        # PT's operator comes from the same builder and is checked here too.
+        from tvalm.ssn import _jacobi
         ctx, u, h, _ = self.instance(setup, variant, setups=JACOBI_SETUPS)
-        fields = _pd_fields(u, ctx)
-        system, jacobi = _pdp_system(*fields, h, ctx)
-        want = np.diag(dense_matrix(system, u.shape)).reshape(u.shape)
-        got = _jacobi(ctx, *_pdp_flux(*fields, h, ctx))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        # Only a blur gets the preconditioner.
-        if ctx.data.K is None:
-            assert jacobi is None
-        else:
-            assert np.array_equal(jacobi, got)
+        for solver in ("pdp", "pt"):
+            system, jacobi = newton_system(solver, u, h, ctx)
+            want = np.diag(dense_from_map(system, u.shape)).reshape(u.shape)
+            a, off = newton_flux(solver, u, h, ctx)
+            got = _jacobi(ctx.data, a + ctx.data.mu, off)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), solver
+            # Only a blur gets the preconditioner.
+            if ctx.data.K is None:
+                assert jacobi is None
+            else:
+                assert np.array_equal(jacobi, got)
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
@@ -605,23 +622,21 @@ class TestAssembledOperators:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
     def test_pt(self, setup, variant):
-        from tvalm.ssn import _pt_system
         ctx, u, _, rng = self.instance(setup, variant)
         q = ctx.lam / ctx.sigma + grad(u)
         mag = pointwise_mag(q) if variant == ISO else np.abs(q)
         assert 0.0 < np.mean(mag >= ctx.alpha / ctx.sigma) < 1.0
-        system = _pt_system(u, ctx)
+        system, _ = newton_system("pt", u, None, ctx)
         oracle = pt_system_oracle(u, ctx)
         for _ in range(3):
             v = rng.normal(size=u.shape)
-            self.assert_matches(system(v), oracle(v))
+            self.assert_matches(system.apply(v), oracle(v))
 
     def test_identity_data_operator_leaves_argument_untouched(self):
-        from tvalm.ssn import _pt_system
         ctx, u, _, rng = self.instance("identity", ISO)
         v = rng.normal(size=u.shape)
         v_before = v.copy()
-        out = _pt_system(u, ctx)(v)
+        out = newton_system("pt", u, None, ctx)[0].apply(v)
         assert out is not v
         assert np.array_equal(v, v_before)
 
