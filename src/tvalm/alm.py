@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import MaxOuterError
+from .errors import MaxOuterError, SolverError
 from .grid import check_variant, grad
 from .linops import DataTerm, LinearMap
 from .metrics import make_record
@@ -86,7 +86,9 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     given, against ``z`` otherwise.  Raises ValueError before the first
     iteration for ALM-PDD on a blur with mu = 0 (H is singular there), and
     MaxOuterError (carrying the final state) when ``max_outer`` iterations
-    do not reach ``outer_tol``.
+    do not reach ``outer_tol``.  Any other SolverError, raised by a
+    subproblem solve, gets the attributes ``outer`` (the 1-based outer
+    iteration) and ``sigma`` (its penalty) before it propagates.
     """
     ref = z if reference is None else reference
 
@@ -105,7 +107,11 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
         ctx = AlmContext(lam, sigma, cfg.alpha, cfg.variant, data)
-        inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner)
+        try:
+            inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner)
+        except SolverError as exc:
+            exc.outer, exc.sigma = k + 1, sigma
+            raise
         u, h = inner.state.u, inner.state.h
 
         gu = grad(u)

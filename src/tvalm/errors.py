@@ -4,7 +4,12 @@ from __future__ import annotations
 
 
 class SolverError(RuntimeError):
-    """Base class for every failure raised by this package's solvers."""
+    """Base class for every failure raised by this package's solvers.
+
+    A failure inside an ALM subproblem also carries ``outer``, the 1-based
+    outer iteration, and ``sigma``, that iteration's penalty (set by
+    ``alm.alm_run``).
+    """
 
 
 class KrylovError(SolverError):

@@ -20,6 +20,12 @@ the term).  So each channel is one contiguous pass, and inputs in any memory
 layout are read through a C-ordered view or copy.  The results are
 bit-identical, signed zeros included, to the 2-D slice definitions
 documented on each function.
+
+The two TV variants differ only in how a vector field's two channels are
+grouped pointwise: per pixel (iso, the Euclidean magnitude) or per channel
+(aniso, the absolute value).  ``magnitude`` and ``direction`` are the only
+pointwise code that knows this; the projection, the shrinkage, the TV value,
+the residuals and the Newton derivatives are written once through them.
 """
 
 from __future__ import annotations
@@ -114,13 +120,31 @@ def pointwise_mag(p: np.ndarray) -> np.ndarray:
     return np.sqrt(p[0] * p[0] + p[1] * p[1])
 
 
-def tv_norm(p: np.ndarray, variant: str = ISO) -> float:
-    """Total-variation value of a vector field.
+def magnitude(p: np.ndarray, variant: str) -> np.ndarray:
+    """Pointwise magnitude of a vector field, grouped as the TV variant
+    groups the two channels.
 
-    iso: sum of per-pixel Euclidean magnitudes; aniso: sum of per-channel
-    absolute values.
+    iso: the per-pixel Euclidean magnitude, shape (1, M, N); aniso: each
+    channel's absolute value, shape (2, M, N).  Either broadcasts against p.
     """
     check_variant(variant)
     if variant == ISO:
-        return float(np.sum(pointwise_mag(p)))
-    return float(np.sum(np.abs(p)))
+        return pointwise_mag(p)[None]
+    return np.abs(p)
+
+
+def direction(p: np.ndarray, variant: str) -> np.ndarray:
+    """p divided by its ``magnitude``, 0 where that is 0: the per-pixel unit
+    vector (iso) or the per-channel sign (aniso)."""
+    check_variant(variant)
+    if variant == ISO:
+        mag = pointwise_mag(p)
+        return p / np.where(mag > 0.0, mag, 1.0)
+    return np.sign(p)
+
+
+def tv_norm(p: np.ndarray, variant: str = ISO) -> float:
+    """Total-variation value of a vector field, the sum of its ``magnitude``:
+    per-pixel Euclidean magnitudes (iso) or per-channel absolute values
+    (aniso)."""
+    return float(np.sum(magnitude(p, variant)))

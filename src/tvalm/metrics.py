@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ISO, check_variant, div, grad, norm_x, norm_y, pointwise_mag, tv_norm
+from .grid import div, grad, magnitude, norm_x, norm_y, tv_norm
 from .linops import DataTerm, LinearMap
 from .prox import project_ball
 
@@ -69,43 +69,31 @@ def _err(ru: float, rl: float, f: np.ndarray) -> float:
 
 def lambda_feasible(lam: np.ndarray, alpha: float, variant: str,
                     slack: float = FEAS_SLACK) -> bool:
-    """Dual feasibility up to a relative rounding slack."""
-    check_variant(variant)
-    bound = alpha * (1.0 + slack)
-    if variant == ISO:
-        return bool(np.all(pointwise_mag(lam) <= bound))
-    return bool(np.all(np.abs(lam) <= bound))
+    """Dual feasibility, |lam| <= alpha pointwise (the variant's
+    ``magnitude``), up to a relative rounding slack."""
+    return bool(np.all(magnitude(lam, variant) <= alpha * (1.0 + slack)))
 
 
 def _res1(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
     """Pixel-wise Fenchel-equality residual ||alpha |g| - <lam, g>||_F at
-    g = grad u.
+    g = grad u, with |g| the variant's magnitude summed over its channels.
 
     The feasibility indicator contributes 0 here; infeasible multipliers are
     flagged on the MetricRecord instead.
     """
-    check_variant(variant)
     dot = lam[0] * g[0] + lam[1] * g[1]
-    if variant == ISO:
-        per_pixel = alpha * pointwise_mag(g) - dot
-    else:
-        per_pixel = alpha * (np.abs(g[0]) + np.abs(g[1])) - dot
-    return norm_x(per_pixel)
+    return norm_x(alpha * magnitude(g, variant).sum(0) - dot)
 
 
 def _res2(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
     """Optimality-system residual ||alpha g - |g| lam||_F at g = grad u.
 
-    iso multiplies the per-pixel Euclidean magnitude into both channels of
-    lam; aniso applies the analogous condition channel by channel (which is
-    what vanishes at anisotropic saddle points).
+    |g| is the variant's ``magnitude``: iso multiplies the per-pixel
+    Euclidean magnitude into both channels of lam; aniso applies the
+    analogous condition channel by channel (which is what vanishes at
+    anisotropic saddle points).
     """
-    check_variant(variant)
-    if variant == ISO:
-        r = alpha * g - pointwise_mag(g) * lam
-    else:
-        r = alpha * g - np.abs(g) * lam
-    return norm_y(r)
+    return norm_y(alpha * g - magnitude(g, variant) * lam)
 
 
 def _pd_gap(u: np.ndarray, g: np.ndarray, lam: np.ndarray, f: np.ndarray,

@@ -5,44 +5,38 @@ radius-``alpha`` ball, ``alpha`` times the l1-type norm) and are linked by the
 Moreau identity
 
     v = project_ball(v, alpha) + sigma * soft_threshold(v / sigma, alpha / sigma).
+
+Both are written once, through ``grid.magnitude`` and ``grid.direction``,
+which group the channels per pixel (iso) or per channel (aniso).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import ISO, check_variant, pointwise_mag
+from .grid import ISO, direction, magnitude
 
 
 def project_ball(lam: np.ndarray, alpha: float, variant: str = ISO) -> np.ndarray:
-    """Project a vector field onto the feasible dual set.
+    """Project a vector field onto the feasible dual set,
+    lam / max(1, |lam| / alpha) with |.| the variant's ``magnitude``.
 
-    iso: per-pixel scaling lam / max(1, |lam| / alpha); aniso: the same
-    channel by channel.  The max(1, .) form is kept as written so the
-    active/inactive pixel split matches the Newton-derivative masks exactly.
+    The max(1, .) form is kept as written so the active/inactive split
+    matches the Newton-derivative masks exactly.
     """
-    check_variant(variant)
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if variant == ISO:
-        denom = np.maximum(1.0, pointwise_mag(lam) / alpha)
-        return lam / denom
-    return lam / np.maximum(1.0, np.abs(lam) / alpha)
+    return lam / np.maximum(1.0, magnitude(lam, variant) / alpha)
 
 
 def soft_threshold(v: np.ndarray, tau: float, variant: str = ISO) -> np.ndarray:
-    """Shrink a vector field by ``tau`` (the prox of tau * ||.||_1).
+    """Shrink a vector field by ``tau`` (the prox of tau * ||.||_1):
+    direction(v) * max(0, |v| - tau), 0 where |v| = 0.
 
-    iso: per-pixel v * max(0, 1 - tau/|v|), with output 0 where |v| = 0;
-    aniso: scalar three-branch shrinkage per channel.
+    For aniso this is the scalar three-branch shrinkage per channel, whose
+    exact form keeps PT's linear multiplier update inside the dual ball;
+    the equivalent v * max(0, 1 - tau / |v|) does not.
     """
-    check_variant(variant)
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if variant == ISO:
-        mag = pointwise_mag(v)
-        safe = np.where(mag > 0.0, mag, 1.0)
-        scale = np.where(mag > 0.0, np.maximum(0.0, 1.0 - tau / safe), 0.0)
-        return v * scale
-    return np.sign(v) * np.maximum(0.0, np.abs(v) - tau)
-
+    return direction(v, variant) * np.maximum(0.0, magnitude(v, variant) - tau)

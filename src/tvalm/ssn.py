@@ -15,37 +15,36 @@ Three formulations of the same nonlinear optimality system are offered:
   when deblurring) and an Armijo backtracking line search on the merit
   function.
 
-Active sets use the tie convention s = 1: a pixel (or channel) counts as
-active exactly where |multiplier + sigma * gradient| >= alpha.  Divisions by
-vanishing magnitudes are guarded; any term carrying an inactive mask factor is
-evaluated as zero there.
+All three linearize the same map, the projection P_alpha onto the dual ball:
+with w = lam + sigma grad u, U = max(1, |w| / alpha) and |.| the variant's
+``grid.magnitude``, P_alpha(w) = w / U.  Active sets use the tie convention
+s = 1: a pixel (or channel) counts as active exactly where |w| >= alpha, and
+there the derivative weight is coef = (sigma / alpha) direction(w).  PT's
+shrinkage S_tau (tau = alpha / sigma) is I - P_alpha by the Moreau identity,
+so lam + sigma (grad u - S_tau(lam / sigma + grad u)) = P_alpha(w): PT's
+residual and derivative are PDP's at the projected dual h = P_alpha(w).
 
 The image-space Newton systems (the PDP Schur complement and the PT
-derivative) are all of the form H + sigma grad^* D grad with a pointwise
+derivative) are of the form H + sigma grad^* D grad with a pointwise
 symmetric D.  ``_image_system`` assembles each once per Newton step as
 
     v -> K*K v - div(F grad v),    F = [[a0, off], [off, a1]],
 
 with mu folded into a (H = K*K - mu Laplacian), so one Krylov iteration's
 operator application costs one grad, one pointwise flux and one div, plus
-K*K when deblurring (``DataTerm.gram``, one matmul).  The tensors are
+K*K when deblurring (``DataTerm.gram``, one matmul).  The tensor is the
+symmetric part of PDP's Newton flux (sigma g - B g) / U, with B g = coef g h
+per channel (aniso) or (coef . g) h (iso):
 
-    PDP aniso   (sigma - coef h) / U, per channel
-    PDP iso     (sigma / U) I - (coef / 2U)(h w^T + w h^T)
-    PT aniso    sigma [|q| < tau], per channel
-    PT iso      sigma tau (I / |q| - q q^T / |q|^3) on the active set,
-                sigma I elsewhere
+    a = (sigma - coef h) / U per channel,  off = -(h0 coef1 + h1 coef0) / 2U
 
-(w = lam + sigma grad u, U and coef from the projection's derivative,
-q = lam / sigma + grad u, tau = alpha / sigma.)  PDP's Newton flux
-(sigma g - B g) / U is symmetric for aniso; for iso it is
-(sigma / U) g - (coef / U) h (w . g), and the tensor above is its symmetric
-part (Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006), exact where h
-is parallel to w, as at the solution.  With |h| <= alpha every tensor is
-positive semidefinite, so CG applies to each operator; when deblurring it is
-preconditioned by the operator's closed-form diagonal (``_jacobi``), and
-``_image_system`` is where that is decided.  The PDD dual system
-q -> U q - (sigma - B) grad H^{-1} div q likewise takes one grad per
+(off is iso only).  For aniso the flux is already symmetric; for iso the
+symmetric part (Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006) is
+exact where h is parallel to w, as at the solution and in every PT step.
+With |h| <= alpha the tensor is positive semidefinite, so CG applies; when
+deblurring it is preconditioned by the operator's closed-form diagonal
+(``_jacobi``), and ``_image_system`` is where that is decided.  The PDD dual
+system q -> U q - (sigma - B) grad H^{-1} div q likewise takes one grad per
 application.
 
 Each step returns the new iterate and the Krylov iterations its linear solve
@@ -69,7 +68,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InnerNewtonError, LineSearchError
-from .grid import ISO, check_variant, div, grad, inner_x, norm_x, norm_y, pointwise_mag, tv_norm
+from .grid import (ISO, check_variant, direction, div, grad, inner_x, magnitude, norm_x,
+                   norm_y, tv_norm)
 from .linops import (DataTerm, KrylovConfig, LinearMap, bicgstab_solve, cg_solve,
                      newton_forcing_tol)
 from .prox import project_ball, soft_threshold
@@ -89,7 +89,7 @@ class AlmContext:
     lam is the current multiplier, sigma the penalty, and ``data`` the run's
     data term (``linops.DataTerm``: f = K* z, H, K*K and solves with H).
 
-    The multiplier terms of the PT path (lam / sigma, div(lam) and
+    The multiplier terms of PT's merit (lam / sigma and
     ||lam||^2 / (2 sigma)) are computed once per context; ``replace`` makes a
     new context with an empty cache, and lam must not be written in place.
     """
@@ -110,10 +110,6 @@ class AlmContext:
         return self.lam / self.sigma
 
     @cached_property
-    def div_lam(self) -> np.ndarray:
-        return div(self.lam)
-
-    @cached_property
     def lam_energy(self) -> float:
         """||lam||^2 / (2 sigma), the constant term of the merit."""
         return norm_y(self.lam) ** 2 / (2.0 * self.sigma)
@@ -131,29 +127,24 @@ class NewtonState:
 def _pd_fields(u: np.ndarray, ctx: AlmContext):
     """Shared primal-dual quantities at the current iterate.
 
-    Returns (w, U, coef) where w = lam + sigma grad u, U = max(1, |w|/alpha)
-    (scalar per pixel for iso, per channel for aniso) and coef is the guarded
-    Newton-derivative weight of the max term.
+    Returns (w, U, coef): w = lam + sigma grad u, U = max(1, |w| / alpha)
+    with |.| the variant's ``magnitude`` (so w / U = P_alpha(w)), and
+    coef = (sigma / alpha) direction(w) on the active set |w| >= alpha,
+    0 elsewhere: the Newton-derivative weight of the max term, a vector
+    field.
     """
     w = ctx.lam + ctx.sigma * grad(u)
-    if ctx.variant == ISO:
-        mag = pointwise_mag(w)
-        U = np.maximum(1.0, mag / ctx.alpha)
-        chi = mag >= ctx.alpha
-        safe = np.where(mag > 0.0, mag, 1.0)
-        coef = np.where(chi, (ctx.sigma / ctx.alpha) / safe, 0.0)
-    else:
-        aw = np.abs(w)
-        U = np.maximum(1.0, aw / ctx.alpha)
-        chi = aw >= ctx.alpha
-        coef = np.where(chi, (ctx.sigma / ctx.alpha) * np.sign(w), 0.0)
+    mag = magnitude(w, ctx.variant)
+    U = np.maximum(1.0, mag / ctx.alpha)
+    coef = np.where(mag >= ctx.alpha, (ctx.sigma / ctx.alpha) * direction(w, ctx.variant), 0.0)
     return w, U, coef
 
 
-def _b_of_grad(g, w, coef, h, variant) -> np.ndarray:
-    """Rank-structured derivative piece B applied to a field with gradient g."""
+def _b_of_grad(g, coef, h, variant) -> np.ndarray:
+    """Rank-structured derivative piece B applied to a field with gradient g:
+    (coef . g) h per pixel (iso), coef g h per channel (aniso)."""
     if variant == ISO:
-        return (coef * (w[0] * g[0] + w[1] * g[1])) * h
+        return (coef[0] * g[0] + coef[1] * g[1]) * h
     return coef * g * h
 
 
@@ -211,33 +202,32 @@ def _jacobi(data: DataTerm, a: np.ndarray, off: np.ndarray | None) -> np.ndarray
     return d
 
 
-def _pdp_flux(w, U, coef, h, ctx: AlmContext):
+def _pdp_flux(U, coef, h, ctx: AlmContext):
     """The flux (a, off) of the symmetric part of ssnpdp_step's Schur
     operator.
 
-    The Newton flux is (sigma g - B g) / U.  aniso: F = (sigma - coef h) / U
-    per channel, already symmetric (off is None).  iso: the flux is
-    (sigma / U) g - (coef / U) h (w . g), whose symmetric part
-    F = (sigma / U) I - (coef / 2U)(h w^T + w h^T) is taken; it equals the
-    flux where h is parallel to w (at the solution, on the active set).
-    Both are positive semidefinite because |h| <= alpha.
+    The Newton flux is (sigma g - B g) / U.  Its symmetric part has the
+    diagonal a = (sigma - coef h) / U per channel; iso couples the channels
+    through the off-diagonal -(h0 coef1 + h1 coef0) / 2U (aniso: None).  The
+    part equals the flux where h is parallel to w (at the solution, on the
+    active set), and is positive semidefinite because |h| <= alpha.
     """
+    a = (ctx.sigma - coef * h) / U
     if ctx.variant == ISO:
-        c = coef / U
-        return ctx.sigma / U - c * h * w, -0.5 * c * (h[0] * w[1] + h[1] * w[0])
-    return (ctx.sigma - coef * h) / U, None
+        return a, -0.5 * (h[0] * coef[1] + h[1] * coef[0]) / U[0]
+    return a, None
 
 
-def _pdd_system(w, U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.ndarray]:
+def _pdd_system(U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.ndarray]:
     """Dual operator of ssnpdd_step, q -> U q - sigma grad t + B t with
     t = H^{-1} div q, taking grad t once."""
     if ctx.variant == ISO:
         def system(q):
             g = grad(ctx.data.solve(div(q)))
-            wg = w[0] * g[0] + w[1] * g[1]
+            bg = _b_of_grad(g, coef, h, ISO)
             out = U * q
             out -= np.multiply(ctx.sigma, g, out=g)
-            out += (coef * wg) * h
+            out += bg
             return out
     else:
         scale = ctx.sigma - coef * h
@@ -248,6 +238,11 @@ def _pdd_system(w, U, coef, h, ctx: AlmContext) -> Callable[[np.ndarray], np.nda
             out -= np.multiply(scale, g, out=g)
             return out
     return system
+
+
+def _primal_rhs(u: np.ndarray, p: np.ndarray, ctx: AlmContext) -> np.ndarray:
+    """f - H u + div p: the primal residual at dual field p, negated."""
+    return ctx.data.f - ctx.data.H.apply(u) + div(p)
 
 
 def residual_pd(u: np.ndarray, h: np.ndarray, ctx: AlmContext) -> float:
@@ -270,13 +265,12 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext,
     """
     u, h = state.u, state.h
     w, U, coef = _pd_fields(u, ctx)
-    system, jacobi = _image_system(ctx, *_pdp_flux(w, U, coef, h, ctx))
-    rhs = ctx.data.f - ctx.data.H.apply(u) + div(w / U)
-    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
+    system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, h, ctx))
+    delta_u, kit = cg_solve(system, _primal_rhs(u, w / U, ctx), kcfg, jacobi)
     u_new = u + delta_u
 
     g = grad(delta_u)
-    h_pre = (w + ctx.sigma * g - _b_of_grad(g, w, coef, h, ctx.variant)) / U
+    h_pre = (w + ctx.sigma * g - _b_of_grad(g, coef, h, ctx.variant)) / U
     res = residual_pd(u_new, h_pre, ctx)
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
     return NewtonState(u_new, h_new, res), kit
@@ -291,10 +285,10 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     """
     u, h = state.u, state.h
     w, U, coef = _pd_fields(u, ctx)
-    b2 = ctx.lam + _b_of_grad(grad(u), w, coef, h, ctx.variant)
+    b2 = ctx.lam + _b_of_grad(grad(u), coef, h, ctx.variant)
     g_inv = grad(ctx.data.solve(ctx.data.f))
-    system = _pdd_system(w, U, coef, h, ctx)
-    rhs = b2 + ctx.sigma * g_inv - _b_of_grad(g_inv, w, coef, h, ctx.variant)
+    system = _pdd_system(U, coef, h, ctx)
+    rhs = b2 + ctx.sigma * g_inv - _b_of_grad(g_inv, coef, h, ctx.variant)
     delta_h, kit = bicgstab_solve(LinearMap(system, system), rhs - system(h), kcfg)
     h_pre = h + delta_h
 
@@ -317,49 +311,31 @@ def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
     )
 
 
-def _pt_residual_field(u: np.ndarray, ctx: AlmContext) -> np.ndarray:
-    g = grad(u)
-    s = soft_threshold(ctx.lam_over_sigma + g, ctx.alpha / ctx.sigma, ctx.variant)
-    return ctx.data.H.apply(u) - ctx.data.f - ctx.div_lam - ctx.sigma * div(g - s)
-
-
 def residual_pt(u: np.ndarray, ctx: AlmContext) -> float:
-    """Norm of the primal nonlinear residual through the soft threshold."""
-    return norm_x(_pt_residual_field(u, ctx))
-
-
-def _pt_flux(u: np.ndarray, ctx: AlmContext):
-    """The flux (a, off) of PT's self-adjoint generalized derivative
-    H + sigma grad^* (I - A) grad.
-
-    aniso: I - A keeps the inactive channels, |q| < tau (off is None).  iso:
-    on the active pixels, I - A = (tau/|q|) I - (tau/|q|^3) q q^T (the
-    shrinkage derivative's rank-one correction), so with b = sigma tau q / |q|^3
-    the diagonal is sigma tau / |q| - b q per channel and the off-diagonal
-    -b0 q1; inactive pixels keep sigma I.
-    """
-    tau = ctx.alpha / ctx.sigma
-    q = ctx.lam_over_sigma + grad(u)
-    if ctx.variant == ISO:
-        mag = pointwise_mag(q)
-        chi = mag >= tau
-        safe = np.where(chi, np.where(mag > 0.0, mag, 1.0), 1.0)
-        a = ctx.sigma * np.where(chi, tau / safe, 1.0)
-        b = (ctx.sigma * np.where(chi, tau / safe ** 3, 0.0)) * q
-        return a - b * q, -b[0] * q[1]
-    return ctx.sigma * (np.abs(q) < tau), None
+    """Norm of the primal nonlinear residual through the soft threshold,
+    H u - f - div lam - sigma div(grad u - S_tau(lam / sigma + grad u)),
+    evaluated as H u - f - div P_alpha(lam + sigma grad u)."""
+    w, U, _ = _pd_fields(u, ctx)
+    return norm_x(_primal_rhs(u, w / U, ctx))
 
 
 def ssnpt_step(state: NewtonState, ctx: AlmContext,
                kcfg: KrylovConfig) -> tuple[NewtonState, int]:
-    """One primal Newton step with Armijo backtracking on the merit function."""
-    u = state.u
-    f_res = _pt_residual_field(u, ctx)
-    system, jacobi = _image_system(ctx, *_pt_flux(u, ctx))
-    delta_u, kit = cg_solve(system, -f_res, kcfg, jacobi)
+    """One primal Newton step with Armijo backtracking on the merit function.
 
-    # The residual field is a generalized gradient of the merit at u.
-    slope = inner_x(f_res, delta_u)
+    The step solves PDP's system at the projected dual p = P_alpha(w) (see
+    the module docstring): ``_pdp_flux`` at h = p, against PDP's right-hand
+    side, the residual field negated.
+    """
+    u = state.u
+    w, U, coef = _pd_fields(u, ctx)
+    p = w / U
+    rhs = _primal_rhs(u, p, ctx)
+    system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, p, ctx))
+    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
+
+    # The residual field -rhs is a generalized gradient of the merit at u.
+    slope = -inner_x(rhs, delta_u)
     phi0 = merit_phi(u, ctx)
     eta = ARMIJO_ETA0
     # Near the solution the predicted decrease falls below the merit's

@@ -118,7 +118,7 @@ def test_criterion_2_prox_projection():
 
 
 def test_criterion_3_positive_definiteness():
-    from tvalm.ssn import _b_of_grad, _image_system, _pd_fields, _pt_flux
+    from tvalm.ssn import _b_of_grad, _image_system, _pd_fields, _pdp_flux
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -135,8 +135,9 @@ def test_criterion_3_positive_definiteness():
         probe = rng.normal(size=(n, n))
         w, U, coef = _pd_fields(u0, ctx)
         schur = lambda v: ctx.data.H.apply(v) - div(
-            (sigma * grad(v) - _b_of_grad(grad(v), w, coef, h, variant)) / U)
-        pt_sys, _ = _image_system(ctx, *_pt_flux(u0, ctx))
+            (sigma * grad(v) - _b_of_grad(grad(v), coef, h, variant)) / U)
+        # PT's operator is PDP's symmetrized one at the projected dual w / U.
+        pt_sys, _ = _image_system(ctx, *_pdp_flux(U, coef, w / U, ctx))
         h_quad = inner_x(ctx.data.H.apply(probe), probe)
         worst = max(worst, h_quad - inner_x(schur(probe), probe))
         worst = max(worst, h_quad - inner_x(pt_sys.apply(probe), probe))

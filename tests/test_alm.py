@@ -8,7 +8,8 @@ import pytest
 
 from tvalm.alm import AlmConfig, alm_run, sigma_schedule
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
-from tvalm.errors import MaxOuterError, SolverError
+from tvalm.errors import (InnerNewtonError, KrylovError, LineSearchError, MaxOuterError,
+                          SolverError)
 from tvalm.grid import ANISO, ISO, grad, norm_y, pointwise_mag
 from tvalm.linops import DataTerm, LinearMap, blur_map, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
@@ -121,6 +122,38 @@ class TestAlmRun:
             assert rec.inner_newton >= 0 and rec.avg_krylov >= 0.0
             assert rec.wall_ms >= 0.0
         assert sum(rec.inner_newton for rec in report.records) > 0
+
+
+class TestFailureLocation:
+    """A subproblem failure names the outer iteration and the sigma it
+    happened at."""
+
+    @pytest.mark.parametrize("cap, error", [("MAX_NEWTON_STEPS", InnerNewtonError),
+                                            ("KRYLOV_MAX_ITERS", KrylovError)])
+    def test_first_subproblem(self, cap, error, monkeypatch):
+        import tvalm.ssn as ssn
+        monkeypatch.setattr(ssn, cap, 1)
+        cfg = AlmConfig(alpha=0.1, variant=ISO, inner="pdp")
+        with pytest.raises(error) as info:
+            alm_run(noisy_flat(8), None, cfg)
+        assert (info.value.outer, info.value.sigma) == (1, 4.0)
+
+    def test_later_subproblem(self, monkeypatch):
+        import tvalm.alm as alm
+        real = alm.solve_subproblem
+        calls = []
+
+        def fail_second(u0, h0, ctx, method, delta):
+            calls.append(ctx.sigma)
+            if len(calls) == 2:
+                raise LineSearchError("stub", phi0=1.0, phi_last=2.0, eta=0.5)
+            return real(u0, h0, ctx, method, delta)
+
+        monkeypatch.setattr(alm, "solve_subproblem", fail_second)
+        cfg = AlmConfig(alpha=0.1, variant=ISO, inner="pt", outer_tol=1e-12)
+        with pytest.raises(LineSearchError) as info:
+            alm_run(noisy_flat(8), None, cfg)
+        assert (info.value.outer, info.value.sigma) == (2, 16.0) == (2, calls[1])
 
 
 class TestLocalLinearRate:

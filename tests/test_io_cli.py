@@ -311,10 +311,12 @@ class TestCliConfig:
         import tvalm.cli as cli
         exc = InnerNewtonError("inner Newton cap exceeded", iterations=50, residual=2.5,
                                sigma=1024.0, residuals=[3.0, 2.5])
+        exc.outer = 3  # as alm_run sets it
         assert cli._failure(exc) == 2
         payload = json.loads(capsys.readouterr().out.strip(), parse_constant=_reject_constant)
         assert payload["error"] == "InnerNewtonError"
-        assert (payload["sigma"], payload["residual"], payload["iterations"]) == (1024.0, 2.5, 50)
+        assert ((payload["sigma"], payload["residual"], payload["iterations"], payload["outer"])
+                == (1024.0, 2.5, 50, 3))
         assert "sigma 1024" in payload["message"]
 
     @pytest.mark.parametrize("command", ["denoise", "deblur"])
