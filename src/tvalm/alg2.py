@@ -2,9 +2,11 @@
 
 The dual ascent step projects onto the feasible ball, the primal descent step
 is the exact prox of the quadratic data term, and the extrapolation parameter
-is driven by the data term's strong-convexity modulus (1 for denoising; the
-gradient-penalty weight mu is used as a practical surrogate for deblurring,
-where the certified modulus is not available).  Step sizes keep
+is driven by gamma: 1, the data term's strong-convexity modulus, when H is
+the identity, and the gradient-penalty weight mu otherwise.  With a blur the
+exact modulus is the smallest of ``DataTerm``'s eigenvalues a_i + b_j,
+a little below mu: 0.913 mu for a width-9 motion blur at 32 x 32, where
+taking it gave the same iteration counts as gamma = mu.  Step sizes keep
 tau * sigma * L^2 <= 1 with L^2 = 8 for the difference stencil.
 
 The prox step (I + tau H)^{-1} is ``DataTerm.solve`` (see ``linops``):

@@ -68,7 +68,7 @@ def _write_artifacts(u: np.ndarray, report: RunReport, out: str, report_path: st
 def _failure(exc: Exception) -> int:
     """Print a failed run as one strict JSON line; exit code 2."""
     payload = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("err", "residual", "iterations", "sigma", "outer"):
+    for attr in ("err", "method", "residual", "iterations", "sigma", "outer"):
         if hasattr(exc, attr):
             payload[attr] = getattr(exc, attr)
     print(json.dumps(_strict(payload), sort_keys=True, allow_nan=False))

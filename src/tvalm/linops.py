@@ -3,7 +3,7 @@
 Provides the data operator K (correlation with a blur kernel under replicate
 boundary extension, and its adjoint), the restoration operator
 H = -mu*Laplacian + K*K, CG for the symmetric Newton systems of ALM-PDP and
-ALM-PT (with an optional Jacobi preconditioner, which PDP uses when
+ALM-PT (with an optional Jacobi preconditioner, which both use when
 deblurring), unpreconditioned BiCGSTAB for ALM-PDD's nonsymmetric dual
 system, and the forcing-term rule used to pick inner tolerances for Newton
 steps.  Every solve starts from the zero vector so iteration counts are
@@ -12,6 +12,14 @@ and their iterates, residuals and search directions are updated in place.  An
 operator may return its argument's own array, so a solver writes only to
 arrays it allocated, and only after its last read of any operator output
 that may share them.
+
+BiCGSTAB ends in one of three ways: it meets rel_tol, it exceeds max_iters
+(KrylovError), or it gives up.  It gives up on any breakdown, tested
+relative to b so that the outcome does not depend on b's scale, and on
+stagnation.  Giving up returns the lowest-residual iterate when that
+residual is at most STALL_ACCEPT * ||b||, short of rel_tol, and raises
+KrylovError otherwise; ALM-PDD's tight re-solve ends through that
+acceptance on iso TV denoising.
 
 K is one row of odd width w, correlating each image row with the taps
 under replicate extension.  On an M x N image it acts as K u = u R^T with
@@ -49,7 +57,6 @@ from .errors import KrylovError
 from .grid import div, grad, norm_y
 
 FORCING_FLOOR = 1e-13
-BREAKDOWN_EPS = 1e-30
 
 
 @dataclass(frozen=True)
@@ -275,42 +282,10 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b))
 
 
+# BiCGSTAB's give-up rule (see the module docstring).
+BREAKDOWN_EPS = 1e-30
 STALL_WINDOW = 400
 STALL_ACCEPT = 0.3
-
-
-class _BestIterate:
-    """Tracks the lowest-residual iterate and detects stagnation.
-
-    Finite-precision Krylov solves often bottom out above very tight demanded
-    tolerances.  When no 1% improvement happens over a window of iterations,
-    the solve is declared stagnated: the best iterate is returned if it
-    reduced the residual by at least 10x, otherwise the caller gets an error.
-    Only BiCGSTAB, and so only ALM-PDD, accepts iterates this way.
-    """
-
-    def __init__(self, b_norm: float):
-        self.b_norm = b_norm
-        self.best_r = float("inf")
-        self.best_x = None
-        self.since_improve = 0
-
-    def update(self, x: np.ndarray, r_norm: float) -> None:
-        if r_norm < 0.99 * self.best_r:
-            self.best_r = r_norm
-            self.best_x = x.copy()
-            self.since_improve = 0
-        else:
-            self.since_improve += 1
-
-    def stagnated(self) -> bool:
-        return self.since_improve >= STALL_WINDOW
-
-    def accept_or_raise(self, method: str, it: int) -> np.ndarray:
-        if self.best_x is not None and self.best_r <= STALL_ACCEPT * self.b_norm:
-            return self.best_x
-        raise KrylovError("stagnated without sufficient progress", method=method,
-                          residual=self.best_r / self.b_norm, iterations=it)
 
 
 def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig,
@@ -321,8 +296,7 @@ def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig,
     Jacobi-preconditioned: each search direction comes from r / diag.  The
     stopping test is on the unpreconditioned residual either way.
 
-    Returns (x, iterations) with ||A x - b|| <= rel_tol * ||b|| (or the best
-    attainable iterate when finite precision stalls the recurrence).  Raises
+    Returns (x, iterations) with ||A x - b|| <= rel_tol * ||b||.  Raises
     KrylovError if a search direction exposes indefiniteness (p'Ap <= 0) or
     the iteration budget runs out.
     """
@@ -348,14 +322,13 @@ def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig,
         a = rz / pAp
         x += np.multiply(a, p, out=tmp)
         r -= np.multiply(a, Ap, out=tmp)
-        if inv_diag is None:
-            rz_new = _dot(r, r)
-            r_norm = np.sqrt(rz_new)
-        else:
-            r_norm = np.sqrt(_dot(r, r))
+        rr = _dot(r, r)
+        r_norm = np.sqrt(rr)
         if r_norm <= tol:
             return x, it
-        if inv_diag is not None:
+        if inv_diag is None:
+            rz_new = rr
+        else:
             np.multiply(r, inv_diag, out=z)
             rz_new = _dot(r, z)
         # p = z + beta p in place; Ap, which may be p itself, is not read again.
@@ -369,52 +342,40 @@ def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig,
 def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.ndarray, int]:
     """Unpreconditioned BiCGSTAB; works on scalar or two-channel fields.
 
-    Returns (x, iterations).  Raises KrylovError on breakdown (rho or omega
-    vanishing) or when max_iters is exceeded.
+    Returns (x, iterations) with ||A x - b|| <= rel_tol * ||b||, or else
+    gives up: on a breakdown (|rho|, |r0'v| or t't below BREAKDOWN_EPS *
+    ||b||^2, or |omega| below BREAKDOWN_EPS) or after STALL_WINDOW
+    iterations without a 1% fall of the lowest residual.  Giving up returns
+    the lowest-residual iterate if its residual is at most
+    STALL_ACCEPT * ||b||, and raises KrylovError otherwise.  Exceeding
+    max_iters raises KrylovError.
     """
     b_norm = np.sqrt(_dot(b, b))
     if b_norm == 0.0:
         return np.zeros_like(b), 0
     tol = cfg.rel_tol * b_norm
-    # A recurrence breakdown (rho, r0'v, t, or omega vanishing) ends the
-    # iteration; it counts as acceptable when the residual has already been
-    # reduced past the stall gate, and as an error otherwise.
-    accept_norm = max(tol, STALL_ACCEPT * b_norm)
+    tiny = BREAKDOWN_EPS * b_norm * b_norm
     x = np.zeros_like(b)
     r = b.copy()
-    r0 = r.copy()
+    r0 = b  # the shadow residual, never written
     rho = alpha = omega = 1.0
     v = np.zeros_like(b)
     p = np.zeros_like(b)
     tmp = np.empty_like(b)
-    best = _BestIterate(b_norm)
+    best_r, best_x, since_best = float("inf"), None, 0
     for it in range(1, cfg.max_iters + 1):
         rho_new = _dot(r0, r)
-        if abs(rho_new) < BREAKDOWN_EPS:
-            r_norm = np.sqrt(_dot(r, r))
-            if r_norm <= accept_norm:
-                return x, it
-            # <r0, r> vanishing while the residual is nonzero stalls the
-            # recurrence; re-seed the shadow residual and restart.
-            r0 = r.copy()
-            rho_new = _dot(r0, r)
-            if rho_new < BREAKDOWN_EPS:
-                return x, it
-            p = r.copy()
-            alpha = omega = 1.0
-        else:
-            # p = r + beta (p - omega v), in place; v may alias p.
-            beta = (rho_new / rho) * (alpha / omega)
-            p -= np.multiply(omega, v, out=tmp)
-            p *= beta
-            p += r
+        if abs(rho_new) < tiny:
+            break
+        # p = r + beta (p - omega v), in place; v may alias p.
+        beta = (rho_new / rho) * (alpha / omega)
+        p -= np.multiply(omega, v, out=tmp)
+        p *= beta
+        p += r
         v = A.apply(p)
         r0v = _dot(r0, v)
-        if abs(r0v) < BREAKDOWN_EPS:
-            if np.sqrt(_dot(r, r)) <= accept_norm:
-                return x, it
-            raise KrylovError("breakdown: r0'v ~ 0", method="bicgstab",
-                              residual=np.sqrt(_dot(r, r)) / b_norm, iterations=it)
+        if abs(r0v) < tiny:
+            break
         alpha = rho_new / r0v
         # s = r - alpha v overwrites r, which is not read again until
         # r = s - omega t is formed in the same array.
@@ -425,28 +386,30 @@ def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.n
             return x, it
         t = A.apply(s)
         tt = _dot(t, t)
-        if tt < BREAKDOWN_EPS:
-            if np.sqrt(_dot(s, s)) <= accept_norm:
-                return x, it
-            raise KrylovError("breakdown: t ~ 0", method="bicgstab",
-                              residual=np.sqrt(_dot(s, s)) / b_norm, iterations=it)
+        if tt < tiny:
+            break
         omega = _dot(t, s) / tt
         if abs(omega) < BREAKDOWN_EPS:
-            if np.sqrt(_dot(s, s)) <= accept_norm:
-                return x, it
-            raise KrylovError("breakdown: omega ~ 0", method="bicgstab",
-                              residual=np.sqrt(_dot(s, s)) / b_norm, iterations=it)
+            break
         x += np.multiply(omega, s, out=tmp)
         r -= np.multiply(omega, t, out=tmp)
         r_norm = np.sqrt(_dot(r, r))
         if r_norm <= tol:
             return x, it
-        best.update(x, r_norm)
-        if best.stagnated():
-            return best.accept_or_raise("bicgstab", it), it
+        if r_norm < 0.99 * best_r:
+            best_r, best_x, since_best = r_norm, x.copy(), 0
+        else:
+            since_best += 1
+            if since_best >= STALL_WINDOW:
+                break
         rho = rho_new
-    raise KrylovError("max iterations exceeded", method="bicgstab",
-                      residual=np.sqrt(_dot(r, r)) / b_norm, iterations=cfg.max_iters)
+    else:
+        raise KrylovError("max iterations exceeded", method="bicgstab",
+                          residual=np.sqrt(_dot(r, r)) / b_norm, iterations=cfg.max_iters)
+    if best_r <= STALL_ACCEPT * b_norm:
+        return best_x, it
+    raise KrylovError("gave up on a breakdown or stagnation", method="bicgstab",
+                      residual=min(best_r, np.sqrt(_dot(r, r))) / b_norm, iterations=it)
 
 
 def newton_forcing_tol(res_k: float, res_0: float, floor: float = FORCING_FLOOR) -> float:

@@ -231,6 +231,22 @@ class TestPddDeblur:
         assert time.perf_counter() - t0 < 120.0
 
 
+class TestPddIsoDenoise:
+    """Iso ALM-PDD denoising ends its last subproblem's tight re-solve by
+    BiCGSTAB's give-up exit: the dual solve stalls well below its 0.3
+    acceptance gate but above the tight tolerance.  A solver that raised on
+    every stall would fail this run at outer iteration 7."""
+
+    def test_converges_through_a_stalled_tight_solve(self):
+        clean = blocks_image(32, 32, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        cfg = AlmConfig(alpha=0.1, variant=ISO, inner="pdd", outer_tol=1e-6)
+        state, report = alm_run(z, None, cfg, reference=clean)
+        assert report.summary["converged"]
+        assert state.k == 7
+        assert report.summary["psnr"] == pytest.approx(26.513614, abs=1e-4)
+
+
 class TestDataOperatorChecks:
     """Settings without an exact H^{-1} end before the first outer iteration;
     the solvers that never invert H keep running with mu = 0."""

@@ -181,6 +181,19 @@ class TestCli:
         assert payload["error"] == "MaxOuterError"
         assert "err" in payload
 
+    def test_krylov_failure_names_the_method(self, tmp_path, capsys, monkeypatch):
+        import tvalm.ssn as ssn
+        monkeypatch.setattr(ssn, "KRYLOV_MAX_ITERS", 1)
+        src = tmp_path / "in.pgm"
+        save_image(src, blocks_image(8, 8, seed=5))
+        rc = main(["denoise", str(src), "--solver", "pdp", "--out", str(tmp_path / "o.pgm"),
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1],
+                             parse_constant=_reject_constant)
+        assert payload["error"] == "KrylovError"
+        assert (payload["method"], payload["outer"], payload["sigma"]) == ("cg", 1, 4.0)
+
     def test_bench_command(self, tiny_corpus, tmp_path, capsys):
         out_dir = tmp_path / "bench"
         rc = main(["bench", str(tiny_corpus), "--solvers", "pdp,pt",

@@ -524,15 +524,23 @@ class TestBicgstab:
         x, _ = bicgstab_solve(IDENTITY, b, KrylovConfig(rel_tol=1e-12))
         assert np.allclose(x, b)
 
-    def test_random_dense_4x4_system(self):
-        M = RNG.normal(size=(16, 16))
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-16, 1e-20])
+    def test_random_dense_4x4_system(self, scale):
+        """The breakdown tests are relative to b: scaling b scales x and
+        leaves the iteration count alone."""
+        rng = np.random.default_rng(31)
+        M = rng.normal(size=(16, 16))
         M = M @ M.T + 16 * np.eye(16)  # well conditioned
         M[0, 3] += 2.0  # break symmetry
         A = LinearMap(lambda u: (M @ u.ravel()).reshape(4, 4),
                       lambda u: (M.T @ u.ravel()).reshape(4, 4))
-        b = RNG.normal(size=(4, 4))
-        x, _ = bicgstab_solve(A, b, KrylovConfig(rel_tol=1e-12, max_iters=500))
-        assert np.allclose(x.ravel(), np.linalg.solve(M, b.ravel()), atol=1e-8)
+        b = rng.normal(size=(4, 4))
+        cfg = KrylovConfig(rel_tol=1e-12, max_iters=500)
+        _, it_unit = bicgstab_solve(A, b, cfg)
+        x, it = bicgstab_solve(A, scale * b, cfg)
+        assert it == it_unit
+        assert np.linalg.norm(A.apply(x) - scale * b) <= cfg.rel_tol * np.linalg.norm(scale * b)
+        assert np.allclose(x.ravel() / scale, np.linalg.solve(M, b.ravel()), atol=1e-8)
 
     def test_agrees_with_cg_on_spd(self):
         K = blur_map(motion_kernel(3))
@@ -550,6 +558,12 @@ class TestBicgstab:
         b = RNG.normal(size=(2, 3, 3))
         x, _ = bicgstab_solve(A, b, KrylovConfig(rel_tol=1e-12))
         assert np.allclose(x, b / scale)
+
+    def test_breakdown_without_progress_raises(self):
+        zero = LinearMap(np.zeros_like, np.zeros_like)  # r0'v = 0 at once
+        with pytest.raises(KrylovError, match="gave up") as info:
+            bicgstab_solve(zero, RNG.normal(size=(4, 4)), KrylovConfig(rel_tol=1e-12))
+        assert (info.value.residual, info.value.iterations) == (1.0, 1)
 
     def test_max_iters_error(self):
         d = 1.0 + np.arange(16.0).reshape(4, 4)
