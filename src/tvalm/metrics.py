@@ -37,6 +37,7 @@ class MetricRecord:
     wall_ms: float
     inner_newton: int
     avg_krylov: float
+    backtracks: int
     lambda_feasible: bool
 
 
@@ -127,7 +128,7 @@ def psnr(u: np.ndarray, reference: np.ndarray) -> float:
 
 def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
                 alpha: float, variant: str, reference: np.ndarray, wall_ms: float,
-                inner_newton: int, avg_krylov: float) -> MetricRecord:
+                inner_newton: int, avg_krylov: float, backtracks: int) -> MetricRecord:
     """Assemble the full per-iteration metric row (PSNR display-capped).
 
     res_lambda uses the dual scaling c0 = 1, as every report does.  grad u,
@@ -154,5 +155,6 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
         wall_ms=wall_ms,
         inner_newton=inner_newton,
         avg_krylov=avg_krylov,
+        backtracks=backtracks,
         lambda_feasible=feas,
     )

@@ -30,9 +30,11 @@ symmetric D.  ``_image_system`` assembles each once per Newton step as
 
     v -> K*K v - div(F grad v),    F = [[a0, off], [off, a1]],
 
-with mu folded into a (H = K*K - mu Laplacian), so one Krylov iteration's
-operator application costs one grad, one pointwise flux and one div, plus
-K*K when deblurring (``DataTerm.gram``, one matmul).  The tensor is the
+with mu folded into a (H = K*K - mu Laplacian).  One Krylov iteration's
+operator application is one flat 5-point stencil: two difference passes,
+the pointwise flux, and four passes that take the flux's backward
+differences, plus K*K when deblurring (``DataTerm.gram``, one matmul).  It
+calls neither grad nor div, yet matches them bit for bit.  The tensor is the
 symmetric part of PDP's Newton flux (sigma g - B g) / U, with B g = coef g h
 per channel (aniso) or (coef . g) h (iso):
 
@@ -44,11 +46,20 @@ exact where h is parallel to w, as at the solution and in every PT step.
 With |h| <= alpha the tensor is positive semidefinite, so CG applies; when
 deblurring it is preconditioned by the operator's closed-form diagonal
 (``_jacobi``), and ``_image_system`` is where that is decided.  The PDD dual
-system q -> U q - (sigma - B) grad H^{-1} div q likewise takes one grad per
+system q -> U q - (sigma - B) grad H^{-1} div q takes one grad per
 application.
 
+PT's line search runs on a precomputed line.  The merit is the data term
+plus sigma times a Huber sum of q = lam / sigma + grad u, less a constant.  The data term is quadratic and grad is linear, so
+``_merit_line`` takes grad u, grad delta_u and two inner products with H
+once per Newton step, and a trial step length costs pointwise work only.
+The step's fields at its accepted iterate (U, coef, the projected dual and
+the residual field) give its residual, and they are handed on in the
+``NewtonState`` to the next step.
+
 Each step returns the new iterate and the Krylov iterations its linear solve
-took; ``solve_subproblem`` sums both counts for the subproblem.
+took; ``solve_subproblem`` sums those counts and PT's backtracks for the
+subproblem.
 
 Fixed constants: the PT line search starts from the full Newton step
 (ARMIJO_ETA0) and accepts a step once the merit falls by ARMIJO_MU times the
@@ -63,7 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,13 +126,29 @@ class AlmContext:
         return norm_y(self.lam) ** 2 / (2.0 * self.sigma)
 
 
-@dataclass(frozen=True)
+class PtFields(NamedTuple):
+    """The fields of ``ssnpt_step`` at one iterate (``_pt_fields``)."""
+
+    U: np.ndarray
+    coef: np.ndarray
+    p: np.ndarray
+    rhs: np.ndarray
+
+
+@dataclass
 class NewtonState:
-    """One inner iterate: image, feasible dual field and its residual."""
+    """One inner iterate: image, feasible dual field and its residual.
+
+    A PT step also hands on its iterate's ``PtFields``, which the next step
+    takes instead of evaluating them again, and the Armijo ``backtracks`` it
+    took.  The primal-dual steps leave both at their defaults.
+    """
 
     u: np.ndarray
     h: np.ndarray
     inner_residual: float
+    fields: PtFields | None = None
+    backtracks: int = 0
 
 
 def _pd_fields(u: np.ndarray, ctx: AlmContext):
@@ -158,27 +185,66 @@ def _image_system(ctx: AlmContext, a: np.ndarray,
     g^T = (g1, g0): a holds F's two diagonal entries, off (None for zero) the
     off-diagonal one.  K*K comes from the data term (v itself for the
     identity).  The H = K*K - mu Laplacian part of the system is thus folded
-    in: mu joins a, so each application costs one grad, one flux and one div
-    (plus K*K, in Gram form, when deblurring).  The coefficient fields are
-    fixed for the Newton step.
+    in: mu joins a.
+
+    The operator is one 5-point stencil on the C-ordered flattened image,
+    where the row and column differences are shifts by N and by 1 (see
+    ``grid``).  Its coefficients are fixed for the Newton step and laid out
+    once: a0 over the first MN - N entries (the pixels with a row below),
+    a1 and off with their last column zeroed, which drops the column
+    differences that wrap across rows.  Each application forms the two
+    difference channels, the flux, and the backward differences of the flux
+    in grad's and div's operation order, so the result is bit-identical to
+    div(F grad v) through those functions.
     """
     data = ctx.data
     if data.mu > 0.0:
         a = a + data.mu
+    m, n = a.shape[1:]
+    k = m * n - n
+    a0 = a[0].ravel()[:k]
+    a1 = _zero_last_column(a[1])
+    offk = None if off is None else _zero_last_column(off)[:k]
+
+    # Work arrays for the differences and fluxes, reused by every
+    # application: allocating them per application costs page faults.
+    d0, d1 = np.empty(k), np.empty(m * n - 1)
+    flux0, cross = (None, None) if off is None else (np.empty(k), np.empty(k))
 
     def system(v):
-        g = grad(v)
-        if off is None:
-            flux = np.multiply(a, g, out=g)
+        vf = v.ravel()
+        np.subtract(vf[n:], vf[:-n], out=d0)
+        np.subtract(vf[1:], vf[:-1], out=d1)
+        if offk is None:
+            f0 = np.multiply(a0, d0, out=d0)
+            f1 = np.multiply(a1, d1, out=d1)
         else:
-            cross = off * g[::-1]
-            flux = np.multiply(a, g, out=g)
-            flux += cross
-        out = div(flux)
+            # The cross terms: off times the other channel's difference.
+            f0 = np.multiply(a0, d0, out=flux0)
+            f0 += np.multiply(offk, d1[:k], out=cross)
+            f1 = np.multiply(a1, d1, out=d1)
+            f1[:k] += np.multiply(offk, d0, out=cross)
+        # div's order: 0.0 + f0 first (which turns -0.0 into 0.0), then the
+        # shifted differences.
+        out = np.empty(m * n)
+        np.add(f0, 0.0, out=out[:k])
+        out[k:] = 0.0
+        out[n:] -= f0
+        out[:-1] += f1
+        out[1:] -= f1
+        out = out.reshape(m, n)
         # K*K may return its input's array, so the difference goes into out.
         return np.subtract(data.gram(v), out, out=out)
     jacobi = None if data.K is None else _jacobi(data, a, off)
     return LinearMap(system, system, self_adjoint=True), jacobi
+
+
+def _zero_last_column(c: np.ndarray) -> np.ndarray:
+    """A flat copy of the scalar field c, without its last entry and with
+    the last column zeroed: the coefficient of the column differences."""
+    c = c.copy()
+    c[:, -1] = 0.0
+    return c.ravel()[:-1]
 
 
 def _jacobi(data: DataTerm, a: np.ndarray, off: np.ndarray | None) -> np.ndarray:
@@ -267,6 +333,8 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext,
     w, U, coef = _pd_fields(u, ctx)
     system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, h, ctx))
     delta_u, kit = cg_solve(system, _primal_rhs(u, w / U, ctx), kcfg, jacobi)
+    # Freed before the new iterate's fields are evaluated, not after.
+    del system, jacobi
     u_new = u + delta_u
 
     g = grad(delta_u)
@@ -311,12 +379,104 @@ def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
     )
 
 
+def _merit_line(u: np.ndarray, delta_u: np.ndarray,
+                ctx: AlmContext) -> tuple[float, Callable[[float], float]]:
+    """The merit at u, and its change along the line u + eta delta_u,
+
+        eta -> eta c1 + eta^2 c2 / 2 + sigma (E(eta) - E(0)),
+
+    with c1 = <H u - f, delta_u>, c2 = <delta_u, H delta_u> and E(eta) the
+    sum over the variant's groups of e(q) = m (|q| - m/2), m = min(|q|, tau),
+    at q = q0 + eta g, q0 = lam / sigma + grad u, g = grad delta_u.  sigma e(q)
+    is the merit's TV part alpha |S_tau(q)| + sigma/2 |q - S_tau(q)|^2 in
+    Huber form.  The data term is quadratic and grad is linear, so a trial
+    costs pointwise work on q only: no grad, no shrinkage, no data term.  The
+    merit at u is assembled from the same terms, as ``merit_phi``'s value.
+    """
+    data = ctx.data
+    tau = ctx.alpha / ctx.sigma
+    q0 = ctx.lam_over_sigma + grad(u)
+    g = grad(delta_u)
+    # The trials' work array: allocating per trial costs page faults.
+    q = np.empty_like(q0)
+
+    def huber(eta: float) -> float:
+        np.add(np.multiply(eta, g, out=q), q0, out=q)
+        r = magnitude(q, ctx.variant)
+        # q is not read again, so its leading channels take m; then
+        # r -> m (2r - m), whose doubling and halving are exact.
+        m = np.minimum(r, tau, out=q[:len(r)])
+        r *= 2.0
+        r -= m
+        r *= m
+        return 0.5 * float(np.sum(r))
+
+    e0 = huber(0.0)
+    phi0 = data.energy(u) + ctx.sigma * e0 - ctx.lam_energy
+    c1 = inner_x(data.H.apply(u) - data.f, delta_u)
+    c2 = inner_x(delta_u, data.H.apply(delta_u))
+
+    def change(eta: float) -> float:
+        return eta * c1 + 0.5 * eta * eta * c2 + ctx.sigma * (huber(eta) - e0)
+    return phi0, change
+
+
+def _pt_fields(u: np.ndarray, ctx: AlmContext) -> PtFields:
+    """PT's fields at u: U and coef (``_pd_fields``), the projected dual
+    p = w / U = P_alpha(w) and the residual field negated,
+    rhs = f - H u + div p (``_primal_rhs``)."""
+    w, U, coef = _pd_fields(u, ctx)
+    p = np.divide(w, U, out=w)
+    return PtFields(U, coef, p, _primal_rhs(u, p, ctx))
+
+
+def _pt_state(u: np.ndarray, h: np.ndarray, ctx: AlmContext,
+              backtracks: int = 0) -> NewtonState:
+    """The PT iterate u, with its fields and the residual they give."""
+    fields = _pt_fields(u, ctx)
+    return NewtonState(u, h, norm_x(fields.rhs), fields, backtracks)
+
+
 def residual_pt(u: np.ndarray, ctx: AlmContext) -> float:
     """Norm of the primal nonlinear residual through the soft threshold,
     H u - f - div lam - sigma div(grad u - S_tau(lam / sigma + grad u)),
     evaluated as H u - f - div P_alpha(lam + sigma grad u)."""
-    w, U, _ = _pd_fields(u, ctx)
-    return norm_x(_primal_rhs(u, w / U, ctx))
+    return norm_x(_pt_fields(u, ctx).rhs)
+
+
+def _armijo(u: np.ndarray, delta_u: np.ndarray, slope: float,
+            ctx: AlmContext) -> tuple[float, int]:
+    """The Armijo step length along delta_u, and the backtracks taken.
+
+    Starting from ARMIJO_ETA0, eta shrinks by ARMIJO_THETA until the merit's
+    change along the line (``_merit_line``) is at most ARMIJO_MU eta slope.
+    """
+    phi0, change = _merit_line(u, delta_u, ctx)
+    eta = ARMIJO_ETA0
+    backtracks = 0
+    # Near the solution the predicted decrease falls below the merit's
+    # floating-point resolution; take the plain Newton step there.
+    if abs(ARMIJO_MU * slope) > 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
+        dphi = change(eta)
+        while dphi > ARMIJO_MU * eta * slope:
+            backtracks += 1
+            eta *= ARMIJO_THETA
+            if backtracks > ARMIJO_MAX_BACKTRACKS or eta < 1e-12:
+                raise LineSearchError("Armijo backtracking failed",
+                                      phi0=phi0, phi_last=phi0 + dphi, eta=eta)
+            dphi = change(eta)
+    return eta, backtracks
+
+
+def _pt_direction(fields: PtFields, ctx: AlmContext,
+                  kcfg: KrylovConfig) -> tuple[np.ndarray, float, int]:
+    """PT's Newton increment from the fields at u, the merit's slope along
+    it, and the CG iterations taken."""
+    U, coef, p, rhs = fields
+    system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, p, ctx))
+    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
+    # The residual field -rhs is a generalized gradient of the merit at u.
+    return delta_u, -inner_x(rhs, delta_u), kit
 
 
 def ssnpt_step(state: NewtonState, ctx: AlmContext,
@@ -325,46 +485,28 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext,
 
     The step solves PDP's system at the projected dual p = P_alpha(w) (see
     the module docstring): ``_pdp_flux`` at h = p, against PDP's right-hand
-    side, the residual field negated.
+    side, the residual field negated.  It takes the fields at u from the
+    state (evaluating them when the state has none) and returns the new
+    iterate with its own.
     """
     u = state.u
-    w, U, coef = _pd_fields(u, ctx)
-    p = w / U
-    rhs = _primal_rhs(u, p, ctx)
-    system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, p, ctx))
-    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
-
-    # The residual field -rhs is a generalized gradient of the merit at u.
-    slope = -inner_x(rhs, delta_u)
-    phi0 = merit_phi(u, ctx)
-    eta = ARMIJO_ETA0
-    # Near the solution the predicted decrease falls below the merit's
-    # floating-point resolution; take the plain Newton step there.
-    if abs(ARMIJO_MU * slope) > 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
-        phi_trial = merit_phi(u + eta * delta_u, ctx)
-        backtracks = 0
-        while phi_trial > phi0 + ARMIJO_MU * eta * slope:
-            backtracks += 1
-            eta *= ARMIJO_THETA
-            if backtracks > ARMIJO_MAX_BACKTRACKS or eta < 1e-12:
-                raise LineSearchError("Armijo backtracking failed",
-                                      phi0=phi0, phi_last=phi_trial, eta=eta)
-            phi_trial = merit_phi(u + eta * delta_u, ctx)
-
-    u_new = u + eta * delta_u
-    res = residual_pt(u_new, ctx)
-    return NewtonState(u_new, state.h, res), kit
+    delta_u, slope, kit = _pt_direction(state.fields or _pt_fields(u, ctx), ctx, kcfg)
+    # Freed before the new iterate's fields are evaluated, not after.
+    state.fields = None
+    eta, backtracks = _armijo(u, delta_u, slope, ctx)
+    return _pt_state(u + eta * delta_u, state.h, ctx, backtracks), kit
 
 
 @dataclass
 class InnerResult:
     """Outcome of one subproblem solve: final state, residual history, and
-    the Newton steps and Krylov iterations it took."""
+    the Newton steps, Krylov iterations and Armijo backtracks it took."""
 
     state: NewtonState
     residuals: list[float]
     newton_steps: int
     krylov_iters: int
+    backtracks: int
 
 
 def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: str,
@@ -380,12 +522,11 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     if step_fn is None:
         raise ValueError(f"unknown inner method {method!r}")
     if method == "pt":
-        res = residual_pt(u0, ctx)
+        state = _pt_state(u0.copy(), h0.copy(), ctx)
     else:
-        res = residual_pd(u0, h0, ctx)
-    state = NewtonState(u0.copy(), h0.copy(), res)
-    res0 = res
-    residuals = [res]
+        state = NewtonState(u0.copy(), h0.copy(), residual_pd(u0, h0, ctx))
+    res0 = state.inner_residual
+    residuals = [res0]
     # The residual is a difference of terms whose size grows with sigma, so
     # delta / sigma is floored at the 64-bit evaluation noise of those terms.
     eps = np.finfo(np.float64).eps
@@ -394,7 +535,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     threshold = max(delta / ctx.sigma, noise)
     tight_mode = False
     tight_tol = 1e-10
-    newton_steps = krylov_iters = 0
+    newton_steps = krylov_iters = backtracks = 0
     while state.inner_residual > threshold:
         if newton_steps >= MAX_NEWTON_STEPS:
             raise InnerNewtonError("inner Newton cap exceeded",
@@ -417,5 +558,8 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
         state = cand
         newton_steps += 1
         krylov_iters += kit
+        backtracks += state.backtracks
         residuals.append(state.inner_residual)
-    return InnerResult(state, residuals, newton_steps, krylov_iters)
+    # PT's fields hold this subproblem's lam and sigma: no use to the caller.
+    state.fields = None
+    return InnerResult(state, residuals, newton_steps, krylov_iters, backtracks)

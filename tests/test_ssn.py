@@ -11,8 +11,9 @@ from tvalm.errors import InnerNewtonError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
 from tvalm.linops import DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
-from tvalm.ssn import (AlmContext, NewtonState, _pd_fields, merit_phi, residual_pd,
-                       residual_pt, solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
+from tvalm.ssn import (ARMIJO_ETA0, ARMIJO_THETA, AlmContext, NewtonState, _pd_fields,
+                       merit_phi, residual_pd, residual_pt, solve_subproblem, ssnpdd_step,
+                       ssnpdp_step, ssnpt_step)
 
 from test_linops import dense_from_map
 
@@ -696,3 +697,236 @@ class TestSolveSubproblem:
         res = solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pdp", 1e-8)
         seq = [r for r in res.residuals if r > 0]
         assert seq[-1] / seq[-2] <= 0.1
+
+
+ETAS = (1.0, 2.0 ** -4, 2.0 ** -12)
+
+
+def pt_line_instance(variant, kernel, mu, seed=4242, n=16):
+    """A PT merit line through u along a random direction whose active set
+    |q| >= tau (q = lam / sigma + grad u) changes along the line."""
+    rng = np.random.default_rng(seed)
+    sigma, alpha = 4.0, 0.1
+    z = np.clip(0.5 + 0.12 * rng.normal(size=(n, n)), 0.0, 1.0)
+    lam = project_ball(0.05 * rng.normal(size=(2, n, n)), alpha, variant)
+    u = 0.5 + 0.03 * rng.normal(size=(n, n))
+    delta = rng.normal(size=(n, n))
+    # One group of q sits just inside the threshold, where even the shortest
+    # trial step of ETAS crosses it.
+    g = grad(delta)
+    if variant == ISO:
+        sel = (slice(None), *np.unravel_index(np.argmax(pointwise_mag(g)), (n, n)))
+    else:
+        sel = np.unravel_index(np.argmax(np.abs(g)), g.shape)
+    tau, gs = alpha / sigma, g[sel]
+    target = tau * gs / np.sqrt(np.sum(gs * gs)) - 0.5 * min(ETAS) * gs
+    lam[sel] = sigma * (target - grad(u)[sel])
+    K = None if kernel is None else blur_map(kernel)
+    return AlmContext(lam, sigma, alpha, variant, DataTerm(z, K, mu)), u, delta
+
+
+def active_set(q, ctx):
+    mag = pointwise_mag(q) if ctx.variant == ISO else np.abs(q)
+    return mag >= ctx.alpha / ctx.sigma
+
+
+LINE_SETUPS = {"identity": None, "motion3": motion_kernel(3)}
+
+
+class TestMeritLine:
+    """PT's line search evaluates the merit's change along u + eta delta from
+    terms taken once per step; it must agree with merit_phi at every trial."""
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3])
+    @pytest.mark.parametrize("setup", sorted(LINE_SETUPS))
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_change_matches_merit_differences(self, variant, setup, mu):
+        from tvalm.ssn import _merit_line
+        ctx, u, delta = pt_line_instance(variant, LINE_SETUPS[setup], mu)
+        phi0, change = _merit_line(u, delta, ctx)
+        assert phi0 == pytest.approx(merit_phi(u, ctx), rel=1e-12)
+        q0 = ctx.lam_over_sigma + grad(u)
+        for eta in ETAS:
+            # Pixels enter and leave the active set between u and the trial.
+            moved = active_set(q0 + eta * grad(delta), ctx) != active_set(q0, ctx)
+            assert np.any(moved), eta
+            want = merit_phi(u + eta * delta, ctx) - merit_phi(u, ctx)
+            assert change(eta) == pytest.approx(want, rel=1e-9), eta
+
+
+def image_system_oracle(ctx, a, off=None):
+    """The image-space Newton operator through grid.grad and grid.div, as
+    ``_image_system`` applied it before it became one flat stencil."""
+    data = ctx.data
+    if data.mu > 0.0:
+        a = a + data.mu
+
+    def system(v):
+        g = grad(v)
+        if off is None:
+            flux = np.multiply(a, g, out=g)
+        else:
+            cross = off * g[::-1]
+            flux = np.multiply(a, g, out=g)
+            flux += cross
+        out = div(flux)
+        return np.subtract(data.gram(v), out, out=out)
+    return system
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+class TestFlatStencil:
+    """``_image_system``'s flat 5-point stencil is bit-identical to the
+    grad -> flux -> div closure, boundaries, iso cross terms and signed zeros
+    included."""
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (2, 2), (7, 4), (16, 16)])
+    @pytest.mark.parametrize("mu", [0.0, 1e-3])
+    @pytest.mark.parametrize("blur", [False, True])
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_matches_grad_flux_div(self, variant, blur, mu, shape):
+        from tvalm.ssn import _image_system
+        rng = np.random.default_rng(1729)
+        m, n = shape
+        # The widest odd motion blur that fits the image's rows.
+        K = blur_map(motion_kernel(3 if n >= 3 else 1)) if blur else None
+        z = rng.uniform(size=shape)
+        ctx = AlmContext(np.zeros((2, m, n)), 4.0, 0.1, variant, DataTerm(z, K, mu))
+        # Probes with signed zeros, whose differences and fluxes are -0.0 or
+        # 0.0 depending on the operation order.
+        probes = [rng.normal(size=shape), np.zeros(shape), -np.zeros(shape)]
+        probes += [rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape) for _ in range(8)]
+        # Coefficients with exact zeros, as on the active set of a PT step,
+        # few or many of them.
+        for density in (0.7, 0.2):
+            a = rng.uniform(size=(2, m, n)) * (rng.uniform(size=(2, m, n)) < density)
+            off = (None if variant == ANISO
+                   else rng.normal(size=shape) * (rng.uniform(size=shape) < density))
+            system, _ = _image_system(ctx, a, off)
+            oracle = image_system_oracle(ctx, a, off)
+            for v in probes:
+                v_before = v.copy()
+                assert_same_bits(system.apply(v), oracle(v))
+                assert_same_bits(v, v_before)
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_newton_operator_matches_on_a_step(self, variant):
+        # At a PT step's own coefficients (exact zeros where a pixel is active).
+        from tvalm.ssn import _image_system, _pdp_flux
+        ctx, u, _ = pt_line_instance(variant, motion_kernel(3), 1e-3)
+        w, U, coef = _pd_fields(u, ctx)
+        flux = _pdp_flux(U, coef, w / U, ctx)
+        system, _ = _image_system(ctx, *flux)
+        oracle = image_system_oracle(ctx, *flux)
+        v = np.random.default_rng(5).normal(size=u.shape)
+        for _ in range(5):
+            got, want = system.apply(v), oracle(v)
+            assert_same_bits(got, want)
+            v = got / norm_x(got)
+
+
+def ssnpt_step_oracle(state, ctx, kcfg):
+    """PT's Newton step with the merit evaluated by merit_phi at every trial
+    point and the Newton operator through grad and div, as the step was
+    written before the precomputed line: returns (u_new, eta, backtracks)."""
+    import tvalm.ssn as ssn
+    u = state.u
+    w, U, coef = _pd_fields(u, ctx)
+    p = w / U
+    rhs = ssn._primal_rhs(u, p, ctx)
+    a, off = ssn._pdp_flux(U, coef, p, ctx)
+    _, jacobi = ssn._image_system(ctx, a, off)
+    oracle = image_system_oracle(ctx, a, off)
+    delta_u, _ = cg_solve(LinearMap(oracle, oracle, self_adjoint=True), rhs, kcfg, jacobi)
+    slope = -inner_x(rhs, delta_u)
+    phi0 = merit_phi(u, ctx)
+    eta, backtracks = ssn.ARMIJO_ETA0, 0
+    if abs(ssn.ARMIJO_MU * slope) > 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
+        while merit_phi(u + eta * delta_u, ctx) > phi0 + ssn.ARMIJO_MU * eta * slope:
+            backtracks += 1
+            eta *= ssn.ARMIJO_THETA
+    return u + eta * delta_u, eta, backtracks
+
+
+PT_STEP_SETUPS = {"identity": (None, 0.0), "motion3-mu1e-3": (motion_kernel(3), 1e-3)}
+
+
+class TestPtStepLineSearch:
+    """Step by step along a PT subproblem: the same step length and the same
+    bits as the trial-by-trial line search, and carried fields equal to
+    fresh ones."""
+
+    @staticmethod
+    def run_steps(variant, setup, steps=8):
+        kernel, mu = PT_STEP_SETUPS[setup]
+        clean = blocks_image(16, 16, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, blur=kernel, seed=7))
+        lam = project_ball(0.05 * np.random.default_rng(9).normal(size=(2, 16, 16)),
+                           0.1, variant)
+        K = None if kernel is None else blur_map(kernel)
+        ctx = AlmContext(lam, 16.0, 0.1, variant, DataTerm(z, K, mu))
+        state = NewtonState(z.copy(), np.zeros((2, 16, 16)), residual_pt(z, ctx))
+        for _ in range(steps):
+            # A loose forcing tolerance, as early in a subproblem.
+            yield state, ctx, KrylovConfig(rel_tol=0.1, max_iters=1000)
+            state, _ = ssnpt_step(state, ctx, KrylovConfig(rel_tol=0.1, max_iters=1000))
+
+    @pytest.mark.parametrize("setup", sorted(PT_STEP_SETUPS))
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_same_step_length_and_bits_as_merit_trials(self, variant, setup):
+        total = 0
+        for state, ctx, kcfg in self.run_steps(variant, setup):
+            want_u, want_eta, want_backtracks = ssnpt_step_oracle(state, ctx, kcfg)
+            out, _ = ssnpt_step(state, ctx, kcfg)
+            assert out.backtracks == want_backtracks
+            assert ARMIJO_ETA0 * ARMIJO_THETA ** out.backtracks == want_eta
+            assert_same_bits(out.u, want_u)
+            total += out.backtracks
+        assert total > 0  # the line search backtracked somewhere
+
+    @pytest.mark.parametrize("setup", sorted(PT_STEP_SETUPS))
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_carried_fields_equal_fresh_ones(self, variant, setup):
+        from tvalm.ssn import _primal_rhs
+        for state, ctx, kcfg in self.run_steps(variant, setup, steps=4):
+            out, _ = ssnpt_step(state, ctx, kcfg)
+            w, U, coef = _pd_fields(out.u, ctx)
+            p = w / U
+            for got, want in zip(out.fields, (U, coef, p, _primal_rhs(out.u, p, ctx))):
+                assert_same_bits(got, want)
+            assert out.inner_residual == residual_pt(out.u, ctx)
+            # The step took the fields it was handed off the old state.
+            assert state.fields is None
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_step_without_fields_is_the_same(self, variant):
+        for state, ctx, kcfg in self.run_steps(variant, "identity", steps=3):
+            bare = NewtonState(state.u, state.h, state.inner_residual)
+            out_bare, kit_bare = ssnpt_step(bare, ctx, kcfg)
+            out, kit = ssnpt_step(state, ctx, kcfg)
+            assert kit == kit_bare and out.backtracks == out_bare.backtracks
+            assert_same_bits(out.u, out_bare.u)
+
+    def test_subproblem_sums_the_backtracks(self, monkeypatch):
+        import tvalm.ssn as ssn
+        seen = []
+
+        def counted(state, ctx, kcfg):
+            out, kit = ssnpt_step(state, ctx, kcfg)
+            seen.append(out.backtracks)
+            return out, kit
+
+        monkeypatch.setattr(ssn, "ssnpt_step", counted)
+        clean = blocks_image(16, 16, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        ctx = AlmContext(np.zeros((2, 16, 16)), 4.0, 0.1, ANISO, DataTerm(z))
+        res = solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pt", 1e-4)
+        assert res.backtracks == sum(seen) > 0
+        for method in ("pdp", "pdd"):
+            assert solve_subproblem(z, np.zeros((2, 16, 16)), ctx, method,
+                                    1e-4).backtracks == 0
