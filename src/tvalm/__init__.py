@@ -15,7 +15,7 @@ from .metrics import MetricRecord, err_total, psnr, res_u
 from .pgm import PgmFormatError, load_image, save_image
 from .prox import project_ball, soft_threshold
 from .report import RunReport
-from .ssn import (AlmContext, NewtonState, merit_phi, residual_pd, residual_pt,
-                  solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
+from .ssn import (AlmContext, NewtonState, merit_phi, solve_subproblem, ssnpdd_step,
+                  ssnpdp_step, ssnpt_step)
 
 __version__ = "0.1.0"

@@ -126,6 +126,7 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
         record = make_record(
             k + 1, u, lam, data, cfg.alpha, cfg.variant, ref, wall_ms,
             steps, inner.krylov_iters / steps if steps else 0.0, inner.backtracks,
+            inner.tight_resolves,
         )
         records.append(record)
         err = record.err

@@ -38,6 +38,7 @@ class MetricRecord:
     inner_newton: int
     avg_krylov: float
     backtracks: int
+    tight_resolves: int
     lambda_feasible: bool
 
 
@@ -128,7 +129,8 @@ def psnr(u: np.ndarray, reference: np.ndarray) -> float:
 
 def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
                 alpha: float, variant: str, reference: np.ndarray, wall_ms: float,
-                inner_newton: int, avg_krylov: float, backtracks: int) -> MetricRecord:
+                inner_newton: int, avg_krylov: float, backtracks: int,
+                tight_resolves: int) -> MetricRecord:
     """Assemble the full per-iteration metric row (PSNR display-capped).
 
     res_lambda uses the dual scaling c0 = 1, as every report does.  grad u,
@@ -156,5 +158,6 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
         inner_newton=inner_newton,
         avg_krylov=avg_krylov,
         backtracks=backtracks,
+        tight_resolves=tight_resolves,
         lambda_feasible=feas,
     )

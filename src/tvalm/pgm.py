@@ -54,6 +54,8 @@ def load_image(path) -> np.ndarray:
         raise PgmFormatError(
             f"data: expected {width * height} bytes, found {len(pixels)}")
     raw = np.frombuffer(pixels[: width * height], dtype=np.uint8)
+    if raw.max() > maxval:
+        raise PgmFormatError(f"data: sample {raw.max()} exceeds maxval {maxval}")
     return image(raw.reshape(height, width).astype(np.float64) / maxval)
 
 

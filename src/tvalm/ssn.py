@@ -24,6 +24,10 @@ shrinkage S_tau (tau = alpha / sigma) is I - P_alpha by the Moreau identity,
 so lam + sigma (grad u - S_tau(lam / sigma + grad u)) = P_alpha(w): PT's
 residual and derivative are PDP's at the projected dual h = P_alpha(w).
 
+Every solver evaluates an iterate's fields (``Fields``) once, by ``_fields``:
+they give its residual and ride on its ``NewtonState`` to the next step,
+which takes them as its linearization.
+
 The image-space Newton systems (the PDP Schur complement and the PT
 derivative) are of the form H + sigma grad^* D grad with a pointwise
 symmetric D.  ``_image_system`` assembles each once per Newton step as
@@ -50,16 +54,14 @@ system q -> U q - (sigma - B) grad H^{-1} div q takes one grad per
 application.
 
 PT's line search runs on a precomputed line.  The merit is the data term
-plus sigma times a Huber sum of q = lam / sigma + grad u, less a constant.  The data term is quadratic and grad is linear, so
-``_merit_line`` takes grad u, grad delta_u and two inner products with H
-once per Newton step, and a trial step length costs pointwise work only.
-The step's fields at its accepted iterate (U, coef, the projected dual and
-the residual field) give its residual, and they are handed on in the
-``NewtonState`` to the next step.
+plus sigma times a Huber sum of q = lam / sigma + grad u, less a constant.
+The data term is quadratic and grad is linear, so ``_merit_line`` takes
+grad u, grad delta_u and two inner products with H once per Newton step, and
+a trial step length costs pointwise work only.
 
 Each step returns the new iterate and the Krylov iterations its linear solve
-took; ``solve_subproblem`` sums those counts and PT's backtracks for the
-subproblem.
+took; ``solve_subproblem`` sums those counts, PT's backtracks and the
+primal-dual tight re-solves for the subproblem.
 
 Fixed constants: the PT line search starts from the full Newton step
 (ARMIJO_ETA0) and accepts a step once the merit falls by ARMIJO_MU times the
@@ -126,45 +128,57 @@ class AlmContext:
         return norm_y(self.lam) ** 2 / (2.0 * self.sigma)
 
 
-class PtFields(NamedTuple):
-    """The fields of ``ssnpt_step`` at one iterate (``_pt_fields``)."""
+class Fields(NamedTuple):
+    """The fields of P_alpha at an iterate u: w, U and coef as in the module
+    docstring (coef is 0 off the active set), and rhs = f - H u + div(w / U),
+    the primal residual at the projected dual, negated (``_primal_rhs``)."""
 
+    w: np.ndarray
     U: np.ndarray
     coef: np.ndarray
-    p: np.ndarray
     rhs: np.ndarray
 
 
 @dataclass
 class NewtonState:
-    """One inner iterate: image, feasible dual field and its residual.
-
-    A PT step also hands on its iterate's ``PtFields``, which the next step
-    takes instead of evaluating them again, and the Armijo ``backtracks`` it
-    took.  The primal-dual steps leave both at their defaults.
-    """
+    """One inner iterate: image, feasible dual field, its residual and its
+    ``Fields``, which the step from it takes off it; a PT step also records
+    the Armijo ``backtracks`` it took."""
 
     u: np.ndarray
     h: np.ndarray
     inner_residual: float
-    fields: PtFields | None = None
+    fields: Fields | None
     backtracks: int = 0
 
 
-def _pd_fields(u: np.ndarray, ctx: AlmContext):
-    """Shared primal-dual quantities at the current iterate.
-
-    Returns (w, U, coef): w = lam + sigma grad u, U = max(1, |w| / alpha)
-    with |.| the variant's ``magnitude`` (so w / U = P_alpha(w)), and
-    coef = (sigma / alpha) direction(w) on the active set |w| >= alpha,
-    0 elsewhere: the Newton-derivative weight of the max term, a vector
-    field.
-    """
+def _fields(u: np.ndarray, ctx: AlmContext) -> Fields:
+    """The ``Fields`` at u: the one evaluation of w, U and coef."""
     w = ctx.lam + ctx.sigma * grad(u)
     mag = magnitude(w, ctx.variant)
     U = np.maximum(1.0, mag / ctx.alpha)
     coef = np.where(mag >= ctx.alpha, (ctx.sigma / ctx.alpha) * direction(w, ctx.variant), 0.0)
-    return w, U, coef
+    return Fields(w, U, coef, _primal_rhs(u, w / U, ctx))
+
+
+def _take_fields(state: NewtonState) -> Fields:
+    """The state's fields, taken off it, so that a step holds the only
+    reference and frees them before it evaluates the new iterate's."""
+    fields, state.fields = state.fields, None
+    return fields
+
+
+def _iterate(u: np.ndarray, h: np.ndarray, ctx: AlmContext, method: str,
+             h_pre: np.ndarray | None = None, backtracks: int = 0) -> NewtonState:
+    """The iterate (u, h) with its fields and ``method``'s residual: PT's
+    primal ||rhs||, or the primal-dual dual row ||U h_pre - w|| of the
+    pre-projection dual field h_pre (h itself at a subproblem's start)."""
+    fields = _fields(u, ctx)
+    if method == "pt":
+        res = norm_x(fields.rhs)
+    else:
+        res = norm_y(fields.U * (h if h_pre is None else h_pre) - fields.w)
+    return NewtonState(u, h, res, fields, backtracks)
 
 
 def _b_of_grad(g, coef, h, variant) -> np.ndarray:
@@ -311,13 +325,6 @@ def _primal_rhs(u: np.ndarray, p: np.ndarray, ctx: AlmContext) -> np.ndarray:
     return ctx.data.f - ctx.data.H.apply(u) + div(p)
 
 
-def residual_pd(u: np.ndarray, h: np.ndarray, ctx: AlmContext) -> float:
-    """Norm of the dual-row nonlinear residual, evaluated with the
-    pre-projection dual field."""
-    w, U, _ = _pd_fields(u, ctx)
-    return norm_y(U * h - w)
-
-
 def ssnpdp_step(state: NewtonState, ctx: AlmContext,
                 kcfg: KrylovConfig) -> tuple[NewtonState, int]:
     """One u-first primal-dual Newton step (Schur complement in the image).
@@ -330,18 +337,18 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext,
     linearization.
     """
     u, h = state.u, state.h
-    w, U, coef = _pd_fields(u, ctx)
+    w, U, coef, rhs = _take_fields(state)
     system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, h, ctx))
-    delta_u, kit = cg_solve(system, _primal_rhs(u, w / U, ctx), kcfg, jacobi)
-    # Freed before the new iterate's fields are evaluated, not after.
-    del system, jacobi
+    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
+    del system, jacobi, rhs
     u_new = u + delta_u
 
     g = grad(delta_u)
     h_pre = (w + ctx.sigma * g - _b_of_grad(g, coef, h, ctx.variant)) / U
-    res = residual_pd(u_new, h_pre, ctx)
+    # Freed before the new iterate's fields are evaluated, not after.
+    del w, U, coef, g, delta_u
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return NewtonState(u_new, h_new, res), kit
+    return _iterate(u_new, h_new, ctx, "pdp", h_pre), kit
 
 
 def ssnpdd_step(state: NewtonState, ctx: AlmContext,
@@ -352,18 +359,18 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     solved in increment form like ssnpdp_step.
     """
     u, h = state.u, state.h
-    w, U, coef = _pd_fields(u, ctx)
+    _, U, coef, _ = _take_fields(state)
     b2 = ctx.lam + _b_of_grad(grad(u), coef, h, ctx.variant)
     g_inv = grad(ctx.data.solve(ctx.data.f))
     system = _pdd_system(U, coef, h, ctx)
     rhs = b2 + ctx.sigma * g_inv - _b_of_grad(g_inv, coef, h, ctx.variant)
     delta_h, kit = bicgstab_solve(LinearMap(system, system), rhs - system(h), kcfg)
     h_pre = h + delta_h
-
+    # Freed before the new iterate's fields are evaluated, not after.
+    del U, coef, system, b2, g_inv, rhs, delta_h
     u_new = ctx.data.solve(ctx.data.f + div(h_pre))
-    res = residual_pd(u_new, h_pre, ctx)
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return NewtonState(u_new, h_new, res), kit
+    return _iterate(u_new, h_new, ctx, "pdd", h_pre), kit
 
 
 def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
@@ -421,29 +428,6 @@ def _merit_line(u: np.ndarray, delta_u: np.ndarray,
     return phi0, change
 
 
-def _pt_fields(u: np.ndarray, ctx: AlmContext) -> PtFields:
-    """PT's fields at u: U and coef (``_pd_fields``), the projected dual
-    p = w / U = P_alpha(w) and the residual field negated,
-    rhs = f - H u + div p (``_primal_rhs``)."""
-    w, U, coef = _pd_fields(u, ctx)
-    p = np.divide(w, U, out=w)
-    return PtFields(U, coef, p, _primal_rhs(u, p, ctx))
-
-
-def _pt_state(u: np.ndarray, h: np.ndarray, ctx: AlmContext,
-              backtracks: int = 0) -> NewtonState:
-    """The PT iterate u, with its fields and the residual they give."""
-    fields = _pt_fields(u, ctx)
-    return NewtonState(u, h, norm_x(fields.rhs), fields, backtracks)
-
-
-def residual_pt(u: np.ndarray, ctx: AlmContext) -> float:
-    """Norm of the primal nonlinear residual through the soft threshold,
-    H u - f - div lam - sigma div(grad u - S_tau(lam / sigma + grad u)),
-    evaluated as H u - f - div P_alpha(lam + sigma grad u)."""
-    return norm_x(_pt_fields(u, ctx).rhs)
-
-
 def _armijo(u: np.ndarray, delta_u: np.ndarray, slope: float,
             ctx: AlmContext) -> tuple[float, int]:
     """The Armijo step length along delta_u, and the backtracks taken.
@@ -468,45 +452,44 @@ def _armijo(u: np.ndarray, delta_u: np.ndarray, slope: float,
     return eta, backtracks
 
 
-def _pt_direction(fields: PtFields, ctx: AlmContext,
-                  kcfg: KrylovConfig) -> tuple[np.ndarray, float, int]:
-    """PT's Newton increment from the fields at u, the merit's slope along
-    it, and the CG iterations taken."""
-    U, coef, p, rhs = fields
-    system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, p, ctx))
-    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
-    # The residual field -rhs is a generalized gradient of the merit at u.
-    return delta_u, -inner_x(rhs, delta_u), kit
-
-
 def ssnpt_step(state: NewtonState, ctx: AlmContext,
                kcfg: KrylovConfig) -> tuple[NewtonState, int]:
     """One primal Newton step with Armijo backtracking on the merit function.
 
     The step solves PDP's system at the projected dual p = P_alpha(w) (see
     the module docstring): ``_pdp_flux`` at h = p, against PDP's right-hand
-    side, the residual field negated.  It takes the fields at u from the
-    state (evaluating them when the state has none) and returns the new
-    iterate with its own.
+    side, the residual field negated, whose norm is PT's residual.
     """
     u = state.u
-    delta_u, slope, kit = _pt_direction(state.fields or _pt_fields(u, ctx), ctx, kcfg)
-    # Freed before the new iterate's fields are evaluated, not after.
-    state.fields = None
+    w, U, coef, rhs = _take_fields(state)
+    # The fields are this step's alone, so p is written over w.
+    p = np.divide(w, U, out=w)
+    system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, p, ctx))
+    # Freed before the solve: the system holds what it needs of them.
+    del w, U, coef, p
+    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
+    # The residual field -rhs is a generalized gradient of the merit at u.
+    slope = -inner_x(rhs, delta_u)
+    # Freed before the line search and the new iterate's fields, not after.
+    del rhs, system, jacobi
     eta, backtracks = _armijo(u, delta_u, slope, ctx)
-    return _pt_state(u + eta * delta_u, state.h, ctx, backtracks), kit
+    u_new = u + eta * delta_u
+    del delta_u
+    return _iterate(u_new, state.h, ctx, "pt", backtracks=backtracks), kit
 
 
 @dataclass
 class InnerResult:
     """Outcome of one subproblem solve: final state, residual history, and
-    the Newton steps, Krylov iterations and Armijo backtracks it took."""
+    the Newton steps, Krylov iterations, Armijo backtracks and tight
+    re-solves it took."""
 
     state: NewtonState
     residuals: list[float]
     newton_steps: int
     krylov_iters: int
     backtracks: int
+    tight_resolves: int
 
 
 def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: str,
@@ -521,10 +504,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     step_fn = {"pdp": ssnpdp_step, "pdd": ssnpdd_step, "pt": ssnpt_step}.get(method)
     if step_fn is None:
         raise ValueError(f"unknown inner method {method!r}")
-    if method == "pt":
-        state = _pt_state(u0.copy(), h0.copy(), ctx)
-    else:
-        state = NewtonState(u0.copy(), h0.copy(), residual_pd(u0, h0, ctx))
+    state = _iterate(u0.copy(), h0.copy(), ctx, method)
     res0 = state.inner_residual
     residuals = [res0]
     # The residual is a difference of terms whose size grows with sigma, so
@@ -535,7 +515,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     threshold = max(delta / ctx.sigma, noise)
     tight_mode = False
     tight_tol = 1e-10
-    newton_steps = krylov_iters = backtracks = 0
+    newton_steps = krylov_iters = backtracks = tight_resolves = 0
     while state.inner_residual > threshold:
         if newton_steps >= MAX_NEWTON_STEPS:
             raise InnerNewtonError("inner Newton cap exceeded",
@@ -552,7 +532,12 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
             # keep tight solves for the rest of this subproblem.  The
             # unglobalized primal-dual Newton is only locally robust.
             tight_mode = True
+            tight_resolves += 1
             krylov_iters += kit
+            # The step took the iterate's fields: evaluate them again, once
+            # the discarded candidate's are freed.
+            del cand
+            state.fields = _fields(state.u, ctx)
             cand, kit = step_fn(state, ctx,
                                 KrylovConfig(rel_tol=tight_tol, max_iters=KRYLOV_MAX_ITERS))
         state = cand
@@ -560,6 +545,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
         krylov_iters += kit
         backtracks += state.backtracks
         residuals.append(state.inner_residual)
-    # PT's fields hold this subproblem's lam and sigma: no use to the caller.
+    # The fields hold this subproblem's lam and sigma: no use to the caller.
     state.fields = None
-    return InnerResult(state, residuals, newton_steps, krylov_iters, backtracks)
+    return InnerResult(state, residuals, newton_steps, krylov_iters, backtracks,
+                       tight_resolves)

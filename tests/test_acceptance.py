@@ -118,7 +118,7 @@ def test_criterion_2_prox_projection():
 
 
 def test_criterion_3_positive_definiteness():
-    from tvalm.ssn import _b_of_grad, _image_system, _pd_fields, _pdp_flux
+    from tvalm.ssn import _b_of_grad, _fields, _image_system, _pdp_flux
     t0 = time.perf_counter()
     rng = np.random.default_rng(303)
     worst = 0.0
@@ -133,7 +133,7 @@ def test_criterion_3_positive_definiteness():
         u0 = rng.normal(size=(n, n))
         h = project_ball(rng.normal(size=(2, n, n)), alpha, variant)
         probe = rng.normal(size=(n, n))
-        w, U, coef = _pd_fields(u0, ctx)
+        w, U, coef, _ = _fields(u0, ctx)
         schur = lambda v: ctx.data.H.apply(v) - div(
             (sigma * grad(v) - _b_of_grad(grad(v), coef, h, variant)) / U)
         # PT's operator is PDP's symmetrized one at the projected dual w / U.

@@ -48,6 +48,12 @@ class TestAlg2:
             assert np.isfinite(rec.res1)
             assert np.isfinite(rec.gap)
 
+    def test_records_carry_no_newton_counts(self):
+        _, report = alg2_run(noisy_flat(8), None, 0.1, 0.0, ISO, 1e-7, 10 ** 5,
+                             check_every=10)
+        for rec in report.records:
+            assert (rec.inner_newton, rec.backtracks, rec.tight_resolves) == (0, 0, 0)
+
     def test_gap_improves_from_first_record(self):
         z = noisy_flat(8)
         _, report = alg2_run(z, None, 0.1, 0.0, ISO, 1e-8, 10 ** 6, check_every=5)

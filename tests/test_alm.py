@@ -123,6 +123,28 @@ class TestAlmRun:
             assert rec.wall_ms >= 0.0
         assert sum(rec.inner_newton for rec in report.records) > 0
 
+    @pytest.mark.parametrize("inner", ["pdp", "pdd", "pt"])
+    def test_records_carry_the_subproblem_counts(self, inner, monkeypatch):
+        # Each record holds its subproblem's Newton steps, backtracks and
+        # tight re-solves; only the primal-dual solvers re-solve.
+        import tvalm.alm as alm
+        real = alm.solve_subproblem
+        results = []
+
+        def recorded(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(alm, "solve_subproblem", recorded)
+        clean = blocks_image(16, 16, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        _, report = alm_run(z, None, AlmConfig(alpha=0.1, variant=ANISO, inner=inner))
+        for rec, res in zip(report.records, results, strict=True):
+            assert (rec.inner_newton, rec.backtracks, rec.tight_resolves) == (
+                res.newton_steps, res.backtracks, res.tight_resolves)
+        tight = sum(rec.tight_resolves for rec in report.records)
+        assert tight == 0 if inner == "pt" else tight > 0
+
 
 class TestFailureLocation:
     """A subproblem failure names the outer iteration and the sigma it

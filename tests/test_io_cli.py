@@ -60,6 +60,13 @@ class TestPgm:
         with pytest.raises(PgmFormatError, match="maxval"):
             load_image(path)
 
+    def test_sample_above_maxval_rejected(self, tmp_path):
+        # Read as is, the 200 would load as 13.33, off the [0, 1] scale.
+        path = tmp_path / "over.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n\xc8\x07")
+        with pytest.raises(PgmFormatError, match="data"):
+            load_image(path)
+
     def test_truncated_data_rejected(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n2 2\n255\n\x00")

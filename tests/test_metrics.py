@@ -206,18 +206,19 @@ class TestMakeRecord:
     def test_record_fields_finite_and_capped(self):
         u = RNG.uniform(size=(4, 4))
         lam = project_ball(RNG.normal(size=(2, 4, 4)), 0.1, ISO)
-        rec = make_record(3, u, lam, DataTerm(u), 0.1, ISO, u, 12.5, 4, 7.5, 2)
+        rec = make_record(3, u, lam, DataTerm(u), 0.1, ISO, u, 12.5, 4, 7.5, 2, 1)
         assert rec.psnr == 99.0  # identical reference, display capped
         assert rec.lambda_feasible
         for field in ("res_u", "res_lambda", "err", "res1", "res2", "gap"):
             assert np.isfinite(getattr(rec, field))
         assert rec.k == 3 and rec.inner_newton == 4 and rec.backtracks == 2
+        assert rec.tight_resolves == 1
 
     @pytest.mark.parametrize("K, mu", [(None, 1e-3), (blur_map(motion_kernel(3)), 1e-6)])
     def test_gap_is_nan_unless_denoising(self, K, mu):
         # pd_gap is the denoising (ROF) gap; it means nothing for other data.
         u = RNG.uniform(size=(4, 4))
         lam = project_ball(RNG.normal(size=(2, 4, 4)), 0.1, ISO)
-        rec = make_record(1, u, lam, DataTerm(u, K, mu), 0.1, ISO, u, 1.0, 1, 1.0, 0)
+        rec = make_record(1, u, lam, DataTerm(u, K, mu), 0.1, ISO, u, 1.0, 1, 1.0, 0, 0)
         assert np.isnan(rec.gap)
         assert np.isfinite(rec.err) and rec.lambda_feasible

@@ -11,9 +11,8 @@ from tvalm.errors import InnerNewtonError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
 from tvalm.linops import DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
-from tvalm.ssn import (ARMIJO_ETA0, ARMIJO_THETA, AlmContext, NewtonState, _pd_fields,
-                       merit_phi, residual_pd, residual_pt, solve_subproblem, ssnpdd_step,
-                       ssnpdp_step, ssnpt_step)
+from tvalm.ssn import (ARMIJO_ETA0, ARMIJO_THETA, AlmContext, _fields, _iterate, merit_phi,
+                       solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
 
 from test_linops import dense_from_map
 
@@ -30,6 +29,17 @@ def random_instance(n, sigma=4.0, alpha=0.1, variant=ISO, lam_scale=0.05, seed=N
     z = np.clip(0.5 + 0.12 * rng.normal(size=(n, n)), 0.0, 1.0)
     lam = project_ball(lam_scale * rng.normal(size=(2, n, n)), alpha, variant)
     return z, denoise_ctx(z, lam, sigma, alpha, variant)
+
+
+def pd_residual(u, h, ctx):
+    """The primal-dual methods' inner residual at (u, h), as a subproblem's
+    start state measures it."""
+    return _iterate(u, h, ctx, "pdp").inner_residual
+
+
+def pt_residual(u, ctx):
+    """PT's inner residual at u, as a subproblem's start state measures it."""
+    return _iterate(u, np.zeros((2,) + u.shape), ctx, "pt").inner_residual
 
 
 def subproblem_oracle(ctx, tol=1e-10, max_iter=400000):
@@ -85,13 +95,13 @@ class TestMerit:
         z, ctx = random_instance(5, variant=ANISO, seed=3)
         u = z + 0.05 * RNG.normal(size=(5, 5))
         merit_phi(u, ctx)
-        residual_pt(u, ctx)
+        pt_residual(u, ctx)
         lam = project_ball(0.05 * RNG.normal(size=(2, 5, 5)), ctx.alpha, ANISO)
         moved = replace(ctx, lam=lam, sigma=2.0 * ctx.sigma)
         fresh = denoise_ctx(z, lam, 2.0 * ctx.sigma, ctx.alpha, ANISO)
         assert merit_phi(u, moved) == merit_phi(u, fresh)
-        assert residual_pt(u, moved) == residual_pt(u, fresh)
-        assert residual_pt(u, moved) == pytest.approx(residual_pt_reference(u, moved),
+        assert pt_residual(u, moved) == pt_residual(u, fresh)
+        assert pt_residual(u, moved) == pytest.approx(residual_pt_reference(u, moved),
                                                       rel=1e-10)
 
 
@@ -116,6 +126,8 @@ def residual_pd_reference(u, h, ctx):
 
 
 def residual_pt_reference(u, ctx):
+    """The primal residual through the soft threshold, with explicit pixel
+    loops: H u - f - div lam - sigma div(grad u - S_tau(lam / sigma + grad u))."""
     m, n = u.shape
     g = grad(u)
     tau = ctx.alpha / ctx.sigma
@@ -131,7 +143,8 @@ def residual_pt_reference(u, ctx):
             else:
                 s[0, i, j] = np.sign(q1) * max(0.0, abs(q1) - tau)
                 s[1, i, j] = np.sign(q2) * max(0.0, abs(q2) - tau)
-    field = (u - ctx.data.z) - div(ctx.lam) - ctx.sigma * div(g) + ctx.sigma * div(s)
+    field = (ctx.data.H.apply(u) - ctx.data.f - div(ctx.lam) - ctx.sigma * div(g)
+             + ctx.sigma * div(s))
     return norm_x(field)
 
 
@@ -145,21 +158,21 @@ class TestResiduals:
                 h = w / np.maximum(1.0, pointwise_mag(w) / ctx.alpha)
             else:
                 h = w / np.maximum(1.0, np.abs(w) / ctx.alpha)
-            assert residual_pd(u, h, ctx) <= 1e-13
+            assert pd_residual(u, h, ctx) <= 1e-13
 
     def test_pd_duplicate_formula(self):
         for variant in (ISO, ANISO):
             z, ctx = random_instance(2, variant=variant)
             u = RNG.normal(size=(2, 2))
             h = RNG.normal(size=(2, 2, 2))
-            assert residual_pd(u, h, ctx) == pytest.approx(
+            assert pd_residual(u, h, ctx) == pytest.approx(
                 residual_pd_reference(u, h, ctx), abs=1e-14, rel=1e-13)
 
     def test_pt_duplicate_formula(self):
         for variant in (ISO, ANISO):
             z, ctx = random_instance(2, variant=variant)
             u = RNG.normal(size=(2, 2))
-            assert residual_pt(u, ctx) == pytest.approx(
+            assert pt_residual(u, ctx) == pytest.approx(
                 residual_pt_reference(u, ctx), abs=1e-14, rel=1e-13)
 
     def test_pt_all_threshold_regime(self):
@@ -169,7 +182,7 @@ class TestResiduals:
         sigma = 2.0
         ctx = denoise_ctx(z, np.zeros((2, 4, 4)), sigma, 1e6, ISO)
         u = z.copy()  # H = I, f = z
-        assert residual_pt(u, ctx) == pytest.approx(
+        assert pt_residual(u, ctx) == pytest.approx(
             sigma * norm_x(div(grad(u))), rel=1e-12)
 
 
@@ -183,7 +196,7 @@ class TestActiveMask:
         lam = np.zeros((2, 2, 2))
         lam[0, 0, 0] = alpha  # |w| == alpha exactly at this pixel
         ctx = denoise_ctx(z, lam, sigma, alpha, ISO)
-        _, _, coef = _pd_fields(z, ctx)
+        coef = _fields(z, ctx).coef
         assert np.any(coef[:, 0, 0] != 0.0)
         assert np.all(coef[:, 1, 1] == 0.0)
 
@@ -193,7 +206,7 @@ class TestActiveMask:
         lam[0, 0, 0] = 0.5  # |w| == alpha exactly in this channel
         lam[1, 0, 0] = 0.1
         ctx = denoise_ctx(z, lam, 1.0, 0.5, ANISO)
-        _, _, coef = _pd_fields(z, ctx)
+        coef = _fields(z, ctx).coef
         assert coef[0, 0, 0] != 0.0 and coef[1, 0, 0] == 0.0
 
 
@@ -201,8 +214,7 @@ class TestSsnpdpStep:
     def test_single_pixel_grid(self):
         z = np.array([[0.8]])
         ctx = denoise_ctx(z, np.zeros((2, 1, 1)), 4.0, 0.1, ISO)
-        st = NewtonState(np.array([[0.2]]), np.zeros((2, 1, 1)),
-                         residual_pd(np.array([[0.2]]), np.zeros((2, 1, 1)), ctx))
+        st = _iterate(np.array([[0.2]]), np.zeros((2, 1, 1)), ctx, "pdp")
         out, _ = ssnpdp_step(st, ctx, TIGHT)
         assert out.u == pytest.approx(0.8)  # H = I so u = f
         assert np.all(out.h == 0.0)
@@ -210,7 +222,7 @@ class TestSsnpdpStep:
     def test_fixed_point_at_solution(self):
         z, ctx = random_instance(4, variant=ANISO)
         res = solve_subproblem(z, np.zeros((2, 4, 4)), ctx, "pdp", 1e-10)
-        moved, _ = ssnpdp_step(res.state, ctx, TIGHT)
+        moved, _ = ssnpdp_step(_iterate(res.state.u, res.state.h, ctx, "pdp"), ctx, TIGHT)
         assert norm_x(moved.u - res.state.u) <= 1e-9
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
@@ -223,8 +235,7 @@ class TestSsnpdpStep:
     def test_h_feasible_after_step(self):
         for variant in (ISO, ANISO):
             z, ctx = random_instance(5, sigma=16.0, variant=variant)
-            st = NewtonState(z.copy(), np.zeros((2, 5, 5)),
-                             residual_pd(z, np.zeros((2, 5, 5)), ctx))
+            st = _iterate(z.copy(), np.zeros((2, 5, 5)), ctx, "pdp")
             st, _ = ssnpdp_step(st, ctx, TIGHT)
             if variant == ISO:
                 assert np.all(pointwise_mag(st.h) <= ctx.alpha * (1 + 1e-12))
@@ -252,8 +263,7 @@ class TestSsnpddStep:
     def test_single_pixel_grid(self):
         z = np.array([[0.3]])
         ctx = denoise_ctx(z, np.zeros((2, 1, 1)), 4.0, 0.1, ISO)
-        st = NewtonState(np.array([[0.9]]), np.zeros((2, 1, 1)),
-                         residual_pd(np.array([[0.9]]), np.zeros((2, 1, 1)), ctx))
+        st = _iterate(np.array([[0.9]]), np.zeros((2, 1, 1)), ctx, "pdd")
         out, _ = ssnpdd_step(st, ctx, TIGHT)
         assert out.u == pytest.approx(0.3)
         assert np.all(out.h == 0.0)
@@ -284,8 +294,8 @@ class TestSsnpddStep:
         U_ext = np.concatenate([U.ravel(), U.ravel()])
         dense = np.diag(U_ext) - ctx.sigma * (G @ Dv) + B @ Dv
 
-        from tvalm.ssn import _pd_fields, _pdd_system
-        _, U, coef = _pd_fields(u, ctx)
+        from tvalm.ssn import _pdd_system
+        _, U, coef, _ = _fields(u, ctx)
         system = _pdd_system(U, coef, h, ctx)
         q = RNG.normal(size=(2, 2, 2))
         got = system(q).ravel()
@@ -298,7 +308,7 @@ class TestSsnpddStep:
         # PDD path may write into what it returns.
         z, ctx = random_instance(6, variant=variant, seed=11)
         h = project_ball(0.1 * RNG.normal(size=(2, 6, 6)), ctx.alpha, variant)
-        st = NewtonState(z + 0.1 * RNG.normal(size=(6, 6)), h, 1.0)
+        st = _iterate(z + 0.1 * RNG.normal(size=(6, 6)), h, ctx, "pdd")
         f0, z0, lam0, u0, h0 = (ctx.data.f.copy(), ctx.data.z.copy(), ctx.lam.copy(),
                                 st.u.copy(), st.h.copy())
         ssnpdd_step(st, ctx, TIGHT)
@@ -320,7 +330,7 @@ class TestSsnptStep:
     def test_fixed_point_at_minimizer(self):
         z, ctx = random_instance(4, seed=8)
         res = solve_subproblem(z, np.zeros((2, 4, 4)), ctx, "pt", 1e-11)
-        moved, _ = ssnpt_step(res.state, ctx, TIGHT)
+        moved, _ = ssnpt_step(_iterate(res.state.u, res.state.h, ctx, "pt"), ctx, TIGHT)
         assert norm_x(moved.u - res.state.u) <= 1e-9
 
     def test_quadratic_regime_single_step(self):
@@ -330,7 +340,7 @@ class TestSsnptStep:
         z, _ = random_instance(n, seed=12)
         lam = 0.01 * RNG.normal(size=(2, n, n))
         ctx = denoise_ctx(z, lam, sigma, 1e6, ISO)
-        st = NewtonState(z.copy(), np.zeros((2, n, n)), residual_pt(z, ctx))
+        st = _iterate(z.copy(), np.zeros((2, n, n)), ctx, "pt")
         out, _ = ssnpt_step(st, ctx, TIGHT)
 
         def fixed_system(v):
@@ -338,7 +348,7 @@ class TestSsnptStep:
         A = LinearMap(fixed_system, fixed_system, self_adjoint=True)
         want, _ = cg_solve(A, z + div(lam), TIGHT)
         assert np.max(np.abs(out.u - want)) <= 1e-9
-        assert residual_pt(out.u, ctx) <= 1e-9
+        assert out.inner_residual <= 1e-9
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_agrees_with_pdp_on_3x3(self, variant):
@@ -350,7 +360,7 @@ class TestSsnptStep:
     def test_accepted_step_satisfies_armijo(self):
         z, ctx = random_instance(5, sigma=16.0, seed=33)
         u0 = z + 0.05 * RNG.normal(size=(5, 5))
-        st = NewtonState(u0, np.zeros((2, 5, 5)), residual_pt(u0, ctx))
+        st = _iterate(u0, np.zeros((2, 5, 5)), ctx, "pt")
         out, _ = ssnpt_step(st, ctx, TIGHT)
         # Recheck the inequality post hoc with the actual step taken.
         delta = out.u - u0
@@ -405,7 +415,7 @@ class TestDerivativeConsistency:
         ctx = denoise_ctx(z, lam, sigma, alpha, ISO)
         u0 = RNG.normal(size=(n, n))
         h0 = project_ball(RNG.normal(size=(2, n, n)), alpha, ISO)
-        w, U, coef = _pd_fields(u0, ctx)
+        w, U, coef, _ = _fields(u0, ctx)
         assert np.min(np.abs(pointwise_mag(w) - alpha)) > 1e-3  # no ties
 
         def F(u, h):
@@ -452,15 +462,13 @@ def b_action_oracle(w, h, ctx):
 
 
 def pdp_system_oracle(u, h, ctx):
-    from tvalm.ssn import _pd_fields
-    w, U, _ = _pd_fields(u, ctx)
+    w, U = _fields(u, ctx)[:2]
     b_action = b_action_oracle(w, h, ctx)
     return lambda v: ctx.data.H.apply(v) - div((ctx.sigma * grad(v) - b_action(v)) / U)
 
 
 def pdd_system_oracle(u, h, ctx):
-    from tvalm.ssn import _pd_fields
-    w, U, _ = _pd_fields(u, ctx)
+    w, U = _fields(u, ctx)[:2]
     b_action = b_action_oracle(w, h, ctx)
 
     def system(q):
@@ -495,7 +503,7 @@ def newton_flux(solver, u, h, ctx):
     """The pointwise tensor (a, off) of ssnpdp_step's or ssnpt_step's CG
     operator at (u, h); PT's is PDP's at the projected dual h = w / U."""
     from tvalm.ssn import _pdp_flux
-    w, U, coef = _pd_fields(u, ctx)
+    w, U, coef, _ = _fields(u, ctx)
     return _pdp_flux(U, coef, h if solver == "pdp" else w / U, ctx)
 
 
@@ -548,7 +556,7 @@ class TestAssembledOperators:
     def test_pdp(self, setup, variant):
         # PDP solves the symmetric part (A + A^T) / 2 of the Schur operator A.
         ctx, u, h, _ = self.instance(setup, variant)
-        w, U, coef = _pd_fields(u, ctx)
+        coef = _fields(u, ctx).coef
         # Both branches of the max term are exercised.
         assert 0.0 < np.mean(coef != 0.0) < 1.0
         system, _ = newton_system("pdp", u, h, ctx)
@@ -598,7 +606,6 @@ class TestAssembledOperators:
         # The step's Krylov right-hand side f - H u + div(w / U) is the
         # increment form rhs - A u of the unsymmetrized Schur system.
         import tvalm.ssn as ssn
-        from tvalm.ssn import _pd_fields
         ctx, u, h, _ = self.instance(setup, variant)
         seen = []
 
@@ -607,8 +614,8 @@ class TestAssembledOperators:
             return np.zeros_like(b), 0
 
         monkeypatch.setattr(ssn, "cg_solve", capture)
-        ssnpdp_step(NewtonState(u, h, 1.0), ctx, TIGHT)
-        w, U, _ = _pd_fields(u, ctx)
+        ssnpdp_step(_iterate(u, h, ctx, "pdp"), ctx, TIGHT)
+        w, U = _fields(u, ctx)[:2]
         b_u = b_action_oracle(w, h, ctx)(u)
         rhs = ctx.data.f + div((ctx.lam + b_u) / U)
         A_u = pdp_system_oracle(u, h, ctx)(u)
@@ -618,9 +625,9 @@ class TestAssembledOperators:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
     def test_pdd(self, setup, variant):
-        from tvalm.ssn import _pd_fields, _pdd_system
+        from tvalm.ssn import _pdd_system
         ctx, u, h, rng = self.instance(setup, variant)
-        _, U, coef = _pd_fields(u, ctx)
+        _, U, coef, _ = _fields(u, ctx)
         assert 0.0 < np.mean(coef != 0.0) < 1.0
         system = _pdd_system(U, coef, h, ctx)
         oracle = pdd_system_oracle(u, h, ctx)
@@ -661,12 +668,20 @@ class TestSolveSubproblem:
         exc = info.value
         assert exc.sigma == 64.0 and exc.iterations == 1
         assert len(exc.residuals) == 2 and exc.residuals[-1] == exc.residual
-        assert exc.residuals[0] == residual_pd(z, np.zeros((2, 6, 6)), ctx)
+        assert exc.residuals[0] == pd_residual(z, np.zeros((2, 6, 6)), ctx)
+
+    @staticmethod
+    def tight_instance():
+        """An instance where one loose primal-dual step raises the residual."""
+        clean = blocks_image(8, 8, seed=2)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        lam = project_ball(0.1 * np.random.default_rng(2).normal(size=(2, 8, 8)), 0.1, ANISO)
+        return z, AlmContext(lam, 1024.0, 0.1, ANISO, DataTerm(z))
 
     def test_counts_include_the_tight_resolve(self, monkeypatch):
         # At this instance one loose PDP step raises the residual and is redone
         # tight: the discarded solve is no Newton step, but its Krylov
-        # iterations count.
+        # iterations count, and so does the re-solve.
         import tvalm.ssn as ssn
         calls, krylov = [], []
 
@@ -677,14 +692,38 @@ class TestSolveSubproblem:
             return out, kit
 
         monkeypatch.setattr(ssn, "ssnpdp_step", counted)
-        clean = blocks_image(8, 8, seed=2)
-        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
-        lam = project_ball(0.1 * np.random.default_rng(2).normal(size=(2, 8, 8)), 0.1, ANISO)
-        ctx = AlmContext(lam, 1024.0, 0.1, ANISO, DataTerm(z))
+        z, ctx = self.tight_instance()
         res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pdp", 1e-4)
         assert res.newton_steps == len(res.residuals) - 1 == len(calls) - 1
+        assert res.tight_resolves == len(calls) - res.newton_steps == 1
         assert res.krylov_iters == sum(krylov)
         assert calls.count(1e-10) >= 2  # the re-solve and the steps after it
+
+    @pytest.mark.parametrize("method", ["pdp", "pdd"])
+    def test_tight_resolve_is_a_step_from_a_fresh_state(self, method, monkeypatch):
+        # The discarded step took the iterate's fields; the re-solve from the
+        # fields evaluated again is the step from a freshly built state.
+        import tvalm.ssn as ssn
+        step = STEPS[method]
+        calls = []
+
+        def recorded(state, ctx, kcfg):
+            start = (state.u.copy(), state.h.copy())
+            out, kit = step(state, ctx, kcfg)
+            got = (out.u.copy(), out.h.copy(), *(f.copy() for f in out.fields))
+            calls.append((state, start, kcfg, got, out.inner_residual, kit))
+            return out, kit
+
+        monkeypatch.setattr(ssn, f"ssn{method}_step", recorded)
+        z, ctx = self.tight_instance()
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, method, 1e-4)
+        assert res.tight_resolves == 1
+        (i,) = [i for i in range(1, len(calls)) if calls[i][0] is calls[i - 1][0]]
+        _, (u, h), kcfg, got, residual, kit = calls[i]
+        fresh, fresh_kit = step(_iterate(u, h, ctx, method), ctx, kcfg)
+        assert kit == fresh_kit and residual == fresh.inner_residual
+        for g, want in zip(got, (fresh.u, fresh.h, *fresh.fields)):
+            assert_same_bits(g, want)
 
     def test_unknown_method(self):
         z, ctx = random_instance(2)
@@ -819,7 +858,7 @@ class TestFlatStencil:
         # At a PT step's own coefficients (exact zeros where a pixel is active).
         from tvalm.ssn import _image_system, _pdp_flux
         ctx, u, _ = pt_line_instance(variant, motion_kernel(3), 1e-3)
-        w, U, coef = _pd_fields(u, ctx)
+        w, U, coef, _ = _fields(u, ctx)
         flux = _pdp_flux(U, coef, w / U, ctx)
         system, _ = _image_system(ctx, *flux)
         oracle = image_system_oracle(ctx, *flux)
@@ -836,7 +875,7 @@ def ssnpt_step_oracle(state, ctx, kcfg):
     written before the precomputed line: returns (u_new, eta, backtracks)."""
     import tvalm.ssn as ssn
     u = state.u
-    w, U, coef = _pd_fields(u, ctx)
+    w, U, coef, _ = _fields(u, ctx)
     p = w / U
     rhs = ssn._primal_rhs(u, p, ctx)
     a, off = ssn._pdp_flux(U, coef, p, ctx)
@@ -853,7 +892,49 @@ def ssnpt_step_oracle(state, ctx, kcfg):
     return u + eta * delta_u, eta, backtracks
 
 
-PT_STEP_SETUPS = {"identity": (None, 0.0), "motion3-mu1e-3": (motion_kernel(3), 1e-3)}
+STEP_SETUPS = {"identity": (None, 0.0), "motion3-mu1e-3": (motion_kernel(3), 1e-3)}
+STEPS = {"pdp": ssnpdp_step, "pdd": ssnpdd_step, "pt": ssnpt_step}
+# A loose forcing tolerance, as early in a subproblem.
+LOOSE = KrylovConfig(rel_tol=0.1, max_iters=1000)
+
+
+def step_instance(method, variant, setup):
+    """A 16x16 subproblem at sigma 16, and its start state at u = z."""
+    kernel, mu = STEP_SETUPS[setup]
+    clean = blocks_image(16, 16, seed=3)
+    z = degrade(clean, DegradeSpec(noise_std=0.1, blur=kernel, seed=7))
+    lam = project_ball(0.05 * np.random.default_rng(9).normal(size=(2, 16, 16)),
+                       0.1, variant)
+    K = None if kernel is None else blur_map(kernel)
+    ctx = AlmContext(lam, 16.0, 0.1, variant, DataTerm(z, K, mu))
+    return ctx, _iterate(z.copy(), np.zeros((2, 16, 16)), ctx, method)
+
+
+def check_carried_fields(method, variant, setup, monkeypatch, steps=4):
+    """Step by step: each step takes the fields off the state it is given,
+    and the new iterate carries fields bit-identical to fresh ones and the
+    residual of the reference oracle."""
+    import tvalm.ssn as ssn
+    # The pre-projection duals, whose residual a primal-dual step reports.
+    pre = []
+
+    def recorded(h, alpha, variant):
+        pre.append(h)
+        return project_ball(h, alpha, variant)
+
+    monkeypatch.setattr(ssn, "project_ball", recorded)
+    ctx, state = step_instance(method, variant, setup)
+    for _ in range(steps):
+        out, _ = STEPS[method](state, ctx, LOOSE)
+        assert state.fields is None
+        for got, want in zip(out.fields, _fields(out.u, ctx)):
+            assert_same_bits(got, want)
+        if method == "pt":
+            want = residual_pt_reference(out.u, ctx)
+        else:
+            want = residual_pd_reference(out.u, pre[-1], ctx)
+        assert out.inner_residual == pytest.approx(want, rel=1e-10)
+        state = out
 
 
 class TestPtStepLineSearch:
@@ -861,56 +942,24 @@ class TestPtStepLineSearch:
     bits as the trial-by-trial line search, and carried fields equal to
     fresh ones."""
 
-    @staticmethod
-    def run_steps(variant, setup, steps=8):
-        kernel, mu = PT_STEP_SETUPS[setup]
-        clean = blocks_image(16, 16, seed=3)
-        z = degrade(clean, DegradeSpec(noise_std=0.1, blur=kernel, seed=7))
-        lam = project_ball(0.05 * np.random.default_rng(9).normal(size=(2, 16, 16)),
-                           0.1, variant)
-        K = None if kernel is None else blur_map(kernel)
-        ctx = AlmContext(lam, 16.0, 0.1, variant, DataTerm(z, K, mu))
-        state = NewtonState(z.copy(), np.zeros((2, 16, 16)), residual_pt(z, ctx))
-        for _ in range(steps):
-            # A loose forcing tolerance, as early in a subproblem.
-            yield state, ctx, KrylovConfig(rel_tol=0.1, max_iters=1000)
-            state, _ = ssnpt_step(state, ctx, KrylovConfig(rel_tol=0.1, max_iters=1000))
-
-    @pytest.mark.parametrize("setup", sorted(PT_STEP_SETUPS))
+    @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_same_step_length_and_bits_as_merit_trials(self, variant, setup):
+        ctx, state = step_instance("pt", variant, setup)
         total = 0
-        for state, ctx, kcfg in self.run_steps(variant, setup):
-            want_u, want_eta, want_backtracks = ssnpt_step_oracle(state, ctx, kcfg)
-            out, _ = ssnpt_step(state, ctx, kcfg)
-            assert out.backtracks == want_backtracks
-            assert ARMIJO_ETA0 * ARMIJO_THETA ** out.backtracks == want_eta
-            assert_same_bits(out.u, want_u)
-            total += out.backtracks
+        for _ in range(8):
+            want_u, want_eta, want_backtracks = ssnpt_step_oracle(state, ctx, LOOSE)
+            state, _ = ssnpt_step(state, ctx, LOOSE)
+            assert state.backtracks == want_backtracks
+            assert ARMIJO_ETA0 * ARMIJO_THETA ** state.backtracks == want_eta
+            assert_same_bits(state.u, want_u)
+            total += state.backtracks
         assert total > 0  # the line search backtracked somewhere
 
-    @pytest.mark.parametrize("setup", sorted(PT_STEP_SETUPS))
+    @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
     @pytest.mark.parametrize("variant", [ISO, ANISO])
-    def test_carried_fields_equal_fresh_ones(self, variant, setup):
-        from tvalm.ssn import _primal_rhs
-        for state, ctx, kcfg in self.run_steps(variant, setup, steps=4):
-            out, _ = ssnpt_step(state, ctx, kcfg)
-            w, U, coef = _pd_fields(out.u, ctx)
-            p = w / U
-            for got, want in zip(out.fields, (U, coef, p, _primal_rhs(out.u, p, ctx))):
-                assert_same_bits(got, want)
-            assert out.inner_residual == residual_pt(out.u, ctx)
-            # The step took the fields it was handed off the old state.
-            assert state.fields is None
-
-    @pytest.mark.parametrize("variant", [ISO, ANISO])
-    def test_step_without_fields_is_the_same(self, variant):
-        for state, ctx, kcfg in self.run_steps(variant, "identity", steps=3):
-            bare = NewtonState(state.u, state.h, state.inner_residual)
-            out_bare, kit_bare = ssnpt_step(bare, ctx, kcfg)
-            out, kit = ssnpt_step(state, ctx, kcfg)
-            assert kit == kit_bare and out.backtracks == out_bare.backtracks
-            assert_same_bits(out.u, out_bare.u)
+    def test_carried_fields_equal_fresh_ones(self, variant, setup, monkeypatch):
+        check_carried_fields("pt", variant, setup, monkeypatch)
 
     def test_subproblem_sums_the_backtracks(self, monkeypatch):
         import tvalm.ssn as ssn
@@ -927,6 +976,20 @@ class TestPtStepLineSearch:
         ctx = AlmContext(np.zeros((2, 16, 16)), 4.0, 0.1, ANISO, DataTerm(z))
         res = solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pt", 1e-4)
         assert res.backtracks == sum(seen) > 0
+        assert res.tight_resolves == 0
         for method in ("pdp", "pdd"):
             assert solve_subproblem(z, np.zeros((2, 16, 16)), ctx, method,
                                     1e-4).backtracks == 0
+
+
+class TestPrimalDualCarriedFields:
+    """PDP and PDD carry their iterates' fields as PT does."""
+
+    @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_pdp(self, variant, setup, monkeypatch):
+        check_carried_fields("pdp", variant, setup, monkeypatch)
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_pdd(self, variant, monkeypatch):
+        check_carried_fields("pdd", variant, "identity", monkeypatch)

@@ -16,7 +16,7 @@ from tvalm.grid import (ANISO, ISO, direction, div, grad, magnitude, norm_x, nor
 from tvalm.linops import DataTerm, KrylovConfig, blur_map, motion_kernel
 from tvalm.metrics import _res1, _res2, lambda_feasible
 from tvalm.prox import project_ball, soft_threshold
-from tvalm.ssn import AlmContext, NewtonState, residual_pt, ssnpt_step
+from tvalm.ssn import AlmContext, _iterate, ssnpt_step
 
 from test_grid import assert_same_bits
 
@@ -158,7 +158,7 @@ SETUPS = {"identity": (None, 0.0), "motion3": (motion_kernel(3), 1e-6)}
 @pytest.mark.parametrize("setup", sorted(SETUPS))
 def test_pt_residual_field_is_the_shrinkage_form(setup, variant, monkeypatch):
     # PT's residual field H u - f - div P_alpha(lam + sigma grad u), as
-    # ssnpt_step hands it (negated) to CG and residual_pt measures it,
+    # ssnpt_step hands it (negated) to CG and its start state measures it,
     # against H u - f - div lam - sigma div(grad u - S_tau(lam / sigma + grad u)).
     import tvalm.ssn as ssn
     kernel, mu = SETUPS[setup]
@@ -182,8 +182,8 @@ def test_pt_residual_field_is_the_shrinkage_form(setup, variant, monkeypatch):
         return np.zeros_like(b), 0
 
     monkeypatch.setattr(ssn, "cg_solve", capture)
-    ssnpt_step(NewtonState(u, np.zeros_like(lam), 1.0), ctx,
-               KrylovConfig(rel_tol=1e-12, max_iters=100))
+    state = _iterate(u, np.zeros_like(lam), ctx, "pt")
+    assert state.inner_residual == pytest.approx(norm_x(want), rel=1e-12)
+    ssnpt_step(state, ctx, KrylovConfig(rel_tol=1e-12, max_iters=100))
     (rhs,) = seen
     assert norm_x(-rhs - want) <= 1e-12 * norm_x(want)
-    assert residual_pt(u, ctx) == pytest.approx(norm_x(want), rel=1e-12)
