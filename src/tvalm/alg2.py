@@ -80,7 +80,7 @@ def alg2_run(z: np.ndarray, K: Optional[LinearMap], alpha: float, mu: float,
 
         if k % check_every == 0 or k == max_iters:
             wall_ms = (time.perf_counter() - t0) * 1e3
-            record = make_record(k, u, lam, data, alpha, variant, ref, wall_ms, 0, 0.0, 0, 0)
+            record = make_record(k, u, lam, data, alpha, variant, ref, wall_ms)
             records.append(record)
             err = record.err
             t0 = time.perf_counter()

@@ -1,15 +1,15 @@
-"""Outer augmented-Lagrangian loop: penalty schedule, inner dispatch,
-multiplier update, and convergence bookkeeping.
+"""Outer augmented-Lagrangian loop: penalty schedule, inner dispatch and
+convergence bookkeeping.
 
 A run builds its data term (``linops.DataTerm``: f = K* z, H and the solves
 with H) once.  Each outer iteration solves the penalized subproblem with the
-configured semismooth Newton method to the empirical accuracy delta / sigma_k,
-updates the multiplier (linear update through the soft threshold for the
-primal solver, projection update for the primal-dual solvers), grows the
-penalty geometrically up to its cap, and records the full residual suite: one
-``MetricRecord`` per outer iteration, carrying the subproblem's Newton steps
-and mean Krylov iterations per step.  The report holds the records; the
-returned state holds the last recorded iterate.
+configured semismooth Newton method to the empirical accuracy delta / sigma_k.
+``ssn.solve_subproblem`` returns the new image with the next multiplier,
+lam_{k+1} = P_alpha(lam_k + sigma_k grad u_{k+1}), so the loop takes both
+from its result.  It then grows the penalty geometrically up to its cap and
+records the full residual suite: one ``MetricRecord`` per outer iteration,
+carrying the subproblem's counters (``metrics.make_record``).  The report
+holds the records; the returned state holds the last recorded iterate.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import MaxOuterError, SolverError
-from .grid import check_variant, grad
+from .grid import check_variant
 from .linops import DataTerm, LinearMap
 from .metrics import make_record
-from .prox import project_ball, soft_threshold
 from .report import RunReport, summarize
 from .ssn import AlmContext, solve_subproblem
 
@@ -88,12 +87,13 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     MaxOuterError (carrying the final state) when ``max_outer`` iterations
     do not reach ``outer_tol``.  Any other SolverError, raised by a
     subproblem solve, gets the attributes ``outer`` (the 1-based outer
-    iteration) and ``sigma`` (its penalty) before it propagates.
+    iteration), ``sigma`` (its penalty) and ``report`` (the unconverged
+    report of the outer iterations completed before it) as it propagates.
     """
     ref = z if reference is None else reference
 
     u = z.copy()
-    lam = np.zeros(grad(z).shape)
+    lam = np.zeros((2,) + z.shape)
     h = np.zeros_like(lam)
     sigma = cfg.sigma0
     state = OuterState(u=u, lam=lam, k=0)
@@ -111,23 +111,13 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
             inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner)
         except SolverError as exc:
             exc.outer, exc.sigma = k + 1, sigma
+            exc.report = summarize("alm-" + cfg.inner, cfg, records, seed, converged=False)
             raise
-        u, h = inner.state.u, inner.state.h
-
-        gu = grad(u)
-        if cfg.inner == "pt":
-            p = soft_threshold(lam / sigma + gu, cfg.alpha / sigma, cfg.variant)
-            lam = lam + sigma * (gu - p)
-        else:
-            lam = project_ball(lam + sigma * gu, cfg.alpha, cfg.variant)
+        u, h, lam = inner.state.u, inner.state.h, inner.lam
 
         wall_ms = (time.perf_counter() - t0) * 1e3
-        steps = inner.newton_steps
-        record = make_record(
-            k + 1, u, lam, data, cfg.alpha, cfg.variant, ref, wall_ms,
-            steps, inner.krylov_iters / steps if steps else 0.0, inner.backtracks,
-            inner.tight_resolves,
-        )
+        record = make_record(k + 1, u, lam, data, cfg.alpha, cfg.variant, ref, wall_ms,
+                             inner)
         records.append(record)
         err = record.err
 

@@ -75,30 +75,15 @@ def _failure(exc: Exception) -> int:
     return 2
 
 
-def cmd_denoise(args: argparse.Namespace) -> int:
-    try:
-        clean = load_image(args.input)
-        cfg = _config(args, variant=args.tv, outer_tol=args.tol)
-        z = degrade(clean, DegradeSpec(noise_std=args.noise, seed=args.seed))
-    except (OSError, ValueError) as exc:
-        return _failure(exc)
-    reference = clean if args.noise > 0 else z
-    try:
-        state, report = run_solver(z, None, args.solver, cfg, reference, args.seed)
-    except (SolverError, ValueError) as exc:
-        return _failure(exc)
-    _write_artifacts(state.u, report, args.out, args.report)
-    print(_final_row(report))
-    return 0
-
-
-def cmd_deblur(args: argparse.Namespace) -> int:
+def cmd_restore(args: argparse.Namespace) -> int:
+    """Degrade the input (a motion blur of ``--blur-len``, if the command
+    has one, then noise) and restore it."""
     try:
         clean = load_image(args.input)
         cfg = _config(args, variant=args.tv, outer_tol=args.tol, mu=args.mu)
-        kernel = motion_kernel(args.blur_len)
+        kernel = None if args.blur_len is None else motion_kernel(args.blur_len)
         z = degrade(clean, DegradeSpec(noise_std=args.noise, blur=kernel, seed=args.seed))
-        K = blur_map(kernel)
+        K = None if kernel is None else blur_map(kernel)
     except (OSError, ValueError) as exc:
         return _failure(exc)
     try:
@@ -197,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.add_argument("--noise", type=float, default=0.1,
                    help="Gaussian noise std on the [0,1] scale")
-    p.set_defaults(func=cmd_denoise)
+    p.set_defaults(func=cmd_restore, mu=0.0, blur_len=None)
 
     p = subs.add_parser("deblur", help="seeded motion blur + noise, then deblurring")
     p.add_argument("input", help="clean 8-bit PGM image")
@@ -208,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gradient penalty making the data term elliptic")
     p.add_argument("--blur-len", dest="blur_len", type=int, default=41,
                    help="odd horizontal motion-blur length")
-    p.set_defaults(func=cmd_deblur)
+    p.set_defaults(func=cmd_restore)
 
     # No prefix matching: --tol, --solver and --out would otherwise be taken
     # as --tols, --solvers and --out-dir.

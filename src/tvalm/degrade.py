@@ -16,6 +16,8 @@ import numpy as np
 from .grid import image
 from .linops import BlurKernel, blur_apply
 
+N_BLOCKS = 6
+
 
 @dataclass(frozen=True)
 class DegradeSpec:
@@ -38,12 +40,12 @@ def degrade(clean: np.ndarray, spec: DegradeSpec) -> np.ndarray:
     return out
 
 
-def blocks_image(rows: int, cols: int, seed: int = 0, n_blocks: int = 6) -> np.ndarray:
-    """Piecewise-constant synthetic scene: random rectangles over a flat
-    background, plus a centered disk.  Deterministic per seed."""
+def blocks_image(rows: int, cols: int, seed: int = 0) -> np.ndarray:
+    """Piecewise-constant synthetic scene: N_BLOCKS random rectangles over a
+    flat background, plus a centered disk.  Deterministic per seed."""
     rng = np.random.default_rng(seed)
     u = np.full((rows, cols), 0.25)
-    for _ in range(n_blocks):
+    for _ in range(N_BLOCKS):
         r0 = int(rng.integers(0, max(1, rows - 1)))
         c0 = int(rng.integers(0, max(1, cols - 1)))
         r1 = int(rng.integers(r0 + 1, rows + 1))

@@ -7,8 +7,9 @@ class SolverError(RuntimeError):
     """Base class for every failure raised by this package's solvers.
 
     A failure inside an ALM subproblem also carries ``outer``, the 1-based
-    outer iteration, and ``sigma``, that iteration's penalty (set by
-    ``alm.alm_run``).
+    outer iteration, ``sigma``, that iteration's penalty, and ``report``, the
+    unconverged ``RunReport`` of the outer iterations completed before it
+    (set by ``alm.alm_run``).
     """
 
 

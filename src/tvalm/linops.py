@@ -412,13 +412,13 @@ def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.n
                       residual=min(best_r, np.sqrt(_dot(r, r))) / b_norm, iterations=it)
 
 
-def newton_forcing_tol(res_k: float, res_0: float, floor: float = FORCING_FLOOR) -> float:
+def newton_forcing_tol(res_k: float, res_0: float) -> float:
     """Inner linear-solve tolerance 0.1 * min((r_k/r_0)^1.5, r_k/r_0).
 
-    Clamped below at ``floor`` to avoid demanding sub-machine-precision
+    Clamped below at FORCING_FLOOR to avoid demanding sub-machine-precision
     solves; res_0 = 0 (already exact) also yields the floor.
     """
     if res_0 <= 0.0:
-        return floor
+        return FORCING_FLOOR
     ratio = res_k / res_0
-    return max(floor, 0.1 * min(ratio ** 1.5, ratio))
+    return max(FORCING_FLOOR, 0.1 * min(ratio ** 1.5, ratio))

@@ -10,12 +10,14 @@ and PSNR.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .grid import div, grad, magnitude, norm_x, norm_y, tv_norm
 from .linops import DataTerm, LinearMap
 from .prox import project_ball
+from .ssn import InnerResult
 
 FEAS_SLACK = 1e-12
 PSNR_CAP = 99.0
@@ -69,11 +71,10 @@ def _err(ru: float, rl: float, f: np.ndarray) -> float:
     return (ru + rl) / fn
 
 
-def lambda_feasible(lam: np.ndarray, alpha: float, variant: str,
-                    slack: float = FEAS_SLACK) -> bool:
+def lambda_feasible(lam: np.ndarray, alpha: float, variant: str) -> bool:
     """Dual feasibility, |lam| <= alpha pointwise (the variant's
-    ``magnitude``), up to a relative rounding slack."""
-    return bool(np.all(magnitude(lam, variant) <= alpha * (1.0 + slack)))
+    ``magnitude``), up to the relative rounding slack FEAS_SLACK."""
+    return bool(np.all(magnitude(lam, variant) <= alpha * (1.0 + FEAS_SLACK)))
 
 
 def _res1(g: np.ndarray, lam: np.ndarray, alpha: float, variant: str) -> float:
@@ -129,15 +130,18 @@ def psnr(u: np.ndarray, reference: np.ndarray) -> float:
 
 def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
                 alpha: float, variant: str, reference: np.ndarray, wall_ms: float,
-                inner_newton: int, avg_krylov: float, backtracks: int,
-                tight_resolves: int) -> MetricRecord:
+                inner: Optional[InnerResult] = None) -> MetricRecord:
     """Assemble the full per-iteration metric row (PSNR display-capped).
 
     res_lambda uses the dual scaling c0 = 1, as every report does.  grad u,
     both residuals and the feasibility test are evaluated once and shared by
     the columns that use them.  The gap is the denoising (ROF) gap, so it
-    reads nan unless the data term is the identity.
+    reads nan unless the data term is the identity.  The counter columns
+    (Newton steps, mean Krylov iterations per step, backtracks, tight
+    re-solves) are read off the subproblem's result ``inner``; without one,
+    as for ALG2, they are zero.
     """
+    steps = inner.newton_steps if inner else 0
     f = data.f
     g = grad(u)
     feas = lambda_feasible(lam, alpha, variant)
@@ -155,9 +159,9 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
              else float("nan")),
         psnr=min(p, PSNR_CAP),
         wall_ms=wall_ms,
-        inner_newton=inner_newton,
-        avg_krylov=avg_krylov,
-        backtracks=backtracks,
-        tight_resolves=tight_resolves,
+        inner_newton=steps,
+        avg_krylov=inner.krylov_iters / steps if steps else 0.0,
+        backtracks=inner.backtracks if inner else 0,
+        tight_resolves=inner.tight_resolves if inner else 0,
         lambda_feasible=feas,
     )

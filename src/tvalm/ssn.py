@@ -61,7 +61,11 @@ a trial step length costs pointwise work only.
 
 Each step returns the new iterate and the Krylov iterations its linear solve
 took; ``solve_subproblem`` sums those counts, PT's backtracks and the
-primal-dual tight re-solves for the subproblem.
+primal-dual tight re-solves for the subproblem, and returns the next
+multiplier with them.  For PDP and PDD that is P_alpha(lam + sigma grad u)
+at the final iterate, w / U read off its fields; PT keeps the soft-threshold
+form lam + sigma (grad u - S_tau(lam / sigma + grad u)), equal by the Moreau
+identity but rounded differently.
 
 Fixed constants: the PT line search starts from the full Newton step
 (ARMIJO_ETA0) and accepts a step once the merit falls by ARMIJO_MU times the
@@ -480,11 +484,13 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext,
 
 @dataclass
 class InnerResult:
-    """Outcome of one subproblem solve: final state, residual history, and
-    the Newton steps, Krylov iterations, Armijo backtracks and tight
-    re-solves it took."""
+    """Outcome of one subproblem solve: final state, the next multiplier
+    ``lam`` (see the module docstring), residual history, and the Newton
+    steps, Krylov iterations, Armijo backtracks and tight re-solves it
+    took."""
 
     state: NewtonState
+    lam: np.ndarray
     residuals: list[float]
     newton_steps: int
     krylov_iters: int
@@ -494,12 +500,15 @@ class InnerResult:
 
 def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: str,
                      delta: float) -> InnerResult:
-    """Run inner Newton steps until the residual drops below delta / sigma.
+    """Run inner Newton steps until the residual drops below delta / sigma,
+    and return the final iterate with the next multiplier.
 
     The linear-solve tolerance follows the forcing rule from the residual
     history (capped at 0.1); exceeding MAX_NEWTON_STEPS steps raises rather than
     silently continuing.  The Krylov iterations of a discarded primal-dual
-    step (see the tight mode below) are counted too.
+    step (see the tight mode below) are counted too.  PDP and PDD read the
+    next multiplier off the final iterate's fields, w / U = P_alpha(w); PT
+    takes its soft-threshold update.
     """
     step_fn = {"pdp": ssnpdp_step, "pdd": ssnpdd_step, "pt": ssnpt_step}.get(method)
     if step_fn is None:
@@ -545,7 +554,15 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
         krylov_iters += kit
         backtracks += state.backtracks
         residuals.append(state.inner_residual)
-    # The fields hold this subproblem's lam and sigma: no use to the caller.
-    state.fields = None
-    return InnerResult(state, residuals, newton_steps, krylov_iters, backtracks,
+    # The next multiplier.  The final fields hold P_alpha(w) = w / U and are
+    # the state's alone, so it is written over w; PT keeps its own form.
+    if method == "pt":
+        state.fields = None
+        gu = grad(state.u)
+        p = soft_threshold(ctx.lam_over_sigma + gu, ctx.alpha / ctx.sigma, ctx.variant)
+        lam = ctx.lam + ctx.sigma * (gu - p)
+    else:
+        w, U, _, _ = _take_fields(state)
+        lam = np.divide(w, U, out=w)
+    return InnerResult(state, lam, residuals, newton_steps, krylov_iters, backtracks,
                        tight_resolves)

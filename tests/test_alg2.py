@@ -51,8 +51,10 @@ class TestAlg2:
     def test_records_carry_no_newton_counts(self):
         _, report = alg2_run(noisy_flat(8), None, 0.1, 0.0, ISO, 1e-7, 10 ** 5,
                              check_every=10)
+        # make_record without a subproblem result: every counter is zero.
         for rec in report.records:
-            assert (rec.inner_newton, rec.backtracks, rec.tight_resolves) == (0, 0, 0)
+            assert (rec.inner_newton, rec.avg_krylov, rec.backtracks,
+                    rec.tight_resolves) == (0, 0.0, 0, 0)
 
     def test_gap_improves_from_first_record(self):
         z = noisy_flat(8)

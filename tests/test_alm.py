@@ -1,6 +1,7 @@
 """Outer ALM loop: schedule, stopping rule, multiplier updates, convergence."""
 
 import time
+from dataclasses import replace
 from importlib import import_module
 
 import numpy as np
@@ -159,6 +160,9 @@ class TestFailureLocation:
         with pytest.raises(error) as info:
             alm_run(noisy_flat(8), None, cfg)
         assert (info.value.outer, info.value.sigma) == (1, 4.0)
+        # The report of the outer iterations completed before: none.
+        assert info.value.report.records == []
+        assert not info.value.report.summary["converged"]
 
     def test_later_subproblem(self, monkeypatch):
         import tvalm.alm as alm
@@ -171,11 +175,20 @@ class TestFailureLocation:
                 raise LineSearchError("stub", phi0=1.0, phi_last=2.0, eta=0.5)
             return real(u0, h0, ctx, method, delta)
 
-        monkeypatch.setattr(alm, "solve_subproblem", fail_second)
         cfg = AlmConfig(alpha=0.1, variant=ISO, inner="pt", outer_tol=1e-12)
+        with pytest.raises(MaxOuterError) as plain:
+            alm_run(noisy_flat(8), None, replace(cfg, max_outer=1))
+        monkeypatch.setattr(alm, "solve_subproblem", fail_second)
         with pytest.raises(LineSearchError) as info:
             alm_run(noisy_flat(8), None, cfg)
         assert (info.value.outer, info.value.sigma) == (2, 16.0) == (2, calls[1])
+        # The completed first outer iteration's record survives the failure,
+        # as an unpatched run records it, timing aside.
+        (rec,) = info.value.report.records
+        (want,) = plain.value.report.records
+        assert rec.k == 1
+        assert replace(rec, wall_ms=0.0) == replace(want, wall_ms=0.0)
+        assert not info.value.report.summary["converged"]
 
 
 class TestLocalLinearRate:

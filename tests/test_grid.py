@@ -182,7 +182,7 @@ class TestFlatStencilsMatch2d:
                 if oracle is not None:
                     monkeypatch.setattr(module, attr, oracle)
                     patched.add(f"{name}.{attr}")
-        assert {"tvalm.alm.grad", "tvalm.ssn.grad", "tvalm.ssn.div",
+        assert {"tvalm.ssn.grad", "tvalm.ssn.div",
                 "tvalm.metrics.grad", "tvalm.metrics.div"} <= patched
         assert run_csv() == flat
 

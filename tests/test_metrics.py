@@ -10,6 +10,7 @@ from tvalm.linops import DataTerm, blur_map, h_map, motion_kernel
 from tvalm.metrics import (_pd_gap, _res1, _res2, _res_lambda, err_total, lambda_feasible,
                            make_record, psnr, res_u)
 from tvalm.prox import project_ball
+from tvalm.ssn import InnerResult
 
 RNG = np.random.default_rng(2718)
 IDENTITY = h_map(0.0, None)
@@ -206,19 +207,21 @@ class TestMakeRecord:
     def test_record_fields_finite_and_capped(self):
         u = RNG.uniform(size=(4, 4))
         lam = project_ball(RNG.normal(size=(2, 4, 4)), 0.1, ISO)
-        rec = make_record(3, u, lam, DataTerm(u), 0.1, ISO, u, 12.5, 4, 7.5, 2, 1)
+        inner = InnerResult(state=None, lam=lam, residuals=[], newton_steps=4,
+                            krylov_iters=30, backtracks=2, tight_resolves=1)
+        rec = make_record(3, u, lam, DataTerm(u), 0.1, ISO, u, 12.5, inner)
         assert rec.psnr == 99.0  # identical reference, display capped
         assert rec.lambda_feasible
         for field in ("res_u", "res_lambda", "err", "res1", "res2", "gap"):
             assert np.isfinite(getattr(rec, field))
-        assert rec.k == 3 and rec.inner_newton == 4 and rec.backtracks == 2
-        assert rec.tight_resolves == 1
+        assert rec.k == 3 and rec.inner_newton == 4 and rec.avg_krylov == 7.5
+        assert rec.backtracks == 2 and rec.tight_resolves == 1
 
     @pytest.mark.parametrize("K, mu", [(None, 1e-3), (blur_map(motion_kernel(3)), 1e-6)])
     def test_gap_is_nan_unless_denoising(self, K, mu):
         # pd_gap is the denoising (ROF) gap; it means nothing for other data.
         u = RNG.uniform(size=(4, 4))
         lam = project_ball(RNG.normal(size=(2, 4, 4)), 0.1, ISO)
-        rec = make_record(1, u, lam, DataTerm(u, K, mu), 0.1, ISO, u, 1.0, 1, 1.0, 0, 0)
+        rec = make_record(1, u, lam, DataTerm(u, K, mu), 0.1, ISO, u, 1.0)
         assert np.isnan(rec.gap)
         assert np.isfinite(rec.err) and rec.lambda_feasible

@@ -993,3 +993,42 @@ class TestPrimalDualCarriedFields:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_pdd(self, variant, monkeypatch):
         check_carried_fields("pdd", variant, "identity", monkeypatch)
+
+
+def next_multiplier_oracle(u, ctx, method):
+    """The outer loop's multiplier update at u, in the two forms it had
+    before the subproblem solve returned it: the soft-threshold update for
+    PT, the projection of lam + sigma grad u for PDP and PDD."""
+    gu = grad(u)
+    if method == "pt":
+        p = soft_threshold(ctx.lam / ctx.sigma + gu, ctx.alpha / ctx.sigma, ctx.variant)
+        return ctx.lam + ctx.sigma * (gu - p)
+    return project_ball(ctx.lam + ctx.sigma * gu, ctx.alpha, ctx.variant)
+
+
+class TestNextMultiplier:
+    """The multiplier a subproblem solve returns is, bit for bit, the update
+    at its final iterate; PDP and PDD read it off that iterate's fields."""
+
+    @staticmethod
+    def check(method, variant, setup, delta=1e-4):
+        ctx, start = step_instance(method, variant, setup)
+        res = solve_subproblem(start.u, start.h, ctx, method, delta)
+        assert_same_bits(res.lam, next_multiplier_oracle(res.state.u, ctx, method))
+        assert res.state.fields is None
+        return res
+
+    @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    @pytest.mark.parametrize("method", ["pdp", "pt"])
+    def test_pdp_and_pt(self, method, variant, setup):
+        assert self.check(method, variant, setup).newton_steps > 0
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_pdd(self, variant):
+        assert self.check("pdd", variant, "identity").newton_steps > 0
+
+    @pytest.mark.parametrize("method", ["pdp", "pdd", "pt"])
+    def test_no_newton_step(self, method):
+        # A start state already below the threshold: the update at u0.
+        assert self.check(method, ANISO, "identity", delta=1e6).newton_steps == 0
