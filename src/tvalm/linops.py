@@ -18,8 +18,8 @@ BiCGSTAB ends in one of three ways: it meets rel_tol, it exceeds max_iters
 relative to b so that the outcome does not depend on b's scale, and on
 stagnation.  Giving up returns the lowest-residual iterate when that
 residual is at most STALL_ACCEPT * ||b||, short of rel_tol, and raises
-KrylovError otherwise; ALM-PDD's tight re-solve ends through that
-acceptance on iso TV denoising.
+KrylovError otherwise; ALM-PDD's dual solves on iso TV denoising sometimes
+end through that acceptance.
 
 K is one row of odd width w, correlating each image row with the taps
 under replicate extension.  On an M x N image it acts as K u = u R^T with

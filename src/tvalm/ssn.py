@@ -26,7 +26,10 @@ residual and derivative are PDP's at the projected dual h = P_alpha(w).
 
 Every solver evaluates an iterate's fields (``Fields``) once, by ``_fields``:
 they give its residual and ride on its ``NewtonState`` to the next step,
-which takes them as its linearization.
+which takes them as its linearization.  The residual field rhs (one H and
+one div) is evaluated only where it is read: at PT's iterates, for PT's
+residual and next step, and at the start of a PDP step, as PDP's right-hand
+side.  PDD never reads it.
 
 The image-space Newton systems (the PDP Schur complement and the PT
 derivative) are of the form H + sigma grad^* D grad with a pointwise
@@ -67,11 +70,21 @@ at the final iterate, w / U read off its fields; PT keeps the soft-threshold
 form lam + sigma (grad u - S_tau(lam / sigma + grad u)), equal by the Moreau
 identity but rounded differently.
 
+The linear solves follow the forcing rule: step k asks for the relative
+residual min(0.1, newton_forcing_tol(res_k, res_0)).  The primal-dual steps
+are not globalized, so the first PDP or PDD step of a subproblem that
+raises the nonlinear residual is discarded and redone at TIGHT_FACTOR times
+that tolerance (floored at FORCING_FLOOR), and every later step of the
+subproblem asks for the same fraction of its own forcing tolerance.  A tight tolerance tied to the
+residual, like the forcing rule itself, keeps the inexact-Newton local rate
+(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
+
 Fixed constants: the PT line search starts from the full Newton step
 (ARMIJO_ETA0) and accepts a step once the merit falls by ARMIJO_MU times the
 predicted decrease, shrinking it by ARMIJO_THETA at most ARMIJO_MAX_BACKTRACKS
 times.  These are the standard Armijo choices (mu in (0, 1/2), theta in
 (0, 1)); no solver or command uses other values, so they are not settable.
+TIGHT_FACTOR is fixed for the same reason.
 Each Newton system solve stops after KRYLOV_MAX_ITERS iterations, a cap that
 only bounds a failing solve.
 """
@@ -87,8 +100,8 @@ import numpy as np
 from .errors import InnerNewtonError, LineSearchError
 from .grid import (ISO, check_variant, direction, div, grad, inner_x, magnitude, norm_x,
                    norm_y, tv_norm)
-from .linops import (DataTerm, KrylovConfig, LinearMap, bicgstab_solve, cg_solve,
-                     newton_forcing_tol)
+from .linops import (FORCING_FLOOR, DataTerm, KrylovConfig, LinearMap, bicgstab_solve,
+                     cg_solve, newton_forcing_tol)
 from .prox import project_ball, soft_threshold
 
 MAX_NEWTON_STEPS = 50
@@ -97,6 +110,7 @@ ARMIJO_MU = 1e-4
 ARMIJO_THETA = 0.5
 ARMIJO_ETA0 = 1.0
 ARMIJO_MAX_BACKTRACKS = 40
+TIGHT_FACTOR = 0.01
 
 
 @dataclass(frozen=True)
@@ -135,12 +149,13 @@ class AlmContext:
 class Fields(NamedTuple):
     """The fields of P_alpha at an iterate u: w, U and coef as in the module
     docstring (coef is 0 off the active set), and rhs = f - H u + div(w / U),
-    the primal residual at the projected dual, negated (``_primal_rhs``)."""
+    the primal residual at the projected dual, negated (``_primal_rhs``).
+    rhs is None unless asked for: only PT reads it at its iterates."""
 
     w: np.ndarray
     U: np.ndarray
     coef: np.ndarray
-    rhs: np.ndarray
+    rhs: np.ndarray | None
 
 
 @dataclass
@@ -156,13 +171,14 @@ class NewtonState:
     backtracks: int = 0
 
 
-def _fields(u: np.ndarray, ctx: AlmContext) -> Fields:
-    """The ``Fields`` at u: the one evaluation of w, U and coef."""
+def _fields(u: np.ndarray, ctx: AlmContext, with_rhs: bool = False) -> Fields:
+    """The ``Fields`` at u: the one evaluation of w, U and coef, and of rhs
+    if ``with_rhs``."""
     w = ctx.lam + ctx.sigma * grad(u)
     mag = magnitude(w, ctx.variant)
     U = np.maximum(1.0, mag / ctx.alpha)
     coef = np.where(mag >= ctx.alpha, (ctx.sigma / ctx.alpha) * direction(w, ctx.variant), 0.0)
-    return Fields(w, U, coef, _primal_rhs(u, w / U, ctx))
+    return Fields(w, U, coef, _primal_rhs(u, w / U, ctx) if with_rhs else None)
 
 
 def _take_fields(state: NewtonState) -> Fields:
@@ -176,8 +192,9 @@ def _iterate(u: np.ndarray, h: np.ndarray, ctx: AlmContext, method: str,
              h_pre: np.ndarray | None = None, backtracks: int = 0) -> NewtonState:
     """The iterate (u, h) with its fields and ``method``'s residual: PT's
     primal ||rhs||, or the primal-dual dual row ||U h_pre - w|| of the
-    pre-projection dual field h_pre (h itself at a subproblem's start)."""
-    fields = _fields(u, ctx)
+    pre-projection dual field h_pre (h itself at a subproblem's start).
+    Only PT's fields carry rhs."""
+    fields = _fields(u, ctx, method == "pt")
     if method == "pt":
         res = norm_x(fields.rhs)
     else:
@@ -341,7 +358,8 @@ def ssnpdp_step(state: NewtonState, ctx: AlmContext,
     linearization.
     """
     u, h = state.u, state.h
-    w, U, coef, rhs = _take_fields(state)
+    w, U, coef, _ = _take_fields(state)
+    rhs = _primal_rhs(u, w / U, ctx)
     system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, h, ctx))
     delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
     del system, jacobi, rhs
@@ -505,8 +523,11 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
 
     The linear-solve tolerance follows the forcing rule from the residual
     history (capped at 0.1); exceeding MAX_NEWTON_STEPS steps raises rather than
-    silently continuing.  The Krylov iterations of a discarded primal-dual
-    step (see the tight mode below) are counted too.  PDP and PDD read the
+    silently continuing.  The first primal-dual step that raises the
+    residual is discarded and redone in the tight mode, which asks for
+    TIGHT_FACTOR times the forcing tolerance (floored at FORCING_FLOOR) for
+    the re-solve and every later step of the subproblem; the Krylov
+    iterations of the discarded step are counted too.  PDP and PDD read the
     next multiplier off the final iterate's fields, w / U = P_alpha(w); PT
     takes its soft-threshold update.
     """
@@ -523,7 +544,6 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
                           + norm_x(ctx.data.f))
     threshold = max(delta / ctx.sigma, noise)
     tight_mode = False
-    tight_tol = 1e-10
     newton_steps = krylov_iters = backtracks = tight_resolves = 0
     while state.inner_residual > threshold:
         if newton_steps >= MAX_NEWTON_STEPS:
@@ -531,15 +551,15 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
                                    iterations=newton_steps,
                                    residual=state.inner_residual,
                                    sigma=ctx.sigma, residuals=residuals)
-        if tight_mode:
-            tol = tight_tol
-        else:
-            tol = min(0.1, newton_forcing_tol(state.inner_residual, res0))
+        forcing = min(0.1, newton_forcing_tol(state.inner_residual, res0))
+        tight_tol = max(FORCING_FLOOR, TIGHT_FACTOR * forcing)
+        tol = tight_tol if tight_mode else forcing
         cand, kit = step_fn(state, ctx, KrylovConfig(rel_tol=tol, max_iters=KRYLOV_MAX_ITERS))
         if method != "pt" and not tight_mode and cand.inner_residual > state.inner_residual:
-            # The loose solve threw the iterate off; redo near-exactly and
-            # keep tight solves for the rest of this subproblem.  The
-            # unglobalized primal-dual Newton is only locally robust.
+            # The loose solve threw the iterate off; redo it at the tight
+            # tolerance and keep tight solves for the rest of this
+            # subproblem.  The unglobalized primal-dual Newton is only
+            # locally robust.
             tight_mode = True
             tight_resolves += 1
             krylov_iters += kit

@@ -9,7 +9,8 @@ import pytest
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.errors import InnerNewtonError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
-from tvalm.linops import DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
+from tvalm.linops import (FORCING_FLOOR, DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve,
+                          motion_kernel, newton_forcing_tol)
 from tvalm.prox import project_ball, soft_threshold
 from tvalm.ssn import (ARMIJO_ETA0, ARMIJO_THETA, AlmContext, _fields, _iterate, merit_phi,
                        solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
@@ -681,13 +682,17 @@ class TestSolveSubproblem:
     def test_counts_include_the_tight_resolve(self, monkeypatch):
         # At this instance one loose PDP step raises the residual and is redone
         # tight: the discarded solve is no Newton step, but its Krylov
-        # iterations count, and so does the re-solve.
+        # iterations count, and so does the re-solve.  The re-solve and every
+        # later step ask for TIGHT_FACTOR times the step's forcing tolerance,
+        # floored at FORCING_FLOOR; the steps before the discarded one ask
+        # for the forcing tolerance itself.
         import tvalm.ssn as ssn
         calls, krylov = [], []
 
         def counted(state, ctx, kcfg):
+            residual = state.inner_residual
             out, kit = ssnpdp_step(state, ctx, kcfg)
-            calls.append(kcfg.rel_tol)
+            calls.append((state, residual, kcfg.rel_tol))
             krylov.append(kit)
             return out, kit
 
@@ -697,7 +702,17 @@ class TestSolveSubproblem:
         assert res.newton_steps == len(res.residuals) - 1 == len(calls) - 1
         assert res.tight_resolves == len(calls) - res.newton_steps == 1
         assert res.krylov_iters == sum(krylov)
-        assert calls.count(1e-10) >= 2  # the re-solve and the steps after it
+        # The re-solve is the call from the discarded call's state.
+        (resolve,) = [i for i in range(1, len(calls)) if calls[i][0] is calls[i - 1][0]]
+        assert len(calls) - resolve >= 2  # the re-solve and a step after it
+        res0 = res.residuals[0]
+        for i, (_, residual, rel_tol) in enumerate(calls):
+            forcing = min(0.1, newton_forcing_tol(residual, res0))
+            if i < resolve:
+                assert rel_tol == forcing
+            else:
+                assert rel_tol == max(FORCING_FLOOR, ssn.TIGHT_FACTOR * forcing)
+                assert rel_tol < forcing
 
     @pytest.mark.parametrize("method", ["pdp", "pdd"])
     def test_tight_resolve_is_a_step_from_a_fresh_state(self, method, monkeypatch):
@@ -710,7 +725,9 @@ class TestSolveSubproblem:
         def recorded(state, ctx, kcfg):
             start = (state.u.copy(), state.h.copy())
             out, kit = step(state, ctx, kcfg)
-            got = (out.u.copy(), out.h.copy(), *(f.copy() for f in out.fields))
+            # A primal-dual iterate's fields carry no rhs.
+            assert out.fields.rhs is None
+            got = (out.u.copy(), out.h.copy(), *(f.copy() for f in out.fields[:3]))
             calls.append((state, start, kcfg, got, out.inner_residual, kit))
             return out, kit
 
@@ -722,7 +739,7 @@ class TestSolveSubproblem:
         _, (u, h), kcfg, got, residual, kit = calls[i]
         fresh, fresh_kit = step(_iterate(u, h, ctx, method), ctx, kcfg)
         assert kit == fresh_kit and residual == fresh.inner_residual
-        for g, want in zip(got, (fresh.u, fresh.h, *fresh.fields)):
+        for g, want in zip(got, (fresh.u, fresh.h, *fresh.fields[:3]), strict=True):
             assert_same_bits(g, want)
 
     def test_unknown_method(self):
@@ -927,8 +944,12 @@ def check_carried_fields(method, variant, setup, monkeypatch, steps=4):
     for _ in range(steps):
         out, _ = STEPS[method](state, ctx, LOOSE)
         assert state.fields is None
-        for got, want in zip(out.fields, _fields(out.u, ctx)):
-            assert_same_bits(got, want)
+        # Only PT's iterates carry the residual field rhs.
+        fresh = _fields(out.u, ctx, with_rhs=method == "pt")
+        assert (out.fields.rhs is None) == (fresh.rhs is None) == (method != "pt")
+        for got, want in zip(out.fields, fresh):
+            if want is not None:
+                assert_same_bits(got, want)
         if method == "pt":
             want = residual_pt_reference(out.u, ctx)
         else:
