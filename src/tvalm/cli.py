@@ -1,7 +1,8 @@
 """Command-line entry point: denoise, deblur, and benchmark commands.
 
-Every run is reproducible from (input image, flags, seed); restored images
-are written as 8-bit PGM next to a JSON run report and a per-iteration CSV.
+Every run is reproducible from (input image, flags, seed) at a fixed BLAS
+thread count (see ``report``); restored images are written as 8-bit PGM next
+to a JSON run report and a per-iteration CSV.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .alm import AlmConfig, alm_run
+from .alm import DEFAULT_GROWTH, AlmConfig, alm_run
 from .alg2 import alg2_run
 from .bench import cells_to_csv, cells_to_markdown, run_matrix
 from .degrade import DegradeSpec, blocks_image, degrade
@@ -33,8 +34,9 @@ def run_solver(z: np.ndarray, K: Optional[LinearMap], solver: str, cfg: AlmConfi
                reference: Optional[np.ndarray], seed: Optional[int]):
     """Dispatch one restoration run; returns (OuterState, RunReport).
 
-    An ALM solver runs ``cfg`` with ``solver`` as its inner method; ALG2 reads
-    only alpha, mu, variant and outer_tol from it.
+    An ALM solver runs ``cfg`` with ``solver`` as its inner method, and with
+    that method's growth factor unless ``cfg`` sets one; ALG2 reads only
+    alpha, mu, variant and outer_tol from it.
     """
     if solver == "alg2":
         return alg2_run(z, K, cfg.alpha, cfg.mu, cfg.variant, cfg.outer_tol,
@@ -153,7 +155,9 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     """Flags of every solving command."""
     sub.add_argument("--alpha", type=float, default=0.1, help="TV weight")
     sub.add_argument("--sigma0", type=float, default=4.0)
-    sub.add_argument("--growth", type=float, default=4.0)
+    sub.add_argument("--growth", type=float, default=None,
+                     help="penalty growth factor (default: the inner solver's; " +
+                          ", ".join(f"{k} {v:g}" for k, v in DEFAULT_GROWTH.items()) + ")")
     sub.add_argument("--sigma-max", dest="sigma_max", type=float, default=1e6)
     sub.add_argument("--delta", type=float, default=1e-4,
                      help="inner stop constant (residual <= delta/sigma)")

@@ -41,6 +41,7 @@ class MetricRecord:
     avg_krylov: float
     backtracks: int
     tight_resolves: int
+    sigma: float
     lambda_feasible: bool
 
 
@@ -138,8 +139,9 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
     the columns that use them.  The gap is the denoising (ROF) gap, so it
     reads nan unless the data term is the identity.  The counter columns
     (Newton steps, mean Krylov iterations per step, backtracks, tight
-    re-solves) are read off the subproblem's result ``inner``; without one,
-    as for ALG2, they are zero.
+    re-solves) and the subproblem's penalty sigma are read off its result
+    ``inner``; without one, as for ALG2, the counters are zero and sigma is
+    nan.
     """
     steps = inner.newton_steps if inner else 0
     f = data.f
@@ -163,5 +165,6 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
         avg_krylov=inner.krylov_iters / steps if steps else 0.0,
         backtracks=inner.backtracks if inner else 0,
         tight_resolves=inner.tight_resolves if inner else 0,
+        sigma=inner.sigma if inner else float("nan"),
         lambda_feasible=feas,
     )

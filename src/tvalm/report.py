@@ -4,9 +4,10 @@ Both are derived from ``MetricRecord``: the CSV has one column per record
 field, in declaration order, each cell formatted by the field's type, and the
 summary copies the final record's SUMMARY_FIELDS.  Both write a non-finite
 float as ``inf``, ``-inf`` or ``nan`` (in the JSON as a string, so the text
-is strict JSON).  A report plus the seed fully determines a reproduction;
-timing columns are wall-clock and are the only fields excluded from
-determinism comparisons.
+is strict JSON).  A report plus the seed fully determines a reproduction at
+a fixed BLAS thread count (the reduction order of ``np.vdot`` varies with
+it, and so can the last bits of every later iterate); timing columns are
+wall-clock and are the only fields excluded from determinism comparisons.
 """
 
 from __future__ import annotations

@@ -503,9 +503,9 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext,
 @dataclass
 class InnerResult:
     """Outcome of one subproblem solve: final state, the next multiplier
-    ``lam`` (see the module docstring), residual history, and the Newton
-    steps, Krylov iterations, Armijo backtracks and tight re-solves it
-    took."""
+    ``lam`` (see the module docstring), residual history, the Newton steps,
+    Krylov iterations, Armijo backtracks and tight re-solves it took, and
+    the penalty ``sigma`` it was solved at."""
 
     state: NewtonState
     lam: np.ndarray
@@ -514,6 +514,7 @@ class InnerResult:
     krylov_iters: int
     backtracks: int
     tight_resolves: int
+    sigma: float
 
 
 def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: str,
@@ -585,4 +586,4 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
         w, U, _, _ = _take_fields(state)
         lam = np.divide(w, U, out=w)
     return InnerResult(state, lam, residuals, newton_steps, krylov_iters, backtracks,
-                       tight_resolves)
+                       tight_resolves, ctx.sigma)

@@ -56,6 +56,12 @@ class TestAlg2:
             assert (rec.inner_newton, rec.avg_krylov, rec.backtracks,
                     rec.tight_resolves) == (0, 0.0, 0, 0)
 
+    def test_records_carry_no_penalty(self):
+        # ALG2 has no ALM subproblem, so its sigma column reads nan.
+        _, report = alg2_run(noisy_flat(8), None, 0.1, 0.0, ISO, 1e-7, 10 ** 5,
+                             check_every=10)
+        assert report.records and all(np.isnan(rec.sigma) for rec in report.records)
+
     def test_gap_improves_from_first_record(self):
         z = noisy_flat(8)
         _, report = alg2_run(z, None, 0.1, 0.0, ISO, 1e-8, 10 ** 6, check_every=5)

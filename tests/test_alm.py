@@ -14,6 +14,7 @@ from tvalm.errors import (InnerNewtonError, KrylovError, LineSearchError, MaxOut
 from tvalm.grid import ANISO, ISO, grad, norm_y, pointwise_mag
 from tvalm.linops import DataTerm, LinearMap, blur_map, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
+from tvalm.report import strip_timing_columns
 from tvalm.ssn import AlmContext, solve_subproblem
 
 RNG = np.random.default_rng(777)
@@ -32,6 +33,46 @@ class TestSchedule:
         vals = [sigma_schedule(4.0, 4.0, 1e4, k) for k in range(12)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 1e4
+
+
+class TestDefaultGrowth:
+    """growth_c = None takes the inner method's factor when the run starts:
+    4 for the primal-dual methods, 2 for PT."""
+
+    @staticmethod
+    def instance(n):
+        clean = blocks_image(n, n, seed=3)
+        return clean, degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+
+    @pytest.mark.parametrize("inner", ["pdp", "pdd"])
+    def test_primal_dual_runs_are_those_at_growth_4(self, inner):
+        clean, z = self.instance(32)
+        cfg = AlmConfig(alpha=0.1, variant=ANISO, inner=inner, outer_tol=1e-6)
+        _, default = alm_run(z, None, cfg, reference=clean)
+        _, pinned = alm_run(z, None, replace(cfg, growth_c=4.0), reference=clean)
+        assert default.config == pinned.config
+        assert (strip_timing_columns(default.to_csv())
+                == strip_timing_columns(pinned.to_csv()))
+
+    @pytest.mark.parametrize("inner, growth_c, growth", [
+        ("pdp", None, 4.0), ("pdd", None, 4.0), ("pt", None, 2.0), ("pt", 3.0, 3.0)])
+    def test_records_carry_the_penalty(self, inner, growth_c, growth):
+        cfg = AlmConfig(alpha=0.1, variant=ANISO, inner=inner, growth_c=growth_c)
+        _, report = alm_run(self.instance(16)[1], None, cfg)
+        assert report.config["growth_c"] == growth
+        assert [rec.sigma for rec in report.records] == [
+            sigma_schedule(cfg.sigma0, growth, cfg.sigma_max, k)
+            for k in range(len(report.records))]
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_pt_outer_iteration_economy(self, variant):
+        # Acceptance criterion 6's bound for ALM-PT, 12 outer iterations,
+        # holds at PT's default growth on that criterion's instance.
+        clean, z = self.instance(64)
+        cfg = AlmConfig(alpha=0.1, variant=variant, inner="pt", outer_tol=1e-6)
+        state, report = alm_run(z, None, cfg, reference=clean)
+        assert report.config["growth_c"] == 2.0
+        assert state.k <= 12 and report.records[-1].err <= 1e-6
 
 
 class TestConfigValidation:
@@ -175,7 +216,7 @@ class TestFailureLocation:
                 raise LineSearchError("stub", phi0=1.0, phi_last=2.0, eta=0.5)
             return real(u0, h0, ctx, method, delta)
 
-        cfg = AlmConfig(alpha=0.1, variant=ISO, inner="pt", outer_tol=1e-12)
+        cfg = AlmConfig(alpha=0.1, variant=ISO, inner="pt", outer_tol=1e-12, growth_c=4.0)
         with pytest.raises(MaxOuterError) as plain:
             alm_run(noisy_flat(8), None, replace(cfg, max_outer=1))
         monkeypatch.setattr(alm, "solve_subproblem", fail_second)
@@ -326,6 +367,20 @@ class TestDenoise128:
         assert report.records[-1].err <= cfg.outer_tol
         assert sum(rec.tight_resolves for rec in report.records) > 0
         assert report.summary["psnr"] == pytest.approx(psnr, abs=1e-5)
+
+    @pytest.mark.slow
+    def test_pt_converges_at_its_default_schedule(self):
+        # Growth x2 (PT's default) takes about half the Krylov iterations of
+        # x4, which took 17,106.
+        clean = blocks_image(128, 128, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        cfg = AlmConfig(alpha=0.1, variant=ANISO, inner="pt", outer_tol=1e-6)
+        state, report = alm_run(z, None, cfg, reference=clean)
+        assert report.summary["converged"] and report.config["growth_c"] == 2.0
+        assert report.records[-1].err <= cfg.outer_tol
+        krylov = sum(r.inner_newton * r.avg_krylov for r in report.records)
+        assert krylov <= 10000
+        assert report.summary["psnr"] == pytest.approx(35.583538, abs=1e-5)
 
 
 class TestDataOperatorChecks:

@@ -261,6 +261,32 @@ class TestCliConfig:
         row = (out_dir / "bench.csv").read_text().strip().splitlines()[1]
         assert "MaxOuterError" in row
 
+    @pytest.mark.parametrize("flags, growth", [
+        (["--solver", "pt"], 2.0), (["--solver", "pdp"], 4.0),
+        (["--solver", "pt", "--growth", "4"], 4.0)])
+    def test_growth_defaults_to_the_solver_s(self, tmp_path, flags, growth):
+        # The config is built before the solver is set, so the default is
+        # resolved when the run starts; an explicit --growth wins.
+        cfg = self.run(tmp_path, ["denoise", "--tv", "aniso", *flags])
+        assert (cfg["inner"], cfg["growth_c"]) == (flags[1], growth)
+
+    @pytest.mark.parametrize("flags, growth", [
+        ([], {"pdp": 4.0, "pdd": 4.0, "pt": 2.0}),
+        (["--growth", "3"], {"pdp": 3.0, "pdd": 3.0, "pt": 3.0})])
+    def test_bench_cells_use_their_solver_s_growth(self, tiny_corpus, tmp_path,
+                                                    monkeypatch, flags, growth):
+        import tvalm.cli as cli
+        cells = []
+
+        def recorded(*args):
+            cells.extend(run_matrix(*args))
+            return cells
+
+        monkeypatch.setattr(cli, "run_matrix", recorded)
+        assert main(["bench", str(tiny_corpus), "--solvers", "pdp,pt,pdd", "--tols", "1e-4",
+                     *flags, "--out-dir", str(tmp_path / "bench")]) == 0
+        assert {c.solver: c.report.config["growth_c"] for c in cells} == growth
+
     @pytest.mark.parametrize("flag", ["--solver", "--tv", "--tol", "--out", "--report"])
     def test_bench_rejects_single_run_flags(self, tiny_corpus, flag):
         with pytest.raises(SystemExit) as exc:

@@ -19,11 +19,11 @@ NAN, INF = float("nan"), float("inf")
 RECORDS = [
     MetricRecord(k=1, res_u=0.1, res_lambda=1 / 3, err=2.5e-7, res1=1e-300, res2=12345.678,
                  gap=INF, psnr=99.0, wall_ms=1500.5, inner_newton=7, avg_krylov=12.25,
-                 backtracks=3, tight_resolves=1, lambda_feasible=False),
+                 backtracks=3, tight_resolves=1, sigma=4.0, lambda_feasible=False),
     MetricRecord(k=2, res_u=NAN, res_lambda=0.0, err=3.1622776601683795e-07, res1=-0.0,
                  res2=2.0 ** -30, gap=-1.25e-9, psnr=35.58349, wall_ms=250.25,
                  inner_newton=0, avg_krylov=0.0, backtracks=0, tight_resolves=0,
-                 lambda_feasible=True),
+                 sigma=NAN, lambda_feasible=True),
 ]
 
 
@@ -35,11 +35,11 @@ def report():
 def test_run_csv():
     assert report().to_csv() == (
         "k,res_u,res_lambda,err,res1,res2,gap,psnr,wall_ms,inner_newton,avg_krylov,"
-        "backtracks,tight_resolves,lambda_feasible\n"
+        "backtracks,tight_resolves,sigma,lambda_feasible\n"
         "1,0.10000000000000001,0.33333333333333331,2.4999999999999999e-07,1e-300,"
-        "12345.678,inf,99,1500.5,7,12.25,3,1,0\n"
+        "12345.678,inf,99,1500.5,7,12.25,3,1,4,0\n"
         "2,nan,0,3.1622776601683797e-07,-0,9.3132257461547852e-10,-1.25e-09,"
-        "35.583489999999998,250.25,0,0,0,0,1\n")
+        "35.583489999999998,250.25,0,0,0,0,nan,1\n")
 
 
 def test_run_json_with_summary():
@@ -63,6 +63,7 @@ def test_run_json_with_summary():
       "res2": 12345.678,
       "res_lambda": 0.3333333333333333,
       "res_u": 0.1,
+      "sigma": 4.0,
       "tight_resolves": 1,
       "wall_ms": 1500.5
     },
@@ -79,6 +80,7 @@ def test_run_json_with_summary():
       "res2": 9.313225746154785e-10,
       "res_lambda": 0.0,
       "res_u": "nan",
+      "sigma": "nan",
       "tight_resolves": 0,
       "wall_ms": 250.25
     }
