@@ -3,7 +3,9 @@ convergence bookkeeping.
 
 A run builds its data term (``linops.DataTerm``: f = K* z, H and the solves
 with H) once.  Each outer iteration solves the penalized subproblem with the
-configured semismooth Newton method to the empirical accuracy delta / sigma_k.
+configured semismooth Newton method to the empirical accuracy delta / sigma_k;
+its Krylov solves ask for no more accuracy than that, or than the outer
+stopping test needs (``AlmContext.need``).
 ``ssn.solve_subproblem`` returns the new image with the next multiplier,
 lam_{k+1} = P_alpha(lam_k + sigma_k grad u_{k+1}), so the loop takes both
 from its result.  It then grows the penalty geometrically up to its cap and
@@ -29,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import MaxOuterError, SolverError
-from .grid import check_variant
+from .grid import check_variant, norm_x
 from .linops import DataTerm, LinearMap
 from .metrics import make_record
 from .report import RunReport, summarize
@@ -121,10 +123,13 @@ def alm_run(z: np.ndarray, K: Optional[LinearMap], cfg: AlmConfig,
     if cfg.inner == "pdd":
         # PDD nests H^{-1}: refuse a singular H before the first iteration.
         data.prepare_solve()
+    # An inner residual the Err test can accept: a tenth of the residual sum
+    # it accepts.
+    need = 0.1 * cfg.outer_tol * norm_x(data.f)
 
     for k in range(cfg.max_outer):
         t0 = time.perf_counter()
-        ctx = AlmContext(lam, sigma, cfg.alpha, cfg.variant, data)
+        ctx = AlmContext(lam, sigma, cfg.alpha, cfg.variant, data, need)
         try:
             inner = solve_subproblem(u, h, ctx, cfg.inner, cfg.delta_inner)
         except SolverError as exc:

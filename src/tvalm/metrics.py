@@ -42,6 +42,7 @@ class MetricRecord:
     backtracks: int
     tight_resolves: int
     sigma: float
+    inner_threshold: float
     lambda_feasible: bool
 
 
@@ -139,9 +140,9 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
     the columns that use them.  The gap is the denoising (ROF) gap, so it
     reads nan unless the data term is the identity.  The counter columns
     (Newton steps, mean Krylov iterations per step, backtracks, tight
-    re-solves) and the subproblem's penalty sigma are read off its result
-    ``inner``; without one, as for ALG2, the counters are zero and sigma is
-    nan.
+    re-solves), the subproblem's penalty sigma and its stopping threshold
+    are read off its result ``inner``; without one, as for ALG2, the counters
+    are zero and sigma and the threshold are nan.
     """
     steps = inner.newton_steps if inner else 0
     f = data.f
@@ -166,5 +167,6 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
         backtracks=inner.backtracks if inner else 0,
         tight_resolves=inner.tight_resolves if inner else 0,
         sigma=inner.sigma if inner else float("nan"),
+        inner_threshold=inner.threshold if inner else float("nan"),
         lambda_feasible=feas,
     )

@@ -75,16 +75,25 @@ residual min(0.1, newton_forcing_tol(res_k, res_0)).  The primal-dual steps
 are not globalized, so the first PDP or PDD step of a subproblem that
 raises the nonlinear residual is discarded and redone at TIGHT_FACTOR times
 that tolerance (floored at FORCING_FLOOR), and every later step of the
-subproblem asks for the same fraction of its own forcing tolerance.  A tight tolerance tied to the
-residual, like the forcing rule itself, keeps the inexact-Newton local rate
-(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).
+subproblem asks for the same fraction of its own forcing tolerance.  A
+tight tolerance tied to the residual, like the forcing rule itself, keeps
+the inexact-Newton local rate (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19, 1982).  That rate needs no solve past the stopping test, and the
+subproblem needs its residual only below the target: the stopping threshold
+or, when smaller, the residual the outer stopping test can accept
+(``AlmContext.need``).  So every request, loose, tight or a re-solve, is
+floored at ENOUGH times the target over res_k (capped at 0.1), which asks
+the linear model to land at half the target; without it the last step of a
+subproblem typically lands 4-6 orders of magnitude below the threshold.
+This guards the forcing term against oversolving (Eisenstat & Walker, SIAM
+J. Sci. Comput. 17, 1996).
 
 Fixed constants: the PT line search starts from the full Newton step
 (ARMIJO_ETA0) and accepts a step once the merit falls by ARMIJO_MU times the
 predicted decrease, shrinking it by ARMIJO_THETA at most ARMIJO_MAX_BACKTRACKS
 times.  These are the standard Armijo choices (mu in (0, 1/2), theta in
 (0, 1)); no solver or command uses other values, so they are not settable.
-TIGHT_FACTOR is fixed for the same reason.
+TIGHT_FACTOR and ENOUGH are fixed for the same reason.
 Each Newton system solve stops after KRYLOV_MAX_ITERS iterations, a cap that
 only bounds a failing solve.
 """
@@ -111,6 +120,7 @@ ARMIJO_THETA = 0.5
 ARMIJO_ETA0 = 1.0
 ARMIJO_MAX_BACKTRACKS = 40
 TIGHT_FACTOR = 0.01
+ENOUGH = 0.5
 
 
 @dataclass(frozen=True)
@@ -119,6 +129,9 @@ class AlmContext:
 
     lam is the current multiplier, sigma the penalty, and ``data`` the run's
     data term (``linops.DataTerm``: f = K* z, H, K*K and solves with H).
+    ``need``, when given, is the inner residual the outer stopping test can
+    accept; ``solve_subproblem`` asks no Krylov solve for more accuracy than
+    it or the subproblem's own threshold needs.
 
     The multiplier terms of PT's merit (lam / sigma and
     ||lam||^2 / (2 sigma)) are computed once per context; ``replace`` makes a
@@ -130,6 +143,7 @@ class AlmContext:
     alpha: float
     variant: str
     data: DataTerm
+    need: float | None = None
 
     def __post_init__(self):
         check_variant(self.variant)
@@ -504,8 +518,9 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext,
 class InnerResult:
     """Outcome of one subproblem solve: final state, the next multiplier
     ``lam`` (see the module docstring), residual history, the Newton steps,
-    Krylov iterations, Armijo backtracks and tight re-solves it took, and
-    the penalty ``sigma`` it was solved at."""
+    Krylov iterations, Armijo backtracks and tight re-solves it took, the
+    penalty ``sigma`` it was solved at and the stopping ``threshold`` its
+    residual was brought below."""
 
     state: NewtonState
     lam: np.ndarray
@@ -515,12 +530,14 @@ class InnerResult:
     backtracks: int
     tight_resolves: int
     sigma: float
+    threshold: float
 
 
 def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: str,
                      delta: float) -> InnerResult:
-    """Run inner Newton steps until the residual drops below delta / sigma,
-    and return the final iterate with the next multiplier.
+    """Run inner Newton steps until the residual drops below the threshold
+    delta / sigma (floored at evaluation noise), and return the final
+    iterate with the next multiplier and that threshold.
 
     The linear-solve tolerance follows the forcing rule from the residual
     history (capped at 0.1); exceeding MAX_NEWTON_STEPS steps raises rather than
@@ -528,9 +545,12 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     residual is discarded and redone in the tight mode, which asks for
     TIGHT_FACTOR times the forcing tolerance (floored at FORCING_FLOOR) for
     the re-solve and every later step of the subproblem; the Krylov
-    iterations of the discarded step are counted too.  PDP and PDD read the
-    next multiplier off the final iterate's fields, w / U = P_alpha(w); PT
-    takes its soft-threshold update.
+    iterations of the discarded step are counted too.  No request, in
+    either mode, goes below ENOUGH * target / residual (capped at 0.1),
+    the target being the threshold or ctx.need if that is smaller: a solve
+    past it only takes the residual further below the stopping test.  PDP
+    and PDD read the next multiplier off the final iterate's fields,
+    w / U = P_alpha(w); PT takes its soft-threshold update.
     """
     step_fn = {"pdp": ssnpdp_step, "pdd": ssnpdd_step, "pt": ssnpt_step}.get(method)
     if step_fn is None:
@@ -544,6 +564,9 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     noise = 64.0 * eps * (norm_y(ctx.lam) + ctx.sigma * norm_y(grad(u0))
                           + norm_x(ctx.data.f))
     threshold = max(delta / ctx.sigma, noise)
+    # The residual a step need not solve past: the threshold, or what the
+    # outer stopping test can accept if that is smaller.
+    target = threshold if ctx.need is None else min(threshold, ctx.need)
     tight_mode = False
     newton_steps = krylov_iters = backtracks = tight_resolves = 0
     while state.inner_residual > threshold:
@@ -553,8 +576,11 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
                                    residual=state.inner_residual,
                                    sigma=ctx.sigma, residuals=residuals)
         forcing = min(0.1, newton_forcing_tol(state.inner_residual, res0))
-        tight_tol = max(FORCING_FLOOR, TIGHT_FACTOR * forcing)
-        tol = tight_tol if tight_mode else forcing
+        # No request asks for more than takes the residual to ENOUGH times
+        # the target.
+        enough = min(0.1, ENOUGH * target / state.inner_residual)
+        tight_tol = max(FORCING_FLOOR, TIGHT_FACTOR * forcing, enough)
+        tol = tight_tol if tight_mode else max(forcing, enough)
         cand, kit = step_fn(state, ctx, KrylovConfig(rel_tol=tol, max_iters=KRYLOV_MAX_ITERS))
         if method != "pt" and not tight_mode and cand.inner_residual > state.inner_residual:
             # The loose solve threw the iterate off; redo it at the tight
@@ -586,4 +612,4 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
         w, U, _, _ = _take_fields(state)
         lam = np.divide(w, U, out=w)
     return InnerResult(state, lam, residuals, newton_steps, krylov_iters, backtracks,
-                       tight_resolves, ctx.sigma)
+                       tight_resolves, ctx.sigma, threshold)

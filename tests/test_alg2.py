@@ -56,6 +56,12 @@ class TestAlg2:
             assert (rec.inner_newton, rec.avg_krylov, rec.backtracks,
                     rec.tight_resolves) == (0, 0.0, 0, 0)
 
+    def test_records_carry_no_inner_threshold(self):
+        # Nor an inner stopping threshold.
+        _, report = alg2_run(noisy_flat(8), None, 0.1, 0.0, ISO, 1e-7, 10 ** 5,
+                             check_every=10)
+        assert all(np.isnan(rec.inner_threshold) for rec in report.records)
+
     def test_records_carry_no_penalty(self):
         # ALG2 has no ALM subproblem, so its sigma column reads nan.
         _, report = alg2_run(noisy_flat(8), None, 0.1, 0.0, ISO, 1e-7, 10 ** 5,

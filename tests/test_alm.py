@@ -187,6 +187,45 @@ class TestAlmRun:
         tight = sum(rec.tight_resolves for rec in report.records)
         assert tight == 0 if inner == "pt" else tight > 0
 
+    @pytest.mark.parametrize("inner", ["pdp", "pdd", "pt"])
+    def test_records_carry_the_inner_threshold(self, inner, monkeypatch):
+        # Each record holds the threshold its subproblem's residual was
+        # brought below: delta / sigma, above the evaluation noise here.
+        import tvalm.alm as alm
+        real = alm.solve_subproblem
+        results = []
+
+        def recorded(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(alm, "solve_subproblem", recorded)
+        clean = blocks_image(16, 16, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        cfg = AlmConfig(alpha=0.1, variant=ANISO, inner=inner)
+        _, report = alm_run(z, None, cfg)
+        for rec, res in zip(report.records, results, strict=True):
+            assert rec.inner_threshold == res.threshold == cfg.delta_inner / rec.sigma
+            assert res.residuals[-1] <= res.threshold
+
+    def test_subproblems_get_the_outer_test_s_need(self, monkeypatch):
+        # The inner residual the Err test can accept: a tenth of
+        # outer_tol ||f||, the same for every subproblem of a run.
+        import tvalm.alm as alm
+        real = alm.solve_subproblem
+        needs = []
+
+        def recorded(u0, h0, ctx, method, delta):
+            needs.append(ctx.need)
+            return real(u0, h0, ctx, method, delta)
+
+        monkeypatch.setattr(alm, "solve_subproblem", recorded)
+        z = noisy_flat(8)
+        cfg = AlmConfig(alpha=0.1, variant=ISO, inner="pt", outer_tol=1e-5)
+        alm_run(z, None, cfg)
+        assert len(needs) > 1
+        assert needs == [0.1 * 1e-5 * np.linalg.norm(z)] * len(needs)
+
 
 class TestFailureLocation:
     """A subproblem failure names the outer iteration and the sigma it
@@ -381,6 +420,38 @@ class TestDenoise128:
         krylov = sum(r.inner_newton * r.avg_krylov for r in report.records)
         assert krylov <= 10000
         assert report.summary["psnr"] == pytest.approx(35.583538, abs=1e-5)
+
+
+class TestNoOverSolving:
+    """Deterministic cost guards on two benchmark instances, read off the
+    reports: no Newton step's Krylov solve asks for more accuracy than takes
+    the subproblem's residual past its stopping threshold.  With the forcing
+    rule alone, deblur-32 PDP took 4,120 iterations and the denoise-64
+    aniso PT instance 6,266; the floored requests take about 2,500 and
+    5,200."""
+
+    @staticmethod
+    def krylov(report):
+        return sum(r.inner_newton * r.avg_krylov for r in report.records)
+
+    def test_deblur_32_pdp(self):
+        clean = blocks_image(32, 32, seed=3)
+        kernel = motion_kernel(9)
+        z = degrade(clean, DegradeSpec(noise_std=0.01, blur=kernel, seed=21))
+        cfg = AlmConfig(alpha=0.005, variant=ISO, inner="pdp", mu=1e-6, outer_tol=1e-5)
+        _, report = alm_run(z, blur_map(kernel), cfg, reference=clean)
+        assert report.summary["converged"]
+        assert self.krylov(report) <= 3000
+        assert report.summary["psnr"] == pytest.approx(26.715382, abs=1e-5)
+
+    def test_denoise_64_aniso_pt(self):
+        clean = blocks_image(64, 64, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        cfg = AlmConfig(alpha=0.1, variant=ANISO, inner="pt", outer_tol=1e-6)
+        _, report = alm_run(z, None, cfg, reference=clean)
+        assert report.summary["converged"]
+        assert self.krylov(report) <= 5500
+        assert report.summary["psnr"] == pytest.approx(32.019318, abs=1e-5)
 
 
 class TestDataOperatorChecks:

@@ -287,6 +287,23 @@ class TestCliConfig:
                      *flags, "--out-dir", str(tmp_path / "bench")]) == 0
         assert {c.solver: c.report.config["growth_c"] for c in cells} == growth
 
+    @pytest.mark.parametrize("flags, growth", [
+        (["--solvers", "pdp,pt,alg2", "--tols", "1e-4"], {"pdp": "4", "pt": "2", "alg2": ""}),
+        (["--solvers", "pdp,pt", "--tols", "1e-12", "--max-outer", "2"],
+         {"pdp": "4", "pt": "2"}),
+        (["--solvers", "pdp,pt", "--tols", "1e-4", "--growth", "3"], {"pdp": "3", "pt": "3"})])
+    def test_bench_tables_show_each_cell_s_growth(self, tiny_corpus, tmp_path, flags, growth):
+        # Solved cells read it off their report's config, failed ones off the
+        # report their error carried; ALG2 has none.
+        out_dir = tmp_path / "bench"
+        assert main(["bench", str(tiny_corpus), *flags, "--out-dir", str(out_dir)]) == 0
+        header, *rows = (out_dir / "bench.csv").read_text().strip().splitlines()
+        cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+        assert {c["solver"]: c["growth"] for c in cells} == growth
+        assert all(bool(c["error"]) == ("--max-outer" in flags) for c in cells)
+        md_rows = (out_dir / "bench.md").read_text().strip().splitlines()[2:]
+        assert {r.split(" | ")[2]: r.split(" | ")[3] for r in md_rows} == growth
+
     @pytest.mark.parametrize("flag", ["--solver", "--tv", "--tol", "--out", "--report"])
     def test_bench_rejects_single_run_flags(self, tiny_corpus, flag):
         with pytest.raises(SystemExit) as exc:

@@ -685,7 +685,9 @@ class TestSolveSubproblem:
         # iterations count, and so does the re-solve.  The re-solve and every
         # later step ask for TIGHT_FACTOR times the step's forcing tolerance,
         # floored at FORCING_FLOOR; the steps before the discarded one ask
-        # for the forcing tolerance itself.
+        # for the forcing tolerance itself.  No request goes below the
+        # floor ENOUGH * threshold / residual (capped at 0.1): past it a
+        # solve only takes the residual further below the threshold.
         import tvalm.ssn as ssn
         calls, krylov = [], []
 
@@ -706,13 +708,43 @@ class TestSolveSubproblem:
         (resolve,) = [i for i in range(1, len(calls)) if calls[i][0] is calls[i - 1][0]]
         assert len(calls) - resolve >= 2  # the re-solve and a step after it
         res0 = res.residuals[0]
+        unfloored_tight = 0
         for i, (_, residual, rel_tol) in enumerate(calls):
             forcing = min(0.1, newton_forcing_tol(residual, res0))
+            enough = min(0.1, ssn.ENOUGH * res.threshold / residual)
             if i < resolve:
-                assert rel_tol == forcing
+                assert rel_tol == max(forcing, enough)
             else:
-                assert rel_tol == max(FORCING_FLOOR, ssn.TIGHT_FACTOR * forcing)
-                assert rel_tol < forcing
+                assert rel_tol == max(FORCING_FLOOR, ssn.TIGHT_FACTOR * forcing, enough)
+                if enough < forcing:
+                    assert rel_tol < forcing
+                    unfloored_tight += 1
+        assert unfloored_tight > 0
+
+    @pytest.mark.parametrize("need", [None, 1e-9])
+    @pytest.mark.parametrize("method", ["pdp", "pdd", "pt"])
+    def test_last_request_is_the_floor(self, method, need, monkeypatch):
+        # The forcing rule would have the last step solve far past the
+        # stopping threshold; its request is ENOUGH times the target over the
+        # residual, the target being the threshold or, when smaller, the
+        # residual the outer test needs.
+        import tvalm.ssn as ssn
+        step = STEPS[method]
+        calls = []
+
+        def recorded(state, ctx, kcfg):
+            calls.append((state.inner_residual, kcfg.rel_tol))
+            return step(state, ctx, kcfg)
+
+        monkeypatch.setattr(ssn, f"ssn{method}_step", recorded)
+        z, ctx = random_instance(8, sigma=64.0, seed=3)
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), replace(ctx, need=need), method, 1e-4)
+        target = res.threshold if need is None else min(res.threshold, need)
+        assert target == (1e-4 / 64.0 if need is None else 1e-9)
+        residual, rel_tol = calls[-1]
+        assert rel_tol == min(0.1, ssn.ENOUGH * target / residual)
+        assert rel_tol > min(0.1, newton_forcing_tol(residual, res.residuals[0]))
+        assert res.residuals[-1] <= res.threshold
 
     @pytest.mark.parametrize("method", ["pdp", "pdd"])
     def test_tight_resolve_is_a_step_from_a_fresh_state(self, method, monkeypatch):
