@@ -4,9 +4,8 @@ Provides the data operator K (correlation with a blur kernel under replicate
 boundary extension, and its adjoint), the restoration operator
 H = -mu*Laplacian + K*K, CG for the symmetric Newton systems of ALM-PDP and
 ALM-PT (with an optional Jacobi preconditioner, which both use when
-deblurring), unpreconditioned BiCGSTAB for ALM-PDD's nonsymmetric dual
-system, and the forcing-term rule used to pick inner tolerances for Newton
-steps.  Every solve starts from the zero vector so iteration counts are
+deblurring) and unpreconditioned BiCGSTAB for ALM-PDD's nonsymmetric dual
+system.  Every solve starts from the zero vector so iteration counts are
 reproducible.  The solvers' inner products are BLAS dot products (np.vdot),
 and their iterates, residuals and search directions are updated in place.  An
 operator may return its argument's own array, so a solver writes only to
@@ -55,8 +54,6 @@ import numpy as np
 
 from .errors import KrylovError
 from .grid import div, grad, norm_y
-
-FORCING_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -410,15 +407,3 @@ def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.n
         return best_x, it
     raise KrylovError("gave up on a breakdown or stagnation", method="bicgstab",
                       residual=min(best_r, np.sqrt(_dot(r, r))) / b_norm, iterations=it)
-
-
-def newton_forcing_tol(res_k: float, res_0: float) -> float:
-    """Inner linear-solve tolerance 0.1 * min((r_k/r_0)^1.5, r_k/r_0).
-
-    Clamped below at FORCING_FLOOR to avoid demanding sub-machine-precision
-    solves; res_0 = 0 (already exact) also yields the floor.
-    """
-    if res_0 <= 0.0:
-        return FORCING_FLOOR
-    ratio = res_k / res_0
-    return max(FORCING_FLOOR, 0.1 * min(ratio ** 1.5, ratio))

@@ -70,30 +70,25 @@ at the final iterate, w / U read off its fields; PT keeps the soft-threshold
 form lam + sigma (grad u - S_tau(lam / sigma + grad u)), equal by the Moreau
 identity but rounded differently.
 
-The linear solves follow the forcing rule: step k asks for the relative
-residual min(0.1, newton_forcing_tol(res_k, res_0)).  The primal-dual steps
-are not globalized, so the first PDP or PDD step of a subproblem that
-raises the nonlinear residual is discarded and redone at TIGHT_FACTOR times
-that tolerance (floored at FORCING_FLOOR), and every later step of the
-subproblem asks for the same fraction of its own forcing tolerance.  A
-tight tolerance tied to the residual, like the forcing rule itself, keeps
-the inexact-Newton local rate (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
-Anal. 19, 1982).  That rate needs no solve past the stopping test, and the
-subproblem needs its residual only below the target: the stopping threshold
-or, when smaller, the residual the outer stopping test can accept
-(``AlmContext.need``).  So every request, loose, tight or a re-solve, is
-floored at ENOUGH times the target over res_k (capped at 0.1), which asks
-the linear model to land at half the target; without it the last step of a
-subproblem typically lands 4-6 orders of magnitude below the threshold.
-This guards the forcing term against oversolving (Eisenstat & Walker, SIAM
-J. Sci. Comput. 17, 1996).
+Each Newton step's Krylov request comes from ``_krylov_request``: an
+inexact-Newton forcing term tied to the residual (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19, 1982), floored at the accuracy the
+subproblem needs, since a solve past its stopping test is oversolving
+(Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  The subproblem needs
+its residual only below the target: the stopping threshold or, when
+smaller, the residual the outer stopping test can accept
+(``AlmContext.need``).  The primal-dual steps are not globalized, so the
+first PDP or PDD step of a subproblem that raises the nonlinear residual
+puts the subproblem in the tight mode, whose requests take TIGHT_FACTOR
+times the forcing term; the step is discarded and redone at its tight
+request when that is tighter than its loose one.
 
 Fixed constants: the PT line search starts from the full Newton step
 (ARMIJO_ETA0) and accepts a step once the merit falls by ARMIJO_MU times the
 predicted decrease, shrinking it by ARMIJO_THETA at most ARMIJO_MAX_BACKTRACKS
 times.  These are the standard Armijo choices (mu in (0, 1/2), theta in
 (0, 1)); no solver or command uses other values, so they are not settable.
-TIGHT_FACTOR and ENOUGH are fixed for the same reason.
+TIGHT_FACTOR, ENOUGH and FORCING_FLOOR are fixed for the same reason.
 Each Newton system solve stops after KRYLOV_MAX_ITERS iterations, a cap that
 only bounds a failing solve.
 """
@@ -109,8 +104,7 @@ import numpy as np
 from .errors import InnerNewtonError, LineSearchError
 from .grid import (ISO, check_variant, direction, div, grad, inner_x, magnitude, norm_x,
                    norm_y, tv_norm)
-from .linops import (FORCING_FLOOR, DataTerm, KrylovConfig, LinearMap, bicgstab_solve,
-                     cg_solve, newton_forcing_tol)
+from .linops import DataTerm, KrylovConfig, LinearMap, bicgstab_solve, cg_solve
 from .prox import project_ball, soft_threshold
 
 MAX_NEWTON_STEPS = 50
@@ -121,6 +115,7 @@ ARMIJO_ETA0 = 1.0
 ARMIJO_MAX_BACKTRACKS = 40
 TIGHT_FACTOR = 0.01
 ENOUGH = 0.5
+FORCING_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -129,9 +124,9 @@ class AlmContext:
 
     lam is the current multiplier, sigma the penalty, and ``data`` the run's
     data term (``linops.DataTerm``: f = K* z, H, K*K and solves with H).
-    ``need``, when given, is the inner residual the outer stopping test can
-    accept; ``solve_subproblem`` asks no Krylov solve for more accuracy than
-    it or the subproblem's own threshold needs.
+    ``need`` is the inner residual the outer stopping test can accept
+    (infinite when there is none); ``solve_subproblem`` asks no Krylov solve
+    for more accuracy than it or the subproblem's own threshold needs.
 
     The multiplier terms of PT's merit (lam / sigma and
     ||lam||^2 / (2 sigma)) are computed once per context; ``replace`` makes a
@@ -143,7 +138,7 @@ class AlmContext:
     alpha: float
     variant: str
     data: DataTerm
-    need: float | None = None
+    need: float = np.inf
 
     def __post_init__(self):
         check_variant(self.variant)
@@ -533,24 +528,35 @@ class InnerResult:
     threshold: float
 
 
+def _krylov_request(res: float, res0: float, target: float, tight: bool) -> KrylovConfig:
+    """The Krylov request of a Newton step at residual res (res0 the
+    subproblem's first): at most KRYLOV_MAX_ITERS iterations, to
+
+        min(0.1, max(FORCING_FLOOR, f, ENOUGH * target / res)),
+
+    with the forcing term f = 0.1 * min(1, res / res0) ** 1.5, times
+    TIGHT_FACTOR in the tight mode.  The ENOUGH term asks the linear model
+    to land at ENOUGH times the target, and no further."""
+    forcing = 0.1 * min(1.0, res / res0) ** 1.5
+    if tight:
+        forcing = TIGHT_FACTOR * forcing
+    rel_tol = min(0.1, max(FORCING_FLOOR, forcing, ENOUGH * target / res))
+    return KrylovConfig(rel_tol=rel_tol, max_iters=KRYLOV_MAX_ITERS)
+
+
 def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: str,
                      delta: float) -> InnerResult:
     """Run inner Newton steps until the residual drops below the threshold
     delta / sigma (floored at evaluation noise), and return the final
     iterate with the next multiplier and that threshold.
 
-    The linear-solve tolerance follows the forcing rule from the residual
-    history (capped at 0.1); exceeding MAX_NEWTON_STEPS steps raises rather than
-    silently continuing.  The first primal-dual step that raises the
-    residual is discarded and redone in the tight mode, which asks for
-    TIGHT_FACTOR times the forcing tolerance (floored at FORCING_FLOOR) for
-    the re-solve and every later step of the subproblem; the Krylov
-    iterations of the discarded step are counted too.  No request, in
-    either mode, goes below ENOUGH * target / residual (capped at 0.1),
-    the target being the threshold or ctx.need if that is smaller: a solve
-    past it only takes the residual further below the stopping test.  PDP
-    and PDD read the next multiplier off the final iterate's fields,
-    w / U = P_alpha(w); PT takes its soft-threshold update.
+    Each step asks for ``_krylov_request`` at its residual, the target being
+    the threshold or ctx.need if that is smaller; exceeding MAX_NEWTON_STEPS
+    steps raises rather than silently continuing.  The tight mode and its
+    re-solve are as in the module docstring; a discarded step's Krylov
+    iterations are counted too.  PDP and PDD read the next multiplier off
+    the final iterate's fields, w / U = P_alpha(w); PT takes its
+    soft-threshold update.
     """
     step_fn = {"pdp": ssnpdp_step, "pdd": ssnpdd_step, "pt": ssnpt_step}.get(method)
     if step_fn is None:
@@ -566,7 +572,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     threshold = max(delta / ctx.sigma, noise)
     # The residual a step need not solve past: the threshold, or what the
     # outer stopping test can accept if that is smaller.
-    target = threshold if ctx.need is None else min(threshold, ctx.need)
+    target = min(threshold, ctx.need)
     tight_mode = False
     newton_steps = krylov_iters = backtracks = tight_resolves = 0
     while state.inner_residual > threshold:
@@ -575,27 +581,24 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
                                    iterations=newton_steps,
                                    residual=state.inner_residual,
                                    sigma=ctx.sigma, residuals=residuals)
-        forcing = min(0.1, newton_forcing_tol(state.inner_residual, res0))
-        # No request asks for more than takes the residual to ENOUGH times
-        # the target.
-        enough = min(0.1, ENOUGH * target / state.inner_residual)
-        tight_tol = max(FORCING_FLOOR, TIGHT_FACTOR * forcing, enough)
-        tol = tight_tol if tight_mode else max(forcing, enough)
-        cand, kit = step_fn(state, ctx, KrylovConfig(rel_tol=tol, max_iters=KRYLOV_MAX_ITERS))
+        kcfg = _krylov_request(state.inner_residual, res0, target, tight_mode)
+        cand, kit = step_fn(state, ctx, kcfg)
         if method != "pt" and not tight_mode and cand.inner_residual > state.inner_residual:
-            # The loose solve threw the iterate off; redo it at the tight
-            # tolerance and keep tight solves for the rest of this
-            # subproblem.  The unglobalized primal-dual Newton is only
-            # locally robust.
+            # The loose solve threw the iterate off: the unglobalized
+            # primal-dual Newton is only locally robust.  Keep tight solves
+            # for the rest of this subproblem, and redo this step unless its
+            # tight request equals the loose one (the ENOUGH floor binding
+            # at both): that redo would repeat the same solve.
             tight_mode = True
-            tight_resolves += 1
-            krylov_iters += kit
-            # The step took the iterate's fields: evaluate them again, once
-            # the discarded candidate's are freed.
-            del cand
-            state.fields = _fields(state.u, ctx)
-            cand, kit = step_fn(state, ctx,
-                                KrylovConfig(rel_tol=tight_tol, max_iters=KRYLOV_MAX_ITERS))
+            tight = _krylov_request(state.inner_residual, res0, target, tight_mode)
+            if tight.rel_tol < kcfg.rel_tol:
+                tight_resolves += 1
+                krylov_iters += kit
+                # The step took the iterate's fields: evaluate them again,
+                # once the discarded candidate's are freed.
+                del cand
+                state.fields = _fields(state.u, ctx)
+                cand, kit = step_fn(state, ctx, tight)
         state = cand
         newton_steps += 1
         krylov_iters += kit

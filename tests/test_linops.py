@@ -8,7 +8,7 @@ from tvalm.errors import KrylovError
 from tvalm.grid import ISO, div, grad, inner_x
 from tvalm.linops import (BlurKernel, DataTerm, KrylovConfig, LinearMap, _path_laplacian,
                           bicgstab_solve, blur_adjoint, blur_apply, blur_map, cg_solve,
-                          h_apply, h_map, motion_kernel, newton_forcing_tol)
+                          h_apply, h_map, motion_kernel)
 from tvalm.ssn import AlmContext
 
 RNG = np.random.default_rng(5150)
@@ -606,18 +606,3 @@ class TestDispatchAndAdjointInvariants:
             KrylovConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             KrylovConfig(max_iters=0)
-
-
-class TestForcingRule:
-    def test_ratio_one(self):
-        assert newton_forcing_tol(1.0, 1.0) == pytest.approx(0.1)
-
-    def test_small_ratio_uses_power(self):
-        assert newton_forcing_tol(0.01, 1.0) == pytest.approx(1e-4)
-
-    def test_zero_residual_floor(self):
-        assert newton_forcing_tol(0.0, 1.0) == 1e-13
-        assert newton_forcing_tol(0.0, 0.0) == 1e-13
-
-    def test_floor_clamps(self):
-        assert newton_forcing_tol(1e-20, 1.0) == 1e-13

@@ -9,10 +9,10 @@ import pytest
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.errors import InnerNewtonError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
-from tvalm.linops import (FORCING_FLOOR, DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve,
-                          motion_kernel, newton_forcing_tol)
+from tvalm.linops import DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
-from tvalm.ssn import (ARMIJO_ETA0, ARMIJO_THETA, AlmContext, _fields, _iterate, merit_phi,
+from tvalm.ssn import (ARMIJO_ETA0, ARMIJO_THETA, ENOUGH, FORCING_FLOOR, KRYLOV_MAX_ITERS,
+                       TIGHT_FACTOR, AlmContext, _fields, _iterate, _krylov_request, merit_phi,
                        solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
 
 from test_linops import dense_from_map
@@ -658,6 +658,73 @@ class TestAssembledOperators:
         assert np.array_equal(v, v_before)
 
 
+def forcing_oracle(res_k, res_0):
+    """The forcing tolerance 0.1 * min((r_k/r_0)^1.5, r_k/r_0) on its own,
+    floored at FORCING_FLOOR, and the floor itself at r_0 = 0."""
+    if res_0 <= 0.0:
+        return FORCING_FLOOR
+    ratio = res_k / res_0
+    return max(FORCING_FLOOR, 0.1 * min(ratio ** 1.5, ratio))
+
+
+def request_oracle(res, res0, target, tight):
+    """A Newton step's relative Krylov tolerance, composed another way: from
+    the forcing tolerance (capped at 0.1) and the ENOUGH floor (capped at
+    0.1), their maximum in the loose mode; in the tight mode TIGHT_FACTOR
+    times the forcing tolerance, floored at FORCING_FLOOR and at the ENOUGH
+    floor."""
+    forcing = min(0.1, forcing_oracle(res, res0))
+    enough = min(0.1, ENOUGH * target / res)
+    if tight:
+        return max(FORCING_FLOOR, TIGHT_FACTOR * forcing, enough)
+    return max(forcing, enough)
+
+
+class TestKrylovRequest:
+    # A target of 0 takes the ENOUGH floor out of a request.
+
+    def test_ratio_one(self):
+        assert _krylov_request(1.0, 1.0, 0.0, False).rel_tol == pytest.approx(0.1)
+
+    def test_small_ratio_uses_power(self):
+        assert _krylov_request(0.01, 1.0, 0.0, False).rel_tol == pytest.approx(1e-4)
+
+    def test_zero_residual_floor(self):
+        # The least positive residual asks for the floor.  A subproblem that
+        # starts at residual 0 (u constant, lam = h = 0) asks for nothing.
+        assert _krylov_request(5e-324, 1.0, 0.0, False).rel_tol == 1e-13
+        z = np.full((4, 4), 0.5)
+        ctx = denoise_ctx(z, np.zeros((2, 4, 4)), 4.0, 0.1, ISO)
+        res = solve_subproblem(z, np.zeros((2, 4, 4)), ctx, "pdp", 1e-4)
+        assert res.residuals == [0.0] and res.newton_steps == res.krylov_iters == 0
+
+    def test_floor_clamps(self):
+        assert _krylov_request(1e-20, 1.0, 0.0, False).rel_tol == 1e-13
+
+    @pytest.mark.parametrize("tight", [False, True])
+    def test_matches_the_composed_rule(self, tight):
+        # Bit for bit, on a grid where each term binds: the 0.1 cap, the
+        # forcing term, FORCING_FLOOR and the ENOUGH floor, with residuals
+        # above the first one among them.
+        bound = set()
+        for res0 in (1.0, 3.7):
+            for res in (5.0, 1.0 + 2.0 ** -52, 1.0, 0.5, 0.3, 1e-2, 1e-4, 1e-7, 1e-9, 1e-12,
+                        1e-20):
+                for target in (0.0, 1e-300, 1e-15, 1e-9, 1e-6, 1e-3, 0.1, 10.0):
+                    kcfg = _krylov_request(res, res0, target, tight)
+                    assert kcfg.rel_tol == request_oracle(res, res0, target, tight)
+                    assert kcfg.max_iters == KRYLOV_MAX_ITERS
+                    forcing = 0.1 * min(1.0, res / res0) ** 1.5
+                    terms = {"floor": FORCING_FLOOR,
+                             "forcing": TIGHT_FACTOR * forcing if tight else forcing,
+                             "enough": ENOUGH * target / res}
+                    if max(terms.values()) >= 0.1:
+                        bound.add("cap" if res <= res0 else "cap, res > res0")
+                    else:
+                        bound.add(max(terms, key=terms.get))
+        assert bound == {"cap", "cap, res > res0", "forcing", "floor", "enough"}
+
+
 class TestSolveSubproblem:
     def test_cap_raises(self, monkeypatch):
         import tvalm.ssn as ssn
@@ -673,21 +740,23 @@ class TestSolveSubproblem:
 
     @staticmethod
     def tight_instance():
-        """An instance where one loose primal-dual step raises the residual."""
+        """An instance where one loose primal-dual step raises the residual:
+        solved to 1e-6, where its tight request is tighter than its loose
+        one, and solved to 1e-4, where the ENOUGH floor binds at both."""
         clean = blocks_image(8, 8, seed=2)
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
         lam = project_ball(0.1 * np.random.default_rng(2).normal(size=(2, 8, 8)), 0.1, ANISO)
         return z, AlmContext(lam, 1024.0, 0.1, ANISO, DataTerm(z))
 
     def test_counts_include_the_tight_resolve(self, monkeypatch):
-        # At this instance one loose PDP step raises the residual and is redone
-        # tight: the discarded solve is no Newton step, but its Krylov
-        # iterations count, and so does the re-solve.  The re-solve and every
-        # later step ask for TIGHT_FACTOR times the step's forcing tolerance,
-        # floored at FORCING_FLOOR; the steps before the discarded one ask
-        # for the forcing tolerance itself.  No request goes below the
-        # floor ENOUGH * threshold / residual (capped at 0.1): past it a
-        # solve only takes the residual further below the threshold.
+        # At this instance, solved to 1e-6, one loose PDP step raises the
+        # residual and is redone tight: the discarded solve is no Newton
+        # step, but its Krylov iterations count, and so does the re-solve.
+        # The re-solve and every later step ask for TIGHT_FACTOR times the
+        # step's forcing tolerance, floored at FORCING_FLOOR; the steps before
+        # the discarded one ask for the forcing tolerance itself.  No request
+        # goes below the floor ENOUGH * threshold / residual (capped at 0.1):
+        # past it a solve only takes the residual further below the threshold.
         import tvalm.ssn as ssn
         calls, krylov = [], []
 
@@ -700,7 +769,7 @@ class TestSolveSubproblem:
 
         monkeypatch.setattr(ssn, "ssnpdp_step", counted)
         z, ctx = self.tight_instance()
-        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pdp", 1e-4)
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pdp", 1e-6)
         assert res.newton_steps == len(res.residuals) - 1 == len(calls) - 1
         assert res.tight_resolves == len(calls) - res.newton_steps == 1
         assert res.krylov_iters == sum(krylov)
@@ -710,16 +779,46 @@ class TestSolveSubproblem:
         res0 = res.residuals[0]
         unfloored_tight = 0
         for i, (_, residual, rel_tol) in enumerate(calls):
-            forcing = min(0.1, newton_forcing_tol(residual, res0))
-            enough = min(0.1, ssn.ENOUGH * res.threshold / residual)
+            forcing = min(0.1, forcing_oracle(residual, res0))
+            enough = min(0.1, ENOUGH * res.threshold / residual)
             if i < resolve:
                 assert rel_tol == max(forcing, enough)
             else:
-                assert rel_tol == max(FORCING_FLOOR, ssn.TIGHT_FACTOR * forcing, enough)
+                assert rel_tol == max(FORCING_FLOOR, TIGHT_FACTOR * forcing, enough)
                 if enough < forcing:
                     assert rel_tol < forcing
                     unfloored_tight += 1
         assert unfloored_tight > 0
+
+    @pytest.mark.parametrize("method", ["pdp", "pdd"])
+    def test_no_step_repeats_a_solve(self, method, monkeypatch):
+        # At this instance, solved to 1e-4, a loose step raises the residual
+        # where the ENOUGH floor binds at both the loose and the tight
+        # request.  A redo would repeat the same solve, so the candidate is
+        # kept and the later steps ask for the tight request.
+        import tvalm.ssn as ssn
+        step = STEPS[method]
+        calls = []
+
+        def recorded(state, ctx, kcfg):
+            residual = state.inner_residual
+            out, kit = step(state, ctx, kcfg)
+            calls.append((state, residual, kcfg.rel_tol, out.inner_residual))
+            return out, kit
+
+        monkeypatch.setattr(ssn, f"ssn{method}_step", recorded)
+        z, ctx = self.tight_instance()
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, method, 1e-4)
+        for before, after in zip(calls, calls[1:]):
+            assert not (after[0] is before[0] and after[2] == before[2])
+        (raised,) = [i for i, c in enumerate(calls) if c[3] > c[1]]
+        assert res.tight_resolves == 0 and res.newton_steps == len(calls)
+        res0 = res.residuals[0]
+        for i, (_, residual, rel_tol, _) in enumerate(calls):
+            assert rel_tol == _krylov_request(residual, res0, res.threshold, i > raised).rel_tol
+        # The raised step's loose request is its tight one.
+        assert calls[raised][2] == _krylov_request(calls[raised][1], res0, res.threshold,
+                                                   True).rel_tol
 
     @pytest.mark.parametrize("need", [None, 1e-9])
     @pytest.mark.parametrize("method", ["pdp", "pdd", "pt"])
@@ -727,7 +826,8 @@ class TestSolveSubproblem:
         # The forcing rule would have the last step solve far past the
         # stopping threshold; its request is ENOUGH times the target over the
         # residual, the target being the threshold or, when smaller, the
-        # residual the outer test needs.
+        # residual the outer test needs.  need None leaves the context's
+        # default, inf.
         import tvalm.ssn as ssn
         step = STEPS[method]
         calls = []
@@ -738,12 +838,14 @@ class TestSolveSubproblem:
 
         monkeypatch.setattr(ssn, f"ssn{method}_step", recorded)
         z, ctx = random_instance(8, sigma=64.0, seed=3)
-        res = solve_subproblem(z, np.zeros((2, 8, 8)), replace(ctx, need=need), method, 1e-4)
-        target = res.threshold if need is None else min(res.threshold, need)
+        if need is not None:
+            ctx = replace(ctx, need=need)
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, method, 1e-4)
+        target = min(res.threshold, ctx.need)
         assert target == (1e-4 / 64.0 if need is None else 1e-9)
         residual, rel_tol = calls[-1]
-        assert rel_tol == min(0.1, ssn.ENOUGH * target / residual)
-        assert rel_tol > min(0.1, newton_forcing_tol(residual, res.residuals[0]))
+        assert rel_tol == min(0.1, ENOUGH * target / residual)
+        assert rel_tol > min(0.1, forcing_oracle(residual, res.residuals[0]))
         assert res.residuals[-1] <= res.threshold
 
     @pytest.mark.parametrize("method", ["pdp", "pdd"])
@@ -765,7 +867,7 @@ class TestSolveSubproblem:
 
         monkeypatch.setattr(ssn, f"ssn{method}_step", recorded)
         z, ctx = self.tight_instance()
-        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, method, 1e-4)
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, method, 1e-6)
         assert res.tight_resolves == 1
         (i,) = [i for i in range(1, len(calls)) if calls[i][0] is calls[i - 1][0]]
         _, (u, h), kcfg, got, residual, kit = calls[i]
