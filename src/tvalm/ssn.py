@@ -95,10 +95,10 @@ puts the subproblem in the tight mode, whose requests take TIGHT_FACTOR
 times the forcing term; the step is discarded and redone at its tight
 request when that is tighter than its loose one.
 
-Fixed constants: the PT line search starts from the full Newton step
-(ARMIJO_ETA0) and accepts a step once the merit falls by ARMIJO_MU times the
-predicted decrease, shrinking it by ARMIJO_THETA at most ARMIJO_MAX_BACKTRACKS
-times.  These are the standard Armijo choices (mu in (0, 1/2), theta in
+Fixed constants: the PT line search tries ARMIJO_THETA ** b from the full
+Newton step (b = 0) and takes the first length at which the merit falls by
+ARMIJO_MU times the predicted decrease, failing after ARMIJO_MAX_BACKTRACKS
+trials.  These are the standard Armijo choices (mu in (0, 1/2), theta in
 (0, 1)); no solver or command uses other values, so they are not settable.
 TIGHT_FACTOR, ENOUGH and FORCING_FLOOR are fixed for the same reason.
 Each Newton system solve stops after KRYLOV_MAX_ITERS iterations, a cap that
@@ -123,7 +123,6 @@ MAX_NEWTON_STEPS = 50
 KRYLOV_MAX_ITERS = 20000
 ARMIJO_MU = 1e-4
 ARMIJO_THETA = 0.5
-ARMIJO_ETA0 = 1.0
 ARMIJO_MAX_BACKTRACKS = 40
 TIGHT_FACTOR = 0.01
 ENOUGH = 0.5
@@ -492,24 +491,23 @@ def _armijo(u: np.ndarray, delta_u: np.ndarray, slope: float,
             ctx: AlmContext) -> tuple[float, int]:
     """The Armijo step length along delta_u, and the backtracks taken.
 
-    Starting from ARMIJO_ETA0, eta shrinks by ARMIJO_THETA until the merit's
-    change along the line (``_merit_line``) is at most ARMIJO_MU eta slope.
+    The trials are eta = ARMIJO_THETA ** b for b < ARMIJO_MAX_BACKTRACKS,
+    from the full Newton step (b = 0); the first whose merit change along
+    the line (``_merit_line``) is at most ARMIJO_MU eta slope is taken,
+    after b backtracks.  If none is, LineSearchError reports the last trial.
     """
     phi0, change = _merit_line(u, delta_u, ctx)
-    eta = ARMIJO_ETA0
-    backtracks = 0
     # Near the solution the predicted decrease falls below the merit's
     # floating-point resolution; take the plain Newton step there.
-    if abs(ARMIJO_MU * slope) > 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
+    if abs(ARMIJO_MU * slope) <= 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
+        return 1.0, 0
+    for backtracks in range(ARMIJO_MAX_BACKTRACKS):
+        eta = ARMIJO_THETA ** backtracks
         dphi = change(eta)
-        while dphi > ARMIJO_MU * eta * slope:
-            backtracks += 1
-            eta *= ARMIJO_THETA
-            if backtracks > ARMIJO_MAX_BACKTRACKS or eta < 1e-12:
-                raise LineSearchError("Armijo backtracking failed",
-                                      phi0=phi0, phi_last=phi0 + dphi, eta=eta)
-            dphi = change(eta)
-    return eta, backtracks
+        if dphi <= ARMIJO_MU * eta * slope:
+            return eta, backtracks
+    raise LineSearchError("Armijo backtracking failed",
+                          phi0=phi0, phi_last=phi0 + dphi, eta=eta)
 
 
 def ssnpt_step(state: NewtonState, ctx: AlmContext,

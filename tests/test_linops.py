@@ -565,6 +565,28 @@ class TestBicgstab:
             bicgstab_solve(zero, RNG.normal(size=(4, 4)), KrylovConfig(rel_tol=1e-12))
         assert (info.value.residual, info.value.iterations) == (1.0, 1)
 
+    @pytest.mark.parametrize("second", ["zero t", "t orthogonal to s"])
+    def test_breakdown_at_the_second_product_raises(self, second):
+        # The first product, a diagonal scaling, leaves s = r - alpha v =
+        # (0.5, -0.5) (the identity would solve the system there).  The
+        # second returns t = 0 (t't below tiny) or s rotated pairwise, whose
+        # t's = -s1 s0 + s0 s1 is 0 exactly, FMA or not, since the products
+        # are exact (omega = 0).
+        d = np.array([[1.0, 3.0]])
+        calls = []
+
+        def stub(x):
+            calls.append(x)
+            if len(calls) == 1:
+                return d * x
+            if second == "zero t":
+                return np.zeros_like(x)
+            return np.array([[-x[0, 1], x[0, 0]]])
+        with pytest.raises(KrylovError, match="gave up") as info:
+            bicgstab_solve(LinearMap(stub, stub), np.ones((1, 2)), KrylovConfig(rel_tol=1e-12))
+        assert len(calls) == 2
+        assert info.value.iterations == 1
+
     def test_max_iters_error(self):
         d = 1.0 + np.arange(16.0).reshape(4, 4)
         A = LinearMap(lambda u: d * u, lambda u: d * u)

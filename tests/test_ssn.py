@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
-from tvalm.errors import InnerNewtonError
+from tvalm.errors import InnerNewtonError, LineSearchError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
 from tvalm.linops import DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
-from tvalm.ssn import (ARMIJO_ETA0, ARMIJO_THETA, ENOUGH, FORCING_FLOOR, KRYLOV_MAX_ITERS,
-                       TIGHT_FACTOR, AlmContext, _fields, _iterate, _krylov_request, merit_phi,
-                       solve_subproblem, ssnpdd_step, ssnpdp_step, ssnpt_step)
+from tvalm.ssn import (ARMIJO_MAX_BACKTRACKS, ARMIJO_THETA, ENOUGH, FORCING_FLOOR,
+                       KRYLOV_MAX_ITERS, TIGHT_FACTOR, AlmContext, _fields, _iterate,
+                       _krylov_request, merit_phi, solve_subproblem, ssnpdd_step, ssnpdp_step,
+                       ssnpt_step)
 
 from test_linops import dense_from_map
 
@@ -1046,7 +1047,7 @@ def ssnpt_step_oracle(state, ctx, kcfg):
     delta_u, _ = cg_solve(LinearMap(oracle, oracle, self_adjoint=True), rhs, kcfg, jacobi)
     slope = -inner_x(rhs, delta_u)
     phi0 = merit_phi(u, ctx)
-    eta, backtracks = ssn.ARMIJO_ETA0, 0
+    eta, backtracks = 1.0, 0
     if abs(ssn.ARMIJO_MU * slope) > 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
         while merit_phi(u + eta * delta_u, ctx) > phi0 + ssn.ARMIJO_MU * eta * slope:
             backtracks += 1
@@ -1131,7 +1132,7 @@ class TestPtStepLineSearch:
             want_u, _, want_eta, want_backtracks = ssnpt_step_oracle(state, ctx, LOOSE)
             state, _ = ssnpt_step(state, ctx, LOOSE)
             assert state.backtracks == want_backtracks
-            assert ARMIJO_ETA0 * ARMIJO_THETA ** state.backtracks == want_eta
+            assert ARMIJO_THETA ** state.backtracks == want_eta
             assert_same_bits(state.u, want_u)
             total += state.backtracks
         assert total > 0  # the line search backtracked somewhere
@@ -1176,6 +1177,23 @@ class TestPtStepLineSearch:
         for method in ("pdp", "pdd"):
             assert solve_subproblem(z, np.zeros((2, 16, 16)), ctx, method,
                                     1e-4).backtracks == 0
+
+    def test_failure_reports_the_last_trial(self, monkeypatch):
+        # A merit that never falls: every trial fails, and the error names
+        # the last length tried and the merit there.
+        import tvalm.ssn as ssn
+        phi0, etas = 3.0, []
+
+        def never_falls(eta):
+            etas.append(eta)
+            return 1.0
+
+        monkeypatch.setattr(ssn, "_merit_line", lambda u, delta_u, ctx: (phi0, never_falls))
+        with pytest.raises(LineSearchError) as info:
+            ssn._armijo(None, None, -1.0, None)
+        assert etas == [ARMIJO_THETA ** b for b in range(ARMIJO_MAX_BACKTRACKS)]
+        assert info.value.eta == ARMIJO_THETA ** (ARMIJO_MAX_BACKTRACKS - 1)
+        assert (info.value.phi0, info.value.phi_last) == (phi0, phi0 + 1.0)
 
 
 class TestPrimalDualCarriedFields:
