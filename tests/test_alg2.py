@@ -1,13 +1,14 @@
-"""Accelerated primal-dual baseline: step invariant, agreement, determinism."""
+"""Accelerated primal-dual baseline: step invariant, residual balancing,
+agreement, determinism."""
 
 import numpy as np
 import pytest
 
 import tvalm.alg2 as alg2_module
 import tvalm.linops as linops
-from tvalm.alg2 import alg2_run
+from tvalm.alg2 import DELTA, ETA, alg2_run, balance
 from tvalm.alm import AlmConfig, alm_run
-from tvalm.degrade import DegradeSpec, degrade
+from tvalm.degrade import DegradeSpec, blocks_image, degrade
 from tvalm.errors import MaxOuterError
 from tvalm.grid import ANISO, ISO
 from tvalm.linops import KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
@@ -96,10 +97,23 @@ class TestAlg2:
         with pytest.raises(ValueError, match="blur_map"):
             alg2_run(z, identity, 0.1, 1e-6, ISO, 1e-6, 100)
 
+    def test_iterates_independent_of_check_every(self):
+        # The same iteration cap with and without the residual suite in
+        # between: the final state is bit-identical.
+        clean, z = blurred_square(motion_kernel(3))
+        finals = []
+        for check_every in (1, 7):
+            with pytest.raises(MaxOuterError) as err:
+                alg2_run(z, blur_map(motion_kernel(3)), 0.01, 0.05, ISO, 1e-14, 60,
+                         reference=clean, check_every=check_every)
+            finals.append(err.value.state)
+        assert finals[0].k == finals[1].k == 60
+        assert np.array_equal(finals[0].u, finals[1].u)
+        assert np.array_equal(finals[0].lam, finals[1].lam)
+
     def test_iteration_count_order_of_magnitude(self):
         # Counts to Err 1e-4 on a 64x64 aniso instance land in the hundreds
         # to low thousands; exact values depend on the noise realization.
-        from tvalm.degrade import blocks_image
         clean = blocks_image(64, 64, seed=3)
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
         state, _ = alg2_run(z, None, 0.1, 0.0, ANISO, 1e-4, 10 ** 5,
@@ -116,6 +130,56 @@ class TestAlg2:
         assert report.summary["converged"]
         # The gap column is the denoising gap, so a deblur leaves it nan.
         assert all(np.isnan(r.gap) for r in report.records)
+
+
+class TestBalance:
+    """The residual-balancing move of tau and sigma, and the iterations it
+    saves."""
+
+    def test_primal_residual_ahead_grows_tau(self):
+        tau, sigma, a = balance(0.2, 0.5, 0.5, 1.6, 1.0)
+        assert (tau, sigma, a) == (0.4, 0.25, 0.5 * ETA)
+
+    def test_dual_residual_ahead_grows_sigma(self):
+        tau, sigma, a = balance(0.2, 0.5, 0.5, 1.0, 1.6)
+        assert (tau, sigma, a) == (0.1, 1.0, 0.5 * ETA)
+
+    @pytest.mark.parametrize("p", [1.0 / DELTA, 0.9, 1.0, 1.2, DELTA])
+    def test_no_move_inside_the_band(self, p):
+        assert balance(0.2, 0.5, 0.5, p, 1.0) == (0.2, 0.5, 0.5)
+
+    def test_each_move_shrinks_a(self):
+        a = 0.5
+        for p, d in [(2.0, 1.0), (1.0, 2.0), (3.0, 1.0)]:
+            _, _, a_next = balance(0.2, 0.5, a, p, d)
+            assert a_next == ETA * a
+            a = a_next
+
+    def test_product_kept(self):
+        tau = sigma = 1.0 / np.sqrt(8.0)
+        a = 0.5
+        rng = np.random.default_rng(0)
+        for p, d in rng.uniform(0.0, 2.0, size=(200, 2)):
+            tau, sigma, a = balance(tau, sigma, a, p, d)
+        assert tau * sigma == pytest.approx(0.125, rel=1e-13)
+
+    def test_deblur_32_iteration_bound(self):
+        # The benchmark's deblur-32 instance: 910 iterations with the fixed
+        # tau = sigma, 450 balanced.
+        clean = blocks_image(32, 32, seed=3)
+        kernel = motion_kernel(9)
+        z = degrade(clean, DegradeSpec(noise_std=0.01, blur=kernel, seed=21))
+        state, _ = alg2_run(z, blur_map(kernel), 0.005, 1e-6, ISO, 1e-5, 600,
+                            reference=clean, check_every=10)
+        assert state.k <= 600
+
+    def test_iso_denoise_64_iteration_bound(self):
+        # 19,900 iterations with the fixed tau = sigma, about 1,500 balanced.
+        clean = blocks_image(64, 64, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        state, _ = alg2_run(z, None, 0.1, 0.0, ISO, 1e-5, 3000, reference=clean,
+                            check_every=10)
+        assert state.k <= 3000
 
 
 def blurred_square(kernel):

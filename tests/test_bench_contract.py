@@ -1,7 +1,8 @@
 """The names the benchmark's tracer rebinds exist in tvalm, tracing a
 denoise or a deblur changes none of its numbers and sees the H applications,
 every benchmark instance passes through the correctness gate's
-operators, and the cases that pass its gate at seed 0 are exactly the ones
+operators, every solver is odd-equivariant (the seed's sign flip of the data
+relies on it), and the cases that pass its gate at seed 0 are exactly the ones
 the benchmark's metrics were taken over.
 
 ``perfbench/tracer.py`` wraps functions and the Newton-system ``LinearMap``
@@ -84,6 +85,35 @@ def test_traced_deblur_matches_untraced(solver):
     assert metrics["linops.h_apply.calls"] > 0
     if solver != "alg2":
         assert metrics["ssn.system.calls"] == metrics["linops.krylov.iters"] > 0
+
+
+@pytest.mark.parametrize("solver", ["pdp", "pdd", "pt", "alg2"])
+@pytest.mark.parametrize("task", ["denoise", "deblur"])
+def test_solvers_are_odd_equivariant(solver, task):
+    # The benchmark's seed flips the sign of the data; that leaves every
+    # solve's arithmetic unchanged only if negating z negates the iterates
+    # bit for bit.
+    clean = blocks_image(8, 8, seed=3)
+    if task == "denoise":
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        K, alpha, mu, variant = None, 0.1, 0.0, "aniso"
+    else:
+        kernel = motion_kernel(3)
+        z = degrade(clean, DegradeSpec(noise_std=0.01, blur=kernel, seed=21))
+        K, alpha, mu, variant = blur_map(kernel), 0.005, 1e-6, "iso"
+    states = []
+    for sign in (1.0, -1.0):
+        if solver == "alg2":
+            state, _ = alg2.alg2_run(sign * z, K, alpha, mu, variant, 1e-5, 500000,
+                                     reference=sign * clean, check_every=10)
+        else:
+            cfg = AlmConfig(alpha=alpha, variant=variant, mu=mu, inner=solver,
+                            outer_tol=1e-5)
+            state, _ = alm.alm_run(sign * z, K, cfg, reference=sign * clean)
+        states.append(state)
+    plus, minus = states
+    assert np.array_equal(minus.u, -plus.u)
+    assert np.array_equal(minus.lam, -plus.lam)
 
 
 def test_gate_operators_build_for_every_workload():
