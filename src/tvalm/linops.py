@@ -4,13 +4,13 @@ Provides the data operator K (correlation with a blur kernel under replicate
 boundary extension, and its adjoint), the restoration operator
 H = -mu*Laplacian + K*K, CG for the symmetric Newton systems of ALM-PDP and
 ALM-PT (with an optional Jacobi preconditioner, which both use when
-deblurring) and unpreconditioned BiCGSTAB for ALM-PDD's nonsymmetric dual
-system.  Every solve starts from the zero vector so iteration counts are
-reproducible.  The solvers' inner products are BLAS dot products (np.vdot),
-and their iterates, residuals and search directions are updated in place.  An
-operator may return its argument's own array, so a solver writes only to
-arrays it allocated, and only after its last read of any operator output
-that may share them.
+deblurring; in float32 for a float32 right-hand side) and unpreconditioned
+BiCGSTAB for ALM-PDD's nonsymmetric dual system.  Every solve starts from
+the zero vector so iteration counts are reproducible.  The solvers' inner
+products are BLAS dot products (np.vdot), and their iterates, residuals and
+search directions are updated in place.  An operator may return its
+argument's own array, so a solver writes only to arrays it allocated, and
+only after its last read of any operator output that may share them.
 
 BiCGSTAB ends in one of three ways: it meets rel_tol, it exceeds max_iters
 (KrylovError), or it gives up.  It gives up on any breakdown, tested
@@ -293,7 +293,15 @@ def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig,
     Jacobi-preconditioned: each search direction comes from r / diag.  The
     stopping test is on the unpreconditioned residual either way.
 
-    Returns (x, iterations) with ||A x - b|| <= rel_tol * ||b||.  Raises
+    The iteration works in b's dtype: its vectors are allocated like b, and
+    a float32 b with an operator that maps float32 to float32 gives a
+    float32 solve (``ssn._newton_direction``).  The stop is on CG's own
+    recursive residual r, updated as r -= a A p, not on b - A x: the two
+    agree to rounding in float64, but in float32 they may drift apart by
+    more than a loose tolerance, so a float32 answer is checked by its
+    caller.
+
+    Returns (x, iterations) with ||r|| <= rel_tol * ||b||.  Raises
     KrylovError if a search direction exposes indefiniteness (p'Ap <= 0) or
     the iteration budget runs out.
     """

@@ -41,6 +41,8 @@ class MetricRecord:
     avg_krylov: float
     backtracks: int
     tight_resolves: int
+    f32_solves: int
+    f32_corrections: int
     sigma: float
     inner_threshold: float
     lambda_feasible: bool
@@ -166,6 +168,8 @@ def make_record(k: int, u: np.ndarray, lam: np.ndarray, data: DataTerm,
         avg_krylov=inner.krylov_iters / steps if steps else 0.0,
         backtracks=inner.backtracks if inner else 0,
         tight_resolves=inner.tight_resolves if inner else 0,
+        f32_solves=inner.f32_solves if inner else 0,
+        f32_corrections=inner.f32_corrections if inner else 0,
         sigma=inner.sigma if inner else float("nan"),
         inner_threshold=inner.threshold if inner else float("nan"),
         lambda_feasible=feas,

@@ -64,9 +64,24 @@ symmetric part (Hintermueller & Stadler) is exact where h is parallel to
 w, as at the solution.  With |h| <= alpha the tensor is positive
 semidefinite, so CG applies; when deblurring it is preconditioned by the
 operator's closed-form diagonal (``_jacobi``), and ``_image_system`` is
-where that is decided.  The PDD dual
-system q -> U q - (sigma - B) grad H^{-1} div q takes one grad per
-application.
+where that is decided.  The PDD dual system
+q -> U q - (sigma - B) grad H^{-1} div q takes one grad per application.
+
+When denoising (K = I), a step whose Krylov request is at least
+F32_MIN_TOL solves for its direction in float32 (``_newton_direction``):
+the operator built from float32 coefficients, and CG in float32, move half
+the bytes of the float64 ones, and at 128x128 and above the stencil and
+CG's vector updates are bound by memory traffic.  Requests are loose, so
+float32 rounding rarely decides whether one is met; but CG stops on its
+recursive residual, which in float32 can drift from the true one.  So the
+direction is checked with one float64 residual r = rhs - A delta_u, and
+if it misses the request a float64 CG solves A c = r to the remaining
+tolerance and delta_u += c: inexact Newton in mixed precision (Kelley,
+SIAM Review 64, 2022), made safe by one step of mixed-precision iterative
+refinement (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Every
+direction thus meets its request in float64; the residual, the merit, the
+line search and the dual stay in float64.  Deblurring, PDD's BiCGSTAB and
+requests below F32_MIN_TOL stay in float64 throughout.
 
 PT's line search runs on a precomputed line.  The merit is the data term
 plus sigma times a Huber sum of q = lam / sigma + grad u, less a constant.
@@ -75,11 +90,12 @@ grad u, grad delta_u and two inner products with H once per Newton step, and
 a trial step length costs pointwise work only.
 
 Each step returns the new iterate and the Krylov iterations its linear solve
-took; ``solve_subproblem`` sums those counts, PT's backtracks and the
-primal-dual tight re-solves for the subproblem, and returns the next
-multiplier with them.  For PDP and PDD that is P_alpha(lam + sigma grad u)
-at the final iterate, w / U read off its fields; PT keeps the soft-threshold
-form lam + sigma (grad u - S_tau(lam / sigma + grad u)), equal by the Moreau
+took; ``solve_subproblem`` sums those counts, PT's backtracks, the
+primal-dual tight re-solves and the float32 solves and corrections for the
+subproblem, and returns the next multiplier with them.  For PDP and PDD
+that is P_alpha(lam + sigma grad u) at the final iterate, w / U read off
+its fields; PT keeps the soft-threshold form
+lam + sigma (grad u - S_tau(lam / sigma + grad u)), equal by the Moreau
 identity but rounded differently.
 
 Each Newton step's Krylov request comes from ``_krylov_request``: an
@@ -100,7 +116,8 @@ Newton step (b = 0) and takes the first length at which the merit falls by
 ARMIJO_MU times the predicted decrease, failing after ARMIJO_MAX_BACKTRACKS
 trials.  These are the standard Armijo choices (mu in (0, 1/2), theta in
 (0, 1)); no solver or command uses other values, so they are not settable.
-TIGHT_FACTOR, ENOUGH and FORCING_FLOOR are fixed for the same reason.
+TIGHT_FACTOR, ENOUGH, FORCING_FLOOR and F32_MIN_TOL are fixed for the same
+reason.
 Each Newton system solve stops after KRYLOV_MAX_ITERS iterations, a cap that
 only bounds a failing solve.
 """
@@ -127,6 +144,7 @@ ARMIJO_MAX_BACKTRACKS = 40
 TIGHT_FACTOR = 0.01
 ENOUGH = 0.5
 FORCING_FLOOR = 1e-13
+F32_MIN_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -181,14 +199,19 @@ class Fields(NamedTuple):
 @dataclass
 class NewtonState:
     """One inner iterate: image, feasible dual field, its residual and its
-    ``Fields``, which the step from it takes off it; a PT step also records
-    the Armijo ``backtracks`` it took."""
+    ``Fields``, which the step from it takes off it.  The step that made it
+    also records the Armijo ``backtracks`` it took (PT) and whether its
+    direction was a float32 solve and needed a float64 correction
+    (``f32_solves``, ``f32_corrections``, each 0 or 1; see
+    ``_newton_direction``)."""
 
     u: np.ndarray
     h: np.ndarray
     inner_residual: float
     fields: Fields | None
     backtracks: int = 0
+    f32_solves: int = 0
+    f32_corrections: int = 0
 
 
 def _fields(u: np.ndarray, ctx: AlmContext, with_rhs: bool = False) -> Fields:
@@ -209,17 +232,19 @@ def _take_fields(state: NewtonState) -> Fields:
 
 
 def _iterate(u: np.ndarray, h: np.ndarray, ctx: AlmContext, method: str,
-             h_pre: np.ndarray | None = None, backtracks: int = 0) -> NewtonState:
+             h_pre: np.ndarray | None = None, backtracks: int = 0, f32_solves: int = 0,
+             f32_corrections: int = 0) -> NewtonState:
     """The iterate (u, h) with its fields and ``method``'s residual: PT's
     primal ||rhs||, or the primal-dual dual row ||U h_pre - w|| of the
     pre-projection dual field h_pre (h itself at a subproblem's start; PT's
-    residual does not read it).  Only PT's fields carry rhs."""
+    residual does not read it).  Only PT's fields carry rhs.  The counts are
+    those of the step that made it (``NewtonState``)."""
     fields = _fields(u, ctx, method == "pt")
     if method == "pt":
         res = norm_x(fields.rhs)
     else:
         res = norm_y(fields.U * (h if h_pre is None else h_pre) - fields.w)
-    return NewtonState(u, h, res, fields, backtracks)
+    return NewtonState(u, h, res, fields, backtracks, f32_solves, f32_corrections)
 
 
 def _b_of_grad(g, coef, h, variant) -> np.ndarray:
@@ -251,6 +276,10 @@ def _image_system(ctx: AlmContext, a: np.ndarray,
     difference channels, the flux, and the backward differences of the flux
     in grad's and div's operation order, so the result is bit-identical to
     div(F grad v) through those functions.
+
+    The operator works in its coefficients' dtype: from float32 a and off
+    it builds float32 work arrays and returns float32 images for float32
+    arguments (``_newton_direction``'s float32 solve).
     """
     data = ctx.data
     if data.mu > 0.0:
@@ -263,8 +292,9 @@ def _image_system(ctx: AlmContext, a: np.ndarray,
 
     # Work arrays for the differences and fluxes, reused by every
     # application: allocating them per application costs page faults.
-    d0, d1 = np.empty(k), np.empty(m * n - 1)
-    flux0, cross = (None, None) if off is None else (np.empty(k), np.empty(k))
+    dtype = a.dtype
+    d0, d1 = np.empty(k, dtype), np.empty(m * n - 1, dtype)
+    flux0, cross = (None, None) if off is None else (np.empty(k, dtype), np.empty(k, dtype))
 
     def system(v):
         vf = v.ravel()
@@ -281,7 +311,7 @@ def _image_system(ctx: AlmContext, a: np.ndarray,
             f1[:k] += np.multiply(offk, d0, out=cross)
         # div's order: 0.0 + f0 first (which turns -0.0 into 0.0), then the
         # shifted differences.
-        out = np.empty(m * n)
+        out = np.empty(m * n, dtype)
         np.add(f0, 0.0, out=out[:k])
         out[k:] = 0.0
         out[n:] -= f0
@@ -366,14 +396,53 @@ def _primal_rhs(u: np.ndarray, p: np.ndarray, ctx: AlmContext) -> np.ndarray:
     return ctx.data.f - ctx.data.H.apply(u) + div(p)
 
 
+def _newton_direction(ctx: AlmContext, a: np.ndarray, off: np.ndarray | None,
+                      rhs: np.ndarray, kcfg: KrylovConfig) -> tuple[np.ndarray, int, int, int]:
+    """The CG solution of ``_image_system``'s operator at flux (a, off)
+    against rhs, to kcfg's request in float64; returns it with the Krylov
+    iterations, float32 solves and float32 corrections it took.
+
+    For K = I and a request of at least F32_MIN_TOL, CG runs in float32 on
+    the operator built from float32 coefficients, where the stencil and the
+    vector updates move half the bytes.  The float32 direction is then
+    checked with one application of the float64 operator: if its float64
+    residual r = rhs - A delta_u misses rel_tol ||rhs||, a float64 CG
+    solves A c = r to rel_tol ||rhs|| / ||r|| and delta_u += c
+    (mixed-precision iterative refinement), so the returned direction meets
+    the request in float64.  Deblurring, and tighter requests, stay in
+    float64 throughout.
+    """
+    if ctx.data.K is not None or kcfg.rel_tol < F32_MIN_TOL:
+        system, jacobi = _image_system(ctx, a, off)
+        delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
+        return delta_u, kit, 0, 0
+    f32 = np.float32
+    system, _ = _image_system(ctx, a.astype(f32), None if off is None else off.astype(f32))
+    delta_u, kit = cg_solve(system, rhs.astype(f32), kcfg)
+    delta_u = delta_u.astype(np.float64)
+    # The float32 operator's work arrays are freed before the float64 ones
+    # are built.
+    del system
+    system, _ = _image_system(ctx, a, off)
+    r = system.apply(delta_u)
+    np.subtract(rhs, r, out=r)
+    tol, r_norm = kcfg.rel_tol * norm_x(rhs), norm_x(r)
+    if r_norm <= tol:
+        return delta_u, kit, 1, 0
+    c, ckit = cg_solve(system, r, KrylovConfig(tol / r_norm, kcfg.max_iters))
+    delta_u += c
+    return delta_u, kit + ckit, 1, 1
+
+
 def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
                 method: str) -> tuple[NewtonState, int]:
     """One image-space Newton step of PDP or PT from the dual h the iterate
     carries.
 
     The increment solves the symmetric part of the Schur system at h (see
-    ``_pdp_flux``) by CG, Jacobi-preconditioned under a blur, from a zero
-    start against the primal residual rhs = f - H u + div(w / U); so the
+    ``_pdp_flux``) by CG (``_newton_direction``: Jacobi-preconditioned under
+    a blur, in float32 for loose denoising requests), from a zero start
+    against the primal residual rhs = f - H u + div(w / U); so the
     relative tolerance is measured against the nonlinear residual, which
     keeps inexact steps local.  PDP takes the unit step; PT backtracks it by
     ``_armijo``, with -rhs the generalized gradient of the merit at u.  The
@@ -385,11 +454,10 @@ def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
     w, U, coef, rhs = _take_fields(state)
     if rhs is None:
         rhs = _primal_rhs(u, w / U, ctx)
-    system, jacobi = _image_system(ctx, *_pdp_flux(U, coef, h, ctx))
-    delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
+    delta_u, kit, *f32 = _newton_direction(ctx, *_pdp_flux(U, coef, h, ctx), rhs, kcfg)
     slope = -inner_x(rhs, delta_u) if method == "pt" else None
     # Freed before the line search and the new iterate's fields, not after.
-    del system, jacobi, rhs
+    del rhs
     eta, backtracks = (1.0, 0) if slope is None else _armijo(u, delta_u, slope, ctx)
     s = delta_u if eta == 1.0 else eta * delta_u
     del delta_u
@@ -400,7 +468,7 @@ def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
     # Freed before the new iterate's fields are evaluated, not after.
     del w, U, coef, g, s
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return _iterate(u_new, h_new, ctx, method, h_pre, backtracks), kit
+    return _iterate(u_new, h_new, ctx, method, h_pre, backtracks, *f32), kit
 
 
 def ssnpdp_step(state: NewtonState, ctx: AlmContext,
@@ -527,9 +595,10 @@ def ssnpt_step(state: NewtonState, ctx: AlmContext,
 class InnerResult:
     """Outcome of one subproblem solve: final state, the next multiplier
     ``lam`` (see the module docstring), residual history, the Newton steps,
-    Krylov iterations, Armijo backtracks and tight re-solves it took, the
-    penalty ``sigma`` it was solved at and the stopping ``threshold`` its
-    residual was brought below."""
+    Krylov iterations, Armijo backtracks, tight re-solves, float32 solves
+    and float32 corrections it took (``_newton_direction``; discarded steps
+    counted too), the penalty ``sigma`` it was solved at and the stopping
+    ``threshold`` its residual was brought below."""
 
     state: NewtonState
     lam: np.ndarray
@@ -538,6 +607,8 @@ class InnerResult:
     krylov_iters: int
     backtracks: int
     tight_resolves: int
+    f32_solves: int
+    f32_corrections: int
     sigma: float
     threshold: float
 
@@ -589,6 +660,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     target = min(threshold, ctx.need)
     tight_mode = False
     newton_steps = krylov_iters = backtracks = tight_resolves = 0
+    f32_solves = f32_corrections = 0
     while state.inner_residual > threshold:
         if newton_steps >= MAX_NEWTON_STEPS:
             raise InnerNewtonError("inner Newton cap exceeded",
@@ -608,6 +680,8 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
             if tight.rel_tol < kcfg.rel_tol:
                 tight_resolves += 1
                 krylov_iters += kit
+                f32_solves += cand.f32_solves
+                f32_corrections += cand.f32_corrections
                 # The step took the iterate's fields: evaluate them again,
                 # once the discarded candidate's are freed.
                 del cand
@@ -617,6 +691,8 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
         newton_steps += 1
         krylov_iters += kit
         backtracks += state.backtracks
+        f32_solves += state.f32_solves
+        f32_corrections += state.f32_corrections
         residuals.append(state.inner_residual)
     # The next multiplier.  The final fields hold P_alpha(w) = w / U and are
     # the state's alone, so it is written over w; PT keeps its own form.
@@ -629,4 +705,4 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
         w, U, _, _ = _take_fields(state)
         lam = np.divide(w, U, out=w)
     return InnerResult(state, lam, residuals, newton_steps, krylov_iters, backtracks,
-                       tight_resolves, ctx.sigma, threshold)
+                       tight_resolves, f32_solves, f32_corrections, ctx.sigma, threshold)

@@ -54,8 +54,8 @@ class TestAlg2:
                              check_every=10)
         # make_record without a subproblem result: every counter is zero.
         for rec in report.records:
-            assert (rec.inner_newton, rec.avg_krylov, rec.backtracks,
-                    rec.tight_resolves) == (0, 0.0, 0, 0)
+            assert (rec.inner_newton, rec.avg_krylov, rec.backtracks, rec.tight_resolves,
+                    rec.f32_solves, rec.f32_corrections) == (0, 0.0, 0, 0, 0, 0)
 
     def test_records_carry_no_inner_threshold(self):
         # Nor an inner stopping threshold.

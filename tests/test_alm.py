@@ -167,8 +167,9 @@ class TestAlmRun:
 
     @pytest.mark.parametrize("inner", ["pdp", "pdd", "pt"])
     def test_records_carry_the_subproblem_counts(self, inner, monkeypatch):
-        # Each record holds its subproblem's Newton steps, backtracks and
-        # tight re-solves; only the primal-dual solvers re-solve.
+        # Each record holds its subproblem's Newton steps, backtracks, tight
+        # re-solves and float32 solves and corrections; only the primal-dual
+        # solvers re-solve, and only PDP and PT solve in float32.
         import tvalm.alm as alm
         real = alm.solve_subproblem
         results = []
@@ -182,10 +183,14 @@ class TestAlmRun:
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
         _, report = alm_run(z, None, AlmConfig(alpha=0.1, variant=ANISO, inner=inner))
         for rec, res in zip(report.records, results, strict=True):
-            assert (rec.inner_newton, rec.backtracks, rec.tight_resolves) == (
-                res.newton_steps, res.backtracks, res.tight_resolves)
+            assert (rec.inner_newton, rec.backtracks, rec.tight_resolves, rec.f32_solves,
+                    rec.f32_corrections) == (res.newton_steps, res.backtracks,
+                                             res.tight_resolves, res.f32_solves,
+                                             res.f32_corrections)
         tight = sum(rec.tight_resolves for rec in report.records)
         assert tight == 0 if inner == "pt" else tight > 0
+        f32 = sum(rec.f32_solves for rec in report.records)
+        assert f32 == 0 if inner == "pdd" else f32 > 0
 
     @pytest.mark.parametrize("inner", ["pdp", "pdd", "pt"])
     def test_records_carry_the_inner_threshold(self, inner, monkeypatch):
@@ -411,8 +416,8 @@ class TestDenoise128:
     def test_pt_converges_at_its_default_schedule(self):
         # Growth x2 (PT's default) takes about half the Krylov iterations of
         # x4.  Stepping along the carried dual takes 77 Newton steps and
-        # 5,152 Krylov iterations; the generalized derivative at the
-        # projected dual took 149 and 7,727.
+        # 5,154 Krylov iterations (5,152 with float64 directions); the
+        # generalized derivative at the projected dual took 149 and 7,727.
         clean = blocks_image(128, 128, seed=3)
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
         cfg = AlmConfig(alpha=0.1, variant=ANISO, inner="pt", outer_tol=1e-6)
@@ -423,6 +428,38 @@ class TestDenoise128:
         assert krylov <= 6000
         assert sum(r.inner_newton for r in report.records) <= 100
         assert report.summary["psnr"] == pytest.approx(35.583538, abs=1e-5)
+
+
+class TestDenoise256:
+    """Regression at a realistic size: the criterion-6 scene at 256x256
+    (noise 0.1, seed 7, alpha 0.1) converges to Err 1e-6 with PT, whose
+    loose Newton directions are float32 solves checked in float64."""
+
+    @staticmethod
+    def run(variant):
+        clean = blocks_image(256, 256, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        cfg = AlmConfig(alpha=0.1, variant=variant, inner="pt", outer_tol=1e-6)
+        state, report = alm_run(z, None, cfg, reference=clean)
+        assert report.summary["converged"]
+        assert report.records[-1].err <= cfg.outer_tol
+        assert sum(r.f32_solves for r in report.records) > 0
+        return state, report
+
+    @pytest.mark.slow
+    def test_aniso(self):
+        # 87 Newton steps, 6,108 Krylov iterations, one float32 correction.
+        state, report = self.run(ANISO)
+        assert report.records[-1].lambda_feasible
+        assert sum(r.inner_newton * r.avg_krylov for r in report.records) <= 6500
+        assert report.summary["psnr"] == pytest.approx(39.161885, abs=1e-5)
+
+    @pytest.mark.slow
+    def test_iso(self):
+        # Feasibility is not asserted: PT's soft-threshold multiplier leaves
+        # the dual ball by more than FEAS_SLACK on iso runs.
+        _, report = self.run(ISO)
+        assert report.summary["psnr"] == pytest.approx(37.132361, abs=1e-5)
 
 
 class TestNoOverSolving:

@@ -55,8 +55,12 @@ def test_traced_run_matches_untraced():
     assert np.array_equal(traced_state.u, plain_state.u)
     metrics, _ = layer_metrics(tracer.spans)
     # Every CG iteration applies the Newton system once, through the traced
-    # ssn.LinearMap; an operator built outside it would read 0 here.
-    assert metrics["ssn.system.calls"] == metrics["linops.krylov.iters"] > 0
+    # ssn.LinearMap, and so does each float32 solve's float64 check; an
+    # operator built outside it would read 0 here.
+    f32_solves = sum(rec.f32_solves for rec in traced.records)
+    assert f32_solves > 0
+    assert metrics["ssn.system.calls"] == metrics["linops.krylov.iters"] + f32_solves
+    assert metrics["linops.krylov.iters"] > 0
 
 
 @pytest.mark.parametrize("solver", ["pdp", "pt", "alg2"])

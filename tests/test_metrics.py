@@ -209,7 +209,7 @@ class TestMakeRecord:
         lam = project_ball(RNG.normal(size=(2, 4, 4)), 0.1, ISO)
         inner = InnerResult(state=None, lam=lam, residuals=[], newton_steps=4,
                             krylov_iters=30, backtracks=2, tight_resolves=1,
-                            sigma=64.0, threshold=1e-4 / 64.0)
+                            f32_solves=3, f32_corrections=1, sigma=64.0, threshold=1e-4 / 64.0)
         rec = make_record(3, u, lam, DataTerm(u), 0.1, ISO, u, 12.5, inner)
         assert rec.psnr == 99.0  # identical reference, display capped
         assert rec.lambda_feasible
@@ -217,6 +217,7 @@ class TestMakeRecord:
             assert np.isfinite(getattr(rec, field))
         assert rec.k == 3 and rec.inner_newton == 4 and rec.avg_krylov == 7.5
         assert rec.backtracks == 2 and rec.tight_resolves == 1 and rec.sigma == 64.0
+        assert rec.f32_solves == 3 and rec.f32_corrections == 1
         assert rec.inner_threshold == 1e-4 / 64.0
 
     @pytest.mark.parametrize("K, mu", [(None, 1e-3), (blur_map(motion_kernel(3)), 1e-6)])

@@ -19,12 +19,14 @@ NAN, INF = float("nan"), float("inf")
 RECORDS = [
     MetricRecord(k=1, res_u=0.1, res_lambda=1 / 3, err=2.5e-7, res1=1e-300, res2=12345.678,
                  gap=INF, psnr=99.0, wall_ms=1500.5, inner_newton=7, avg_krylov=12.25,
-                 backtracks=3, tight_resolves=1, sigma=4.0, inner_threshold=2.5e-5,
+                 backtracks=3, tight_resolves=1, f32_solves=6, f32_corrections=2, sigma=4.0,
+                 inner_threshold=2.5e-5,
                  lambda_feasible=False),
     MetricRecord(k=2, res_u=NAN, res_lambda=0.0, err=3.1622776601683795e-07, res1=-0.0,
                  res2=2.0 ** -30, gap=-1.25e-9, psnr=35.58349, wall_ms=250.25,
                  inner_newton=0, avg_krylov=0.0, backtracks=0, tight_resolves=0,
-                 sigma=NAN, inner_threshold=NAN, lambda_feasible=True),
+                 f32_solves=0, f32_corrections=0, sigma=NAN, inner_threshold=NAN,
+                 lambda_feasible=True),
 ]
 
 
@@ -36,11 +38,12 @@ def report():
 def test_run_csv():
     assert report().to_csv() == (
         "k,res_u,res_lambda,err,res1,res2,gap,psnr,wall_ms,inner_newton,avg_krylov,"
-        "backtracks,tight_resolves,sigma,inner_threshold,lambda_feasible\n"
+        "backtracks,tight_resolves,f32_solves,f32_corrections,sigma,inner_threshold,"
+        "lambda_feasible\n"
         "1,0.10000000000000001,0.33333333333333331,2.4999999999999999e-07,1e-300,"
-        "12345.678,inf,99,1500.5,7,12.25,3,1,4,2.5000000000000001e-05,0\n"
+        "12345.678,inf,99,1500.5,7,12.25,3,1,6,2,4,2.5000000000000001e-05,0\n"
         "2,nan,0,3.1622776601683797e-07,-0,9.3132257461547852e-10,-1.25e-09,"
-        "35.583489999999998,250.25,0,0,0,0,nan,nan,1\n")
+        "35.583489999999998,250.25,0,0,0,0,0,0,nan,nan,1\n")
 
 
 def test_run_json_with_summary():
@@ -55,6 +58,8 @@ def test_run_json_with_summary():
       "avg_krylov": 12.25,
       "backtracks": 3,
       "err": 2.5e-07,
+      "f32_corrections": 2,
+      "f32_solves": 6,
       "gap": "inf",
       "inner_newton": 7,
       "inner_threshold": 2.5e-05,
@@ -73,6 +78,8 @@ def test_run_json_with_summary():
       "avg_krylov": 0.0,
       "backtracks": 0,
       "err": 3.1622776601683797e-07,
+      "f32_corrections": 0,
+      "f32_solves": 0,
       "gap": -1.25e-09,
       "inner_newton": 0,
       "inner_threshold": "nan",

@@ -11,7 +11,7 @@ from tvalm.errors import InnerNewtonError, LineSearchError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
 from tvalm.linops import DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
 from tvalm.prox import project_ball, soft_threshold
-from tvalm.ssn import (ARMIJO_MAX_BACKTRACKS, ARMIJO_THETA, ENOUGH, FORCING_FLOOR,
+from tvalm.ssn import (ARMIJO_MAX_BACKTRACKS, ARMIJO_THETA, ENOUGH, F32_MIN_TOL, FORCING_FLOOR,
                        KRYLOV_MAX_ITERS, TIGHT_FACTOR, AlmContext, _fields, _iterate,
                        _krylov_request, merit_phi, solve_subproblem, ssnpdd_step, ssnpdp_step,
                        ssnpt_step)
@@ -768,13 +768,14 @@ class TestSolveSubproblem:
         # goes below the floor ENOUGH * threshold / residual (capped at 0.1):
         # past it a solve only takes the residual further below the threshold.
         import tvalm.ssn as ssn
-        calls, krylov = [], []
+        calls, krylov, f32 = [], [], []
 
         def counted(state, ctx, kcfg):
             residual = state.inner_residual
             out, kit = ssnpdp_step(state, ctx, kcfg)
             calls.append((state, residual, kcfg.rel_tol))
             krylov.append(kit)
+            f32.append((out.f32_solves, out.f32_corrections))
             return out, kit
 
         monkeypatch.setattr(ssn, "ssnpdp_step", counted)
@@ -785,6 +786,10 @@ class TestSolveSubproblem:
         assert res.krylov_iters == sum(krylov)
         # The re-solve is the call from the discarded call's state.
         (resolve,) = [i for i in range(1, len(calls)) if calls[i][0] is calls[i - 1][0]]
+        # Float32 solves are counted like Krylov iterations (the discarded
+        # step's: test_a_discarded_float32_solve_counts).
+        assert (res.f32_solves, res.f32_corrections) == tuple(map(sum, zip(*f32)))
+        assert res.f32_solves > 0
         assert len(calls) - resolve >= 2  # the re-solve and a step after it
         res0 = res.residuals[0]
         unfloored_tight = 0
@@ -799,6 +804,27 @@ class TestSolveSubproblem:
                     assert rel_tol < forcing
                     unfloored_tight += 1
         assert unfloored_tight > 0
+
+    def test_a_discarded_float32_solve_counts(self, monkeypatch):
+        # With float32 allowed down to 1e-8, the discarded loose step of this
+        # instance (a request of 1.8e-8) solves in float32, and its tight
+        # re-solve (6.2e-9) in float64; the subproblem counts both steps.
+        import tvalm.ssn as ssn
+        monkeypatch.setattr(ssn, "F32_MIN_TOL", 1e-8)
+        calls = []
+
+        def counted(state, ctx, kcfg):
+            out, kit = ssnpdp_step(state, ctx, kcfg)
+            calls.append((state, out.f32_solves, out.f32_corrections))
+            return out, kit
+
+        monkeypatch.setattr(ssn, "ssnpdp_step", counted)
+        z, ctx = self.tight_instance()
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pdp", 1e-6)
+        (resolve,) = [i for i in range(1, len(calls)) if calls[i][0] is calls[i - 1][0]]
+        assert (calls[resolve - 1][1], calls[resolve][1]) == (1, 0)
+        assert res.f32_solves == sum(c[1] for c in calls)
+        assert res.f32_corrections == sum(c[2] for c in calls)
 
     @pytest.mark.parametrize("method", ["pdp", "pdd"])
     def test_no_step_repeats_a_solve(self, method, monkeypatch):
@@ -1033,18 +1059,17 @@ class TestFlatStencil:
 
 def ssnpt_step_oracle(state, ctx, kcfg):
     """PT's Newton step with the merit evaluated by merit_phi at every trial
-    point and the Newton operator through grad and div: PDP's system at the
-    carried dual, an Armijo search, then PDP's dual recovered on the step
-    taken.  Returns (u_new, h_new, eta, backtracks), h_new the projected
-    recovered dual."""
+    point: PDP's system at the carried dual, an Armijo search, then PDP's
+    dual recovered on the step taken.  The direction comes from the step's
+    own ``_newton_direction`` (float32 for loose denoising requests), whose
+    operator TestFlatStencil and whose float32 path TestFloat32Direction pin.
+    Returns (u_new, h_new, eta, backtracks), h_new the projected recovered
+    dual."""
     import tvalm.ssn as ssn
     u, h = state.u, state.h
     w, U, coef, _ = _fields(u, ctx)
     rhs = ssn._primal_rhs(u, w / U, ctx)
-    a, off = ssn._pdp_flux(U, coef, h, ctx)
-    _, jacobi = ssn._image_system(ctx, a, off)
-    oracle = image_system_oracle(ctx, a, off)
-    delta_u, _ = cg_solve(LinearMap(oracle, oracle, self_adjoint=True), rhs, kcfg, jacobi)
+    delta_u = ssn._newton_direction(ctx, *ssn._pdp_flux(U, coef, h, ctx), rhs, kcfg)[0]
     slope = -inner_x(rhs, delta_u)
     phi0 = merit_phi(u, ctx)
     eta, backtracks = 1.0, 0
@@ -1062,6 +1087,8 @@ STEP_SETUPS = {"identity": (None, 0.0), "motion3-mu1e-3": (motion_kernel(3), 1e-
 STEPS = {"pdp": ssnpdp_step, "pdd": ssnpdd_step, "pt": ssnpt_step}
 # A loose forcing tolerance, as early in a subproblem.
 LOOSE = KrylovConfig(rel_tol=0.1, max_iters=1000)
+# A request too tight for a float32 solve.
+FLOAT64_ONLY = KrylovConfig(rel_tol=F32_MIN_TOL / 2, max_iters=1000)
 
 
 def step_instance(method, variant, setup, sigma=16.0, random_dual=False):
@@ -1123,12 +1150,16 @@ class TestPtStepLineSearch:
     bits and the same projected dual as the trial-by-trial line search, and
     carried fields equal to fresh ones."""
 
+    # Steps along the backtracking instance: its first backtrack comes at
+    # step 7 to 9 (iso denoising with float32 directions: step 9).
+    PT_STEPS = 12
+
     @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_same_step_length_and_bits_as_merit_trials(self, variant, setup):
         ctx, state = backtracking_instance(variant, setup)
         total = 0
-        for _ in range(8):
+        for _ in range(self.PT_STEPS):
             want_u, _, want_eta, want_backtracks = ssnpt_step_oracle(state, ctx, LOOSE)
             state, _ = ssnpt_step(state, ctx, LOOSE)
             assert state.backtracks == want_backtracks
@@ -1143,7 +1174,7 @@ class TestPtStepLineSearch:
         # The dual is recovered on the step taken, damped ones included.
         ctx, state = backtracking_instance(variant, setup)
         total = 0
-        for _ in range(8):
+        for _ in range(self.PT_STEPS):
             _, want_h, _, _ = ssnpt_step_oracle(state, ctx, LOOSE)
             state, _ = ssnpt_step(state, ctx, LOOSE)
             assert_same_bits(state.h, want_h)
@@ -1227,16 +1258,24 @@ def ssnpdp_step_reference(state, ctx, kcfg):
 
 class TestPdpSharedStep:
     """PDP's step through the shared image-space step is, bit for bit, the
-    step it was before."""
+    step it was before wherever it solves in float64: at every request when
+    deblurring, and at requests below F32_MIN_TOL when denoising."""
 
     @pytest.mark.parametrize("setup", sorted(STEP_SETUPS))
     @pytest.mark.parametrize("variant", [ISO, ANISO])
     def test_bit_identical_to_the_former_step(self, variant, setup):
+        requests = [FLOAT64_ONLY] if setup == "identity" else [LOOSE, FLOAT64_ONLY]
+        for kcfg in requests:
+            self.check(variant, setup, kcfg)
+
+    @staticmethod
+    def check(variant, setup, kcfg):
         ctx, state = step_instance("pdp", variant, setup)
         ref = _iterate(state.u.copy(), state.h.copy(), ctx, "pdp")
         for _ in range(8):
-            state, kit = ssnpdp_step(state, ctx, LOOSE)
-            ref, want_kit = ssnpdp_step_reference(ref, ctx, LOOSE)
+            state, kit = ssnpdp_step(state, ctx, kcfg)
+            ref, want_kit = ssnpdp_step_reference(ref, ctx, kcfg)
+            assert state.f32_solves == state.f32_corrections == 0
             assert kit == want_kit
             assert state.backtracks == ref.backtracks == 0
             assert state.inner_residual == ref.inner_residual
@@ -1283,3 +1322,94 @@ class TestNextMultiplier:
     def test_no_newton_step(self, method):
         # A start state already below the threshold: the update at u0.
         assert self.check(method, ANISO, "identity", delta=1e6).newton_steps == 0
+
+
+def direction_instance(variant, mu=0.0):
+    """A 16x16 denoising Newton system: ``_pdp_flux`` at a random feasible
+    dual and the primal residual at u = z, with mu folded in if positive."""
+    import tvalm.ssn as ssn
+    ctx, state = step_instance("pdp", variant, "identity", random_dual=True)
+    if mu > 0.0:
+        ctx = replace(ctx, data=DataTerm(ctx.data.z, None, mu))
+    w, U, coef, _ = _fields(state.u, ctx)
+    rhs = ssn._primal_rhs(state.u, w / U, ctx)
+    return ctx, ssn._pdp_flux(U, coef, state.h, ctx), rhs
+
+
+def float64_residual(ctx, flux, rhs, delta_u):
+    """||rhs - A delta_u|| with the float64 operator through grad and div."""
+    return norm_x(rhs - image_system_oracle(ctx, *flux)(delta_u))
+
+
+class TestFloat32Direction:
+    """Loose denoising requests are solved in float32, then checked, and
+    refined if they miss, in float64 (``_newton_direction``)."""
+
+    @pytest.mark.parametrize("mu", [0.0, 1e-3])
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_float32_operator(self, variant, mu):
+        # Built from float32 coefficients, the operator maps float32 to
+        # float32, and agrees with the float64 one to float32 rounding.
+        from tvalm.ssn import _image_system
+        ctx, (a, off), rhs = direction_instance(variant, mu)
+        f32 = np.float32
+        off32 = None if off is None else off.astype(f32)
+        system, jacobi = _image_system(ctx, a.astype(f32), off32)
+        assert jacobi is None
+        v = np.random.default_rng(7).normal(size=rhs.shape)
+        v32 = v.astype(f32)
+        v_before = v32.copy()
+        got = system.apply(v32)
+        assert got.dtype == np.float32 and got.shape == v.shape
+        assert_same_bits(v32, v_before)
+        want = image_system_oracle(ctx, a, off)(v)
+        assert norm_x(got - want) <= 8 * np.finfo(f32).eps * norm_x(want)
+
+    @pytest.mark.parametrize("rel_tol", [0.1, F32_MIN_TOL])
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_meets_the_request_in_float64(self, variant, rel_tol, monkeypatch):
+        import tvalm.ssn as ssn
+        dtypes = []
+
+        def recorded(A, b, cfg, diag=None):
+            dtypes.append(b.dtype)
+            return cg_solve(A, b, cfg, diag)
+
+        monkeypatch.setattr(ssn, "cg_solve", recorded)
+        ctx, flux, rhs = direction_instance(variant)
+        kcfg = KrylovConfig(rel_tol=rel_tol, max_iters=1000)
+        delta_u, kit, solves, corrections = ssn._newton_direction(ctx, *flux, rhs, kcfg)
+        assert delta_u.dtype == np.float64 and kit > 0
+        assert (solves, len(dtypes)) == (1, 1 + corrections)
+        assert dtypes == [np.float32] + [np.float64] * corrections
+        assert float64_residual(ctx, flux, rhs, delta_u) <= rel_tol * norm_x(rhs)
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_a_missed_solve_is_corrected(self, variant, monkeypatch):
+        # A float32 solve forced to miss (its direction halved, so that its
+        # residual is about half of rhs) is corrected by one float64 solve
+        # against its residual, to the request's share of it.
+        import tvalm.ssn as ssn
+        calls = []
+
+        def truncated(A, b, cfg, diag=None):
+            x, it = cg_solve(A, b, cfg, diag)
+            calls.append((b, cfg.rel_tol, it))
+            return (0.5 * x if b.dtype == np.float32 else x), it
+
+        monkeypatch.setattr(ssn, "cg_solve", truncated)
+        ctx, flux, rhs = direction_instance(variant)
+        delta_u, kit, solves, corrections = ssn._newton_direction(ctx, *flux, rhs, LOOSE)
+        assert (solves, corrections) == (1, 1)
+        (b32, _, it32), (r, tol, it64) = calls
+        assert b32.dtype == np.float32 and r.dtype == np.float64
+        assert kit == it32 + it64
+        assert tol == pytest.approx(LOOSE.rel_tol * norm_x(rhs) / norm_x(r), rel=1e-12)
+        assert float64_residual(ctx, flux, rhs, delta_u) <= LOOSE.rel_tol * norm_x(rhs)
+        # A step records the correction, and a subproblem sums the records.
+        ctx, state = step_instance("pdp", variant, "identity")
+        out, _ = ssnpdp_step(state, ctx, LOOSE)
+        assert (out.f32_solves, out.f32_corrections) == (1, 1)
+        ctx, start = step_instance("pt", variant, "identity")
+        res = solve_subproblem(start.u, start.h, ctx, "pt", 1e-4)
+        assert res.f32_solves == res.f32_corrections > 0
