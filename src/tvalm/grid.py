@@ -1,7 +1,9 @@
 """Discrete image-grid calculus.
 
 Scalar fields (images) are float64 arrays of shape (M, N), vector fields are
-float64 arrays of shape (2, M, N) holding the two difference channels.  The
+float64 arrays of shape (2, M, N) holding the two difference channels.
+grad and div also take float32 fields, and return fields of their
+argument's dtype (the float32 Newton solves of ``ssn``).  The
 index convention, used everywhere in this package, is ``i`` = row (1..M,
 vertical) and ``j`` = column (1..N, horizontal).
 
@@ -63,7 +65,7 @@ def grad(u: np.ndarray) -> np.ndarray:
     """
     m, n = u.shape
     uf = u.ravel()
-    g = np.empty((2, m * n))
+    g = np.empty((2, m * n), u.dtype)
     # Flat shifts by N and by 1 are the row and column differences; the
     # column shift wraps across rows only at the last column, zeroed below.
     np.subtract(uf[n:], uf[:-n], out=g[0, :-n])
@@ -82,7 +84,7 @@ def div(p: np.ndarray) -> np.ndarray:
     """
     m, n = p.shape[1:]
     p1 = p[0].ravel()
-    out = np.empty(m * n)
+    out = np.empty(m * n, p.dtype)
     # Same operation order as summing into zeros: 0.0 + p1 first (which also
     # turns -0.0 into 0.0), then the shifted differences.
     np.add(p1[:-n], 0.0, out=out[:-n])

@@ -4,8 +4,10 @@ Provides the data operator K (correlation with a blur kernel under replicate
 boundary extension, and its adjoint), the restoration operator
 H = -mu*Laplacian + K*K, CG for the symmetric Newton systems of ALM-PDP and
 ALM-PT (with an optional Jacobi preconditioner, which both use when
-deblurring; in float32 for a float32 right-hand side) and unpreconditioned
-BiCGSTAB for ALM-PDD's nonsymmetric dual system.  Every solve starts from
+deblurring) and unpreconditioned BiCGSTAB for ALM-PDD's nonsymmetric dual
+system.  Both solvers work in their right-hand side's dtype: ``ssn`` runs
+loose denoising requests in float32 (CG when K = I, BiCGSTAB when H = I),
+then checks and refines the answer in float64.  Every solve starts from
 the zero vector so iteration counts are reproducible.  The solvers' inner
 products are BLAS dot products (np.vdot), and their iterates, residuals and
 search directions are updated in place.  An operator may return its
@@ -18,7 +20,9 @@ relative to b so that the outcome does not depend on b's scale, and on
 stagnation.  Giving up returns the lowest-residual iterate when that
 residual is at most STALL_ACCEPT * ||b||, short of rel_tol, and raises
 KrylovError otherwise; ALM-PDD's dual solves on iso TV denoising sometimes
-end through that acceptance.
+end through that acceptance.  A float32 solve that raises fails no Newton
+step: ``ssn`` counts its answer as zero and solves again in float64 from
+zero, and only that solve's KrylovError reaches the caller.
 
 K is one row of odd width w, correlating each image row with the taps
 under replicate extension.  On an M x N image it acts as K u = u R^T with
@@ -295,7 +299,7 @@ def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig,
 
     The iteration works in b's dtype: its vectors are allocated like b, and
     a float32 b with an operator that maps float32 to float32 gives a
-    float32 solve (``ssn._newton_direction``).  The stop is on CG's own
+    float32 solve (``ssn._mixed_solve``).  The stop is on CG's own
     recursive residual r, updated as r -= a A p, not on b - A x: the two
     agree to rounding in float64, but in float32 they may drift apart by
     more than a loose tolerance, so a float32 answer is checked by its
@@ -345,15 +349,16 @@ def cg_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig,
 
 
 def bicgstab_solve(A: LinearMap, b: np.ndarray, cfg: KrylovConfig) -> tuple[np.ndarray, int]:
-    """Unpreconditioned BiCGSTAB; works on scalar or two-channel fields.
+    """Unpreconditioned BiCGSTAB; works on scalar or two-channel fields,
+    in b's dtype as ``cg_solve`` does, and stops on its recursive residual.
 
-    Returns (x, iterations) with ||A x - b|| <= rel_tol * ||b||, or else
-    gives up: on a breakdown (|rho|, |r0'v| or t't below BREAKDOWN_EPS *
-    ||b||^2, or |omega| below BREAKDOWN_EPS) or after STALL_WINDOW
-    iterations without a 1% fall of the lowest residual.  Giving up returns
-    the lowest-residual iterate if its residual is at most
-    STALL_ACCEPT * ||b||, and raises KrylovError otherwise.  Exceeding
-    max_iters raises KrylovError.
+    Returns (x, iterations) with a recursive residual of at most
+    rel_tol * ||b|| (||A x - b|| to rounding in float64), or else gives up:
+    on a breakdown (|rho|, |r0'v| or t't below BREAKDOWN_EPS * ||b||^2, or
+    |omega| below BREAKDOWN_EPS) or after STALL_WINDOW iterations without a
+    1% fall of the lowest residual.  Giving up returns the lowest-residual
+    iterate if its residual is at most STALL_ACCEPT * ||b||, and raises
+    KrylovError otherwise.  Exceeding max_iters raises KrylovError.
     """
     b_norm = np.sqrt(_dot(b, b))
     if b_norm == 0.0:

@@ -7,9 +7,9 @@ Three formulations of the same nonlinear optimality system are offered:
   first (CG, Jacobi-preconditioned when deblurring), then recovering and
   projecting the dual iterate.
 * ``ssnpdd_step``: the mirrored order, solving the two-channel system for the
-  dual field first (BiCGSTAB, nesting H^{-1} actions), then recovering u.
-  H^{-1} is ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a
-  blur.
+  dual field first (BiCGSTAB, nesting H^{-1} actions, in float32 first for
+  loose requests when H = I), then recovering u.  H^{-1} is
+  ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a blur.
 * ``ssnpt_step``: a primal Newton step through the soft-thresholding
   operator, globalized by an Armijo backtracking line search on the merit
   function.  It takes PDP's direction and recovers PDP's dual on the step
@@ -67,21 +67,26 @@ operator's closed-form diagonal (``_jacobi``), and ``_image_system`` is
 where that is decided.  The PDD dual system
 q -> U q - (sigma - B) grad H^{-1} div q takes one grad per application.
 
-When denoising (K = I), a step whose Krylov request is at least
-F32_MIN_TOL solves for its direction in float32 (``_newton_direction``):
-the operator built from float32 coefficients, and CG in float32, move half
-the bytes of the float64 ones, and at 128x128 and above the stencil and
-CG's vector updates are bound by memory traffic.  Requests are loose, so
-float32 rounding rarely decides whether one is met; but CG stops on its
-recursive residual, which in float32 can drift from the true one.  So the
-direction is checked with one float64 residual r = rhs - A delta_u, and
-if it misses the request a float64 CG solves A c = r to the remaining
-tolerance and delta_u += c: inexact Newton in mixed precision (Kelley,
-SIAM Review 64, 2022), made safe by one step of mixed-precision iterative
-refinement (Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  Every
-direction thus meets its request in float64; the residual, the merit, the
-line search and the dual stay in float64.  Deblurring, PDD's BiCGSTAB and
-requests below F32_MIN_TOL stay in float64 throughout.
+A denoising step whose Krylov request is at least F32_MIN_TOL solves in
+float32 first (``_mixed_solve``): PDP's and PT's CG when K = I, and PDD's
+BiCGSTAB when H = I (``DataTerm.identity``: K = I and mu = 0, where H^{-1}
+returns its argument and the dual operator is a pure stencil).  The
+operator built from float32 coefficients, and the solver in float32, move
+half the bytes of the float64 ones; the stencils and the vector updates are
+bound by memory traffic at 128x128 and above.  Requests are loose, so
+float32 rounding rarely decides whether one is met; but CG and BiCGSTAB
+stop on recursive residuals, which in float32 can drift from the true one.
+So the answer x is checked with one float64 residual r = b - A x, and if it
+misses the request a float64 solve of A c = r to the remaining tolerance
+gives x + c: inexact Newton in mixed precision (Kelley, SIAM Review 64,
+2022), made safe by one step of mixed-precision iterative refinement
+(Carson & Higham, SIAM J. Sci. Comput. 40, 2018).  A float32 solve that
+raises KrylovError (BiCGSTAB giving up, say) is no failure: its answer
+counts as zero, the float64 solve starts from scratch, and only that solve
+can fail the step.  Every direction thus meets its request in float64; the
+residual, the merit, the line search and the dual stay in float64.
+Deblurring, PDD with mu > 0, and requests below F32_MIN_TOL stay in
+float64 throughout.
 
 PT's line search runs on a precomputed line.  The merit is the data term
 plus sigma times a Huber sum of q = lam / sigma + grad u, less a constant.
@@ -130,7 +135,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InnerNewtonError, LineSearchError
+from .errors import InnerNewtonError, KrylovError, LineSearchError
 from .grid import (ISO, check_variant, direction, div, grad, inner_x, magnitude, norm_x,
                    norm_y, tv_norm)
 from .linops import DataTerm, KrylovConfig, LinearMap, bicgstab_solve, cg_solve
@@ -203,7 +208,7 @@ class NewtonState:
     also records the Armijo ``backtracks`` it took (PT) and whether its
     direction was a float32 solve and needed a float64 correction
     (``f32_solves``, ``f32_corrections``, each 0 or 1; see
-    ``_newton_direction``)."""
+    ``_mixed_solve``)."""
 
     u: np.ndarray
     h: np.ndarray
@@ -402,36 +407,62 @@ def _newton_direction(ctx: AlmContext, a: np.ndarray, off: np.ndarray | None,
     against rhs, to kcfg's request in float64; returns it with the Krylov
     iterations, float32 solves and float32 corrections it took.
 
-    For K = I and a request of at least F32_MIN_TOL, CG runs in float32 on
-    the operator built from float32 coefficients, where the stencil and the
-    vector updates move half the bytes.  The float32 direction is then
-    checked with one application of the float64 operator: if its float64
-    residual r = rhs - A delta_u misses rel_tol ||rhs||, a float64 CG
-    solves A c = r to rel_tol ||rhs|| / ||r|| and delta_u += c
-    (mixed-precision iterative refinement), so the returned direction meets
-    the request in float64.  Deblurring, and tighter requests, stay in
-    float64 throughout.
+    Deblurring solves in float64, Jacobi-preconditioned.  For K = I the
+    solve is ``_mixed_solve``'s: in float32 first for a request of at least
+    F32_MIN_TOL, checked and refined in float64.
     """
-    if ctx.data.K is not None or kcfg.rel_tol < F32_MIN_TOL:
+    if ctx.data.K is not None:
         system, jacobi = _image_system(ctx, a, off)
         delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
         return delta_u, kit, 0, 0
-    f32 = np.float32
-    system, _ = _image_system(ctx, a.astype(f32), None if off is None else off.astype(f32))
-    delta_u, kit = cg_solve(system, rhs.astype(f32), kcfg)
-    delta_u = delta_u.astype(np.float64)
+
+    def build(dtype):
+        off_d = None if off is None else off.astype(dtype, copy=False)
+        return _image_system(ctx, a.astype(dtype, copy=False), off_d)[0]
+    return _mixed_solve(build, cg_solve, rhs, kcfg, True)
+
+
+def _mixed_solve(build: Callable[[type], LinearMap], krylov: Callable, b: np.ndarray,
+                 kcfg: KrylovConfig, allow_f32: bool) -> tuple[np.ndarray, int, int, int]:
+    """The solution of A x = b, A = build(float64), by ``krylov`` (cg_solve
+    or bicgstab_solve) to kcfg's request in float64; returns it with the
+    Krylov iterations, float32 solves and float32 corrections it took.
+
+    build(dtype) makes the operator from its coefficients cast to dtype.
+    When ``allow_f32`` (the caller's data term has a float32 operator) and
+    the request is at least F32_MIN_TOL, krylov first runs in float32 on
+    build(float32), where the operator and the vector updates move half the
+    bytes.  The float32 answer is then checked with one application of A:
+    if its float64 residual r = b - A x misses rel_tol ||b||, krylov solves
+    A c = r in float64 to rel_tol ||b|| / ||r|| and x += c (mixed-precision
+    iterative refinement), so the returned answer meets the request in
+    float64.  A float32 solve that raises KrylovError is not a failure: its
+    answer counts as zero, so the float64 correction solves A x = b from
+    zero at the request, and only that solve can raise.  Both solves'
+    iterations are counted.
+    """
+    if not allow_f32 or kcfg.rel_tol < F32_MIN_TOL:
+        x, kit = krylov(build(np.float64), b, kcfg)
+        return x, kit, 0, 0
     # The float32 operator's work arrays are freed before the float64 ones
     # are built.
-    del system
-    system, _ = _image_system(ctx, a, off)
-    r = system.apply(delta_u)
-    np.subtract(rhs, r, out=r)
-    tol, r_norm = kcfg.rel_tol * norm_x(rhs), norm_x(r)
+    try:
+        x, kit = krylov(build(np.float32), b.astype(np.float32), kcfg)
+    except KrylovError as err:
+        x, kit = None, err.iterations
+    A = build(np.float64)
+    if x is None:
+        x, ckit = krylov(A, b, kcfg)
+        return x, kit + ckit, 1, 1
+    x = x.astype(np.float64)
+    r = A.apply(x)
+    np.subtract(b, r, out=r)
+    tol, r_norm = kcfg.rel_tol * norm_x(b), norm_x(r)
     if r_norm <= tol:
-        return delta_u, kit, 1, 0
-    c, ckit = cg_solve(system, r, KrylovConfig(tol / r_norm, kcfg.max_iters))
-    delta_u += c
-    return delta_u, kit + ckit, 1, 1
+        return x, kit, 1, 0
+    c, ckit = krylov(A, r, KrylovConfig(tol / r_norm, kcfg.max_iters))
+    x += c
+    return x, kit + ckit, 1, 1
 
 
 def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
@@ -483,21 +514,29 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     """One h-first primal-dual Newton step (Schur complement in the dual).
 
     Nested H^{-1} actions come from ctx.data.solve; the two-channel system is
-    solved in increment form like ssnpdp_step.
+    solved in increment form like ssnpdp_step, by BiCGSTAB through
+    ``_mixed_solve``: in float32 first when H = I (the operator is then a
+    pure stencil) and the request is at least F32_MIN_TOL.
     """
     u, h = state.u, state.h
     _, U, coef, _ = _take_fields(state)
     b2 = ctx.lam + _b_of_grad(grad(u), coef, h, ctx.variant)
     g_inv = grad(ctx.data.solve(ctx.data.f))
-    system = _pdd_system(U, coef, h, ctx)
     rhs = b2 + ctx.sigma * g_inv - _b_of_grad(g_inv, coef, h, ctx.variant)
-    delta_h, kit = bicgstab_solve(LinearMap(system, system), rhs - system(h), kcfg)
+    rhs -= _pdd_system(U, coef, h, ctx)(h)
+    del b2, g_inv
+
+    def build(dtype):
+        system = _pdd_system(U.astype(dtype, copy=False), coef.astype(dtype, copy=False),
+                             h.astype(dtype, copy=False), ctx)
+        return LinearMap(system, system)
+    delta_h, kit, *f32 = _mixed_solve(build, bicgstab_solve, rhs, kcfg, ctx.data.identity)
     h_pre = h + delta_h
     # Freed before the new iterate's fields are evaluated, not after.
-    del U, coef, system, b2, g_inv, rhs, delta_h
+    del U, coef, build, rhs, delta_h
     u_new = ctx.data.solve(ctx.data.f + div(h_pre))
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return _iterate(u_new, h_new, ctx, "pdd", h_pre), kit
+    return _iterate(u_new, h_new, ctx, "pdd", h_pre, 0, *f32), kit
 
 
 def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
@@ -596,7 +635,7 @@ class InnerResult:
     """Outcome of one subproblem solve: final state, the next multiplier
     ``lam`` (see the module docstring), residual history, the Newton steps,
     Krylov iterations, Armijo backtracks, tight re-solves, float32 solves
-    and float32 corrections it took (``_newton_direction``; discarded steps
+    and float32 corrections it took (``_mixed_solve``; discarded steps
     counted too), the penalty ``sigma`` it was solved at and the stopping
     ``threshold`` its residual was brought below."""
 

@@ -169,7 +169,7 @@ class TestAlmRun:
     def test_records_carry_the_subproblem_counts(self, inner, monkeypatch):
         # Each record holds its subproblem's Newton steps, backtracks, tight
         # re-solves and float32 solves and corrections; only the primal-dual
-        # solvers re-solve, and only PDP and PT solve in float32.
+        # solvers re-solve, and all three solve in float32 when denoising.
         import tvalm.alm as alm
         real = alm.solve_subproblem
         results = []
@@ -189,8 +189,7 @@ class TestAlmRun:
                                              res.f32_corrections)
         tight = sum(rec.tight_resolves for rec in report.records)
         assert tight == 0 if inner == "pt" else tight > 0
-        f32 = sum(rec.f32_solves for rec in report.records)
-        assert f32 == 0 if inner == "pdd" else f32 > 0
+        assert sum(rec.f32_solves for rec in report.records) > 0
 
     @pytest.mark.parametrize("inner", ["pdp", "pdd", "pt"])
     def test_records_carry_the_inner_threshold(self, inner, monkeypatch):
@@ -410,6 +409,7 @@ class TestDenoise128:
         assert report.summary["converged"]
         assert report.records[-1].err <= cfg.outer_tol
         assert sum(rec.tight_resolves for rec in report.records) > 0
+        assert sum(rec.f32_solves for rec in report.records) > 0
         assert report.summary["psnr"] == pytest.approx(psnr, abs=1e-5)
 
     @pytest.mark.slow

@@ -22,8 +22,9 @@ def inner_y(p, q):
 
 
 def grad_2d(u):
-    """The 2-D definition of grad, the oracle for the flat-slice one."""
-    g = np.empty((2,) + u.shape)
+    """The 2-D definition of grad, the oracle for the flat-slice one, in
+    u's dtype."""
+    g = np.empty((2,) + u.shape, u.dtype)
     np.subtract(u[1:, :], u[:-1, :], out=g[0, :-1, :])
     g[0, -1, :] = 0.0
     np.subtract(u[:, 1:], u[:, :-1], out=g[1, :, :-1])
@@ -32,9 +33,10 @@ def grad_2d(u):
 
 
 def div_2d(p):
-    """The 2-D definition of div, the oracle for the flat-slice one."""
+    """The 2-D definition of div, the oracle for the flat-slice one, in
+    p's dtype."""
     p1, p2 = p[0], p[1]
-    out = np.zeros(p1.shape)
+    out = np.zeros(p1.shape, p.dtype)
     out[:-1, :] += p1[:-1, :]
     out[1:, :] -= p1[:-1, :]
     out[:, :-1] += p2[:, :-1]
@@ -128,13 +130,20 @@ class TestFlatStencilsMatch2d:
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_grad_bits(self, shape):
+        # In float32 too: the result takes the argument's dtype.
         for u in (RNG.normal(size=shape), signed_zero_field(shape)):
-            assert_same_bits(grad(u), grad_2d(u))
+            for dtype in (np.float64, np.float32):
+                g = grad(u.astype(dtype))
+                assert g.dtype == dtype
+                assert_same_bits(g, grad_2d(u.astype(dtype)))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_div_bits(self, shape):
         for p in (RNG.normal(size=(2,) + shape), signed_zero_field((2,) + shape)):
-            assert_same_bits(div(p), div_2d(p))
+            for dtype in (np.float64, np.float32):
+                d = div(p.astype(dtype))
+                assert d.dtype == dtype
+                assert_same_bits(d, div_2d(p.astype(dtype)))
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (7, 5), (64, 64)])
     def test_non_contiguous_inputs(self, shape):

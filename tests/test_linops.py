@@ -559,6 +559,28 @@ class TestBicgstab:
         x, _ = bicgstab_solve(A, b, KrylovConfig(rel_tol=1e-12))
         assert np.allclose(x, b / scale)
 
+    def test_float32_right_hand_side(self):
+        # A float32 b with an operator that maps float32 to float32 gives a
+        # float32 solve that meets a loose tolerance on its true residual.
+        rng = np.random.default_rng(31)
+        M = rng.normal(size=(32, 32))
+        M = M @ M.T + 32 * np.eye(32)
+        M[0, 3] += 2.0  # break symmetry
+        M32 = M.astype(np.float32)
+        seen = []
+
+        def apply(q):
+            seen.append(q.dtype)
+            return (M32 @ q.ravel()).reshape(q.shape)
+
+        b = rng.normal(size=(2, 4, 4)).astype(np.float32)
+        cfg = KrylovConfig(rel_tol=1e-4)
+        x, it = bicgstab_solve(LinearMap(apply, apply), b, cfg)
+        assert x.dtype == np.float32 and it > 0
+        assert set(seen) == {np.dtype(np.float32)}
+        r = b.ravel().astype(np.float64) - M @ x.ravel().astype(np.float64)
+        assert np.linalg.norm(r) <= cfg.rel_tol * np.linalg.norm(b.astype(np.float64))
+
     def test_breakdown_without_progress_raises(self):
         zero = LinearMap(np.zeros_like, np.zeros_like)  # r0'v = 0 at once
         with pytest.raises(KrylovError, match="gave up") as info:

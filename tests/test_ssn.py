@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from tvalm.degrade import DegradeSpec, blocks_image, degrade
-from tvalm.errors import InnerNewtonError, LineSearchError
+from tvalm.errors import InnerNewtonError, KrylovError, LineSearchError
 from tvalm.grid import ANISO, ISO, div, grad, inner_x, norm_x, norm_y, pointwise_mag
-from tvalm.linops import DataTerm, KrylovConfig, LinearMap, blur_map, cg_solve, motion_kernel
+from tvalm.linops import (DataTerm, KrylovConfig, LinearMap, bicgstab_solve, blur_map, cg_solve,
+                          motion_kernel)
 from tvalm.prox import project_ball, soft_threshold
 from tvalm.ssn import (ARMIJO_MAX_BACKTRACKS, ARMIJO_THETA, ENOUGH, F32_MIN_TOL, FORCING_FLOOR,
                        KRYLOV_MAX_ITERS, TIGHT_FACTOR, AlmContext, _fields, _iterate,
@@ -1413,3 +1414,146 @@ class TestFloat32Direction:
         ctx, start = step_instance("pt", variant, "identity")
         res = solve_subproblem(start.u, start.h, ctx, "pt", 1e-4)
         assert res.f32_solves == res.f32_corrections > 0
+
+
+def mixed_solves(monkeypatch):
+    """Record each ``_mixed_solve`` call of ssn as (b, answer)."""
+    import tvalm.ssn as ssn
+    real, calls = ssn._mixed_solve, []
+
+    def recorded(build, krylov, b, kcfg, allow_f32):
+        out = real(build, krylov, b, kcfg, allow_f32)
+        calls.append((b, out[0]))
+        return out
+
+    monkeypatch.setattr(ssn, "_mixed_solve", recorded)
+    return calls
+
+
+def bicgstab_dtypes(monkeypatch):
+    """Record the dtype of each right-hand side ssn hands BiCGSTAB."""
+    import tvalm.ssn as ssn
+    dtypes = []
+
+    def recorded(A, b, cfg):
+        dtypes.append(b.dtype)
+        return bicgstab_solve(A, b, cfg)
+
+    monkeypatch.setattr(ssn, "bicgstab_solve", recorded)
+    return dtypes
+
+
+def dual_residual(state, ctx, b, x):
+    """||b - A x|| with the float64 dual operator of a PDD step from state."""
+    from tvalm.ssn import _pdd_system
+    _, U, coef, _ = _fields(state.u, ctx)
+    return norm_y(b - _pdd_system(U, coef, state.h, ctx)(x))
+
+
+class TestFloat32DualSolve:
+    """PDD's BiCGSTAB solves loose requests with H = I in float32, then
+    checks, and refines if they miss, in float64 (``_mixed_solve``, which
+    ``_newton_direction``'s CG shares)."""
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_float32_operator(self, variant):
+        # Built from float32 coefficients, the dual operator maps float32 to
+        # float32, and agrees with the float64 one to float32 rounding.
+        from tvalm.ssn import _pdd_system
+        ctx, state = step_instance("pdd", variant, "identity", random_dual=True)
+        _, U, coef, _ = _fields(state.u, ctx)
+        f32 = np.float32
+        system = _pdd_system(U.astype(f32), coef.astype(f32), state.h.astype(f32), ctx)
+        q = np.random.default_rng(7).normal(size=state.h.shape)
+        got = system(q.astype(f32))
+        assert got.dtype == np.float32 and got.shape == q.shape
+        want = _pdd_system(U, coef, state.h, ctx)(q)
+        assert norm_y(got - want) <= 8 * np.finfo(f32).eps * norm_y(want)
+
+    @pytest.mark.parametrize("rel_tol", [0.1, F32_MIN_TOL])
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_meets_the_request_in_float64(self, variant, rel_tol, monkeypatch):
+        dtypes = bicgstab_dtypes(monkeypatch)
+        solves = mixed_solves(monkeypatch)
+        ctx, state = step_instance("pdd", variant, "identity", random_dual=True)
+        kcfg = KrylovConfig(rel_tol=rel_tol, max_iters=KRYLOV_MAX_ITERS)
+        out, kit = ssnpdd_step(state, ctx, kcfg)
+        assert kit > 0 and out.f32_solves == 1
+        assert dtypes == [np.float32] + [np.float64] * out.f32_corrections
+        ((b, delta_h),) = solves
+        assert delta_h.dtype == np.float64
+        assert dual_residual(state, ctx, b, delta_h) <= rel_tol * norm_y(b)
+
+    @pytest.mark.parametrize("setup, mu", [("identity", 1e-3), ("motion3-mu1e-3", None),
+                                           ("identity", None)])
+    def test_float64_unless_the_data_term_is_the_identity(self, setup, mu, monkeypatch):
+        # H^{-1} is a float64 solve unless H = I; and a request below
+        # F32_MIN_TOL stays in float64 there too.
+        dtypes = bicgstab_dtypes(monkeypatch)
+        ctx, state = step_instance("pdd", ISO, setup)
+        if mu is not None:
+            ctx = replace(ctx, data=DataTerm(ctx.data.z, None, mu))
+            state = _iterate(state.u, state.h, ctx, "pdd")
+        kcfg = FLOAT64_ONLY if ctx.data.identity else LOOSE
+        out, _ = ssnpdd_step(state, ctx, kcfg)
+        assert dtypes == [np.float64]
+        assert (out.f32_solves, out.f32_corrections) == (0, 0)
+
+    @pytest.mark.parametrize("variant", [ISO, ANISO])
+    def test_a_missed_solve_is_corrected(self, variant, monkeypatch):
+        # A float32 solve forced to miss (its answer halved) is corrected by
+        # one float64 solve against its residual, to the request's share of
+        # it.
+        import tvalm.ssn as ssn
+        calls = []
+
+        def truncated(A, b, cfg):
+            x, it = bicgstab_solve(A, b, cfg)
+            calls.append((b, cfg.rel_tol, it))
+            return (0.5 * x if b.dtype == np.float32 else x), it
+
+        monkeypatch.setattr(ssn, "bicgstab_solve", truncated)
+        solves = mixed_solves(monkeypatch)
+        ctx, state = step_instance("pdd", variant, "identity", random_dual=True)
+        out, kit = ssnpdd_step(state, ctx, LOOSE)
+        assert (out.f32_solves, out.f32_corrections) == (1, 1)
+        (b32, _, it32), (r, tol, it64) = calls
+        assert b32.dtype == np.float32 and r.dtype == np.float64
+        assert kit == it32 + it64
+        ((b, delta_h),) = solves
+        assert tol == pytest.approx(LOOSE.rel_tol * norm_y(b) / norm_y(r), rel=1e-12)
+        assert dual_residual(state, ctx, b, delta_h) <= LOOSE.rel_tol * norm_y(b)
+        # A subproblem sums the steps' records.
+        ctx, start = step_instance("pdd", variant, "identity")
+        res = solve_subproblem(start.u, start.h, ctx, "pdd", 1e-4)
+        assert res.f32_solves == res.f32_corrections > 0
+
+    @pytest.mark.parametrize("method, solver", [("pdd", "bicgstab_solve"), ("pdp", "cg_solve")])
+    def test_a_float32_give_up_falls_back_to_float64(self, method, solver, monkeypatch):
+        # A float32 solve that raises KrylovError is no failure: the step
+        # solves in float64 from zero at its request, as a float64-only
+        # step does, bit for bit, and counts a correction and the failed
+        # solve's iterations.
+        import tvalm.ssn as ssn
+        real, calls = getattr(ssn, solver), []
+
+        def give_up(A, b, cfg, *rest):
+            calls.append((b, cfg))
+            if b.dtype == np.float32:
+                raise KrylovError("gave up", method=solver, residual=0.5, iterations=7)
+            return real(A, b, cfg, *rest)
+
+        ctx, state = step_instance(method, ANISO, "identity", random_dual=True)
+        monkeypatch.setattr(ssn, "F32_MIN_TOL", 1.0)
+        want, want_kit = STEPS[method](state, ctx, LOOSE)
+        ctx, state = step_instance(method, ANISO, "identity", random_dual=True)
+        monkeypatch.setattr(ssn, "F32_MIN_TOL", F32_MIN_TOL)
+        monkeypatch.setattr(ssn, solver, give_up)
+        out, kit = STEPS[method](state, ctx, LOOSE)
+        (b32, cfg32), (b, cfg) = calls
+        assert b32.dtype == np.float32 and b.dtype == np.float64
+        assert cfg32 is cfg is LOOSE
+        assert (out.f32_solves, out.f32_corrections) == (1, 1)
+        assert kit == 7 + want_kit
+        assert_same_bits(out.u, want.u)
+        assert_same_bits(out.h, want.h)
