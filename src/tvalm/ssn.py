@@ -9,7 +9,9 @@ Three formulations of the same nonlinear optimality system are offered:
 * ``ssnpdd_step``: the mirrored order, solving the two-channel system for the
   dual field first (BiCGSTAB, nesting H^{-1} actions, in float32 first for
   loose requests when H = I), then recovering u.  H^{-1} is
-  ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a blur.
+  ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a blur.  For
+  the aniso variant the step is globalized by PT's Armijo search on the
+  image update, and both fields move by the length it accepts.
 * ``ssnpt_step``: a primal Newton step through the soft-thresholding
   operator, globalized by an Armijo backtracking line search on the merit
   function.  It takes PDP's direction and recovers PDP's dual on the step
@@ -17,6 +19,16 @@ Three formulations of the same nonlinear optimality system are offered:
 
 PDP and PT are one image-space step (``_image_step``) that differs only in
 its step length: the unit step, or Armijo's.  PDD is a step of its own.
+
+Why aniso PDD shares PT's search and iso PDD does not.  With a per-channel
+flux (aniso), PDD's dual system and PDP's image system are the two Schur
+complements of one symmetric Newton system, so in exact arithmetic PDD's
+image update u_full - u is PT's direction and descends on PT's merit; the
+search then applies unchanged.  Iso PDD solves the unsymmetrized
+linearization, whose image update need not be PT's direction; the search
+alone does not make it converge (a 64x64 iso denoise failed at the Newton
+cap where the tight mode converges), so iso PDD keeps the full step.
+``_line_searched`` is the one rule for which steps search.
 
 All three linearize the same map, the projection P_alpha onto the dual ball:
 with w = lam + sigma grad u, U = max(1, |w| / alpha) and |.| the variant's
@@ -40,8 +52,9 @@ Every solver evaluates an iterate's fields (``Fields``) once, by ``_fields``:
 they give its residual and ride on its ``NewtonState`` to the next step,
 which takes them as its linearization.  The residual field rhs (one H and
 one div) is evaluated only where it is read: at PT's iterates, for PT's
-residual and next step, and at the start of a PDP step, as PDP's right-hand
-side.  PDD never reads it.
+residual and next step; at the start of a PDP step, as PDP's right-hand
+side; and in an aniso PDD step, for the line search's slope.  Iso PDD never
+reads it.
 
 The image-space Newton system (the PDP Schur complement, which PT shares)
 is of the form H + sigma grad^* D grad with a pointwise symmetric D.
@@ -88,18 +101,18 @@ residual, the merit, the line search and the dual stay in float64.
 Deblurring, PDD with mu > 0, and requests below F32_MIN_TOL stay in
 float64 throughout.
 
-PT's line search runs on a precomputed line.  The merit is the data term
+The line search runs on a precomputed line.  The merit is the data term
 plus sigma times a Huber sum of q = lam / sigma + grad u, less a constant.
 The data term is quadratic and grad is linear, so ``_merit_line`` takes
 grad u, grad delta_u and two inner products with H once per Newton step, and
 a trial step length costs pointwise work only.
 
 Each step returns the new iterate and the Krylov iterations its linear solve
-took; ``solve_subproblem`` sums those counts, PT's backtracks, the
-primal-dual tight re-solves and the float32 solves and corrections for the
-subproblem, and returns the next multiplier with them.  For PDP and PDD
-that is P_alpha(lam + sigma grad u) at the final iterate, w / U read off
-its fields; PT keeps the soft-threshold form
+took; ``solve_subproblem`` sums those counts, the Armijo backtracks (PT's
+and aniso PDD's), the tight re-solves and the float32 solves and
+corrections for the subproblem, and returns the next multiplier with them.
+For PDP and PDD that is P_alpha(lam + sigma grad u) at the final iterate,
+w / U read off its fields; PT keeps the soft-threshold form
 lam + sigma (grad u - S_tau(lam / sigma + grad u)), equal by the Moreau
 identity but rounded differently.
 
@@ -110,17 +123,19 @@ subproblem needs, since a solve past its stopping test is oversolving
 (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  The subproblem needs
 its residual only below the target: the stopping threshold or, when
 smaller, the residual the outer stopping test can accept
-(``AlmContext.need``).  The primal-dual steps are not globalized, so the
-first PDP or PDD step of a subproblem that raises the nonlinear residual
-puts the subproblem in the tight mode, whose requests take TIGHT_FACTOR
-times the forcing term; the step is discarded and redone at its tight
-request when that is tighter than its loose one.
+(``AlmContext.need``).  ALM-PDP and iso ALM-PDD are not globalized, so the
+first step of such a subproblem that raises the nonlinear residual puts the
+subproblem in the tight mode, whose requests take TIGHT_FACTOR times the
+forcing term; the step is discarded and redone at its tight request when
+that is tighter than its loose one.  A line-searched subproblem (PT, aniso
+PDD) never discards or re-solves a step.
 
-Fixed constants: the PT line search tries ARMIJO_THETA ** b from the full
-Newton step (b = 0) and takes the first length at which the merit falls by
-ARMIJO_MU times the predicted decrease, failing after ARMIJO_MAX_BACKTRACKS
-trials.  These are the standard Armijo choices (mu in (0, 1/2), theta in
-(0, 1)); no solver or command uses other values, so they are not settable.
+Fixed constants: the Armijo line search tries ARMIJO_THETA ** b from the
+full Newton step (b = 0) and takes the first length at which the merit
+falls by ARMIJO_MU times the predicted decrease, failing after
+ARMIJO_MAX_BACKTRACKS trials.  These are the standard Armijo choices (mu in
+(0, 1/2), theta in (0, 1)); no solver or command uses other values, so they
+are not settable.
 TIGHT_FACTOR, ENOUGH, FORCING_FLOOR and F32_MIN_TOL are fixed for the same
 reason.
 Each Newton system solve stops after KRYLOV_MAX_ITERS iterations, a cap that
@@ -193,7 +208,8 @@ class Fields(NamedTuple):
     """The fields of P_alpha at an iterate u: w, U and coef as in the module
     docstring (coef is 0 off the active set), and rhs = f - H u + div(w / U),
     the primal residual at the projected dual, negated (``_primal_rhs``).
-    rhs is None unless asked for: only PT reads it at its iterates."""
+    rhs is None unless asked for: only PT reads it at its iterates; PDP and
+    aniso PDD evaluate it in their step."""
 
     w: np.ndarray
     U: np.ndarray
@@ -205,9 +221,9 @@ class Fields(NamedTuple):
 class NewtonState:
     """One inner iterate: image, feasible dual field, its residual and its
     ``Fields``, which the step from it takes off it.  The step that made it
-    also records the Armijo ``backtracks`` it took (PT) and whether its
-    direction was a float32 solve and needed a float64 correction
-    (``f32_solves``, ``f32_corrections``, each 0 or 1; see
+    also records the Armijo ``backtracks`` it took (PT, aniso PDD) and
+    whether its direction was a float32 solve and needed a float64
+    correction (``f32_solves``, ``f32_corrections``, each 0 or 1; see
     ``_mixed_solve``)."""
 
     u: np.ndarray
@@ -234,6 +250,13 @@ def _take_fields(state: NewtonState) -> Fields:
     reference and frees them before it evaluates the new iterate's."""
     fields, state.fields = state.fields, None
     return fields
+
+
+def _line_searched(method: str, variant: str) -> bool:
+    """Whether ``method``'s steps are globalized by the Armijo search on the
+    merit: PT's, and ALM-PDD's for the aniso variant.  The other steps (PDP,
+    iso PDD) are not, and only they take the tight mode."""
+    return method == "pt" or (method == "pdd" and variant != ISO)
 
 
 def _iterate(u: np.ndarray, h: np.ndarray, ctx: AlmContext, method: str,
@@ -486,7 +509,7 @@ def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
     if rhs is None:
         rhs = _primal_rhs(u, w / U, ctx)
     delta_u, kit, *f32 = _newton_direction(ctx, *_pdp_flux(U, coef, h, ctx), rhs, kcfg)
-    slope = -inner_x(rhs, delta_u) if method == "pt" else None
+    slope = -inner_x(rhs, delta_u) if _line_searched(method, ctx.variant) else None
     # Freed before the line search and the new iterate's fields, not after.
     del rhs
     eta, backtracks = (1.0, 0) if slope is None else _armijo(u, delta_u, slope, ctx)
@@ -516,10 +539,18 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     Nested H^{-1} actions come from ctx.data.solve; the two-channel system is
     solved in increment form like ssnpdp_step, by BiCGSTAB through
     ``_mixed_solve``: in float32 first when H = I (the operator is then a
-    pure stencil) and the request is at least F32_MIN_TOL.
+    pure stencil) and the request is at least F32_MIN_TOL.  The full step
+    takes h + delta_h and u_full = H^{-1}(f + div(h + delta_h)).
+
+    Aniso steps are globalized as PT's are (``_line_searched``): with
+    delta_u = u_full - u and rhs = f - H u + div(w / U) from the iterate's
+    fields, a descent direction (slope -<rhs, delta_u> < 0) is backtracked
+    by ``_armijo`` on PT's merit, and both fields move by the same length,
+    u + eta delta_u and h + eta delta_h.  The full step (eta = 1, or a
+    direction that does not descend) keeps u_full and h + delta_h.
     """
     u, h = state.u, state.h
-    _, U, coef, _ = _take_fields(state)
+    w, U, coef, _ = _take_fields(state)
     b2 = ctx.lam + _b_of_grad(grad(u), coef, h, ctx.variant)
     g_inv = grad(ctx.data.solve(ctx.data.f))
     rhs = b2 + ctx.sigma * g_inv - _b_of_grad(g_inv, coef, h, ctx.variant)
@@ -531,12 +562,22 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
                              h.astype(dtype, copy=False), ctx)
         return LinearMap(system, system)
     delta_h, kit, *f32 = _mixed_solve(build, bicgstab_solve, rhs, kcfg, ctx.data.identity)
+    del coef, build, rhs
     h_pre = h + delta_h
-    # Freed before the new iterate's fields are evaluated, not after.
-    del U, coef, build, rhs, delta_h
     u_new = ctx.data.solve(ctx.data.f + div(h_pre))
+    backtracks = 0
+    if _line_searched("pdd", ctx.variant):
+        delta_u = u_new - u
+        slope = -inner_x(_primal_rhs(u, w / U, ctx), delta_u)
+        if slope < 0.0:
+            eta, backtracks = _armijo(u, delta_u, slope, ctx)
+            if eta != 1.0:
+                u_new, h_pre = u + eta * delta_u, h + eta * delta_h
+        del delta_u
+    # Freed before the new iterate's fields are evaluated, not after.
+    del w, U, delta_h
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return _iterate(u_new, h_new, ctx, "pdd", h_pre, 0, *f32), kit
+    return _iterate(u_new, h_new, ctx, "pdd", h_pre, backtracks, *f32), kit
 
 
 def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
@@ -708,7 +749,8 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
                                    sigma=ctx.sigma, residuals=residuals)
         kcfg = _krylov_request(state.inner_residual, res0, target, tight_mode)
         cand, kit = step_fn(state, ctx, kcfg)
-        if method != "pt" and not tight_mode and cand.inner_residual > state.inner_residual:
+        if (not tight_mode and not _line_searched(method, ctx.variant)
+                and cand.inner_residual > state.inner_residual):
             # The loose solve threw the iterate off: the unglobalized
             # primal-dual Newton is only locally robust.  Keep tight solves
             # for the rest of this subproblem, and redo this step unless its

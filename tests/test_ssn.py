@@ -736,6 +736,10 @@ class TestKrylovRequest:
         assert bound == {"cap", "cap, res > res0", "forcing", "floor", "enough"}
 
 
+# The unglobalized steps, which take the tight mode: PDP, and PDD in iso.
+TIGHT_METHODS = [pytest.param("pdp", ANISO, id="pdp"), pytest.param("pdd", ISO, id="pdd")]
+
+
 class TestSolveSubproblem:
     def test_cap_raises(self, monkeypatch):
         import tvalm.ssn as ssn
@@ -750,14 +754,15 @@ class TestSolveSubproblem:
         assert exc.residuals[0] == pd_residual(z, np.zeros((2, 6, 6)), ctx)
 
     @staticmethod
-    def tight_instance():
-        """An instance where one loose primal-dual step raises the residual:
+    def tight_instance(variant=ANISO):
+        """An instance where one loose unglobalized step raises the residual:
         solved to 1e-6, where its tight request is tighter than its loose
-        one, and solved to 1e-4, where the ENOUGH floor binds at both."""
+        one, and solved to 1e-4, where the ENOUGH floor binds at both.  PDD
+        takes the tight mode only in iso (``TIGHT_METHODS``)."""
         clean = blocks_image(8, 8, seed=2)
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
-        lam = project_ball(0.1 * np.random.default_rng(2).normal(size=(2, 8, 8)), 0.1, ANISO)
-        return z, AlmContext(lam, 1024.0, 0.1, ANISO, DataTerm(z))
+        lam = project_ball(0.1 * np.random.default_rng(2).normal(size=(2, 8, 8)), 0.1, variant)
+        return z, AlmContext(lam, 1024.0, 0.1, variant, DataTerm(z))
 
     def test_counts_include_the_tight_resolve(self, monkeypatch):
         # At this instance, solved to 1e-6, one loose PDP step raises the
@@ -827,8 +832,8 @@ class TestSolveSubproblem:
         assert res.f32_solves == sum(c[1] for c in calls)
         assert res.f32_corrections == sum(c[2] for c in calls)
 
-    @pytest.mark.parametrize("method", ["pdp", "pdd"])
-    def test_no_step_repeats_a_solve(self, method, monkeypatch):
+    @pytest.mark.parametrize("method, variant", TIGHT_METHODS)
+    def test_no_step_repeats_a_solve(self, method, variant, monkeypatch):
         # At this instance, solved to 1e-4, a loose step raises the residual
         # where the ENOUGH floor binds at both the loose and the tight
         # request.  A redo would repeat the same solve, so the candidate is
@@ -844,7 +849,7 @@ class TestSolveSubproblem:
             return out, kit
 
         monkeypatch.setattr(ssn, f"ssn{method}_step", recorded)
-        z, ctx = self.tight_instance()
+        z, ctx = self.tight_instance(variant)
         res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, method, 1e-4)
         for before, after in zip(calls, calls[1:]):
             assert not (after[0] is before[0] and after[2] == before[2])
@@ -885,8 +890,8 @@ class TestSolveSubproblem:
         assert rel_tol > min(0.1, forcing_oracle(residual, res.residuals[0]))
         assert res.residuals[-1] <= res.threshold
 
-    @pytest.mark.parametrize("method", ["pdp", "pdd"])
-    def test_tight_resolve_is_a_step_from_a_fresh_state(self, method, monkeypatch):
+    @pytest.mark.parametrize("method, variant", TIGHT_METHODS)
+    def test_tight_resolve_is_a_step_from_a_fresh_state(self, method, variant, monkeypatch):
         # The discarded step took the iterate's fields; the re-solve from the
         # fields evaluated again is the step from a freshly built state.
         import tvalm.ssn as ssn
@@ -903,7 +908,7 @@ class TestSolveSubproblem:
             return out, kit
 
         monkeypatch.setattr(ssn, f"ssn{method}_step", recorded)
-        z, ctx = self.tight_instance()
+        z, ctx = self.tight_instance(variant)
         res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, method, 1e-6)
         assert res.tight_resolves == 1
         (i,) = [i for i in range(1, len(calls)) if calls[i][0] is calls[i - 1][0]]
@@ -1058,6 +1063,19 @@ class TestFlatStencil:
             v = got / norm_x(got)
 
 
+def armijo_oracle(u, delta_u, slope, ctx):
+    """The Armijo step length along delta_u and its backtracks, with the
+    merit evaluated by merit_phi at every trial point."""
+    import tvalm.ssn as ssn
+    phi0 = merit_phi(u, ctx)
+    eta, backtracks = 1.0, 0
+    if abs(ssn.ARMIJO_MU * slope) > 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
+        while merit_phi(u + eta * delta_u, ctx) > phi0 + ssn.ARMIJO_MU * eta * slope:
+            backtracks += 1
+            eta *= ssn.ARMIJO_THETA
+    return eta, backtracks
+
+
 def ssnpt_step_oracle(state, ctx, kcfg):
     """PT's Newton step with the merit evaluated by merit_phi at every trial
     point: PDP's system at the carried dual, an Armijo search, then PDP's
@@ -1071,13 +1089,7 @@ def ssnpt_step_oracle(state, ctx, kcfg):
     w, U, coef, _ = _fields(u, ctx)
     rhs = ssn._primal_rhs(u, w / U, ctx)
     delta_u = ssn._newton_direction(ctx, *ssn._pdp_flux(U, coef, h, ctx), rhs, kcfg)[0]
-    slope = -inner_x(rhs, delta_u)
-    phi0 = merit_phi(u, ctx)
-    eta, backtracks = 1.0, 0
-    if abs(ssn.ARMIJO_MU * slope) > 64.0 * np.finfo(np.float64).eps * max(1.0, abs(phi0)):
-        while merit_phi(u + eta * delta_u, ctx) > phi0 + ssn.ARMIJO_MU * eta * slope:
-            backtracks += 1
-            eta *= ssn.ARMIJO_THETA
+    eta, backtracks = armijo_oracle(u, delta_u, -inner_x(rhs, delta_u), ctx)
     step = delta_u if eta == 1.0 else eta * delta_u
     g = grad(step)
     h_pre = (w + ctx.sigma * g - ssn._b_of_grad(g, coef, h, ctx.variant)) / U
@@ -1284,6 +1296,127 @@ class TestPdpSharedStep:
             assert_same_bits(state.h, ref.h)
             for got, want in zip(state.fields[:3], ref.fields[:3]):
                 assert_same_bits(got, want)
+
+
+def ssnpdd_step_reference(state, ctx, kcfg):
+    """ssnpdd_step as written before its aniso steps were line-searched: the
+    full step, with the dual increment delta_h its solve returned."""
+    import tvalm.ssn as ssn
+    u, h = state.u, state.h
+    _, U, coef, _ = ssn._take_fields(state)
+    b2 = ctx.lam + ssn._b_of_grad(grad(u), coef, h, ctx.variant)
+    g_inv = grad(ctx.data.solve(ctx.data.f))
+    rhs = b2 + ctx.sigma * g_inv - ssn._b_of_grad(g_inv, coef, h, ctx.variant)
+    rhs -= ssn._pdd_system(U, coef, h, ctx)(h)
+
+    def build(dtype):
+        system = ssn._pdd_system(U.astype(dtype, copy=False), coef.astype(dtype, copy=False),
+                                 h.astype(dtype, copy=False), ctx)
+        return LinearMap(system, system)
+    delta_h, kit, *f32 = ssn._mixed_solve(build, bicgstab_solve, rhs, kcfg, ctx.data.identity)
+    h_pre = h + delta_h
+    u_new = ctx.data.solve(ctx.data.f + div(h_pre))
+    h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
+    return _iterate(u_new, h_new, ctx, "pdd", h_pre, 0, *f32), kit, delta_h
+
+
+def ssnpdd_step_oracle(state, ctx, kcfg):
+    """Aniso PDD's line-searched step, from the full step of
+    ``ssnpdd_step_reference``: along delta_u = u_full - u, a descent
+    direction for the merit is backtracked by ``armijo_oracle``, and u and h
+    both move by that length.  Returns the new iterate and the length."""
+    import tvalm.ssn as ssn
+    u, h = state.u, state.h
+    full, _, delta_h = ssnpdd_step_reference(_iterate(u, h, ctx, "pdd"), ctx, kcfg)
+    delta_u = full.u - u
+    w, U, _, _ = _fields(u, ctx)
+    slope = -inner_x(ssn._primal_rhs(u, w / U, ctx), delta_u)
+    eta, backtracks = armijo_oracle(u, delta_u, slope, ctx) if slope < 0.0 else (1.0, 0)
+    if eta == 1.0:
+        return full, eta
+    h_pre = h + eta * delta_h
+    h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
+    return _iterate(u + eta * delta_u, h_new, ctx, "pdd", h_pre, backtracks), eta
+
+
+class TestPddLineSearch:
+    """Aniso PDD steps are line-searched as PT's are: both fields move by the
+    Armijo length of the merit along the image update, and a direction that
+    does not descend takes the full step."""
+
+    # Steps along a 16x16 aniso subproblem at sigma 256 from a random
+    # feasible dual: the eighth backtracks four times.
+    STEPS = 12
+
+    @staticmethod
+    def instance():
+        return step_instance("pdd", ANISO, "identity", sigma=256.0, random_dual=True)
+
+    def test_both_fields_move_by_the_oracle_s_length(self):
+        ctx, state = self.instance()
+        damped = 0
+        for _ in range(self.STEPS):
+            want, eta = ssnpdd_step_oracle(state, ctx, LOOSE)
+            state, _ = ssnpdd_step(state, ctx, LOOSE)
+            assert state.backtracks == want.backtracks
+            assert ARMIJO_THETA ** state.backtracks == eta
+            assert state.inner_residual == want.inner_residual
+            assert_same_bits(state.u, want.u)
+            assert_same_bits(state.h, want.h)
+            damped += eta < 1.0
+        assert damped > 0
+
+    def test_a_non_descent_direction_takes_the_full_step(self, monkeypatch):
+        # From the state whose step backtracks, a residual field stubbed to
+        # its negative makes the same direction ascend: the step then takes
+        # the full step, bit for bit the step without the line search.
+        import tvalm.ssn as ssn
+        ctx, state = self.instance()
+        for _ in range(self.STEPS):
+            u, h = state.u.copy(), state.h.copy()
+            state, _ = ssnpdd_step(state, ctx, LOOSE)
+            if state.backtracks > 0:
+                break
+        assert state.backtracks > 0
+        want, want_kit, _ = ssnpdd_step_reference(_iterate(u, h, ctx, "pdd"), ctx, LOOSE)
+        real, stubbed = ssn._primal_rhs, []
+
+        def ascending(u, p, ctx):
+            stubbed.append(u)
+            return -real(u, p, ctx)
+
+        def no_search(*args):
+            raise AssertionError("an ascent direction was line-searched")
+
+        monkeypatch.setattr(ssn, "_primal_rhs", ascending)
+        monkeypatch.setattr(ssn, "_armijo", no_search)
+        out, kit = ssnpdd_step(_iterate(u, h, ctx, "pdd"), ctx, LOOSE)
+        assert len(stubbed) == 1
+        assert kit == want_kit and out.backtracks == 0
+        assert (out.f32_solves, out.f32_corrections) == (want.f32_solves, want.f32_corrections)
+        assert out.inner_residual == want.inner_residual
+        assert_same_bits(out.u, want.u)
+        assert_same_bits(out.h, want.h)
+
+    def test_a_subproblem_never_re_solves(self, monkeypatch):
+        # The instance on which one loose iso PDD step raises the residual
+        # and is redone tight: aniso, every step is taken from a new
+        # iterate at its loose request, and the search backtracks instead.
+        import tvalm.ssn as ssn
+        calls = []
+
+        def recorded(state, ctx, kcfg):
+            calls.append((state, kcfg.rel_tol))
+            return ssnpdd_step(state, ctx, kcfg)
+
+        monkeypatch.setattr(ssn, "ssnpdd_step", recorded)
+        z, ctx = TestSolveSubproblem.tight_instance(ANISO)
+        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pdd", 1e-6)
+        assert res.tight_resolves == 0 and res.backtracks > 0
+        assert res.newton_steps == len(calls) == len({id(c[0]) for c in calls})
+        res0 = res.residuals[0]
+        for (_, rel_tol), residual in zip(calls, res.residuals):
+            assert rel_tol == _krylov_request(residual, res0, res.threshold, False).rel_tol
 
 
 def next_multiplier_oracle(u, ctx, method):
