@@ -10,8 +10,8 @@ Three formulations of the same nonlinear optimality system are offered:
   dual field first (BiCGSTAB, nesting H^{-1} actions, in float32 first for
   loose requests when H = I), then recovering u.  H^{-1} is
   ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a blur.  For
-  the aniso variant the step is globalized by PT's Armijo search on the
-  image update, and both fields move by the length it accepts.
+  an aniso denoise (H = I) the step is globalized by PT's Armijo search on
+  the image update, and both fields move by the length it accepts.
 * ``ssnpt_step``: a primal Newton step through the soft-thresholding
   operator, globalized by an Armijo backtracking line search on the merit
   function.  It takes PDP's direction and recovers PDP's dual on the step
@@ -26,9 +26,11 @@ complements of one symmetric Newton system, so in exact arithmetic PDD's
 image update u_full - u is PT's direction and descends on PT's merit; the
 search then applies unchanged.  Iso PDD solves the unsymmetrized
 linearization, whose image update need not be PT's direction; the search
-alone does not make it converge (a 64x64 iso denoise failed at the Newton
-cap where the tight mode converges), so iso PDD keeps the full step.
-``_line_searched`` is the one rule for which steps search.
+alone does not make it converge (64x64 iso denoises failed at the Newton
+cap where the tight mode converges), so iso PDD keeps the full step.  The
+search is measured on denoising only, so PDD with mu > 0 or a blur keeps
+the full step too.  ``_line_searched`` is the one rule for which steps
+search.
 
 All three linearize the same map, the projection P_alpha onto the dual ball:
 with w = lam + sigma grad u, U = max(1, |w| / alpha) and |.| the variant's
@@ -53,8 +55,8 @@ they give its residual and ride on its ``NewtonState`` to the next step,
 which takes them as its linearization.  The residual field rhs (one H and
 one div) is evaluated only where it is read: at PT's iterates, for PT's
 residual and next step; at the start of a PDP step, as PDP's right-hand
-side; and in an aniso PDD step, for the line search's slope.  Iso PDD never
-reads it.
+side; and in a line-searched PDD step (aniso, H = I), for the slope.
+Other PDD steps never read it.
 
 The image-space Newton system (the PDP Schur complement, which PT shares)
 is of the form H + sigma grad^* D grad with a pointwise symmetric D.
@@ -123,12 +125,20 @@ subproblem needs, since a solve past its stopping test is oversolving
 (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  The subproblem needs
 its residual only below the target: the stopping threshold or, when
 smaller, the residual the outer stopping test can accept
-(``AlmContext.need``).  ALM-PDP and iso ALM-PDD are not globalized, so the
-first step of such a subproblem that raises the nonlinear residual puts the
+(``AlmContext.need``).  A step whose length the line search did not choose
+is not globalized: every ALM-PDP and iso ALM-PDD step, and an aniso PDD
+step whose inexact direction does not descend on the merit.  The first
+such step of a subproblem that raises the nonlinear residual puts the
 subproblem in the tight mode, whose requests take TIGHT_FACTOR times the
 forcing term; the step is discarded and redone at its tight request when
-that is tighter than its loose one.  A line-searched subproblem (PT, aniso
-PDD) never discards or re-solves a step.
+that is tighter than its loose one.  In aniso PDD the residual may rise up
+to the subproblem's first residual before that: its searched steps make
+the merit fall, not the residual, and a direction that does not descend
+(each one measured raised the residual) is harmless while the residual
+stays below where the subproblem began.  Past it, the measured runs fell
+into a cycle of loose requests, residual jumps and stalled searches until
+the Newton cap.  PT, whose every step is searched, never discards or
+re-solves a step.
 
 Fixed constants: the Armijo line search tries ARMIJO_THETA ** b from the
 full Newton step (b = 0) and takes the first length at which the merit
@@ -209,7 +219,7 @@ class Fields(NamedTuple):
     docstring (coef is 0 off the active set), and rhs = f - H u + div(w / U),
     the primal residual at the projected dual, negated (``_primal_rhs``).
     rhs is None unless asked for: only PT reads it at its iterates; PDP and
-    aniso PDD evaluate it in their step."""
+    line-searched PDD evaluate it in their step."""
 
     w: np.ndarray
     U: np.ndarray
@@ -221,10 +231,11 @@ class Fields(NamedTuple):
 class NewtonState:
     """One inner iterate: image, feasible dual field, its residual and its
     ``Fields``, which the step from it takes off it.  The step that made it
-    also records the Armijo ``backtracks`` it took (PT, aniso PDD) and
-    whether its direction was a float32 solve and needed a float64
-    correction (``f32_solves``, ``f32_corrections``, each 0 or 1; see
-    ``_mixed_solve``)."""
+    also records the Armijo ``backtracks`` it took (PT, aniso PDD), whether
+    its direction was a float32 solve and needed a float64 correction
+    (``f32_solves``, ``f32_corrections``, each 0 or 1; see ``_mixed_solve``)
+    and whether the line search chose its length (``searched``; a step that
+    was not searched may put its subproblem in the tight mode)."""
 
     u: np.ndarray
     h: np.ndarray
@@ -233,6 +244,7 @@ class NewtonState:
     backtracks: int = 0
     f32_solves: int = 0
     f32_corrections: int = 0
+    searched: bool = False
 
 
 def _fields(u: np.ndarray, ctx: AlmContext, with_rhs: bool = False) -> Fields:
@@ -252,16 +264,16 @@ def _take_fields(state: NewtonState) -> Fields:
     return fields
 
 
-def _line_searched(method: str, variant: str) -> bool:
-    """Whether ``method``'s steps are globalized by the Armijo search on the
-    merit: PT's, and ALM-PDD's for the aniso variant.  The other steps (PDP,
-    iso PDD) are not, and only they take the tight mode."""
-    return method == "pt" or (method == "pdd" and variant != ISO)
+def _line_searched(method: str, ctx: AlmContext) -> bool:
+    """Whether ``method``'s steps in ``ctx`` are globalized by the Armijo
+    search on the merit: PT's, and ALM-PDD's for an aniso denoise (H = I).
+    The other steps (PDP, iso PDD, PDD with mu > 0 or a blur) are not."""
+    return method == "pt" or (method == "pdd" and ctx.variant != ISO and ctx.data.identity)
 
 
 def _iterate(u: np.ndarray, h: np.ndarray, ctx: AlmContext, method: str,
              h_pre: np.ndarray | None = None, backtracks: int = 0, f32_solves: int = 0,
-             f32_corrections: int = 0) -> NewtonState:
+             f32_corrections: int = 0, searched: bool = False) -> NewtonState:
     """The iterate (u, h) with its fields and ``method``'s residual: PT's
     primal ||rhs||, or the primal-dual dual row ||U h_pre - w|| of the
     pre-projection dual field h_pre (h itself at a subproblem's start; PT's
@@ -272,7 +284,7 @@ def _iterate(u: np.ndarray, h: np.ndarray, ctx: AlmContext, method: str,
         res = norm_x(fields.rhs)
     else:
         res = norm_y(fields.U * (h if h_pre is None else h_pre) - fields.w)
-    return NewtonState(u, h, res, fields, backtracks, f32_solves, f32_corrections)
+    return NewtonState(u, h, res, fields, backtracks, f32_solves, f32_corrections, searched)
 
 
 def _b_of_grad(g, coef, h, variant) -> np.ndarray:
@@ -509,7 +521,7 @@ def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
     if rhs is None:
         rhs = _primal_rhs(u, w / U, ctx)
     delta_u, kit, *f32 = _newton_direction(ctx, *_pdp_flux(U, coef, h, ctx), rhs, kcfg)
-    slope = -inner_x(rhs, delta_u) if _line_searched(method, ctx.variant) else None
+    slope = -inner_x(rhs, delta_u) if _line_searched(method, ctx) else None
     # Freed before the line search and the new iterate's fields, not after.
     del rhs
     eta, backtracks = (1.0, 0) if slope is None else _armijo(u, delta_u, slope, ctx)
@@ -522,7 +534,8 @@ def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
     # Freed before the new iterate's fields are evaluated, not after.
     del w, U, coef, g, s
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return _iterate(u_new, h_new, ctx, method, h_pre, backtracks, *f32), kit
+    return _iterate(u_new, h_new, ctx, method, h_pre, backtracks, *f32,
+                    searched=slope is not None), kit
 
 
 def ssnpdp_step(state: NewtonState, ctx: AlmContext,
@@ -542,12 +555,14 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     pure stencil) and the request is at least F32_MIN_TOL.  The full step
     takes h + delta_h and u_full = H^{-1}(f + div(h + delta_h)).
 
-    Aniso steps are globalized as PT's are (``_line_searched``): with
-    delta_u = u_full - u and rhs = f - H u + div(w / U) from the iterate's
-    fields, a descent direction (slope -<rhs, delta_u> < 0) is backtracked
-    by ``_armijo`` on PT's merit, and both fields move by the same length,
-    u + eta delta_u and h + eta delta_h.  The full step (eta = 1, or a
-    direction that does not descend) keeps u_full and h + delta_h.
+    Aniso denoising steps are globalized as PT's are (``_line_searched``):
+    with delta_u = u_full - u and rhs = f - H u + div(w / U) from the
+    iterate's fields, a descent direction (slope -<rhs, delta_u> < 0) is
+    backtracked by ``_armijo`` on PT's merit, and both fields move by the
+    same length, u + eta delta_u and h + eta delta_h.  The full step (eta =
+    1, or a direction that does not descend) keeps u_full and h + delta_h;
+    a direction that does not descend is not ``searched``, and is left to
+    the tight mode of ``solve_subproblem``.
     """
     u, h = state.u, state.h
     w, U, coef, _ = _take_fields(state)
@@ -565,11 +580,12 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     del coef, build, rhs
     h_pre = h + delta_h
     u_new = ctx.data.solve(ctx.data.f + div(h_pre))
-    backtracks = 0
-    if _line_searched("pdd", ctx.variant):
+    backtracks, searched = 0, False
+    if _line_searched("pdd", ctx):
         delta_u = u_new - u
         slope = -inner_x(_primal_rhs(u, w / U, ctx), delta_u)
-        if slope < 0.0:
+        searched = slope < 0.0
+        if searched:
             eta, backtracks = _armijo(u, delta_u, slope, ctx)
             if eta != 1.0:
                 u_new, h_pre = u + eta * delta_u, h + eta * delta_h
@@ -577,7 +593,7 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     # Freed before the new iterate's fields are evaluated, not after.
     del w, U, delta_h
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return _iterate(u_new, h_new, ctx, "pdd", h_pre, backtracks, *f32), kit
+    return _iterate(u_new, h_new, ctx, "pdd", h_pre, backtracks, *f32, searched=searched), kit
 
 
 def merit_phi(u: np.ndarray, ctx: AlmContext) -> float:
@@ -739,6 +755,7 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     # outer stopping test can accept if that is smaller.
     target = min(threshold, ctx.need)
     tight_mode = False
+    line_searched = _line_searched(method, ctx)
     newton_steps = krylov_iters = backtracks = tight_resolves = 0
     f32_solves = f32_corrections = 0
     while state.inner_residual > threshold:
@@ -749,8 +766,13 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
                                    sigma=ctx.sigma, residuals=residuals)
         kcfg = _krylov_request(state.inner_residual, res0, target, tight_mode)
         cand, kit = step_fn(state, ctx, kcfg)
-        if (not tight_mode and not _line_searched(method, ctx.variant)
-                and cand.inner_residual > state.inner_residual):
+        # A step the line search did not choose may raise the residual: not
+        # at all where no step is searched (PDP, iso PDD, PDD with mu > 0 or
+        # a blur), and up to the subproblem's first residual in aniso PDD
+        # denoising, whose searched steps make the merit fall, not the
+        # residual.  PT's steps are all searched.
+        limit = res0 if line_searched else state.inner_residual
+        if not tight_mode and not cand.searched and cand.inner_residual > limit:
             # The loose solve threw the iterate off: the unglobalized
             # primal-dual Newton is only locally robust.  Keep tight solves
             # for the rest of this subproblem, and redo this step unless its

@@ -1324,7 +1324,8 @@ def ssnpdd_step_oracle(state, ctx, kcfg):
     """Aniso PDD's line-searched step, from the full step of
     ``ssnpdd_step_reference``: along delta_u = u_full - u, a descent
     direction for the merit is backtracked by ``armijo_oracle``, and u and h
-    both move by that length.  Returns the new iterate and the length."""
+    both move by that length.  Returns the new iterate, marked ``searched``
+    if its direction descends, and the length."""
     import tvalm.ssn as ssn
     u, h = state.u, state.h
     full, _, delta_h = ssnpdd_step_reference(_iterate(u, h, ctx, "pdd"), ctx, kcfg)
@@ -1333,16 +1334,19 @@ def ssnpdd_step_oracle(state, ctx, kcfg):
     slope = -inner_x(ssn._primal_rhs(u, w / U, ctx), delta_u)
     eta, backtracks = armijo_oracle(u, delta_u, slope, ctx) if slope < 0.0 else (1.0, 0)
     if eta == 1.0:
+        full.searched = slope < 0.0
         return full, eta
     h_pre = h + eta * delta_h
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return _iterate(u + eta * delta_u, h_new, ctx, "pdd", h_pre, backtracks), eta
+    return _iterate(u + eta * delta_u, h_new, ctx, "pdd", h_pre, backtracks,
+                    searched=True), eta
 
 
 class TestPddLineSearch:
-    """Aniso PDD steps are line-searched as PT's are: both fields move by the
-    Armijo length of the merit along the image update, and a direction that
-    does not descend takes the full step."""
+    """Aniso PDD denoising steps are line-searched as PT's are: both fields
+    move by the Armijo length of the merit along the image update, and a
+    direction that does not descend takes the full step, not searched.
+    With mu > 0 or a blur every step is the full step."""
 
     # Steps along a 16x16 aniso subproblem at sigma 256 from a random
     # feasible dual: the eighth backtracks four times.
@@ -1358,7 +1362,7 @@ class TestPddLineSearch:
         for _ in range(self.STEPS):
             want, eta = ssnpdd_step_oracle(state, ctx, LOOSE)
             state, _ = ssnpdd_step(state, ctx, LOOSE)
-            assert state.backtracks == want.backtracks
+            assert (state.backtracks, state.searched) == (want.backtracks, want.searched)
             assert ARMIJO_THETA ** state.backtracks == eta
             assert state.inner_residual == want.inner_residual
             assert_same_bits(state.u, want.u)
@@ -1392,30 +1396,57 @@ class TestPddLineSearch:
         monkeypatch.setattr(ssn, "_armijo", no_search)
         out, kit = ssnpdd_step(_iterate(u, h, ctx, "pdd"), ctx, LOOSE)
         assert len(stubbed) == 1
-        assert kit == want_kit and out.backtracks == 0
+        assert kit == want_kit and out.backtracks == 0 and not out.searched
         assert (out.f32_solves, out.f32_corrections) == (want.f32_solves, want.f32_corrections)
         assert out.inner_residual == want.inner_residual
         assert_same_bits(out.u, want.u)
         assert_same_bits(out.h, want.h)
 
-    def test_a_subproblem_never_re_solves(self, monkeypatch):
+    @pytest.mark.parametrize("setup", ["identity-mu1e-3", "motion3-mu1e-3"])
+    def test_mu_or_a_blur_takes_the_full_step(self, setup, monkeypatch):
+        # The steps of the backtracking instance with H = I - mu Laplacian
+        # or a blur: the full step, bit for bit, with no search.
+        import tvalm.ssn as ssn
+        ctx, state = step_instance("pdd", ANISO, setup.replace("identity-mu1e-3", "identity"),
+                                   sigma=256.0, random_dual=True)
+        if setup == "identity-mu1e-3":
+            ctx = replace(ctx, data=DataTerm(ctx.data.z, None, 1e-3))
+            state = _iterate(state.u, state.h, ctx, "pdd")
+
+        def no_search(*args):
+            raise AssertionError("a step with mu > 0 was line-searched")
+
+        monkeypatch.setattr(ssn, "_armijo", no_search)
+        for _ in range(4):
+            want, want_kit, _ = ssnpdd_step_reference(_iterate(state.u, state.h, ctx, "pdd"),
+                                                      ctx, LOOSE)
+            state, kit = ssnpdd_step(state, ctx, LOOSE)
+            assert kit == want_kit and state.backtracks == 0 and not state.searched
+            assert state.inner_residual == want.inner_residual
+            assert_same_bits(state.u, want.u)
+            assert_same_bits(state.h, want.h)
+
+    def test_a_subproblem_of_descent_steps_never_re_solves(self, monkeypatch):
         # The instance on which one loose iso PDD step raises the residual
-        # and is redone tight: aniso, every step is taken from a new
-        # iterate at its loose request, and the search backtracks instead.
+        # and is redone tight: aniso, every direction descends, every step
+        # is taken from a new iterate at its loose request, and the search
+        # backtracks instead.
         import tvalm.ssn as ssn
         calls = []
 
         def recorded(state, ctx, kcfg):
-            calls.append((state, kcfg.rel_tol))
-            return ssnpdd_step(state, ctx, kcfg)
+            cand, kit = ssnpdd_step(state, ctx, kcfg)
+            calls.append((state, kcfg.rel_tol, cand.searched))
+            return cand, kit
 
         monkeypatch.setattr(ssn, "ssnpdd_step", recorded)
         z, ctx = TestSolveSubproblem.tight_instance(ANISO)
         res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, "pdd", 1e-6)
         assert res.tight_resolves == 0 and res.backtracks > 0
+        assert all(searched for _, _, searched in calls)
         assert res.newton_steps == len(calls) == len({id(c[0]) for c in calls})
         res0 = res.residuals[0]
-        for (_, rel_tol), residual in zip(calls, res.residuals):
+        for (_, rel_tol, _), residual in zip(calls, res.residuals):
             assert rel_tol == _krylov_request(residual, res0, res.threshold, False).rel_tol
 
 
