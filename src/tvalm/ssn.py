@@ -9,9 +9,9 @@ Three formulations of the same nonlinear optimality system are offered:
 * ``ssnpdd_step``: the mirrored order, solving the two-channel system for the
   dual field first (BiCGSTAB, nesting H^{-1} actions, in float32 first for
   loose requests when H = I), then recovering u.  H^{-1} is
-  ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a blur.  For
-  an aniso denoise (H = I) the step is globalized by PT's Armijo search on
-  the image update, and both fields move by the length it accepts.
+  ``DataTerm.solve`` (see ``linops``), which needs mu > 0 with a blur.  The
+  step is globalized by PT's Armijo search on the image update, and both
+  fields move by the length it accepts.
 * ``ssnpt_step``: a primal Newton step through the soft-thresholding
   operator, globalized by an Armijo backtracking line search on the merit
   function.  It takes PDP's direction and recovers PDP's dual on the step
@@ -19,18 +19,6 @@ Three formulations of the same nonlinear optimality system are offered:
 
 PDP and PT are one image-space step (``_image_step``) that differs only in
 its step length: the unit step, or Armijo's.  PDD is a step of its own.
-
-Why aniso PDD shares PT's search and iso PDD does not.  With a per-channel
-flux (aniso), PDD's dual system and PDP's image system are the two Schur
-complements of one symmetric Newton system, so in exact arithmetic PDD's
-image update u_full - u is PT's direction and descends on PT's merit; the
-search then applies unchanged.  Iso PDD solves the unsymmetrized
-linearization, whose image update need not be PT's direction; the search
-alone does not make it converge (64x64 iso denoises failed at the Newton
-cap where the tight mode converges), so iso PDD keeps the full step.  The
-search is measured on denoising only, so PDD with mu > 0 or a blur keeps
-the full step too.  ``_line_searched`` is the one rule for which steps
-search.
 
 All three linearize the same map, the projection P_alpha onto the dual ball:
 with w = lam + sigma grad u, U = max(1, |w| / alpha) and |.| the variant's
@@ -52,11 +40,7 @@ derivative.
 
 Every solver evaluates an iterate's fields (``Fields``) once, by ``_fields``:
 they give its residual and ride on its ``NewtonState`` to the next step,
-which takes them as its linearization.  The residual field rhs (one H and
-one div) is evaluated only where it is read: at PT's iterates, for PT's
-residual and next step; at the start of a PDP step, as PDP's right-hand
-side; and in a line-searched PDD step (aniso, H = I), for the slope.
-Other PDD steps never read it.
+which takes them as its linearization.
 
 The image-space Newton system (the PDP Schur complement, which PT shares)
 is of the form H + sigma grad^* D grad with a pointwise symmetric D.
@@ -111,7 +95,7 @@ a trial step length costs pointwise work only.
 
 Each step returns the new iterate and the Krylov iterations its linear solve
 took; ``solve_subproblem`` sums those counts, the Armijo backtracks (PT's
-and aniso PDD's), the tight re-solves and the float32 solves and
+and PDD's), the tight re-solves and the float32 solves and
 corrections for the subproblem, and returns the next multiplier with them.
 For PDP and PDD that is P_alpha(lam + sigma grad u) at the final iterate,
 w / U read off its fields; PT keeps the soft-threshold form
@@ -126,19 +110,18 @@ subproblem needs, since a solve past its stopping test is oversolving
 its residual only below the target: the stopping threshold or, when
 smaller, the residual the outer stopping test can accept
 (``AlmContext.need``).  A step whose length the line search did not choose
-is not globalized: every ALM-PDP and iso ALM-PDD step, and an aniso PDD
-step whose inexact direction does not descend on the merit.  The first
-such step of a subproblem that raises the nonlinear residual puts the
-subproblem in the tight mode, whose requests take TIGHT_FACTOR times the
-forcing term; the step is discarded and redone at its tight request when
-that is tighter than its loose one.  In aniso PDD the residual may rise up
-to the subproblem's first residual before that: its searched steps make
-the merit fall, not the residual, and a direction that does not descend
-(each one measured raised the residual) is harmless while the residual
-stays below where the subproblem began.  Past it, the measured runs fell
-into a cycle of loose requests, residual jumps and stalled searches until
-the Newton cap.  PT, whose every step is searched, never discards or
-re-solves a step.
+is not globalized: every ALM-PDP step, and a PDD step whose direction does
+not descend on the merit.  The first such step of a subproblem that raises
+the nonlinear residual puts the subproblem in the tight mode, whose
+requests take TIGHT_FACTOR times the forcing term; the step is discarded
+and redone at its tight request when that is tighter than its loose one.
+In PDD the residual may rise up to the subproblem's first residual before
+that: its searched steps make the merit fall, not the residual, and a
+direction that does not descend (each one measured raised the residual) is
+harmless while the residual stays below where the subproblem began.  Past
+it, the measured runs fell into a cycle of loose requests, residual jumps
+and stalled searches until the Newton cap.  PT, whose every step is
+searched, never discards or re-solves a step.
 
 Fixed constants: the Armijo line search tries ARMIJO_THETA ** b from the
 full Newton step (b = 0) and takes the first length at which the merit
@@ -217,25 +200,25 @@ class AlmContext:
 class Fields(NamedTuple):
     """The fields of P_alpha at an iterate u: w, U and coef as in the module
     docstring (coef is 0 off the active set), and rhs = f - H u + div(w / U),
-    the primal residual at the projected dual, negated (``_primal_rhs``).
-    rhs is None unless asked for: only PT reads it at its iterates; PDP and
-    line-searched PDD evaluate it in their step."""
+    the primal residual at the projected dual, negated (``_primal_rhs``):
+    PT's residual, the image step's right-hand side and PDD's slope."""
 
     w: np.ndarray
     U: np.ndarray
     coef: np.ndarray
-    rhs: np.ndarray | None
+    rhs: np.ndarray
 
 
 @dataclass
 class NewtonState:
     """One inner iterate: image, feasible dual field, its residual and its
     ``Fields``, which the step from it takes off it.  The step that made it
-    also records the Armijo ``backtracks`` it took (PT, aniso PDD), whether
-    its direction was a float32 solve and needed a float64 correction
+    also records the Armijo ``backtracks`` it took (PT, PDD), whether its
+    direction was a float32 solve and needed a float64 correction
     (``f32_solves``, ``f32_corrections``, each 0 or 1; see ``_mixed_solve``)
-    and whether the line search chose its length (``searched``; a step that
-    was not searched may put its subproblem in the tight mode)."""
+    and whether the line search chose its length (``searched``: every PT
+    step, and a PDD step whose direction descends; a step that was not
+    searched may put its subproblem in the tight mode)."""
 
     u: np.ndarray
     h: np.ndarray
@@ -247,14 +230,13 @@ class NewtonState:
     searched: bool = False
 
 
-def _fields(u: np.ndarray, ctx: AlmContext, with_rhs: bool = False) -> Fields:
-    """The ``Fields`` at u: the one evaluation of w, U and coef, and of rhs
-    if ``with_rhs``."""
+def _fields(u: np.ndarray, ctx: AlmContext) -> Fields:
+    """The ``Fields`` at u: the one evaluation of w, U, coef and rhs."""
     w = ctx.lam + ctx.sigma * grad(u)
     mag = magnitude(w, ctx.variant)
     U = np.maximum(1.0, mag / ctx.alpha)
     coef = np.where(mag >= ctx.alpha, (ctx.sigma / ctx.alpha) * direction(w, ctx.variant), 0.0)
-    return Fields(w, U, coef, _primal_rhs(u, w / U, ctx) if with_rhs else None)
+    return Fields(w, U, coef, _primal_rhs(u, w / U, ctx))
 
 
 def _take_fields(state: NewtonState) -> Fields:
@@ -264,22 +246,15 @@ def _take_fields(state: NewtonState) -> Fields:
     return fields
 
 
-def _line_searched(method: str, ctx: AlmContext) -> bool:
-    """Whether ``method``'s steps in ``ctx`` are globalized by the Armijo
-    search on the merit: PT's, and ALM-PDD's for an aniso denoise (H = I).
-    The other steps (PDP, iso PDD, PDD with mu > 0 or a blur) are not."""
-    return method == "pt" or (method == "pdd" and ctx.variant != ISO and ctx.data.identity)
-
-
 def _iterate(u: np.ndarray, h: np.ndarray, ctx: AlmContext, method: str,
              h_pre: np.ndarray | None = None, backtracks: int = 0, f32_solves: int = 0,
              f32_corrections: int = 0, searched: bool = False) -> NewtonState:
     """The iterate (u, h) with its fields and ``method``'s residual: PT's
     primal ||rhs||, or the primal-dual dual row ||U h_pre - w|| of the
     pre-projection dual field h_pre (h itself at a subproblem's start; PT's
-    residual does not read it).  Only PT's fields carry rhs.  The counts are
-    those of the step that made it (``NewtonState``)."""
-    fields = _fields(u, ctx, method == "pt")
+    residual does not read it).  The counts are those of the step that made
+    it (``NewtonState``)."""
+    fields = _fields(u, ctx)
     if method == "pt":
         res = norm_x(fields.rhs)
     else:
@@ -518,10 +493,8 @@ def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
     """
     u, h = state.u, state.h
     w, U, coef, rhs = _take_fields(state)
-    if rhs is None:
-        rhs = _primal_rhs(u, w / U, ctx)
     delta_u, kit, *f32 = _newton_direction(ctx, *_pdp_flux(U, coef, h, ctx), rhs, kcfg)
-    slope = -inner_x(rhs, delta_u) if _line_searched(method, ctx) else None
+    slope = -inner_x(rhs, delta_u) if method == "pt" else None
     # Freed before the line search and the new iterate's fields, not after.
     del rhs
     eta, backtracks = (1.0, 0) if slope is None else _armijo(u, delta_u, slope, ctx)
@@ -555,17 +528,21 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     pure stencil) and the request is at least F32_MIN_TOL.  The full step
     takes h + delta_h and u_full = H^{-1}(f + div(h + delta_h)).
 
-    Aniso denoising steps are globalized as PT's are (``_line_searched``):
-    with delta_u = u_full - u and rhs = f - H u + div(w / U) from the
-    iterate's fields, a descent direction (slope -<rhs, delta_u> < 0) is
-    backtracked by ``_armijo`` on PT's merit, and both fields move by the
+    The step is globalized as PT's is: with delta_u = u_full - u and the
+    iterate's carried rhs, a descent direction (slope -<rhs, delta_u> < 0)
+    is backtracked by ``_armijo`` on PT's merit, and both fields move by the
     same length, u + eta delta_u and h + eta delta_h.  The full step (eta =
     1, or a direction that does not descend) keeps u_full and h + delta_h;
     a direction that does not descend is not ``searched``, and is left to
-    the tight mode of ``solve_subproblem``.
+    the tight mode of ``solve_subproblem``.  With a per-channel flux
+    (aniso), PDD's dual system and PDP's image system are the two Schur
+    complements of one symmetric Newton system, so in exact arithmetic
+    delta_u is PT's direction and descends; an inexact solve may not.  Iso
+    PDD solves the unsymmetrized linearization, whose delta_u need not
+    descend even when exact.
     """
     u, h = state.u, state.h
-    w, U, coef, _ = _take_fields(state)
+    _, U, coef, primal_rhs = _take_fields(state)
     b2 = ctx.lam + _b_of_grad(grad(u), coef, h, ctx.variant)
     g_inv = grad(ctx.data.solve(ctx.data.f))
     rhs = b2 + ctx.sigma * g_inv - _b_of_grad(g_inv, coef, h, ctx.variant)
@@ -577,21 +554,20 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
                              h.astype(dtype, copy=False), ctx)
         return LinearMap(system, system)
     delta_h, kit, *f32 = _mixed_solve(build, bicgstab_solve, rhs, kcfg, ctx.data.identity)
-    del coef, build, rhs
+    del U, coef, build, rhs
     h_pre = h + delta_h
     u_new = ctx.data.solve(ctx.data.f + div(h_pre))
-    backtracks, searched = 0, False
-    if _line_searched("pdd", ctx):
-        delta_u = u_new - u
-        slope = -inner_x(_primal_rhs(u, w / U, ctx), delta_u)
-        searched = slope < 0.0
-        if searched:
-            eta, backtracks = _armijo(u, delta_u, slope, ctx)
-            if eta != 1.0:
-                u_new, h_pre = u + eta * delta_u, h + eta * delta_h
-        del delta_u
+    delta_u = u_new - u
+    slope = -inner_x(primal_rhs, delta_u)
+    # Freed before the line search and the new iterate's fields, not after.
+    del primal_rhs
+    searched, backtracks = slope < 0.0, 0
+    if searched:
+        eta, backtracks = _armijo(u, delta_u, slope, ctx)
+        if eta != 1.0:
+            u_new, h_pre = u + eta * delta_u, h + eta * delta_h
     # Freed before the new iterate's fields are evaluated, not after.
-    del w, U, delta_h
+    del delta_u, delta_h
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
     return _iterate(u_new, h_new, ctx, "pdd", h_pre, backtracks, *f32, searched=searched), kit
 
@@ -755,7 +731,6 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
     # outer stopping test can accept if that is smaller.
     target = min(threshold, ctx.need)
     tight_mode = False
-    line_searched = _line_searched(method, ctx)
     newton_steps = krylov_iters = backtracks = tight_resolves = 0
     f32_solves = f32_corrections = 0
     while state.inner_residual > threshold:
@@ -767,11 +742,10 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
         kcfg = _krylov_request(state.inner_residual, res0, target, tight_mode)
         cand, kit = step_fn(state, ctx, kcfg)
         # A step the line search did not choose may raise the residual: not
-        # at all where no step is searched (PDP, iso PDD, PDD with mu > 0 or
-        # a blur), and up to the subproblem's first residual in aniso PDD
-        # denoising, whose searched steps make the merit fall, not the
-        # residual.  PT's steps are all searched.
-        limit = res0 if line_searched else state.inner_residual
+        # at all in PDP, none of whose steps is searched, and up to the
+        # subproblem's first residual in PDD, whose searched steps make the
+        # merit fall, not the residual.  PT's steps are all searched.
+        limit = state.inner_residual if method == "pdp" else res0
         if not tight_mode and not cand.searched and cand.inner_residual > limit:
             # The loose solve threw the iterate off: the unglobalized
             # primal-dual Newton is only locally robust.  Keep tight solves

@@ -25,6 +25,21 @@ def noisy_flat(n, noise=0.05, seed=11):
     return degrade(np.full((n, n), 0.5), DegradeSpec(noise_std=noise, seed=seed))
 
 
+def solved_pdd_denoise(n, variant, draw=7, mu=0.0):
+    """ALM-PDD on the n x n criterion-6 denoise scene with noise draw
+    ``draw``, checked: converged, with a feasible multiplier and Err within
+    the tolerance, recomputed from the returned state.  Returns the report."""
+    clean = blocks_image(n, n, seed=3)
+    z = degrade(clean, DegradeSpec(noise_std=0.1, seed=draw))
+    cfg = AlmConfig(alpha=0.1, variant=variant, inner="pdd", mu=mu, outer_tol=1e-6)
+    state, report = alm_run(z, None, cfg, reference=clean)
+    assert report.summary["converged"]
+    assert lambda_feasible(state.lam, cfg.alpha, variant)
+    err = err_total(state.u, state.lam, z, h_map(mu, None), cfg.alpha, 1.0, variant)
+    assert err <= cfg.outer_tol
+    return report
+
+
 class TestSchedule:
     def test_exact_formula(self):
         for k in range(8):
@@ -172,10 +187,11 @@ class TestAlmRun:
     def test_records_carry_the_subproblem_counts(self, inner, variant, monkeypatch):
         # Each record holds its subproblem's Newton steps, backtracks, tight
         # re-solves and float32 solves and corrections.  Only the steps
-        # without a line search (PDP, iso PDD, an aniso PDD direction that
-        # does not descend) re-solve, and PDP and iso PDD never backtrack;
-        # aniso PDD backtracks here and all its directions descend (PT takes
-        # the full step), and all solve in float32 when denoising.
+        # without a line search (PDP's, a PDD direction that does not
+        # descend) re-solve, and PDP never backtracks; PDD backtracks here,
+        # aniso's directions all descend and iso meets one that does not
+        # past its subproblem's first residual (PT takes the full step), and
+        # all solve in float32 when denoising.
         import tvalm.alm as alm
         real = alm.solve_subproblem
         results = []
@@ -197,8 +213,8 @@ class TestAlmRun:
         backtracks = sum(rec.backtracks for rec in report.records)
         if inner == "pt":
             assert tight == 0
-        elif inner == "pdd" and variant == ANISO:
-            assert tight == 0 and backtracks > 0
+        elif inner == "pdd":
+            assert tight == (1 if variant == ISO else 0) and backtracks > 0
         else:
             assert tight > 0 and backtracks == 0
         assert sum(rec.f32_solves for rec in report.records) > 0
@@ -340,26 +356,46 @@ class TestExactInverseBuild:
 
 class TestPddDeblur:
     """ALM-PDD on a motion-blur deblur converges or fails with a typed error,
-    within seconds.  With a nested CG for each H^{-1}, the 16x16 solve ran
-    for over five minutes; with the exact inverse its dual BiCGSTAB stalls
-    and raises KrylovError."""
+    within seconds, and the 8x8 motion-3 aniso deblur converges.  With a
+    nested CG for each H^{-1}, the 16x16 solve ran for over five minutes;
+    with the exact inverse it raises InnerNewtonError at the Newton cap in
+    outer iteration 1 (sigma 4), iso and aniso."""
+
+    @staticmethod
+    def instance(n, length):
+        clean = blocks_image(n, n, seed=3)
+        kernel = motion_kernel(length)
+        z = degrade(clean, DegradeSpec(noise_std=0.01, blur=kernel, seed=21))
+        return clean, z, blur_map(kernel)
 
     @pytest.mark.parametrize("n, length", [
         (8, 3), pytest.param(16, 9, marks=pytest.mark.slow)])
     def test_converges_or_raises(self, n, length):
-        clean = blocks_image(n, n, seed=3)
-        kernel = motion_kernel(length)
-        z = degrade(clean, DegradeSpec(noise_std=0.01, blur=kernel, seed=21))
+        clean, z, K = self.instance(n, length)
         cfg = AlmConfig(alpha=0.005, variant=ISO, mu=1e-6, inner="pdd", outer_tol=1e-5)
         t0 = time.perf_counter()
         try:
-            state, report = alm_run(z, blur_map(kernel), cfg, reference=clean)
+            state, report = alm_run(z, K, cfg, reference=clean)
         except SolverError:
             pass
         else:
             assert report.summary["converged"]
             assert report.records[-1].err <= cfg.outer_tol
         assert time.perf_counter() - t0 < 120.0
+
+    def test_aniso_8x8_converges(self):
+        # Searched, the 8x8 motion-3 aniso deblur converges in 20 Newton
+        # steps; with the full step and the tight mode it raised
+        # InnerNewtonError at the Newton cap (outer 2, sigma 16).
+        clean, z, K = self.instance(8, 3)
+        cfg = AlmConfig(alpha=0.005, variant=ANISO, mu=1e-6, inner="pdd", outer_tol=1e-5)
+        state, report = alm_run(z, K, cfg, reference=clean)
+        assert report.summary["converged"]
+        assert lambda_feasible(state.lam, cfg.alpha, ANISO)
+        err = err_total(state.u, state.lam, K.apply_adjoint(z), h_map(cfg.mu, K), cfg.alpha,
+                        1.0, ANISO)
+        assert err <= cfg.outer_tol
+        assert sum(rec.backtracks for rec in report.records) > 0
 
 
 class TestPddIsoDenoise:
@@ -442,14 +478,7 @@ class TestDenoise128:
         sigma 256); the search without the tight mode for directions that
         do not descend converged on 9, 11 and 12 and raised at the cap on 10
         (outer 6, sigma 4096, residual 20.4 after 50 steps)."""
-        clean = blocks_image(128, 128, seed=3)
-        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=draw))
-        cfg = AlmConfig(alpha=0.1, variant=ANISO, inner="pdd", outer_tol=1e-6)
-        state, report = alm_run(z, None, cfg, reference=clean)
-        assert report.summary["converged"]
-        assert lambda_feasible(state.lam, cfg.alpha, ANISO)
-        err = err_total(state.u, state.lam, z, h_map(0.0, None), cfg.alpha, 1.0, ANISO)
-        assert err <= cfg.outer_tol
+        solved_pdd_denoise(128, ANISO, draw)
 
     @pytest.mark.slow
     def test_pt_converges_at_its_default_schedule(self):
@@ -470,15 +499,18 @@ class TestDenoise128:
 
 
 class TestAnisoPddSearch:
-    """Aniso ALM-PDD denoising steps are Armijo-searched.  A direction that
-    does not descend is not; it is kept while the residual stays below the
-    subproblem's first, and past that the tight mode redoes it, as for PDP.
-    PDD with mu > 0 takes the full step throughout."""
+    """Aniso ALM-PDD denoising steps are Armijo-searched, with mu = 0 or
+    mu > 0.  A direction that does not descend is not; it is kept while the
+    residual stays below the subproblem's first, and past that the tight
+    mode redoes it, as for PDP."""
 
     @staticmethod
     def denoise(n, monkeypatch, mu=0.0):
-        """The solve of the n x n criterion-6 denoise, checked, with each
-        subproblem's steps: (state, request, searched, new residual)."""
+        """The report of the aniso ``solved_pdd_denoise`` at n x n, with each
+        subproblem's steps: (state, request, searched, new residual).  Each
+        tight re-solve is checked to be the step from a freshly built state:
+        the discarded step took the iterate's fields, which the re-solve
+        takes evaluated again."""
         import tvalm.alm as alm
         import tvalm.ssn as ssn
         real_sub, real_step, subproblems = alm.solve_subproblem, ssn.ssnpdd_step, []
@@ -488,21 +520,23 @@ class TestAnisoPddSearch:
             return real_sub(*args)
 
         def step(state, ctx, kcfg):
+            steps = subproblems[-1]
+            resolve = bool(steps) and steps[-1][0] is state
+            if resolve:
+                fresh, fresh_kit = real_step(ssn._iterate(state.u, state.h, ctx, "pdd"), ctx,
+                                             kcfg)
             cand, kit = real_step(state, ctx, kcfg)
-            subproblems[-1].append((state, kcfg.rel_tol, cand.searched, cand.inner_residual))
+            if resolve:
+                assert kit == fresh_kit and cand.inner_residual == fresh.inner_residual
+                for got, want in zip((cand.u, cand.h, *cand.fields),
+                                     (fresh.u, fresh.h, *fresh.fields), strict=True):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            steps.append((state, kcfg.rel_tol, cand.searched, cand.inner_residual))
             return cand, kit
 
         monkeypatch.setattr(alm, "solve_subproblem", subproblem)
         monkeypatch.setattr(ssn, "ssnpdd_step", step)
-        clean = blocks_image(n, n, seed=3)
-        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
-        cfg = AlmConfig(alpha=0.1, variant=ANISO, inner="pdd", mu=mu, outer_tol=1e-6)
-        state, report = alm_run(z, None, cfg, reference=clean)
-        assert report.summary["converged"]
-        assert lambda_feasible(state.lam, cfg.alpha, ANISO)
-        err = err_total(state.u, state.lam, z, h_map(mu, None), cfg.alpha, 1.0, ANISO)
-        assert err <= cfg.outer_tol
-        return report, subproblems
+        return solved_pdd_denoise(n, ANISO, mu=mu), subproblems
 
     @staticmethod
     def redone(steps):
@@ -531,9 +565,9 @@ class TestAnisoPddSearch:
     def test_float64_directions_converge(self, monkeypatch):
         # Every direction solved in float64, as late in a subproblem: a
         # direction that does not descend throws the residual past the
-        # subproblem's first, and is redone tight.  Keeping such steps, this
-        # solve raised InnerNewtonError at the Newton cap (outer 6, sigma
-        # 4096).
+        # subproblem's first, and is redone tight, from a fresh state
+        # (``denoise``).  Keeping such steps, this solve raised
+        # InnerNewtonError at the Newton cap (outer 6, sigma 4096).
         import tvalm.ssn as ssn
         monkeypatch.setattr(ssn, "F32_MIN_TOL", 1.0)
         report, subproblems = self.denoise(64, monkeypatch)
@@ -542,13 +576,28 @@ class TestAnisoPddSearch:
         assert sum(rec.tight_resolves for rec in report.records) == len(redone)
         assert sum(rec.f32_solves for rec in report.records) == 0
 
-    def test_mu_takes_the_full_step(self, monkeypatch):
-        # H = I - mu Laplacian: no step is searched, and the tight mode
-        # safeguards them all, as for PDP.
+    def test_mu_is_searched(self, monkeypatch):
+        # H = I - mu Laplacian: the steps are searched as with mu = 0, and
+        # backtrack.  With the full step and the tight mode this solve took
+        # 33 Newton steps and 1,233 BiCGSTAB iterations (1 re-solve).
         report, subproblems = self.denoise(32, monkeypatch, mu=0.01)
-        assert not any(searched for steps in subproblems for _, _, searched, _ in steps)
-        assert sum(rec.backtracks for rec in report.records) == 0
-        assert sum(rec.tight_resolves for rec in report.records) > 0
+        assert all(searched for steps in subproblems for _, _, searched, _ in steps)
+        assert sum(rec.backtracks for rec in report.records) > 0
+        assert sum(rec.tight_resolves for rec in report.records) == 0
+
+
+class TestIsoPddSearch:
+    """Iso ALM-PDD denoising steps are Armijo-searched too.  Iso PDD solves
+    the unsymmetrized linearization, whose image update need not descend;
+    such a step is kept below the subproblem's first residual and redone
+    tight past it, as in aniso.  With every such step kept, these draws
+    raised InnerNewtonError at the Newton cap (outer 7, sigma 16384)."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("draw", [7, 8, 9])
+    def test_noise_draws(self, draw):
+        report = solved_pdd_denoise(64, ISO, draw)
+        assert sum(rec.backtracks for rec in report.records) > 0
 
 
 class TestDenoise256:

@@ -736,7 +736,8 @@ class TestKrylovRequest:
         assert bound == {"cap", "cap, res > res0", "forcing", "floor", "enough"}
 
 
-# The unglobalized steps, which take the tight mode: PDP, and PDD in iso.
+# The methods whose steps the tight mode guards: PDP, none of whose steps
+# is searched, and PDD, whose directions that do not descend are not.
 TIGHT_METHODS = [pytest.param("pdp", ANISO, id="pdp"), pytest.param("pdd", ISO, id="pdd")]
 
 
@@ -755,10 +756,11 @@ class TestSolveSubproblem:
 
     @staticmethod
     def tight_instance(variant=ANISO):
-        """An instance where one loose unglobalized step raises the residual:
-        solved to 1e-6, where its tight request is tighter than its loose
-        one, and solved to 1e-4, where the ENOUGH floor binds at both.  PDD
-        takes the tight mode only in iso (``TIGHT_METHODS``)."""
+        """An instance where one loose PDP step raises the residual: solved
+        to 1e-6, where its tight request is tighter than its loose one, and
+        solved to 1e-4, where the ENOUGH floor binds at both.  Iso PDD raises
+        its residual once when solved to 1e-4, below the subproblem's first,
+        so it keeps the step and never enters the tight mode."""
         clean = blocks_image(8, 8, seed=2)
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
         lam = project_ball(0.1 * np.random.default_rng(2).normal(size=(2, 8, 8)), 0.1, variant)
@@ -837,7 +839,9 @@ class TestSolveSubproblem:
         # At this instance, solved to 1e-4, a loose step raises the residual
         # where the ENOUGH floor binds at both the loose and the tight
         # request.  A redo would repeat the same solve, so the candidate is
-        # kept and the later steps ask for the tight request.
+        # kept and the later steps ask for the tight request.  Iso PDD keeps
+        # its candidate in any case, as its rise stays below the
+        # subproblem's first residual (``tight_instance``).
         import tvalm.ssn as ssn
         step = STEPS[method]
         calls = []
@@ -890,7 +894,9 @@ class TestSolveSubproblem:
         assert rel_tol > min(0.1, forcing_oracle(residual, res.residuals[0]))
         assert res.residuals[-1] <= res.threshold
 
-    @pytest.mark.parametrize("method, variant", TIGHT_METHODS)
+    # PDD's tight re-solves are checked the same way in
+    # tests/test_alm.py::TestAnisoPddSearch.
+    @pytest.mark.parametrize("method, variant", [pytest.param("pdp", ANISO, id="pdp")])
     def test_tight_resolve_is_a_step_from_a_fresh_state(self, method, variant, monkeypatch):
         # The discarded step took the iterate's fields; the re-solve from the
         # fields evaluated again is the step from a freshly built state.
@@ -901,9 +907,7 @@ class TestSolveSubproblem:
         def recorded(state, ctx, kcfg):
             start = (state.u.copy(), state.h.copy())
             out, kit = step(state, ctx, kcfg)
-            # A primal-dual iterate's fields carry no rhs.
-            assert out.fields.rhs is None
-            got = (out.u.copy(), out.h.copy(), *(f.copy() for f in out.fields[:3]))
+            got = (out.u.copy(), out.h.copy(), *(f.copy() for f in out.fields))
             calls.append((state, start, kcfg, got, out.inner_residual, kit))
             return out, kit
 
@@ -915,7 +919,7 @@ class TestSolveSubproblem:
         _, (u, h), kcfg, got, residual, kit = calls[i]
         fresh, fresh_kit = step(_iterate(u, h, ctx, method), ctx, kcfg)
         assert kit == fresh_kit and residual == fresh.inner_residual
-        for g, want in zip(got, (fresh.u, fresh.h, *fresh.fields[:3]), strict=True):
+        for g, want in zip(got, (fresh.u, fresh.h, *fresh.fields), strict=True):
             assert_same_bits(g, want)
 
     def test_unknown_method(self):
@@ -1144,12 +1148,8 @@ def check_carried_fields(method, variant, setup, monkeypatch, steps=4):
     for _ in range(steps):
         out, _ = STEPS[method](state, ctx, LOOSE)
         assert state.fields is None
-        # Only PT's iterates carry the residual field rhs.
-        fresh = _fields(out.u, ctx, with_rhs=method == "pt")
-        assert (out.fields.rhs is None) == (fresh.rhs is None) == (method != "pt")
-        for got, want in zip(out.fields, fresh):
-            if want is not None:
-                assert_same_bits(got, want)
+        for got, want in zip(out.fields, _fields(out.u, ctx), strict=True):
+            assert_same_bits(got, want)
         if method == "pt":
             want = residual_pt_reference(out.u, ctx)
         else:
@@ -1218,9 +1218,7 @@ class TestPtStepLineSearch:
         res = solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pt", 1e-4)
         assert res.backtracks == sum(seen) > 0
         assert res.tight_resolves == 0
-        for method in ("pdp", "pdd"):
-            assert solve_subproblem(z, np.zeros((2, 16, 16)), ctx, method,
-                                    1e-4).backtracks == 0
+        assert solve_subproblem(z, np.zeros((2, 16, 16)), ctx, "pdp", 1e-4).backtracks == 0
 
     def test_failure_reports_the_last_trial(self, monkeypatch):
         # A merit that never falls: every trial fails, and the error names
@@ -1299,8 +1297,8 @@ class TestPdpSharedStep:
 
 
 def ssnpdd_step_reference(state, ctx, kcfg):
-    """ssnpdd_step as written before its aniso steps were line-searched: the
-    full step, with the dual increment delta_h its solve returned."""
+    """ssnpdd_step as written before its steps were line-searched: the full
+    step, with the dual increment delta_h its solve returned."""
     import tvalm.ssn as ssn
     u, h = state.u, state.h
     _, U, coef, _ = ssn._take_fields(state)
@@ -1321,7 +1319,7 @@ def ssnpdd_step_reference(state, ctx, kcfg):
 
 
 def ssnpdd_step_oracle(state, ctx, kcfg):
-    """Aniso PDD's line-searched step, from the full step of
+    """PDD's line-searched step, from the full step of
     ``ssnpdd_step_reference``: along delta_u = u_full - u, a descent
     direction for the merit is backtracked by ``armijo_oracle``, and u and h
     both move by that length.  Returns the new iterate, marked ``searched``
@@ -1343,10 +1341,10 @@ def ssnpdd_step_oracle(state, ctx, kcfg):
 
 
 class TestPddLineSearch:
-    """Aniso PDD denoising steps are line-searched as PT's are: both fields
-    move by the Armijo length of the merit along the image update, and a
-    direction that does not descend takes the full step, not searched.
-    With mu > 0 or a blur every step is the full step."""
+    """PDD steps are line-searched as PT's are, iso or aniso, with mu > 0 or
+    a blur: both fields move by the Armijo length of the merit along the
+    image update, and a direction that does not descend takes the full
+    step, not searched."""
 
     # Steps along a 16x16 aniso subproblem at sigma 256 from a random
     # feasible dual: the eighth backtracks four times.
@@ -1371,9 +1369,10 @@ class TestPddLineSearch:
         assert damped > 0
 
     def test_a_non_descent_direction_takes_the_full_step(self, monkeypatch):
-        # From the state whose step backtracks, a residual field stubbed to
-        # its negative makes the same direction ascend: the step then takes
-        # the full step, bit for bit the step without the line search.
+        # From the state whose step backtracks, a carried residual field
+        # stubbed to its negative makes the same direction ascend: the step
+        # then takes the full step, bit for bit the step without the line
+        # search.
         import tvalm.ssn as ssn
         ctx, state = self.instance()
         for _ in range(self.STEPS):
@@ -1383,19 +1382,14 @@ class TestPddLineSearch:
                 break
         assert state.backtracks > 0
         want, want_kit, _ = ssnpdd_step_reference(_iterate(u, h, ctx, "pdd"), ctx, LOOSE)
-        real, stubbed = ssn._primal_rhs, []
-
-        def ascending(u, p, ctx):
-            stubbed.append(u)
-            return -real(u, p, ctx)
 
         def no_search(*args):
             raise AssertionError("an ascent direction was line-searched")
 
-        monkeypatch.setattr(ssn, "_primal_rhs", ascending)
         monkeypatch.setattr(ssn, "_armijo", no_search)
-        out, kit = ssnpdd_step(_iterate(u, h, ctx, "pdd"), ctx, LOOSE)
-        assert len(stubbed) == 1
+        start = _iterate(u, h, ctx, "pdd")
+        start.fields = start.fields._replace(rhs=-start.fields.rhs)
+        out, kit = ssnpdd_step(start, ctx, LOOSE)
         assert kit == want_kit and out.backtracks == 0 and not out.searched
         assert (out.f32_solves, out.f32_corrections) == (want.f32_solves, want.f32_corrections)
         assert out.inner_residual == want.inner_residual
@@ -1403,33 +1397,32 @@ class TestPddLineSearch:
         assert_same_bits(out.h, want.h)
 
     @pytest.mark.parametrize("setup", ["identity-mu1e-3", "motion3-mu1e-3"])
-    def test_mu_or_a_blur_takes_the_full_step(self, setup, monkeypatch):
+    def test_mu_or_a_blur_is_searched(self, setup):
         # The steps of the backtracking instance with H = I - mu Laplacian
-        # or a blur: the full step, bit for bit, with no search.
-        import tvalm.ssn as ssn
+        # or a blur: the oracle's length, bit for bit.  With mu the eighth
+        # and ninth steps backtrack, with the blur the first four do; each
+        # instance meets a direction that does not descend.
         ctx, state = step_instance("pdd", ANISO, setup.replace("identity-mu1e-3", "identity"),
                                    sigma=256.0, random_dual=True)
         if setup == "identity-mu1e-3":
             ctx = replace(ctx, data=DataTerm(ctx.data.z, None, 1e-3))
             state = _iterate(state.u, state.h, ctx, "pdd")
-
-        def no_search(*args):
-            raise AssertionError("a step with mu > 0 was line-searched")
-
-        monkeypatch.setattr(ssn, "_armijo", no_search)
-        for _ in range(4):
-            want, want_kit, _ = ssnpdd_step_reference(_iterate(state.u, state.h, ctx, "pdd"),
-                                                      ctx, LOOSE)
-            state, kit = ssnpdd_step(state, ctx, LOOSE)
-            assert kit == want_kit and state.backtracks == 0 and not state.searched
+        damped = ascents = 0
+        for _ in range(self.STEPS):
+            want, eta = ssnpdd_step_oracle(state, ctx, LOOSE)
+            state, _ = ssnpdd_step(state, ctx, LOOSE)
+            assert (state.backtracks, state.searched) == (want.backtracks, want.searched)
             assert state.inner_residual == want.inner_residual
             assert_same_bits(state.u, want.u)
             assert_same_bits(state.h, want.h)
+            damped += eta < 1.0
+            ascents += not state.searched
+        assert damped > 0 and ascents > 0
 
     def test_a_subproblem_of_descent_steps_never_re_solves(self, monkeypatch):
-        # The instance on which one loose iso PDD step raises the residual
-        # and is redone tight: aniso, every direction descends, every step
-        # is taken from a new iterate at its loose request, and the search
+        # The instance on which one loose PDP step raises the residual and
+        # is redone tight: aniso PDD's directions all descend, every step is
+        # taken from a new iterate at its loose request, and the search
         # backtracks instead.
         import tvalm.ssn as ssn
         calls = []

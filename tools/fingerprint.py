@@ -8,12 +8,14 @@ Usage, from the root of a tvalm checkout:
 ROOT (default: the checkout holding this script) is the checkout whose
 ``src`` and ``perfbench`` are run, so one copy of the script fingerprints two
 trees.  For every case of every ``perfbench`` workload, in the instance and
-order of seed 0 (``workloads.seeded_setup``), and for iso ALM-PDD on the
-denoise scene at 24x24 (Err 1e-7), 32x32 and 64x64 (Err 1e-6), which no
-workload runs, it prints one line: the SHA-256 of the returned image u, of
-the multiplier lam and of the report's CSV without its timing columns
-(``report.strip_timing_columns``), or the ``SolverError`` the solve raised.
-Two trees agree on a case when its lines are equal.
+order of seed 0 (``workloads.seeded_setup``), and for the ALM-PDD solves no
+workload runs (iso on the denoise scene at 24x24, Err 1e-7, and at 32x32 and
+64x64, Err 1e-6; aniso at 32x32 with mu 0.01; iso and aniso on the 8x8
+motion-3 deblur of the deblur scene, mu 1e-6), it prints one line: the
+SHA-256 of the returned image u, of the multiplier lam and of the report's
+CSV without its timing columns (``report.strip_timing_columns``), or the
+``SolverError`` the solve raised.  Two trees agree on a case when its lines
+are equal.
 """
 
 import os
@@ -34,8 +36,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from tvalm.degrade import DegradeSpec  # noqa: E402
+from tvalm.degrade import DegradeSpec, blocks_image, degrade  # noqa: E402
 from tvalm.errors import SolverError  # noqa: E402
+from tvalm.linops import blur_map, motion_kernel  # noqa: E402
 from tvalm.report import strip_timing_columns  # noqa: E402
 
 # Iso ALM-PDD denoise cases outside the benchmark: (size, Err).
@@ -57,6 +60,34 @@ def capture_reports(reports: list) -> None:
         setattr(module, name, run)
 
 
+def denoise_instance(n: int):
+    clean = blocks_image(n, n, seed=3)
+    z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+    return workloads.Instance(z, clean, None)
+
+
+def deblur_instance(n: int, length: int):
+    clean = blocks_image(n, n, seed=3)
+    kernel = motion_kernel(length)
+    z = degrade(clean, DegradeSpec(noise_std=0.01, blur=kernel, seed=21))
+    return workloads.Instance(z, clean, blur_map(kernel))
+
+
+def pdd_cases():
+    """(name, case, instance) of the ALM-PDD solves outside the benchmark."""
+    for n, tol in ISO_PDD:
+        yield (f"denoise-{n}/iso-pdd@{tol:g}",
+               workloads.Case("iso-pdd", "pdd", "iso", alpha=0.1, mu=0.0, tol=tol),
+               denoise_instance(n))
+    yield ("denoise-32/aniso-pdd-mu0.01",
+           workloads.Case("aniso-pdd", "pdd", "aniso", alpha=0.1, mu=0.01, tol=1e-6),
+           denoise_instance(32))
+    for variant in ("iso", "aniso"):
+        yield (f"deblur-8-motion3/{variant}-pdd",
+               workloads.Case(f"{variant}-pdd", "pdd", variant, alpha=0.005, mu=1e-6, tol=1e-5),
+               deblur_instance(8, 3))
+
+
 def fingerprint(name: str, case, inst, reports: list) -> None:
     try:
         state = case.run(inst)
@@ -76,12 +107,8 @@ def main() -> None:
         inst, cases = workloads.seeded_setup(wl, 0)
         for case in cases:
             fingerprint(f"{wl.name}/{case.name}", case, inst, reports)
-    for n, tol in ISO_PDD:
-        clean = workloads.degrade.blocks_image(n, n, seed=3)
-        z = workloads.degrade.degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
-        case = workloads.Case("iso-pdd", "pdd", "iso", alpha=0.1, mu=0.0, tol=tol)
-        fingerprint(f"denoise-{n}/iso-pdd@{tol:g}", case, workloads.Instance(z, clean, None),
-                    reports)
+    for name, case, inst in pdd_cases():
+        fingerprint(name, case, inst, reports)
 
 
 if __name__ == "__main__":
