@@ -894,12 +894,24 @@ class TestSolveSubproblem:
         assert rel_tol > min(0.1, forcing_oracle(residual, res.residuals[0]))
         assert res.residuals[-1] <= res.threshold
 
-    # PDD's tight re-solves are checked the same way in
-    # tests/test_alm.py::TestAnisoPddSearch.
-    @pytest.mark.parametrize("method, variant", [pytest.param("pdp", ANISO, id="pdp")])
+    @staticmethod
+    def resolve_instance(method, variant):
+        """A subproblem with one tight re-solve when solved to 1e-6, and its
+        start (u, h).  PDP's is ``tight_instance``; PDD keeps its rise there,
+        but the 16x16 ``motion_kernel(3)`` deblur with mu 1e-3 from a random
+        feasible dual redoes one non-descent step past the first residual."""
+        if method == "pdp":
+            z, ctx = TestSolveSubproblem.tight_instance(variant)
+            return ctx, z, np.zeros((2, 8, 8))
+        ctx, start = step_instance(method, variant, "motion3-mu1e-3", random_dual=True)
+        return ctx, start.u, start.h
+
+    @pytest.mark.parametrize("method, variant", TIGHT_METHODS)
     def test_tight_resolve_is_a_step_from_a_fresh_state(self, method, variant, monkeypatch):
         # The discarded step took the iterate's fields; the re-solve from the
-        # fields evaluated again is the step from a freshly built state.
+        # fields evaluated again is the step from a freshly built state.  PDD's
+        # re-solves are checked the same way on whole solves in
+        # tests/test_alm.py::TestAnisoPddSearch.
         import tvalm.ssn as ssn
         step = STEPS[method]
         calls = []
@@ -912,8 +924,8 @@ class TestSolveSubproblem:
             return out, kit
 
         monkeypatch.setattr(ssn, f"ssn{method}_step", recorded)
-        z, ctx = self.tight_instance(variant)
-        res = solve_subproblem(z, np.zeros((2, 8, 8)), ctx, method, 1e-6)
+        ctx, u0, h0 = self.resolve_instance(method, variant)
+        res = solve_subproblem(u0, h0, ctx, method, 1e-6)
         assert res.tight_resolves == 1
         (i,) = [i for i in range(1, len(calls)) if calls[i][0] is calls[i - 1][0]]
         _, (u, h), kcfg, got, residual, kit = calls[i]
