@@ -230,6 +230,13 @@ class DataTerm:
         column (broadcast over the rows); 1.0 for the identity."""
         return 1.0 if self.K is None else np.diag(self.K.kernel.gram(self.z.shape))
 
+    @cached_property
+    def grad_solve_f(self) -> np.ndarray:
+        """grad H^{-1} f, fixed for the run, which every dual Newton step of
+        ALM-PDD reads (``ssn.ssnpdd_step``).  Under a blur it needs mu > 0,
+        as ``solve`` does."""
+        return grad(self.solve(self.f))
+
     def energy(self, u: np.ndarray) -> float:
         """The data term at u, evaluated cancellation-free."""
         r = (u - self.z) if self.K is None else (self.K.apply(u) - self.z)

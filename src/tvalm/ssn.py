@@ -17,8 +17,11 @@ Three formulations of the same nonlinear optimality system are offered:
   function.  It takes PDP's direction and recovers PDP's dual on the step
   it accepts.
 
-PDP and PT are one image-space step (``_image_step``) that differs only in
-its step length: the unit step, or Armijo's.  PDD is a step of its own.
+PDP and PT are one image-space step (``_image_step``); PDD is a step of its
+own.  How each method's steps are globalized and measured is decided in one
+place, its ``_Policy`` record (``_POLICY``), which the steps and
+``solve_subproblem`` read; the method's name is compared only to dispatch
+its step and to pick PT's multiplier update.
 
 All three linearize the same map, the projection P_alpha onto the dual ball:
 with w = lam + sigma grad u, U = max(1, |w| / alpha) and |.| the variant's
@@ -94,9 +97,9 @@ grad u, grad delta_u and two inner products with H once per Newton step, and
 a trial step length costs pointwise work only.
 
 Each step returns the new iterate and the Krylov iterations its linear solve
-took; ``solve_subproblem`` sums those counts, the Armijo backtracks (PT's
-and PDD's), the tight re-solves and the float32 solves and
-corrections for the subproblem, and returns the next multiplier with them.
+took; ``solve_subproblem`` sums those counts, the Armijo backtracks, the
+tight re-solves and the float32 solves and corrections for the subproblem,
+and returns the next multiplier with them.
 For PDP and PDD that is P_alpha(lam + sigma grad u) at the final iterate,
 w / U read off its fields; PT keeps the soft-threshold form
 lam + sigma (grad u - S_tau(lam / sigma + grad u)), equal by the Moreau
@@ -109,19 +112,29 @@ subproblem needs, since a solve past its stopping test is oversolving
 (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  The subproblem needs
 its residual only below the target: the stopping threshold or, when
 smaller, the residual the outer stopping test can accept
-(``AlmContext.need``).  A step whose length the line search did not choose
-is not globalized: every ALM-PDP step, and a PDD step whose direction does
-not descend on the merit.  The first such step of a subproblem that raises
-the nonlinear residual puts the subproblem in the tight mode, whose
-requests take TIGHT_FACTOR times the forcing term; the step is discarded
-and redone at its tight request when that is tighter than its loose one.
-In PDD the residual may rise up to the subproblem's first residual before
-that: its searched steps make the merit fall, not the residual, and a
-direction that does not descend (each one measured raised the residual) is
-harmless while the residual stays below where the subproblem began.  Past
-it, the measured runs fell into a cycle of loose requests, residual jumps
-and stalled searches until the Newton cap.  PT, whose every step is
-searched, never discards or re-solves a step.
+(``AlmContext.need``).
+
+Step length and the tight mode.  Every step's length comes from one rule,
+``_step_length``: a method whose record ``searches`` (PDD and PT) backtracks
+a direction that descends on the merit (slope -<rhs, delta_u> < 0, rhs the
+iterate's residual field) by ``_armijo``; every other step is the unit
+step, and is not ``searched``.  That is every ALM-PDP step, and a PDD
+direction that does not descend; PT's CG directions descend (see above),
+and on the benchmark's PT cases every one measured does.  A step that was
+not searched is not globalized, so the tight mode guards it: the first such
+step of a subproblem that raises the nonlinear residual past its limit puts
+the subproblem in the tight mode, whose requests take TIGHT_FACTOR times the
+forcing term, and the step is discarded and redone from the same iterate at
+its tight request when that is tighter than its loose one.  The limit is
+the record's ``rises_to_start``: the residual the step started from (PDP),
+or the subproblem's first residual (PDD and PT).  A method that searches
+makes the merit fall, not the residual, and a PDD direction that does not
+descend (each one measured raised the residual) is harmless while the
+residual stays below where the subproblem began.  Past it, the measured
+runs fell into a cycle of loose requests, residual jumps and stalled
+searches until the Newton cap.  The record's ``primal_residual`` picks the
+residual itself (``_iterate``): PT's primal ||rhs||, or the primal-dual
+dual row.
 
 Fixed constants: the Armijo line search tries ARMIJO_THETA ** b from the
 full Newton step (b = 0) and takes the first length at which the merit
@@ -209,16 +222,35 @@ class Fields(NamedTuple):
     rhs: np.ndarray
 
 
+class _Policy(NamedTuple):
+    """How one inner method's Newton steps are globalized and measured (see
+    the module docstring): whether a direction that descends on the merit
+    is Armijo-searched (``searches``), whether the iterate's residual is
+    PT's primal one or the primal-dual dual row (``primal_residual``), and
+    whether a step the search did not choose may raise the residual up to
+    the subproblem's first before the tight mode (``rises_to_start``), or
+    not above the residual it started from."""
+
+    searches: bool
+    primal_residual: bool
+    rises_to_start: bool
+
+
+_POLICY = {"pdp": _Policy(searches=False, primal_residual=False, rises_to_start=False),
+           "pdd": _Policy(searches=True, primal_residual=False, rises_to_start=True),
+           "pt": _Policy(searches=True, primal_residual=True, rises_to_start=True)}
+
+
 @dataclass
 class NewtonState:
     """One inner iterate: image, feasible dual field, its residual and its
     ``Fields``, which the step from it takes off it.  The step that made it
-    also records the Armijo ``backtracks`` it took (PT, PDD), whether its
-    direction was a float32 solve and needed a float64 correction
-    (``f32_solves``, ``f32_corrections``, each 0 or 1; see ``_mixed_solve``)
-    and whether the line search chose its length (``searched``: every PT
-    step, and a PDD step whose direction descends; a step that was not
-    searched may put its subproblem in the tight mode)."""
+    also records the Armijo ``backtracks`` it took, whether its direction
+    was a float32 solve and needed a float64 correction (``f32_solves``,
+    ``f32_corrections``, each 0 or 1; see ``_mixed_solve``) and whether the
+    line search chose its length (``searched``, see ``_step_length``; a
+    step that was not searched may put its subproblem in the tight
+    mode)."""
 
     u: np.ndarray
     h: np.ndarray
@@ -249,16 +281,15 @@ def _take_fields(state: NewtonState) -> Fields:
 def _iterate(u: np.ndarray, h: np.ndarray, ctx: AlmContext, method: str,
              h_pre: np.ndarray | None = None, backtracks: int = 0, f32_solves: int = 0,
              f32_corrections: int = 0, searched: bool = False) -> NewtonState:
-    """The iterate (u, h) with its fields and ``method``'s residual: PT's
-    primal ||rhs||, or the primal-dual dual row ||U h_pre - w|| of the
-    pre-projection dual field h_pre (h itself at a subproblem's start; PT's
-    residual does not read it).  The counts are those of the step that made
-    it (``NewtonState``)."""
+    """The iterate (u, h) with its fields and ``method``'s residual
+    (``_Policy.primal_residual``): the primal ||rhs||, or the
+    primal-dual dual row ||U h_pre - w|| of the pre-projection dual field
+    h_pre (h itself at a subproblem's start; the primal residual does not
+    read it).  The counts are those of the step that made it
+    (``NewtonState``)."""
     fields = _fields(u, ctx)
-    if method == "pt":
-        res = norm_x(fields.rhs)
-    else:
-        res = norm_y(fields.U * (h if h_pre is None else h_pre) - fields.w)
+    res = (norm_x(fields.rhs) if _POLICY[method].primal_residual
+           else norm_y(fields.U * (h if h_pre is None else h_pre) - fields.w))
     return NewtonState(u, h, res, fields, backtracks, f32_solves, f32_corrections, searched)
 
 
@@ -414,63 +445,56 @@ def _primal_rhs(u: np.ndarray, p: np.ndarray, ctx: AlmContext) -> np.ndarray:
 def _newton_direction(ctx: AlmContext, a: np.ndarray, off: np.ndarray | None,
                       rhs: np.ndarray, kcfg: KrylovConfig) -> tuple[np.ndarray, int, int, int]:
     """The CG solution of ``_image_system``'s operator at flux (a, off)
-    against rhs, to kcfg's request in float64; returns it with the Krylov
-    iterations, float32 solves and float32 corrections it took.
-
-    Deblurring solves in float64, Jacobi-preconditioned.  For K = I the
-    solve is ``_mixed_solve``'s: in float32 first for a request of at least
-    F32_MIN_TOL, checked and refined in float64.
-    """
-    if ctx.data.K is not None:
-        system, jacobi = _image_system(ctx, a, off)
-        delta_u, kit = cg_solve(system, rhs, kcfg, jacobi)
-        return delta_u, kit, 0, 0
-
+    against rhs, by ``_mixed_solve``: in float32 first for a loose request
+    when K = I, in float64 and Jacobi-preconditioned under a blur."""
     def build(dtype):
         off_d = None if off is None else off.astype(dtype, copy=False)
-        return _image_system(ctx, a.astype(dtype, copy=False), off_d)[0]
-    return _mixed_solve(build, cg_solve, rhs, kcfg, True)
+        return _image_system(ctx, a.astype(dtype, copy=False), off_d)
+    return _mixed_solve(build, cg_solve, rhs, kcfg, ctx.data.K is None)
 
 
-def _mixed_solve(build: Callable[[type], LinearMap], krylov: Callable, b: np.ndarray,
+def _mixed_solve(build: Callable[[type], tuple], krylov: Callable, b: np.ndarray,
                  kcfg: KrylovConfig, allow_f32: bool) -> tuple[np.ndarray, int, int, int]:
-    """The solution of A x = b, A = build(float64), by ``krylov`` (cg_solve
-    or bicgstab_solve) to kcfg's request in float64; returns it with the
-    Krylov iterations, float32 solves and float32 corrections it took.
+    """The solution of A x = b by ``krylov`` (cg_solve or bicgstab_solve) to
+    kcfg's request in float64, the one entry of every Newton step's Krylov
+    solve; returns it with the Krylov iterations, float32 solves and
+    float32 corrections it took.
 
-    build(dtype) makes the operator from its coefficients cast to dtype.
-    When ``allow_f32`` (the caller's data term has a float32 operator) and
-    the request is at least F32_MIN_TOL, krylov first runs in float32 on
+    build(dtype) makes the operator A from its coefficients cast to dtype,
+    followed by krylov's further arguments for A (``_image_system``'s
+    Jacobi diagonal, None without a blur).  When ``allow_f32`` (the caller's
+    data term has a float32 operator, so no blur) and the request is at
+    least F32_MIN_TOL, krylov first runs unpreconditioned in float32 on
     build(float32), where the operator and the vector updates move half the
     bytes.  The float32 answer is then checked with one application of A:
     if its float64 residual r = b - A x misses rel_tol ||b||, krylov solves
     A c = r in float64 to rel_tol ||b|| / ||r|| and x += c (mixed-precision
     iterative refinement), so the returned answer meets the request in
-    float64.  A float32 solve that raises KrylovError is not a failure: its
-    answer counts as zero, so the float64 correction solves A x = b from
-    zero at the request, and only that solve can raise.  Both solves'
-    iterations are counted.
+    float64.  A float32 solve that is not made, or that raises KrylovError,
+    has no answer: krylov then solves A x = b in float64 from zero at the
+    request, and only that solve can raise.  Both solves' iterations are
+    counted, and a float32 solve that raised counts as corrected.
     """
-    if not allow_f32 or kcfg.rel_tol < F32_MIN_TOL:
-        x, kit = krylov(build(np.float64), b, kcfg)
-        return x, kit, 0, 0
-    # The float32 operator's work arrays are freed before the float64 ones
-    # are built.
-    try:
-        x, kit = krylov(build(np.float32), b.astype(np.float32), kcfg)
-    except KrylovError as err:
-        x, kit = None, err.iterations
-    A = build(np.float64)
+    x, kit, f32 = None, 0, 0
+    if allow_f32 and kcfg.rel_tol >= F32_MIN_TOL:
+        f32 = 1
+        # The float32 operator's work arrays are freed before the float64
+        # ones are built.
+        try:
+            x, kit = krylov(build(np.float32)[0], b.astype(np.float32), kcfg)
+        except KrylovError as err:
+            kit = err.iterations
+    A, *extra = build(np.float64)
     if x is None:
-        x, ckit = krylov(A, b, kcfg)
-        return x, kit + ckit, 1, 1
+        x, ckit = krylov(A, b, kcfg, *extra)
+        return x, kit + ckit, f32, f32
     x = x.astype(np.float64)
     r = A.apply(x)
     np.subtract(b, r, out=r)
     tol, r_norm = kcfg.rel_tol * norm_x(b), norm_x(r)
     if r_norm <= tol:
         return x, kit, 1, 0
-    c, ckit = krylov(A, r, KrylovConfig(tol / r_norm, kcfg.max_iters))
+    c, ckit = krylov(A, r, KrylovConfig(tol / r_norm, kcfg.max_iters), *extra)
     x += c
     return x, kit + ckit, 1, 1
 
@@ -485,19 +509,19 @@ def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
     a blur, in float32 for loose denoising requests), from a zero start
     against the primal residual rhs = f - H u + div(w / U); so the
     relative tolerance is measured against the nonlinear residual, which
-    keeps inexact steps local.  PDP takes the unit step; PT backtracks it by
-    ``_armijo``, with -rhs the generalized gradient of the merit at u.  The
-    dual is then recovered from the unsymmetrized linearization on the step
-    s actually taken, h_pre = (w + sigma grad s - B grad s) / U, and
-    projected.
+    keeps inexact steps local.  Its length is ``_step_length``'s, with -rhs
+    the generalized gradient of the merit at u: the unit step for PDP, an
+    Armijo step for PT.  The dual is then recovered from the unsymmetrized
+    linearization on the step s actually taken,
+    h_pre = (w + sigma grad s - B grad s) / U, and projected.
     """
     u, h = state.u, state.h
     w, U, coef, rhs = _take_fields(state)
     delta_u, kit, *f32 = _newton_direction(ctx, *_pdp_flux(U, coef, h, ctx), rhs, kcfg)
-    slope = -inner_x(rhs, delta_u) if method == "pt" else None
+    slope = -inner_x(rhs, delta_u)
     # Freed before the line search and the new iterate's fields, not after.
     del rhs
-    eta, backtracks = (1.0, 0) if slope is None else _armijo(u, delta_u, slope, ctx)
+    eta, backtracks, searched = _step_length(u, delta_u, slope, ctx, method)
     s = delta_u if eta == 1.0 else eta * delta_u
     del delta_u
     u_new = u + s
@@ -507,8 +531,21 @@ def _image_step(state: NewtonState, ctx: AlmContext, kcfg: KrylovConfig,
     # Freed before the new iterate's fields are evaluated, not after.
     del w, U, coef, g, s
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
-    return _iterate(u_new, h_new, ctx, method, h_pre, backtracks, *f32,
-                    searched=slope is not None), kit
+    return _iterate(u_new, h_new, ctx, method, h_pre, backtracks, *f32, searched=searched), kit
+
+
+def _step_length(u: np.ndarray, delta_u: np.ndarray, slope: float, ctx: AlmContext,
+                 method: str) -> tuple[float, int, bool]:
+    """The length of a Newton step along the image update delta_u, whose
+    slope on the merit is ``slope``; returns it with the backtracks taken
+    and whether the line search chose it (``searched``).
+
+    A method that searches (``_Policy.searches``) backtracks a
+    direction that descends (slope < 0) by ``_armijo``.  Any other step,
+    and every step of a method that does not search, is the unit step."""
+    if _POLICY[method].searches and slope < 0.0:
+        return *_armijo(u, delta_u, slope, ctx), True
+    return 1.0, 0, False
 
 
 def ssnpdp_step(state: NewtonState, ctx: AlmContext,
@@ -529,11 +566,10 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     takes h + delta_h and u_full = H^{-1}(f + div(h + delta_h)).
 
     The step is globalized as PT's is: with delta_u = u_full - u and the
-    iterate's carried rhs, a descent direction (slope -<rhs, delta_u> < 0)
-    is backtracked by ``_armijo`` on PT's merit, and both fields move by the
-    same length, u + eta delta_u and h + eta delta_h.  The full step (eta =
-    1, or a direction that does not descend) keeps u_full and h + delta_h;
-    a direction that does not descend is not ``searched``, and is left to
+    iterate's carried rhs, its length is ``_step_length``'s at the slope
+    -<rhs, delta_u>, and both fields move by it, u + eta delta_u and
+    h + eta delta_h.  The full step (eta = 1) keeps u_full and h + delta_h.
+    A direction that does not descend takes it unsearched, and is left to
     the tight mode of ``solve_subproblem``.  With a per-channel flux
     (aniso), PDD's dual system and PDP's image system are the two Schur
     complements of one symmetric Newton system, so in exact arithmetic
@@ -543,16 +579,15 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     """
     u, h = state.u, state.h
     _, U, coef, primal_rhs = _take_fields(state)
-    b2 = ctx.lam + _b_of_grad(grad(u), coef, h, ctx.variant)
-    g_inv = grad(ctx.data.solve(ctx.data.f))
-    rhs = b2 + ctx.sigma * g_inv - _b_of_grad(g_inv, coef, h, ctx.variant)
+    g_inv = ctx.data.grad_solve_f
+    rhs = (ctx.lam + _b_of_grad(grad(u), coef, h, ctx.variant) + ctx.sigma * g_inv
+           - _b_of_grad(g_inv, coef, h, ctx.variant))
     rhs -= _pdd_system(U, coef, h, ctx)(h)
-    del b2, g_inv
 
     def build(dtype):
         system = _pdd_system(U.astype(dtype, copy=False), coef.astype(dtype, copy=False),
                              h.astype(dtype, copy=False), ctx)
-        return LinearMap(system, system)
+        return (LinearMap(system, system),)
     delta_h, kit, *f32 = _mixed_solve(build, bicgstab_solve, rhs, kcfg, ctx.data.identity)
     del U, coef, build, rhs
     h_pre = h + delta_h
@@ -561,11 +596,9 @@ def ssnpdd_step(state: NewtonState, ctx: AlmContext,
     slope = -inner_x(primal_rhs, delta_u)
     # Freed before the line search and the new iterate's fields, not after.
     del primal_rhs
-    searched, backtracks = slope < 0.0, 0
-    if searched:
-        eta, backtracks = _armijo(u, delta_u, slope, ctx)
-        if eta != 1.0:
-            u_new, h_pre = u + eta * delta_u, h + eta * delta_h
+    eta, backtracks, searched = _step_length(u, delta_u, slope, ctx, "pdd")
+    if eta != 1.0:
+        u_new, h_pre = u + eta * delta_u, h + eta * delta_h
     # Freed before the new iterate's fields are evaluated, not after.
     del delta_u, delta_h
     h_new = project_ball(h_pre, ctx.alpha, ctx.variant)
@@ -741,11 +774,12 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
                                    sigma=ctx.sigma, residuals=residuals)
         kcfg = _krylov_request(state.inner_residual, res0, target, tight_mode)
         cand, kit = step_fn(state, ctx, kcfg)
-        # A step the line search did not choose may raise the residual: not
-        # at all in PDP, none of whose steps is searched, and up to the
-        # subproblem's first residual in PDD, whose searched steps make the
-        # merit fall, not the residual.  PT's steps are all searched.
-        limit = state.inner_residual if method == "pdp" else res0
+        krylov_iters += kit
+        f32_solves += cand.f32_solves
+        f32_corrections += cand.f32_corrections
+        # How far a step the line search did not choose may raise the
+        # residual before the tight mode (``_Policy.rises_to_start``).
+        limit = res0 if _POLICY[method].rises_to_start else state.inner_residual
         if not tight_mode and not cand.searched and cand.inner_residual > limit:
             # The loose solve threw the iterate off: the unglobalized
             # primal-dual Newton is only locally robust.  Keep tight solves
@@ -753,23 +787,17 @@ def solve_subproblem(u0: np.ndarray, h0: np.ndarray, ctx: AlmContext, method: st
             # tight request equals the loose one (the ENOUGH floor binding
             # at both): that redo would repeat the same solve.
             tight_mode = True
-            tight = _krylov_request(state.inner_residual, res0, target, tight_mode)
-            if tight.rel_tol < kcfg.rel_tol:
+            if _krylov_request(state.inner_residual, res0, target, True).rel_tol < kcfg.rel_tol:
                 tight_resolves += 1
-                krylov_iters += kit
-                f32_solves += cand.f32_solves
-                f32_corrections += cand.f32_corrections
                 # The step took the iterate's fields: evaluate them again,
-                # once the discarded candidate's are freed.
+                # once the discarded candidate's are freed, and take the
+                # step again from the same iterate at its tight request.
                 del cand
                 state.fields = _fields(state.u, ctx)
-                cand, kit = step_fn(state, ctx, tight)
+                continue
         state = cand
         newton_steps += 1
-        krylov_iters += kit
         backtracks += state.backtracks
-        f32_solves += state.f32_solves
-        f32_corrections += state.f32_corrections
         residuals.append(state.inner_residual)
     # The next multiplier.  The final fields hold P_alpha(w) = w / U and are
     # the state's alone, so it is written over w; PT keeps its own form.

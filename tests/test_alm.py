@@ -25,13 +25,14 @@ def noisy_flat(n, noise=0.05, seed=11):
     return degrade(np.full((n, n), 0.5), DegradeSpec(noise_std=noise, seed=seed))
 
 
-def solved_pdd_denoise(n, variant, draw=7, mu=0.0):
-    """ALM-PDD on the n x n criterion-6 denoise scene with noise draw
-    ``draw``, checked: converged, with a feasible multiplier and Err within
-    the tolerance, recomputed from the returned state.  Returns the report."""
+def solved_denoise(n, variant, inner, draw=7, mu=0.0):
+    """ALM with the ``inner`` method on the n x n criterion-6 denoise scene
+    with noise draw ``draw``, at the method's default schedule, checked:
+    converged, with a feasible multiplier and Err within the tolerance,
+    recomputed from the returned state.  Returns the report."""
     clean = blocks_image(n, n, seed=3)
     z = degrade(clean, DegradeSpec(noise_std=0.1, seed=draw))
-    cfg = AlmConfig(alpha=0.1, variant=variant, inner="pdd", mu=mu, outer_tol=1e-6)
+    cfg = AlmConfig(alpha=0.1, variant=variant, inner=inner, mu=mu, outer_tol=1e-6)
     state, report = alm_run(z, None, cfg, reference=clean)
     assert report.summary["converged"]
     assert lambda_feasible(state.lam, cfg.alpha, variant)
@@ -478,7 +479,15 @@ class TestDenoise128:
         sigma 256); the search without the tight mode for directions that
         do not descend converged on 9, 11 and 12 and raised at the cap on 10
         (outer 6, sigma 4096, residual 20.4 after 50 steps)."""
-        solved_pdd_denoise(128, ANISO, draw)
+        solved_denoise(128, ANISO, "pdd", draw)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("draw", [7, 8, 9, 10, 11, 12])
+    def test_pt_noise_draws(self, draw):
+        """Aniso PT at its default growth on the draws of
+        ``test_pdd_noise_draws`` and two more: all six converge with a
+        feasible multiplier, at a recomputed Err of 2.4e-7 to 7.6e-7."""
+        solved_denoise(128, ANISO, "pt", draw)
 
     @pytest.mark.slow
     def test_pt_converges_at_its_default_schedule(self):
@@ -506,7 +515,7 @@ class TestAnisoPddSearch:
 
     @staticmethod
     def denoise(n, monkeypatch, mu=0.0):
-        """The report of the aniso ``solved_pdd_denoise`` at n x n, with each
+        """The report of the aniso PDD ``solved_denoise`` at n x n, with each
         subproblem's steps: (state, request, searched, new residual).  Each
         tight re-solve is checked to be the step from a freshly built state:
         the discarded step took the iterate's fields, which the re-solve
@@ -536,7 +545,7 @@ class TestAnisoPddSearch:
 
         monkeypatch.setattr(alm, "solve_subproblem", subproblem)
         monkeypatch.setattr(ssn, "ssnpdd_step", step)
-        return solved_pdd_denoise(n, ANISO, mu=mu), subproblems
+        return solved_denoise(n, ANISO, "pdd", mu=mu), subproblems
 
     @staticmethod
     def redone(steps):
@@ -596,7 +605,7 @@ class TestIsoPddSearch:
     @pytest.mark.slow
     @pytest.mark.parametrize("draw", [7, 8, 9])
     def test_noise_draws(self, draw):
-        report = solved_pdd_denoise(64, ISO, draw)
+        report = solved_denoise(64, ISO, "pdd", draw)
         assert sum(rec.backtracks for rec in report.records) > 0
 
 

@@ -178,3 +178,34 @@ def test_failed_case_still_fails(name):
         _, failure = gate(*solved)
         assert failure is not None, f"{name} now passes the gate"
     assert failure == FAILED_AT_SEED_0[name]
+
+
+PT_CASES = [f"{w.name}/{c.name}" for w in WORKLOADS.values() for c in w.cases
+            if c.solver == "pt"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", PT_CASES)
+def test_every_pt_direction_descends(name, monkeypatch):
+    # ALM-PT's step is Armijo-searched when its direction descends on the
+    # merit (slope < 0) and is the unit step otherwise, as for every method
+    # that searches (``ssn._step_length``).  On the benchmark's PT cases
+    # every direction descends, so each of their Newton steps is searched.
+    import tvalm.ssn as ssn
+    real_step, real_sub = ssn._step_length, alm.solve_subproblem
+    slopes, steps = [], []
+
+    def step_length(u, delta_u, slope, ctx, method):
+        slopes.append(slope)
+        return real_step(u, delta_u, slope, ctx, method)
+
+    def subproblem(*args):
+        res = real_sub(*args)
+        steps.append(res.newton_steps)
+        return res
+
+    monkeypatch.setattr(ssn, "_step_length", step_length)
+    monkeypatch.setattr(alm, "solve_subproblem", subproblem)
+    run_case(name)
+    assert len(slopes) == sum(steps) > 0
+    assert all(slope < 0.0 for slope in slopes)

@@ -430,6 +430,19 @@ class TestHSolve:
         data = DataTerm(np.ones((3, 3)), None, 1e-6)
         assert np.all(data.solve(np.zeros((3, 3))) == 0.0)
 
+    @pytest.mark.parametrize("K, mu", [(None, 0.0), (None, 1e-3),
+                                       (blur_map(motion_kernel(3)), 1e-6)])
+    def test_grad_solve_f_is_evaluated_once(self, K, mu, monkeypatch):
+        # grad H^{-1} f, bit for bit, computed on first use and then kept.
+        import tvalm.linops as linops
+        data = DataTerm(RNG.normal(size=(6, 5)), K, mu)
+        want = grad(data.solve(data.f))
+        calls = []
+        monkeypatch.setattr(linops, "grad", lambda u: calls.append(u) or grad(u))
+        first = data.grad_solve_f
+        assert data.grad_solve_f is first and len(calls) == 1
+        assert first.tobytes() == want.tobytes()
+
 
 class TestCg:
     def test_identity_one_iteration(self):

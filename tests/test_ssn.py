@@ -1322,7 +1322,7 @@ def ssnpdd_step_reference(state, ctx, kcfg):
     def build(dtype):
         system = ssn._pdd_system(U.astype(dtype, copy=False), coef.astype(dtype, copy=False),
                                  h.astype(dtype, copy=False), ctx)
-        return LinearMap(system, system)
+        return (LinearMap(system, system),)
     delta_h, kit, *f32 = ssn._mixed_solve(build, bicgstab_solve, rhs, kcfg, ctx.data.identity)
     h_pre = h + delta_h
     u_new = ctx.data.solve(ctx.data.f + div(h_pre))

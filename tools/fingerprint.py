@@ -4,6 +4,7 @@ leaves their arithmetic bit for bit as it was.
 Usage, from the root of a tvalm checkout:
 
     python3 tools/fingerprint.py [ROOT]
+    python3 tools/fingerprint.py --against OTHER [ROOT]
 
 ROOT (default: the checkout holding this script) is the checkout whose
 ``src`` and ``perfbench`` are run, so one copy of the script fingerprints two
@@ -16,9 +17,17 @@ SHA-256 of the returned image u, of the multiplier lam and of the report's
 CSV without its timing columns (``report.strip_timing_columns``), or the
 ``SolverError`` the solve raised.  Two trees agree on a case when its lines
 are equal.
+
+With ``--against OTHER`` it fingerprints OTHER and ROOT, each in a
+subprocess of its own, one after the other, and compares them: it prints
+the two lines of each case that differs (or that only one tree has) and
+exits with status 1 if any does; otherwise it prints how many cases agree
+and exits with 0.
 """
 
+import argparse
 import os
+import subprocess
 import sys
 
 # Single-threaded, as the benchmark and the tests run: a threaded BLAS may
@@ -30,8 +39,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 import hashlib  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-ROOT = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+HERE = Path(__file__).resolve()
+ARGS = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+ARGS.add_argument("root", nargs="?", type=Path, default=HERE.parent.parent,
+                  help="the checkout to run (default: the one holding this script)")
+ARGS.add_argument("--against", type=Path, metavar="OTHER",
+                  help="compare with the fingerprints of checkout OTHER")
+OPTS = ARGS.parse_args()
+sys.path[:0] = [str(OPTS.root / "src"), str(OPTS.root / "perfbench")]
 
 import numpy as np  # noqa: E402
 
@@ -100,7 +115,32 @@ def fingerprint(name: str, case, inst, reports: list) -> None:
           flush=True)
 
 
-def main() -> None:
+def fingerprints(root: Path) -> dict[str, str]:
+    """The lines this script prints for ``root``, run in a subprocess, by
+    case name."""
+    out = subprocess.run([sys.executable, str(HERE), str(root)], check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return {line.split("  ", 1)[0]: line for line in out.splitlines()}
+
+
+def compare(other: Path, root: Path) -> int:
+    """Print the cases whose lines differ between two checkouts; the exit
+    status, 1 if any does."""
+    before, after = fingerprints(other), fingerprints(root)
+    differ = [name for name in {**before, **after} if before.get(name) != after.get(name)]
+    for name in differ:
+        print(f"- {before.get(name, name + '  (missing)')}")
+        print(f"+ {after.get(name, name + '  (missing)')}")
+    if differ:
+        print(f"{len(differ)} of {len(before.keys() | after.keys())} cases differ")
+        return 1
+    print(f"all {len(after)} cases identical")
+    return 0
+
+
+def main() -> int:
+    if OPTS.against is not None:
+        return compare(OPTS.against, OPTS.root)
     reports: list = []
     capture_reports(reports)
     for wl in workloads.WORKLOADS.values():
@@ -109,7 +149,8 @@ def main() -> None:
             fingerprint(f"{wl.name}/{case.name}", case, inst, reports)
     for name, case, inst in pdd_cases():
         fingerprint(name, case, inst, reports)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
