@@ -1,4 +1,4 @@
-"""Accelerated primal-dual baseline: step invariant, residual balancing,
+"""Primal-dual baseline: step invariant, residual balancing, input checks,
 agreement, determinism."""
 
 import numpy as np
@@ -91,6 +91,21 @@ class TestAlg2:
         with pytest.raises(ValueError, match="mu must be >= 0"):
             alg2_run(z, blur_map(motion_kernel(3)), 0.1, float("nan"), ISO, 1e-6, 100)
 
+    @pytest.mark.parametrize("bad", [
+        {"alpha": 0.0}, {"alpha": -0.1}, {"alpha": float("nan")},
+        {"outer_tol": 0.0}, {"outer_tol": -1.0}, {"outer_tol": float("nan")},
+        {"max_iters": 0}, {"max_iters": -5}, {"variant": "tv"}],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_bad_inputs_rejected_before_setup(self, bad, monkeypatch):
+        # A tolerance Err can never meet would otherwise run the whole budget.
+        def no_setup(*args):
+            raise AssertionError("ALG2 built its data term")
+        monkeypatch.setattr(alg2_module, "DataTerm", no_setup)
+        args = {"alpha": 0.1, "mu": 0.0, "variant": ISO, "outer_tol": 1e-6,
+                "max_iters": 100} | bad
+        with pytest.raises(ValueError):
+            alg2_run(noisy_flat(8), None, **args)
+
     def test_kernel_less_data_operator_rejected(self):
         z = noisy_flat(8)
         identity = LinearMap(lambda u: u.copy(), lambda u: u.copy(), self_adjoint=True)
@@ -174,12 +189,20 @@ class TestBalance:
         assert state.k <= 600
 
     def test_iso_denoise_64_iteration_bound(self):
-        # 19,900 iterations with the fixed tau = sigma, about 1,500 balanced.
+        # 2,510 iterations with the fixed tau = sigma, 610 balanced.
         clean = blocks_image(64, 64, seed=3)
         z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
-        state, _ = alg2_run(z, None, 0.1, 0.0, ISO, 1e-5, 3000, reference=clean,
+        state, _ = alg2_run(z, None, 0.1, 0.0, ISO, 1e-5, 1000, reference=clean,
                             check_every=10)
-        assert state.k <= 3000
+        assert state.k <= 1000
+
+    def test_aniso_denoise_64_iteration_bound(self):
+        # 4,870 iterations with the fixed tau = sigma, 1,160 balanced.
+        clean = blocks_image(64, 64, seed=3)
+        z = degrade(clean, DegradeSpec(noise_std=0.1, seed=7))
+        state, _ = alg2_run(z, None, 0.1, 0.0, ANISO, 1e-6, 2000, reference=clean,
+                            check_every=10)
+        assert state.k <= 2000
 
 
 def blurred_square(kernel):

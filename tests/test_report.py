@@ -121,7 +121,7 @@ CELLS = [
                                converged=False),
               error="MaxOuterError: outer iteration budget exhausted (final Err 2.817e-08)"),
     BenchCell(image="c", variant="iso", solver="alg2", tol=1e-4,
-              report=summarize("alg2", {"gamma": 1.0}, RECORDS[1:], None, converged=True)),
+              report=summarize("alg2", {"check_every": 1}, RECORDS[1:], None, converged=True)),
 ]
 
 

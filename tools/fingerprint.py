@@ -9,14 +9,15 @@ Usage, from the root of a tvalm checkout:
 ROOT (default: the checkout holding this script) is the checkout whose
 ``src`` and ``perfbench`` are run, so one copy of the script fingerprints two
 trees.  For every case of every ``perfbench`` workload, in the instance and
-order of seed 0 (``workloads.seeded_setup``), and for the ALM-PDD solves no
-workload runs (iso on the denoise scene at 24x24, Err 1e-7, and at 32x32 and
-64x64, Err 1e-6; aniso at 32x32 with mu 0.01; iso and aniso on the 8x8
-motion-3 deblur of the deblur scene, mu 1e-6), it prints one line: the
-SHA-256 of the returned image u, of the multiplier lam and of the report's
-CSV without its timing columns (``report.strip_timing_columns``), or the
-``SolverError`` the solve raised.  Two trees agree on a case when its lines
-are equal.
+order of seed 0 (``workloads.seeded_setup``), and for the solves no workload
+runs, it prints one line: the SHA-256 of the returned image u, of the
+multiplier lam and of the report's CSV without its timing columns
+(``report.strip_timing_columns``), or the ``SolverError`` the solve raised.
+Two trees agree on a case when its lines are equal.  The solves outside the
+benchmark are ALM-PDD's (iso on the denoise scene at 24x24, Err 1e-7, and at
+32x32 and 64x64, Err 1e-6; aniso at 32x32 with mu 0.01; iso and aniso on the
+8x8 motion-3 deblur of the deblur scene, mu 1e-6) and ALG2's denoising (iso
+and aniso on the denoise scene at 32x32, Err 1e-6).
 
 With ``--against OTHER`` it fingerprints OTHER and ROOT, each in a
 subprocess of its own, one after the other, and compares them: it prints
@@ -88,8 +89,8 @@ def deblur_instance(n: int, length: int):
     return workloads.Instance(z, clean, blur_map(kernel))
 
 
-def pdd_cases():
-    """(name, case, instance) of the ALM-PDD solves outside the benchmark."""
+def extra_cases():
+    """(name, case, instance) of the solves outside the benchmark."""
     for n, tol in ISO_PDD:
         yield (f"denoise-{n}/iso-pdd@{tol:g}",
                workloads.Case("iso-pdd", "pdd", "iso", alpha=0.1, mu=0.0, tol=tol),
@@ -101,6 +102,10 @@ def pdd_cases():
         yield (f"deblur-8-motion3/{variant}-pdd",
                workloads.Case(f"{variant}-pdd", "pdd", variant, alpha=0.005, mu=1e-6, tol=1e-5),
                deblur_instance(8, 3))
+    for variant in ("iso", "aniso"):
+        yield (f"denoise-32/{variant}-alg2",
+               workloads.Case(f"{variant}-alg2", "alg2", variant, alpha=0.1, mu=0.0, tol=1e-6),
+               denoise_instance(32))
 
 
 def fingerprint(name: str, case, inst, reports: list) -> None:
@@ -147,7 +152,7 @@ def main() -> int:
         inst, cases = workloads.seeded_setup(wl, 0)
         for case in cases:
             fingerprint(f"{wl.name}/{case.name}", case, inst, reports)
-    for name, case, inst in pdd_cases():
+    for name, case, inst in extra_cases():
         fingerprint(name, case, inst, reports)
     return 0
 
